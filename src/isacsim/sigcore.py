@@ -15,8 +15,9 @@ TWO_PI = 2.0 * np.pi
 
 
 def db(ratio):
-    """Power ratio -> decibels."""
-    return 10.0 * np.log10(ratio)
+    """Power ratio -> decibels; zero power is -inf."""
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(ratio)
 
 
 def from_db(d):

@@ -235,7 +235,7 @@ def test_c8_solver_and_transform_oracles():
     # identity operator: the lasso minimizer is the soft-threshold of y
     rng = np.random.default_rng(0)
     y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    res = admm_lasso(lambda v: v, lambda v: v, y, lam=0.8, max_iters=2000,
+    res = admm_lasso((np.eye(y.size),), y, lam=0.8, max_iters=2000,
                      tol=1e-10)
     identity_ok = res.converged and np.allclose(
         res.coefficients, _soft_threshold(y, 0.8), atol=1e-8
@@ -251,7 +251,7 @@ def test_c8_solver_and_transform_oracles():
         x0[support] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2))
         y = a @ x0
         lam = 0.1 * np.max(np.abs(a.conj().T @ y))
-        res = admm_lasso(lambda v: a @ v, lambda v: a.conj().T @ v, y, lam,
+        res = admm_lasso((a,), y, lam,
                          max_iters=3000, tol=1e-11)
         gap = abs(
             _lasso_objective(a, y, res.coefficients, lam)

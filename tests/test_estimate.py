@@ -14,6 +14,7 @@ from isacsim.channel import (
 )
 from isacsim.estimate import (
     FeatureVector,
+    LassoResult,
     SensingEstimate,
     TxSchedule,
     admm_lasso,
@@ -31,6 +32,7 @@ from isacsim.estimate import (
     velocity_sparse,
     write_estimates_csv,
 )
+from isacsim.estimate import _kron_apply, _ridge_solver
 from isacsim.ofdm import SPEED_OF_LIGHT, CsiMatrix, RadioConfig
 from isacsim.sigcore import TWO_PI, from_db
 
@@ -73,6 +75,14 @@ def sparse_instance(seed, m=16, n=64, k=2):
     x0 = np.zeros(n, dtype=np.complex128)
     x0[support] = np.exp(1j * rng.uniform(0.0, TWO_PI, k))
     return a, a @ x0, x0, support
+
+
+# fat, tall and mixed Kronecker factor pairs
+KRON_PAIRS = [((3, 7), (4, 9)), ((7, 3), (9, 4)), ((3, 7), (9, 4))]
+
+
+def random_factors(rng, shapes):
+    return [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
 
 
 def model_csi(cfg, times, paths, snr_db=None, rng=None):
@@ -124,7 +134,7 @@ class TestAdmmLasso:
     def test_identity_matches_soft_threshold(self):
         y = np.zeros(8, dtype=np.complex128)
         y[3] = 3.0
-        res = admm_lasso(lambda v: v, lambda v: v, y, lam=1.0, max_iters=2000,
+        res = admm_lasso((np.eye(y.size),), y, lam=1.0, max_iters=2000,
                          tol=1e-10)
         assert res.converged
         expected = np.zeros(8, dtype=np.complex128)
@@ -134,7 +144,7 @@ class TestAdmmLasso:
     def test_identity_complex_phase(self):
         y = np.zeros(4, dtype=np.complex128)
         y[1] = 3.0 * np.exp(1j * 0.7)
-        res = admm_lasso(lambda v: v, lambda v: v, y, lam=1.0, max_iters=2000,
+        res = admm_lasso((np.eye(y.size),), y, lam=1.0, max_iters=2000,
                          tol=1e-10)
         assert np.allclose(res.coefficients[1], 2.0 * np.exp(1j * 0.7), atol=1e-8)
         assert np.allclose(res.coefficients[[0, 2, 3]], 0.0)
@@ -146,7 +156,7 @@ class TestAdmmLasso:
             recovered = False
             for frac in (0.3, 0.1, 0.05, 0.02):
                 res = admm_lasso(
-                    lambda v: a @ v, lambda v: a.conj().T @ v, y,
+                    (a,), y,
                     lam=frac * corr, max_iters=800, tol=1e-9,
                 )
                 found = set(np.flatnonzero(np.abs(res.coefficients) > 1e-6))
@@ -160,7 +170,7 @@ class TestAdmmLasso:
             a, y, _, _ = sparse_instance(seed)
             lam = 0.1 * np.max(np.abs(a.conj().T @ y))
             res = admm_lasso(
-                lambda v: a @ v, lambda v: a.conj().T @ v, y, lam,
+                (a,), y, lam,
                 max_iters=3000, tol=1e-11,
             )
             assert res.converged
@@ -172,7 +182,7 @@ class TestAdmmLasso:
     def test_objective_monotone_after_burn_in(self):
         a, y, _, _ = sparse_instance(12)
         lam = 0.1 * np.max(np.abs(a.conj().T @ y))
-        res = admm_lasso(lambda v: a @ v, lambda v: a.conj().T @ v, y, lam,
+        res = admm_lasso((a,), y, lam,
                          max_iters=400, tol=1e-12)
         tail = res.objectives[5:]
         assert np.all(np.diff(tail) <= 1e-8)
@@ -180,7 +190,7 @@ class TestAdmmLasso:
     def test_non_convergence_is_flagged(self):
         a, y, _, _ = sparse_instance(3)
         lam = 0.1 * np.max(np.abs(a.conj().T @ y))
-        res = admm_lasso(lambda v: a @ v, lambda v: a.conj().T @ v, y, lam,
+        res = admm_lasso((a,), y, lam,
                          max_iters=2, tol=1e-14)
         assert not res.converged
         assert res.iterations == 2
@@ -189,14 +199,53 @@ class TestAdmmLasso:
         a, _, _, _ = sparse_instance(0)
         bad_y = np.ones(5, dtype=np.complex128)
         with pytest.raises(ValueError):
-            admm_lasso(lambda v: a @ v, lambda v: a.conj().T @ v, bad_y, lam=0.1)
+            admm_lasso((a,), bad_y, lam=0.1)
+
+    @pytest.mark.parametrize("shapes", KRON_PAIRS)
+    def test_kron_apply_and_adjoint_match_np_kron(self, shapes):
+        rng = np.random.default_rng(5)
+        factors = random_factors(rng, shapes)
+        a = np.kron(*factors)
+        x = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
+        y = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
+        assert np.allclose(_kron_apply(factors, x), a @ x, rtol=0, atol=1e-12)
+        adjoint = _kron_apply([f.conj().T for f in factors], y)
+        assert np.allclose(adjoint, a.conj().T @ y, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shapes", KRON_PAIRS)
+    @pytest.mark.parametrize("rho", [None, 0.05, 30.0])
+    def test_exact_x_update_matches_dense_solve(self, shapes, rho):
+        rng = np.random.default_rng(7)
+        factors = random_factors(rng, shapes)
+        a = np.kron(*factors)
+        b = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
+        rho_used, solve = _ridge_solver(factors, rho)
+        expected = np.linalg.solve(
+            a.conj().T @ a + rho_used * np.eye(a.shape[1]), b)
+        err = np.linalg.norm(solve(b) - expected) / np.linalg.norm(expected)
+        assert err <= 1e-10
+
+    @pytest.mark.parametrize("shapes", KRON_PAIRS)
+    def test_default_rho_is_squared_operator_norm(self, shapes):
+        factors = random_factors(np.random.default_rng(11), shapes)
+        rho, _ = _ridge_solver(factors)
+        expected = np.linalg.norm(np.kron(*factors), 2) ** 2
+        assert rho == pytest.approx(expected, rel=1e-10)
+
+    def test_final_residuals_reported(self):
+        a, y, _, _ = sparse_instance(4)
+        lam = 0.1 * np.max(np.abs(a.conj().T @ y))
+        res = admm_lasso((a,), y, lam, max_iters=3, tol=1e-14)
+        assert isinstance(res, LassoResult)
+        assert np.isfinite(res.primal_residual) and res.primal_residual > 0
+        assert np.isfinite(res.dual_residual) and res.dual_residual > 0
 
     def test_bad_penalty_raises(self):
         y = np.ones(4, dtype=np.complex128)
         with pytest.raises(ValueError):
-            admm_lasso(lambda v: v, lambda v: v, y, lam=0.0)
+            admm_lasso((np.eye(y.size),), y, lam=0.0)
         with pytest.raises(ValueError):
-            admm_lasso(lambda v: v, lambda v: v, y, lam=1.0, rho=-1.0)
+            admm_lasso((np.eye(y.size),), y, lam=1.0, rho=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +270,29 @@ class TestSparseFeatures:
         lhs = np.vdot(y2, forward)
         rhs = np.vdot(adjoint, gamma)
         assert abs(lhs - rhs) < 1e-6 * abs(lhs)
+
+    def test_matches_lasso_on_explicit_dense_dictionary(self):
+        times = gaming_times(12, seed=3)
+        sched = TxSchedule(times)
+        delays = np.arange(0.0, 150e-9, 10e-9)
+        dopplers = np.arange(-10.0, 10.1, 2.0)
+        h = model_csi(CFG, times, [(1.0, 60e-9, 4.0), (0.5, 120e-9, 0.0)],
+                      snr_db=20, rng=3)
+        fv = estimate_features_sparse(h, sched, CFG, delay_grid=delays,
+                                      doppler_grid=dopplers)
+        d_mat, g_mat = dictionary_matrices(sched, CFG, delays, dopplers)
+        # row (packet l, subcarrier k), column (Doppler j, delay i)
+        a = np.kron(g_mat, d_mat) / np.sqrt(h.size)
+        y = h.reshape(-1)
+        lam = 0.1 * np.max(np.abs(a.conj().T @ y))
+        res = admm_lasso((a,), y, lam, max_iters=80, tol=1e-3)
+        expected = res.coefficients.reshape(dopplers.size, delays.size).T
+        assert fv.iterations == res.iterations
+        assert fv.converged == res.converged
+        assert fv.primal_residual == pytest.approx(res.primal_residual, rel=1e-6)
+        assert fv.dual_residual == pytest.approx(res.dual_residual, rel=1e-6)
+        assert np.allclose(fv.coefficients, expected, rtol=0,
+                           atol=1e-9 * np.max(np.abs(expected)))
 
     def test_single_path_regular_schedule(self):
         times = np.arange(96) / 40.0
