@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
+from .ofdm import training_burst
 from .sigcore import SampleBuffer, avg_power, db, dbm_to_power, from_db
 
 # default power budget (dB figures are relative unless suffixed _dbm)
@@ -475,6 +476,25 @@ def measure_separator_harm(template, state, remote_gain, noise_floor_dbm, rng):
     )
 
 
+def forced_separator_harm(cfg, rng, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
+                          clean_snr_db=15.0):
+    """Calibrate a separator on fresh leakage, then measure its harm.
+
+    A training burst at the default transmit power fits the separator on the
+    dummy load against ``make_leakage(rng)``; a remote copy of the burst
+    ``clean_snr_db`` above the noise floor then passes through the frozen
+    corrections. Returns (clean_snr_db, separated_snr_db).
+    """
+    txs = np.asarray(training_burst(cfg, n_extra=8).samples)
+    txs = txs * np.sqrt(dbm_to_power(DEFAULT_TX_POWER_DBM) / avg_power(txs))
+    tx = SampleBuffer(txs, cfg.sample_rate)
+    state = calibrate(CancellatorState().to_dummy_load(), tx, make_leakage(rng),
+                      noise_floor_dbm=noise_floor_dbm, rng=rng).to_antenna()
+    remote_gain = np.sqrt(dbm_to_power(noise_floor_dbm)
+                          * 10 ** (clean_snr_db / 10.0) / avg_power(txs))
+    return measure_separator_harm(tx, state, remote_gain, noise_floor_dbm, rng)
+
+
 def write_calibration_log(path, entries):
     """CSV export of calibration-stage residuals."""
     with open(path, "w", newline="") as fh:
@@ -499,6 +519,7 @@ __all__ = [
     "assemble_rx",
     "template_snr_db",
     "measure_separator_harm",
+    "forced_separator_harm",
     "write_calibration_log",
     "DEFAULT_TX_POWER_DBM",
     "DEFAULT_LEAKAGE_DB",

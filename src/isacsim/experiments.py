@@ -269,22 +269,9 @@ def run_separator_harm(ctx):
     rows = []
     min_penalty = np.inf
     for trial in range(n_trials):
-        rng = np.random.default_rng([ctx.seed, trial, 91])
-        burst = training_burst(ctx.cfg, n_extra=8)
-        txs = np.asarray(burst.samples)
-        txs = txs * np.sqrt(dbm_to_power(5.0) / avg_power(txs))
-        tx = SampleBuffer(txs, ctx.cfg.sample_rate)
-        leak = cancel.make_leakage(rng)
-        state = cancel.calibrate(
-            cancel.CancellatorState().to_dummy_load(), tx, leak,
-            noise_floor_dbm=noise_floor, rng=rng,
-        ).to_antenna()
-        remote_gain = np.sqrt(
-            dbm_to_power(noise_floor) * 10 ** (clean_target / 10.0)
-            / avg_power(txs)
-        )
-        clean, separated = cancel.measure_separator_harm(
-            tx, state, remote_gain, noise_floor, rng,
+        clean, separated = cancel.forced_separator_harm(
+            ctx.cfg, np.random.default_rng([ctx.seed, trial, 91]),
+            noise_floor, clean_target,
         )
         penalty = float(clean - separated)
         min_penalty = min(min_penalty, penalty)

@@ -3,7 +3,7 @@
 Each kernel has two interchangeable implementations: a numba ``@njit`` version
 and a pure-numpy fallback. The active path is chosen once at import time; set
 ``ISACSIM_DISABLE_NUMBA=1`` in the environment (or uninstall numba) to force
-the numpy path. ``benchmarks/bench_kernels.py`` times one against the other.
+the numpy path.
 """
 
 import os

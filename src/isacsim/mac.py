@@ -21,14 +21,14 @@ identically and produces bit-identical delay/loss statistics.
 
 import csv as _csv
 import heapq
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from . import cancel
-from .channel import los_gain
+from . import cancel, channel
 from .estimate import TxSchedule
 from .ofdm import MAX_FRAME_S, MCS_TABLE, RadioConfig, packet_duration
 from .sigcore import power_to_dbm, dbm_to_power
@@ -214,19 +214,26 @@ class ScenarioResult:
 
 
 class _DeviceCtx:
+    """Per-run state of one device; ``link_*`` describe its packets at the peer."""
+
     __slots__ = ("dev", "state", "separator_on", "m_timer_deadline", "mcs",
-                 "last_tx_complete", "m_entered_at")
+                 "peer", "link_snr", "link_success")
 
     def __init__(self, dev):
         self.dev = dev
-        self.state = MacState.C
+        self.state = MacState.C.value
         self.separator_on = False
         self.m_timer_deadline = None
         if dev.mcs not in MCS_TABLE:
             raise ValueError(f"unknown MCS {dev.mcs!r}")
         self.mcs = MCS_TABLE[dev.mcs]
-        self.last_tx_complete = None
-        self.m_entered_at = None
+        self.peer = None
+
+
+# (state value, event kind) -> (state value after, action), read off ``step``
+_STEP_TABLE = {(s.value, kind): (after.value, action)
+               for s in MacState for kind in EVENT_KINDS
+               for after, action in [step(s, kind)]}
 
 
 def measure_forced_separator_penalty(cfg=None, noise_floor_dbm=-85.0,
@@ -236,29 +243,34 @@ def measure_forced_separator_penalty(cfg=None, noise_floor_dbm=-85.0,
     Calibrates a separator on synthetic leakage, then passes a clean remote
     packet through its correction chain and compares matched-template SNRs.
     """
-    cfg = cfg or RadioConfig()
-    rng = np.random.default_rng([seed, 91])
-    from .ofdm import training_burst
-    from .sigcore import SampleBuffer, avg_power
-
-    burst = training_burst(cfg, n_extra=8)
-    tx = np.asarray(burst.samples)
-    tx = tx * np.sqrt(dbm_to_power(5.0) / avg_power(tx))
-    tx_buf = SampleBuffer(tx, cfg.sample_rate)
-    leak = cancel.make_leakage(rng)
-    state = cancel.CancellatorState().to_dummy_load()
-    state = cancel.calibrate(state, tx_buf, leak,
-                             noise_floor_dbm=noise_floor_dbm, rng=rng)
-    state = state.to_antenna()
-    noise_power = dbm_to_power(noise_floor_dbm)
-    template = tx
-    remote_gain = np.sqrt(noise_power * 10 ** (clean_snr_db / 10.0)
-                          / avg_power(template))
-    clean, separated = cancel.measure_separator_harm(
-        SampleBuffer(template, cfg.sample_rate), state, remote_gain,
-        noise_floor_dbm, rng,
-    )
+    clean, separated = cancel.forced_separator_harm(
+        cfg or RadioConfig(), np.random.default_rng([seed, 91]),
+        noise_floor_dbm, clean_snr_db)
     return float(clean - separated)
+
+
+def _materialize_csi(captures, geometry, cfg, rng):
+    """CsiRecords in capture order, one channel call per (rx, tx) link."""
+    values = [None] * len(captures)
+    if geometry is not None and geometry.targets:
+        links = {}
+        for i, (_, _, rx, tx) in enumerate(captures):
+            links.setdefault((rx, tx), []).append(i)
+        for (rx, tx), idx in links.items():
+            g = channel.ScenarioGeometry(
+                tx_pos=tx.dev.pos, rx_pos=rx.dev.pos,
+                targets=geometry.targets,
+                tx_power_dbm=geometry.tx_power_dbm,
+                n_antennas=geometry.n_antennas,
+                include_los=rx is not tx,
+            )
+            series = channel.synthesize_csi_series(
+                g, cfg, np.array([captures[i][0] for i in idx]), snr_db=30.0,
+                rng=rng)
+            for i, v in zip(idx, series):
+                values[i] = v
+    return [CsiRecord(t, kind, rx.dev.device_id, tx.dev.device_id, v)
+            for (t, kind, rx, tx), v in zip(captures, values)]
 
 
 def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
@@ -271,11 +283,16 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
 
     ``geometry`` may be None (no CSI materialization) or a
     channel.ScenarioGeometry whose targets are used to synthesize actual CSI
-    values when ``collect_csi`` is on. ``traffic`` is the default
-    TrafficModel for devices that don't carry their own. Paired runs that
-    differ only in ``sensing_enabled`` produce identical delay/loss numbers;
-    ``force_separator`` models the incompatible always-on separator and
-    charges its measured SNR penalty to every reception.
+    values when ``collect_csi`` is on. The event loop only notes when each
+    of the first ``max_csi`` captures happened; after it, every (rx, tx)
+    link's captures are synthesized in one ``synthesize_csi_series`` call,
+    so their noise level is set relative to the strongest path over that
+    link's series. ``traffic`` is the default TrafficModel for devices that
+    don't carry their own; devices without a ``peer_id`` send to the next
+    device in the list (the caller's devices are not modified). Paired runs
+    that differ only in ``sensing_enabled`` produce identical delay/loss
+    numbers; ``force_separator`` models the incompatible always-on separator
+    and charges its measured SNR penalty to every reception.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -288,10 +305,12 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
 
     ctxs = {d.device_id: _DeviceCtx(d) for d in devices}
     for i, d in enumerate(devices):
-        if d.peer_id is None and len(devices) > 1:
-            d.peer_id = devices[(i + 1) % len(devices)].device_id
-        if d.peer_id is not None and d.peer_id not in ctxs:
-            raise ValueError(f"unknown peer {d.peer_id!r}")
+        peer = d.peer_id
+        if peer is None and len(devices) > 1:
+            peer = ids[(i + 1) % len(ids)]
+        if peer is not None and peer not in ctxs:
+            raise ValueError(f"unknown peer {peer!r}")
+        ctxs[d.device_id].peer = None if peer is None else ctxs[peer]
 
     rng_comms = np.random.default_rng([seed, 17])
     rng_sense = np.random.default_rng([seed, 29])
@@ -301,42 +320,46 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
         penalty_db = measure_forced_separator_penalty(
             cfg, noise_floor_dbm, seed=seed)
 
-    def link_snr(tx_dev, rx_dev):
-        if link_snr_db is not None:
-            return float(link_snr_db)
-        d = float(np.linalg.norm(np.asarray(tx_dev.pos, dtype=float)
-                                 - np.asarray(rx_dev.pos, dtype=float)))
-        amp = los_gain(max(d, 0.1), cfg, tx_power=dbm_to_power(tx_power_dbm))
-        return power_to_dbm(abs(amp) ** 2) - noise_floor_dbm
+    # positions, MCS and the penalty are fixed for the run
+    for ctx in ctxs.values():
+        if ctx.peer is None:
+            continue
+        snr = link_snr_db
+        if snr is None:
+            d = float(np.linalg.norm(np.asarray(ctx.dev.pos, dtype=float)
+                                     - np.asarray(ctx.peer.dev.pos, dtype=float)))
+            amp = channel.los_gain(max(d, 0.1), cfg,
+                                   tx_power=dbm_to_power(tx_power_dbm))
+            snr = power_to_dbm(abs(amp) ** 2) - noise_floor_dbm
+        ctx.link_snr = float(snr) - penalty_db
+        ctx.link_success = success_probability(ctx.link_snr, ctx.peer.mcs)
 
     data_duration = packet_duration(n_symbols, cfg)
     ack_duration = packet_duration(ack_symbols, cfg)
 
     heap = []
-    seq = 0
+    seq = itertools.count()
+    push = heapq.heappush
+    pop = heapq.heappop
 
-    def push(t, kind, payload):
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, payload))
-        seq += 1
-
-    for d in devices:
+    for i, d in enumerate(devices):
         model = d.traffic if d.traffic is not None else traffic
         if model is None:
             raise ValueError(f"device {d.device_id!r} has no traffic model")
         sched = generate_traffic(
             model, duration,
-            seed=np.random.default_rng([seed, ids.index(d.device_id), 5]
-                                       ).integers(0, 2**32),
+            seed=np.random.default_rng([seed, i, 5]).integers(0, 2**32),
         )
+        ctx = ctxs[d.device_id]
         for t in sched.times:
-            push(float(t), "pkt-due", (d.device_id, float(t), "DATA"))
+            t = float(t)
+            push(heap, (t, next(seq), "pkt-due", (ctx, t, "DATA")))
         if cal_interval_s:
-            push(cal_interval_s, "calibration", (d.device_id,))
+            push(heap, (cal_interval_s, next(seq), "calibration", ctx))
 
     entries = []
     violations = []
-    csi_records = []
+    captures = []
     delays = []
     successes = []
     rx_snrs = []
@@ -345,129 +368,95 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     invariant_checks = 0
     separator_mismatches = 0
 
-    def record(t, dev_id, event_kind, before, after, action):
-        if log:
-            entries.append(LogEntry(t, dev_id, event_kind, before.value,
-                                    after.value, action))
-        if action == VIOLATION:
-            violations.append(LogEntry(t, dev_id, event_kind, before.value,
-                                       after.value, action))
-
-    def apply_step(t, ctx, event_kind, payload=""):
+    def apply_step(t, ctx, event_kind):
         nonlocal separator_mismatches, invariant_checks
         before = ctx.state
-        after, action = step(before, MacEvent(event_kind, payload))
+        after, action = _STEP_TABLE[before, event_kind]
         ctx.state = after
-        if action == ENABLE_SEPARATOR:
-            ctx.separator_on = True
-            ctx.m_entered_at = t
+        if action == ENABLE_SEPARATOR or action == DISABLE_SEPARATOR:
+            ctx.separator_on = action == ENABLE_SEPARATOR
             ctx.m_timer_deadline = None
         elif action == CONTINUE_BURST:
             ctx.m_timer_deadline = None  # re-armed at this burst's TxComplete
-        elif action == DISABLE_SEPARATOR:
-            ctx.separator_on = False
-            ctx.m_timer_deadline = None
         elif action == ARM_TIMER:
-            ctx.m_timer_deadline = t + timer_s
-            ctx.last_tx_complete = t
-            push(ctx.m_timer_deadline, "timer",
-                 (ctx.dev.device_id, ctx.m_timer_deadline))
-        record(t, ctx.dev.device_id, event_kind, before, after, action)
+            deadline = ctx.m_timer_deadline = t + timer_s
+            push(heap, (deadline, next(seq), "timer", (ctx, deadline)))
+        elif action == VIOLATION:
+            violations.append(LogEntry(t, ctx.dev.device_id, event_kind,
+                                       before, after, action))
+        if log:
+            entries.append(LogEntry(t, ctx.dev.device_id, event_kind, before,
+                                    after, action))
         invariant_checks += 1
-        if ctx.separator_on != (ctx.state == MacState.M):
+        if ctx.separator_on != (after == "M"):
             separator_mismatches += 1
-        return action
-
-    def synth_csi(t, kind, rx_dev, tx_dev):
-        if not collect_csi or len(csi_records) >= max_csi:
-            return
-        values = None
-        if geometry is not None and geometry.targets:
-            from .channel import ScenarioGeometry, synthesize_csi_series
-            g = ScenarioGeometry(
-                tx_pos=tx_dev.pos, rx_pos=rx_dev.pos,
-                targets=geometry.targets,
-                tx_power_dbm=geometry.tx_power_dbm,
-                n_antennas=geometry.n_antennas,
-                include_los=kind == "bi",
-            )
-            values = synthesize_csi_series(
-                g, cfg, np.array([t]), snr_db=30.0, rng=rng_sense)[0]
-        csi_records.append(CsiRecord(t, kind, rx_dev.device_id,
-                                     tx_dev.device_id, values))
 
     while heap:
-        t, _, kind, payload = heapq.heappop(heap)
+        t, _, kind, payload = pop(heap)
         n_events += 1
         if max_events is not None and n_events > max_events:
             break
 
         if kind == "pkt-due":
-            dev_id, sched_t, ptype = payload
-            ctx = ctxs[dev_id]
+            ctx, sched_t, ptype = payload
             if t < medium_free_at:
                 backoff = backoff_slot_s * int(rng_comms.integers(0, 16))
-                push(medium_free_at + backoff, "pkt-due",
-                     (dev_id, sched_t, ptype))
+                push(heap, (medium_free_at + backoff, next(seq), kind, payload))
                 continue
             dur = data_duration if ptype == "DATA" else ack_duration
             medium_free_at = t + dur
             if sensing_enabled:
-                apply_step(t, ctx, "TxStart", ptype)
-                if ctx.state == MacState.M:
-                    synth_csi(t, "mono", ctx.dev, ctx.dev)
+                apply_step(t, ctx, "TxStart")
+                if (collect_csi and ctx.state == "M"
+                        and len(captures) < max_csi):
+                    captures.append((t, "mono", ctx, ctx))
             if ptype == "DATA":
                 delays.append(t - sched_t)
-            push(t + dur, "tx-complete", (dev_id,))
-            peer = ctx.dev.peer_id
-            if peer is not None:
-                rx_ctx = ctxs[peer]
+            push(heap, (t + dur, next(seq), "tx-complete", ctx))
+            rx_ctx = ctx.peer
+            if rx_ctx is not None:
                 if sensing_enabled:
-                    was_c = rx_ctx.state == MacState.C
-                    apply_step(t, rx_ctx, "RxStart", ptype)
-                    if was_c and rx_ctx.state == MacState.B:
-                        synth_csi(t, "bi", rx_ctx.dev, ctx.dev)
-                push(t + dur, "rx-complete", (peer, dev_id, ptype, sched_t))
+                    was_c = rx_ctx.state == "C"
+                    apply_step(t, rx_ctx, "RxStart")
+                    if (was_c and collect_csi and rx_ctx.state == "B"
+                            and len(captures) < max_csi):
+                        captures.append((t, "bi", rx_ctx, ctx))
+                push(heap, (t + dur, next(seq), "rx-complete", (ctx, ptype)))
 
         elif kind == "tx-complete":
-            (dev_id,) = payload
             if sensing_enabled:
-                apply_step(t, ctxs[dev_id], "TxComplete")
+                apply_step(t, payload, "TxComplete")
 
         elif kind == "timer":
-            dev_id, deadline = payload
-            ctx = ctxs[dev_id]
+            ctx, deadline = payload
             if ctx.m_timer_deadline != deadline:
                 continue  # superseded by a later transmission
             if sensing_enabled:
                 apply_step(t, ctx, "TimerExpiry")
 
         elif kind == "rx-complete":
-            rx_id, tx_id, ptype, sched_t = payload
-            rx_ctx = ctxs[rx_id]
+            tx_ctx, ptype = payload
+            rx_ctx = tx_ctx.peer
             if sensing_enabled:
                 apply_step(t, rx_ctx, "RxComplete")
-            snr = link_snr(ctxs[tx_id].dev, rx_ctx.dev)
-            if force_separator:
-                snr -= penalty_db
-            ok = rng_comms.random() < success_probability(snr, rx_ctx.mcs)
+            ok = rng_comms.random() < tx_ctx.link_success
             if ptype == "DATA":
                 successes.append(ok)
-                rx_snrs.append(snr)
+                rx_snrs.append(tx_ctx.link_snr)
                 if ok:
-                    push(t + sifs_s, "pkt-due", (rx_id, t + sifs_s, "ACK"))
+                    push(heap, (t + sifs_s, next(seq), "pkt-due",
+                                (rx_ctx, t + sifs_s, "ACK")))
 
         elif kind == "calibration":
-            (dev_id,) = payload
-            ctx = ctxs[dev_id]
-            if ctx.state == MacState.C:
+            ctx = payload
+            if ctx.state == "C":
                 if sensing_enabled:
                     apply_step(t, ctx, "CalibrationDue")
                 nxt = t + cal_interval_s
             else:
                 nxt = t + 0.005  # busy; retry shortly
             if nxt < duration:
-                push(nxt, "calibration", (dev_id,))
+                push(heap, (nxt, next(seq), "calibration", ctx))
 
     delays_ms = 1e3 * np.asarray(delays) if delays else np.zeros(1)
     stats = {
@@ -477,7 +466,9 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
         "loss_rate": float(1.0 - np.mean(successes)) if successes else 0.0,
         "mean_rx_snr_db": float(np.mean(rx_snrs)) if rx_snrs else float("nan"),
     }
-    return ScenarioResult(entries, csi_records, stats, violations,
+    return ScenarioResult(entries,
+                          _materialize_csi(captures, geometry, cfg, rng_sense),
+                          stats, violations,
                           n_events=n_events,
                           invariant_checks=invariant_checks,
                           separator_mismatches=separator_mismatches,

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from isacsim import mac
-from isacsim.channel import PropagationPath, ScenarioGeometry
+from isacsim.channel import (
+    PropagationPath,
+    ScenarioGeometry,
+    linear_trajectory,
+    synthesize_csi_series,
+)
 from isacsim.mac import MacEvent, MacState, step
-from isacsim.ofdm import MCS_TABLE
+from isacsim.ofdm import MCS_TABLE, RadioConfig
 
 
 def tx_spans(log):
@@ -335,6 +340,74 @@ class TestRunScenario:
         res = mac.run_scenario(devs, None, None, 2.0, seed=0)
         assert res.stats["delay_ms_p95"] > 0.0
         assert res.violations == []
+
+    def test_caller_devices_are_not_modified(self):
+        a, b = two_devices()
+        c = mac.MacDevice("dev-c", (0.0, 4.0, 0.0))
+        traffic = mac.TrafficModel.regular(50.0)
+        mac.run_scenario([a, b, c], None, traffic, 0.2, seed=0)
+        assert (a.peer_id, b.peer_id, c.peer_id) == (None, None, None)
+        res = mac.run_scenario([a, b], None, traffic, 0.2, seed=0)
+        assert res.violations == []
+        assert res.stats["n_data"] > 0
+
+
+def three_traffic_devices():
+    return [
+        mac.MacDevice("dev-a", (0.0, 0.0, 0.0),
+                      traffic=mac.TrafficModel.regular(120.0)),
+        mac.MacDevice("dev-b", (4.0, 0.0, 0.0),
+                      traffic=mac.TrafficModel.streaming(seed=1)),
+        mac.MacDevice("dev-c", (2.0, 3.0, 0.0),
+                      traffic=mac.TrafficModel.gaming(seed=2)),
+    ]
+
+
+class TestEventLoop:
+    def test_every_logged_transition_matches_step(self):
+        res = mac.run_scenario(three_traffic_devices(), None, None, 1.0,
+                               seed=5, cal_interval_s=0.05)
+        events = {e.event for e in res.log}
+        assert events == set(mac.EVENT_KINDS)
+        for e in res.log:
+            state, action = step(MacState(e.state_before), MacEvent(e.event))
+            assert (state.value, action) == (e.state_after, e.action)
+
+    def test_csi_capture_is_batched_per_link(self):
+        geom = ScenarioGeometry(targets=(PropagationPath(
+            trajectory=linear_trajectory((3.0, 2.0, 0.0), (0.6, -0.4, 0.0))),))
+        devices = three_traffic_devices()
+        res = mac.run_scenario(devices, geom, None, 1.0, seed=4,
+                               collect_csi=True, max_csi=90)
+        # the captures the event log implies, in event order
+        expected = []
+        peer = {"dev-a": "dev-b", "dev-b": "dev-c", "dev-c": "dev-a"}
+        sender = {v: k for k, v in peer.items()}
+        for e in res.log:
+            if e.event == "TxStart" and e.state_after == "M":
+                expected.append((e.time, "mono", e.device, e.device))
+            elif e.event == "RxStart" and e.action == mac.BISTATIC_CAPTURE:
+                expected.append((e.time, "bi", e.device, sender[e.device]))
+        assert len(expected) > 90
+        got = [(r.time, r.kind, r.device, r.tx_device) for r in res.csi_records]
+        assert got == expected[:90]
+
+        # one synthesis per link over its capture times, links in order of
+        # first capture, all drawing noise from the same sensing stream
+        pos = {d.device_id: d.pos for d in devices}
+        rng = np.random.default_rng([4, 29])
+        links = {}
+        for r in res.csi_records:
+            links.setdefault((r.device, r.tx_device), []).append(r)
+        assert len(links) == 6
+        for (rx, tx), records in links.items():
+            g = ScenarioGeometry(tx_pos=pos[tx], rx_pos=pos[rx],
+                                 targets=geom.targets, include_los=rx != tx)
+            values = synthesize_csi_series(
+                g, RadioConfig(), np.array([r.time for r in records]),
+                snr_db=30.0, rng=rng)
+            for r, v in zip(records, values):
+                np.testing.assert_array_equal(r.values, v)
 
 
 class TestExports:
