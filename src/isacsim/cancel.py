@@ -13,7 +13,6 @@ streams and sums them, so per-component power through every stage is exactly
 measurable; cancellation corrections are charged to the leakage component.
 """
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -476,32 +475,35 @@ def measure_separator_harm(template, state, remote_gain, noise_floor_dbm, rng):
     )
 
 
-def forced_separator_harm(cfg, rng, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
-                          clean_snr_db=15.0):
-    """Calibrate a separator on fresh leakage, then measure its harm.
+def calibrated_separator(cfg, rng, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM):
+    """A training burst, fresh leakage, and a separator fitted to it.
 
-    A training burst at the default transmit power fits the separator on the
-    dummy load against ``make_leakage(rng)``; a remote copy of the burst
-    ``clean_snr_db`` above the noise floor then passes through the frozen
-    corrections. Returns (clean_snr_db, separated_snr_db).
+    The burst runs at the default transmit power; the separator is fitted on
+    the dummy load against ``make_leakage(rng)``, drawn before the
+    calibration noise, and handed back switched to the antenna. Returns
+    (tx, leak, state).
     """
     txs = np.asarray(training_burst(cfg, n_extra=8).samples)
     txs = txs * np.sqrt(dbm_to_power(DEFAULT_TX_POWER_DBM) / avg_power(txs))
     tx = SampleBuffer(txs, cfg.sample_rate)
-    state = calibrate(CancellatorState().to_dummy_load(), tx, make_leakage(rng),
+    leak = make_leakage(rng)
+    state = calibrate(CancellatorState().to_dummy_load(), tx, leak,
                       noise_floor_dbm=noise_floor_dbm, rng=rng).to_antenna()
+    return tx, leak, state
+
+
+def forced_separator_harm(cfg, rng, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
+                          clean_snr_db=15.0):
+    """Calibrate a separator on fresh leakage, then measure its harm.
+
+    ``calibrated_separator`` fits the separator; a remote copy of its
+    training burst ``clean_snr_db`` above the noise floor then passes
+    through the frozen corrections. Returns (clean_snr_db, separated_snr_db).
+    """
+    tx, _, state = calibrated_separator(cfg, rng, noise_floor_dbm)
     remote_gain = np.sqrt(dbm_to_power(noise_floor_dbm)
-                          * 10 ** (clean_snr_db / 10.0) / avg_power(txs))
+                          * 10 ** (clean_snr_db / 10.0) / tx.power())
     return measure_separator_harm(tx, state, remote_gain, noise_floor_dbm, rng)
-
-
-def write_calibration_log(path, entries):
-    """CSV export of calibration-stage residuals."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "stage", "residual_db", "port"])
-        for time_s, stage, residual_db, port in entries:
-            writer.writerow([f"{time_s:.6f}", stage, f"{residual_db:.3f}", port])
 
 
 __all__ = [
@@ -519,8 +521,8 @@ __all__ = [
     "assemble_rx",
     "template_snr_db",
     "measure_separator_harm",
+    "calibrated_separator",
     "forced_separator_harm",
-    "write_calibration_log",
     "DEFAULT_TX_POWER_DBM",
     "DEFAULT_LEAKAGE_DB",
     "DEFAULT_NOISE_FLOOR_DBM",

@@ -21,13 +21,12 @@ Conventions
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
-from .config import ConfigError, read_flat_config
-from .ofdm import SPEED_OF_LIGHT, RadioConfig, burst_symbol_spans
+from .ofdm import SPEED_OF_LIGHT, burst_symbol_spans
 from .sigcore import SampleBuffer, TWO_PI, complex_noise, dbm_to_power, power_to_dbm
 
 _MIN_RANGE = 1e-9
@@ -601,145 +600,6 @@ def synthesize_csi_series(geom, cfg, times, imp=None, snr_db=None, rng=None,
     return out
 
 
-# ---------------------------------------------------------------------------
-# scenario files
-
-
-_SCENARIO_SCALARS = {
-    "seed": ("seed", int),
-    "noise_floor_dbm": ("noise_floor_dbm", float),
-}
-
-_RADIO_KEYS = {
-    "radio.carrier_freq_hz": ("carrier_freq", float),
-    "radio.sample_rate_hz": ("sample_rate", float),
-    "radio.fft_size": ("fft_size", int),
-    "radio.cyclic_prefix_len": ("cyclic_prefix_len", int),
-}
-
-_GEOMETRY_KEYS = {
-    "geometry.tx_pos": ("tx_pos", None),
-    "geometry.rx_pos": ("rx_pos", None),
-    "geometry.tx_power_dbm": ("tx_power_dbm", float),
-    "geometry.gain_tx": ("gain_tx", float),
-    "geometry.gain_rx": ("gain_rx", float),
-    "geometry.n_antennas": ("n_antennas", int),
-    "geometry.array_spacing_wl": ("array_spacing_wl", float),
-    "geometry.boresight_deg": ("boresight_deg", float),
-    "geometry.include_los": ("include_los", bool),
-}
-
-_IMPAIRMENT_KEYS = {
-    "impairment.cfo_hz": ("cfo_hz", float),
-    "impairment.cpo": ("cpo", float),
-    "impairment.sfo": ("sfo", float),
-    "impairment.pdd_extra": ("pdd_extra", float),
-}
-
-_TARGET_FIELDS = {
-    "position",
-    "velocity",
-    "rcs",
-    "aoa_deg",
-    "amplitude",
-    "delay_s",
-    "breath_amplitude_m",
-    "breath_rate_hz",
-    "label",
-}
-
-
-@dataclass
-class Scenario:
-    """A parsed scene: radio settings, geometry, clock error, noise, seed."""
-
-    radio: RadioConfig
-    geometry: ScenarioGeometry
-    impairments: ImpairmentProfile
-    noise_floor_dbm: float = None
-    seed: int = 0
-    raw: dict = field(default_factory=dict)
-
-
-def _target_from_fields(name, fields):
-    unknown = set(fields) - _TARGET_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown {name} key(s): {', '.join(sorted(unknown))}")
-    position = fields.get("position")
-    trajectory = None
-    if "breath_amplitude_m" in fields or "breath_rate_hz" in fields:
-        if position is None:
-            raise ConfigError(f"{name}: breathing motion needs a position")
-        if "velocity" in fields:
-            raise ConfigError(f"{name}: give velocity or breathing, not both")
-        trajectory = breathing_trajectory(
-            position,
-            amplitude_m=float(fields.get("breath_amplitude_m", 0.005)),
-            rate_hz=float(fields.get("breath_rate_hz", 0.25)),
-        )
-        position = None
-    elif "velocity" in fields:
-        if position is None:
-            raise ConfigError(f"{name}: velocity needs a starting position")
-        trajectory = linear_trajectory(position, fields["velocity"])
-        position = None
-    return PropagationPath(
-        index=2,
-        position=position,
-        trajectory=trajectory,
-        rcs=float(fields.get("rcs", 1.0)),
-        aoa_deg=fields.get("aoa_deg"),
-        amplitude=fields.get("amplitude"),
-        delay=fields.get("delay_s"),
-        label=str(fields.get("label", name)),
-    )
-
-
-def scenario_from_dict(values):
-    """Build a Scenario from flat dotted keys; unknown keys raise ConfigError."""
-    radio_kwargs = {}
-    geom_kwargs = {}
-    imp_kwargs = {}
-    scalars = {}
-    target_fields = {}
-    for key, value in values.items():
-        if key in _SCENARIO_SCALARS:
-            name, cast = _SCENARIO_SCALARS[key]
-            scalars[name] = cast(value)
-        elif key in _RADIO_KEYS:
-            name, cast = _RADIO_KEYS[key]
-            radio_kwargs[name] = cast(value)
-        elif key in _GEOMETRY_KEYS:
-            name, cast = _GEOMETRY_KEYS[key]
-            geom_kwargs[name] = cast(value) if cast else value
-        elif key in _IMPAIRMENT_KEYS:
-            name, cast = _IMPAIRMENT_KEYS[key]
-            imp_kwargs[name] = cast(value)
-        elif key.startswith("target") and "." in key:
-            prefix, _, fieldname = key.partition(".")
-            target_fields.setdefault(prefix, {})[fieldname] = value
-        else:
-            raise ConfigError(f"unknown scenario key: {key}")
-    targets = [
-        _target_from_fields(name, fields)
-        for name, fields in sorted(target_fields.items())
-    ]
-    geometry = ScenarioGeometry(targets=tuple(targets), **geom_kwargs)
-    return Scenario(
-        radio=RadioConfig(**radio_kwargs),
-        geometry=geometry,
-        impairments=ImpairmentProfile(**imp_kwargs),
-        noise_floor_dbm=scalars.get("noise_floor_dbm"),
-        seed=scalars.get("seed", 0),
-        raw=dict(values),
-    )
-
-
-def load_scenario(path):
-    """Read a ``key = value`` scene description file."""
-    return scenario_from_dict(read_flat_config(path))
-
-
 __all__ = [
     "path_gain",
     "los_gain",
@@ -759,7 +619,4 @@ __all__ = [
     "propagate",
     "apply_clock_impairments",
     "synthesize_csi_series",
-    "Scenario",
-    "scenario_from_dict",
-    "load_scenario",
 ]

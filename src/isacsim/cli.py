@@ -8,46 +8,23 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, check_keys, read_flat_config_lines
+from .config import ConfigError, read_flat_config
 from .experiments import (
     KNOWN_KEYS,
+    check_config,
     describe,
     experiment_names,
-    radio_config_from,
     run_experiment,
 )
-
-
-def _check_types(values, lines):
-    """Enforce the declared type of each known key, naming the bad line."""
-    for key, want in KNOWN_KEYS.items():
-        if key not in values:
-            continue
-        val = values[key]
-        ok = (
-            isinstance(val, int) and not isinstance(val, bool)
-            if want is int
-            else isinstance(val, (int, float)) and not isinstance(val, bool)
-        )
-        if not ok:
-            raise ConfigError(
-                f"{key} expects {want.__name__}, got {val!r}",
-                lines.get(key),
-            )
 
 
 def load_config(path):
     """Values from a flat config file, fully validated; ConfigError if not."""
     try:
-        values, lines = read_flat_config_lines(path)
+        values, lines = read_flat_config(path)
     except OSError as exc:
         raise ConfigError(f"cannot read {path!r}: {exc.strerror or exc}")
-    check_keys(values, KNOWN_KEYS, lines=lines)
-    _check_types(values, lines)
-    try:
-        radio_config_from(values)  # keys may be individually fine yet clash
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    check_config(values, lines)
     return values
 
 
@@ -90,7 +67,7 @@ def main(argv=None):
             return 3
         print(f"{args.config}: ok ({len(values)} key(s))")
         print("accepted keys:")
-        for key, want in KNOWN_KEYS.items():
+        for key, (_, want) in KNOWN_KEYS.items():
             print(f"  {key}  ({want.__name__})")
         return 0
 

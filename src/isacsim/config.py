@@ -1,9 +1,10 @@
-"""Flat dotted-key config files: parsing, validation, hashing.
+"""Flat dotted-key config files: reading, key checking, hashing.
 
 Format: one ``key = value`` pair per line, ``#`` comments, blank lines
 ignored. Keys are dotted paths (``radio.fft_size``). Values are parsed as
 JSON when possible (numbers, booleans, quoted strings, lists) and fall back
-to bare strings.
+to bare strings. The accepted keys and their types are listed once, in
+``experiments.KNOWN_KEYS``.
 """
 
 import hashlib
@@ -28,8 +29,10 @@ def parse_value(text):
         return text
 
 
-def parse_flat_config_lines(text):
-    """Parse dotted-key text; returns (values, {key: line_no})."""
+def read_flat_config(path):
+    """Parse a dotted-key file; returns (values, {key: line_no})."""
+    with open(path, "r") as fh:
+        text = fh.read()
     out = {}
     lines = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -49,22 +52,7 @@ def parse_flat_config_lines(text):
     return out, lines
 
 
-def parse_flat_config(text):
-    """Parse dotted-key text into an ordered dict; raises ConfigError."""
-    return parse_flat_config_lines(text)[0]
-
-
-def read_flat_config(path):
-    with open(path, "r") as fh:
-        return parse_flat_config(fh.read())
-
-
-def read_flat_config_lines(path):
-    with open(path, "r") as fh:
-        return parse_flat_config_lines(fh.read())
-
-
-def check_keys(values, known, context="config", lines=None):
+def check_keys(values, known, lines=None):
     """Reject unknown dotted keys; `known` is an iterable of exact keys.
 
     When `lines` maps keys to source line numbers, the error names the line
@@ -80,7 +68,7 @@ def check_keys(values, known, context="config", lines=None):
         else:
             described = ", ".join(repr(k) for k in sorted(unknown))
         err = ConfigError(
-            f"unknown {context} key(s): {described}; "
+            f"unknown config key(s): {described}; "
             f"run the validate command to list accepted keys"
         )
         if lines:
@@ -99,10 +87,7 @@ def config_hash(values):
 __all__ = [
     "ConfigError",
     "parse_value",
-    "parse_flat_config",
-    "parse_flat_config_lines",
     "read_flat_config",
-    "read_flat_config_lines",
     "check_keys",
     "config_hash",
 ]

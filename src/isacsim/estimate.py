@@ -9,7 +9,6 @@ packet-rate FFT Doppler) are included because their failure modes under
 irregular sampling are exactly what the sparse path fixes.
 """
 
-import csv as _csv
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -579,21 +578,6 @@ def localize_single(est, device_pos=(0.0, 0.0), heading_deg=0.0):
     return device_pos + est.range_m * np.array([np.cos(ang), np.sin(ang)])
 
 
-def write_estimates_csv(path, rows):
-    """CSV export: (trial, truth_range_m, est_range_m, method, snr_db, schedule_kind)."""
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(
-            ["trial", "truth_range_m", "est_range_m", "method", "snr_db",
-             "schedule_kind"]
-        )
-        for row in rows:
-            trial, truth, est, method, snr, kind = row
-            writer.writerow(
-                [trial, f"{truth:.4f}", f"{est:.4f}", method, f"{snr:.2f}", kind]
-            )
-
-
 __all__ = [
     "TxSchedule",
     "FeatureVector",
@@ -615,5 +599,4 @@ __all__ = [
     "snap_to_uniform",
     "velocity_sparse",
     "localize_single",
-    "write_estimates_csv",
 ]

@@ -7,6 +7,7 @@ a minute. The CSVs are the contract; plots are optional sugar.
 """
 
 import csv as _csv
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -23,7 +24,7 @@ from .channel import (
     power_ratio,
     synthesize_csi_series,
 )
-from .config import config_hash
+from .config import ConfigError, check_keys, config_hash
 from .estimate import (
     TxSchedule,
     aoa_music,
@@ -33,7 +34,6 @@ from .estimate import (
     snap_to_uniform,
     velocity_fft,
     velocity_sparse,
-    write_estimates_csv,
 )
 from .fusion import SensingMessage, fuse_ml
 from .ofdm import SPEED_OF_LIGHT, RadioConfig, extract_csi_symbols, training_burst
@@ -46,30 +46,49 @@ from .sigcore import (
     stft,
 )
 
-# config keys the harness accepts (dotted, flat)
+# config keys the harness accepts (dotted, flat): the RadioConfig field each
+# radio.* key overrides (None for run.* keys) and the type its value must have
 KNOWN_KEYS = {
-    "radio.fft_size": int,
-    "radio.cp_len": int,
-    "radio.sample_rate_hz": float,
-    "radio.carrier_hz": float,
-    "run.n_trials": int,
-    "run.snr_db": float,
-    "run.duration_s": float,
+    "radio.fft_size": ("fft_size", int),
+    "radio.cp_len": ("cyclic_prefix_len", int),
+    "radio.sample_rate_hz": ("sample_rate", float),
+    "radio.carrier_hz": ("carrier_freq", float),
+    "run.n_trials": (None, int),
+    "run.snr_db": (None, float),
+    "run.duration_s": (None, float),
 }
 
 
 def radio_config_from(values):
     """RadioConfig with any radio.* overrides applied (defaults otherwise)."""
-    kw = {}
-    if "radio.fft_size" in values:
-        kw["fft_size"] = int(values["radio.fft_size"])
-    if "radio.cp_len" in values:
-        kw["cyclic_prefix_len"] = int(values["radio.cp_len"])
-    if "radio.sample_rate_hz" in values:
-        kw["sample_rate"] = float(values["radio.sample_rate_hz"])
-    if "radio.carrier_hz" in values:
-        kw["carrier_freq"] = float(values["radio.carrier_hz"])
-    return RadioConfig(**kw)
+    return RadioConfig(**{
+        name: want(values[key]) for key, (name, want) in KNOWN_KEYS.items()
+        if name is not None and key in values
+    })
+
+
+def check_config(values, lines=None):
+    """The RadioConfig of fully validated values; ConfigError if invalid.
+
+    Rejects unknown keys, values of the wrong type and radio keys that are
+    individually fine yet clash. When ``lines`` maps keys to source line
+    numbers, the error names the offending line.
+    """
+    lines = lines or {}
+    check_keys(values, KNOWN_KEYS, lines=lines)
+    for key, (_, want) in KNOWN_KEYS.items():
+        if key not in values:
+            continue
+        val = values[key]
+        ok = not isinstance(val, bool) and isinstance(
+            val, numbers.Integral if want is int else numbers.Real)
+        if not ok:
+            raise ConfigError(f"{key} expects {want.__name__}, got {val!r}",
+                              lines.get(key))
+    try:
+        return radio_config_from(values)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 @dataclass
@@ -80,7 +99,7 @@ class ExperimentContext:
     make_plots: bool = False
 
     def __post_init__(self):
-        self.cfg = radio_config_from(self.values)
+        self.cfg = check_config(self.values)
         self.cfg_hash = config_hash(self.values)
 
     def param(self, key, default):
@@ -98,12 +117,12 @@ class ExperimentReport:
     csv_paths: list
 
 
-def _write_csv(ctx, name, filename, header, rows):
+def _write_csv(ctx, name, filename, header, rows, lineterminator="\r\n"):
     os.makedirs(ctx.out_dir, exist_ok=True)
     path = os.path.join(ctx.out_dir, filename)
     with open(path, "w", newline="") as fh:
         fh.write(f"# experiment={name} seed={ctx.seed} config_hash={ctx.cfg_hash}\n")
-        writer = _csv.writer(fh)
+        writer = _csv.writer(fh, lineterminator=lineterminator)
         writer.writerow(header)
         writer.writerows(rows)
     return path
@@ -434,14 +453,8 @@ def run_cancellation_budget(ctx):
     worst = {}
     for trial in range(n_trials):
         rng = np.random.default_rng([ctx.seed, trial])
-        burst = training_burst(cfg, n_extra=8)
-        txs = np.asarray(burst.samples)
-        txs = txs * np.sqrt(dbm_to_power(5.0) / avg_power(txs))
-        tx = SampleBuffer(txs, cfg.sample_rate)
-        leak = cancel.make_leakage(rng)
-        state = cancel.calibrate(
-            cancel.CancellatorState().to_dummy_load(), tx, leak, rng=rng,
-        ).to_antenna()
+        tx, leak, state = cancel.calibrated_separator(cfg, rng)
+        txs = tx.samples
         # Budget is measured on a leakage-plus-noise reception so the
         # residual reflects what the separator leaves behind; the echo test
         # adds a reflection and asks how much of it survives.
@@ -527,6 +540,13 @@ def run_ranging(ctx):
     snr_db = float(ctx.param("run.snr_db", 15.0))
     delay_grid = np.arange(0.0, 500e-9, 2.5e-9)
     doppler_grid = np.arange(-17.0, 17.1, 0.25)
+    # Size the smoothing subarray to the configured band: narrow FFTs
+    # leave contiguous bin runs shorter than the usual 16 bins.
+    signed = np.sort(cfg.signed_index())
+    longest = max(
+        r.size for r in np.split(signed, np.where(np.diff(signed) != 1)[0] + 1)
+    )
+    subarray_len = min(16, int(longest))
     rows = []
     errs = {"sparse": [], "music": [], "ifft": []}
     for trial in range(n_trials):
@@ -540,13 +560,7 @@ def run_ranging(ctx):
         tau, _, _ = feats.dominant(min_doppler_hz=1.5)
         est_sparse = SPEED_OF_LIGHT * tau / 2.0
 
-        # Size the smoothing subarray to the configured band: narrow FFTs
-        # leave contiguous bin runs shorter than the usual 16 bins.
-        signed = np.sort(cfg.signed_index())
-        longest = max(
-            r.size for r in np.split(signed, np.where(np.diff(signed) != 1)[0] + 1)
-        )
-        music = range_music(csi, 1, cfg, subarray_len=min(16, int(longest)))
+        music = range_music(csi, 1, cfg, subarray_len=subarray_len)
         est_music = float(music.values[0])
 
         est_ifft = range_ifft(csi, cfg)
@@ -554,19 +568,15 @@ def run_ranging(ctx):
         for method, est in (("sparse", est_sparse), ("music", est_music),
                             ("ifft", est_ifft)):
             errs[method].append(abs(est - truth))
-            rows.append((trial, truth, est, method, snr_db, "irregular"))
-
-    os.makedirs(ctx.out_dir, exist_ok=True)
-    path = os.path.join(ctx.out_dir, "ranging.csv")
-    body_path = path + ".body"
-    write_estimates_csv(body_path, rows)
-    with open(body_path) as fh:
-        body = fh.read()
-    os.remove(body_path)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# experiment=ranging seed={ctx.seed} "
-                 f"config_hash={ctx.cfg_hash}\n")
-        fh.write(body)
+            rows.append([trial, f"{truth:.4f}", f"{est:.4f}", method,
+                         f"{snr_db:.2f}", "irregular"])
+    # ranging.csv ends its lines with "\n" where the other CSVs use "\r\n";
+    # kept so that reruns stay byte-identical to earlier result files
+    path = _write_csv(
+        ctx, "ranging", "ranging.csv",
+        ["trial", "truth_range_m", "est_range_m", "method", "snr_db",
+         "schedule_kind"], rows, lineterminator="\n",
+    )
 
     med = {k: float(np.median(v)) for k, v in errs.items()}
     _maybe_hist(ctx, "ranging_errors.png", errs, "absolute range error (m)")
@@ -740,4 +750,5 @@ __all__ = [
     "describe",
     "run_experiment",
     "radio_config_from",
+    "check_config",
 ]

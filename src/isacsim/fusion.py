@@ -1,4 +1,4 @@
-"""Multi-device fusion: sensing messages, an in-process bus, and ML grids.
+"""Multi-device fusion: sensing messages and maximum-likelihood grids.
 
 Each device reduces its CSI processing to a compact sensing message — where
 the device sits, when it looked, and the (range, angle) it measured with a
@@ -9,9 +9,7 @@ refinement. One device gives the classic single-view fix; several devices
 shrink the error because their range/angle uncertainty ellipses intersect.
 """
 
-import heapq
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,21 +47,6 @@ class SensingMessage:
         if self.confidence <= 0:
             raise ValueError("confidence must be positive")
 
-    def to_line(self):
-        """device_id, t_s, x_m, y_m, heading_deg, range_m, aoa_deg, confidence"""
-        return (
-            f"{self.device_id},{self.t_s:.6f},{self.x_m:.3f},{self.y_m:.3f},"
-            f"{self.heading_deg:.2f},{self.range_m:.4f},{self.aoa_deg:.3f},"
-            f"{self.confidence:.4f}"
-        )
-
-    @classmethod
-    def from_line(cls, line):
-        parts = [p.strip() for p in line.strip().split(",")]
-        if len(parts) != 8:
-            raise ValueError(f"expected 8 fields, got {len(parts)}")
-        return cls(parts[0], *map(float, parts[1:]))
-
     @classmethod
     def from_estimate(cls, device_id, t_s, pose, est):
         """Build a message from a SensingEstimate and a (x, y, heading) pose."""
@@ -71,72 +54,6 @@ class SensingMessage:
         aoa = est.aoa_deg if est.aoa_deg is not None else float("nan")
         return cls(device_id, t_s, x, y, heading, est.range_m, aoa,
                    est.confidence)
-
-
-def write_messages(path, messages):
-    with open(path, "w") as fh:
-        fh.write("device_id,t_s,x_m,y_m,heading_deg,range_m,aoa_deg,confidence\n")
-        for m in messages:
-            fh.write(m.to_line() + "\n")
-
-
-def read_messages(path):
-    out = []
-    with open(path) as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line or (i == 0 and line.startswith("device_id")):
-                continue
-            out.append(SensingMessage.from_line(line))
-    return out
-
-
-class MessageBus:
-    """In-process pub/sub that delivers in timestamp order.
-
-    Messages are queued on publish and handed to subscribers on flush(),
-    ordered by message timestamp plus the bus latency (publish order breaks
-    ties). Publishing to a topic nobody subscribed to warns and drops."""
-
-    def __init__(self, latency_s=0.0):
-        if latency_s < 0:
-            raise ValueError("latency must be non-negative")
-        self.latency_s = latency_s
-        self._subs = {}
-        self._queue = []
-        self._seq = 0
-        self.n_delivered = 0
-        self.n_dropped = 0
-
-    def subscribe(self, topic, callback):
-        self._subs.setdefault(topic, []).append(callback)
-
-    def collector(self, topic):
-        """Subscribe a plain list; returns it."""
-        sink = []
-        self.subscribe(topic, sink.append)
-        return sink
-
-    def publish(self, topic, message):
-        if topic not in self._subs:
-            warnings.warn(f"no subscribers for topic {topic!r}; message dropped")
-            self.n_dropped += 1
-            return
-        heapq.heappush(
-            self._queue, (message.t_s + self.latency_s, self._seq, topic, message)
-        )
-        self._seq += 1
-
-    def flush(self):
-        """Deliver everything queued, in delivery-time order."""
-        delivered = 0
-        while self._queue:
-            _, _, topic, message = heapq.heappop(self._queue)
-            for cb in self._subs.get(topic, ()):
-                cb(message)
-            delivered += 1
-        self.n_delivered += delivered
-        return delivered
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +175,10 @@ def fuse_single(message, **kw):
 
 __all__ = [
     "SensingMessage",
-    "MessageBus",
     "LikelihoodGrid",
     "FusionResult",
     "fuse_ml",
     "fuse_single",
     "message_loglik",
     "wrap_deg",
-    "write_messages",
-    "read_messages",
 ]

@@ -19,7 +19,6 @@ so that a run with sensing disabled consumes the communications stream
 identically and produces bit-identical delay/loss statistics.
 """
 
-import csv as _csv
 import heapq
 import itertools
 from collections import namedtuple
@@ -475,32 +474,6 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
                           separator_penalty_db=penalty_db)
 
 
-# ---------------------------------------------------------------------------
-# exports
-
-
-def write_event_log(path, entries):
-    """Line format: time_s device state_before event state_after action."""
-    with open(path, "w") as fh:
-        for e in entries:
-            fh.write(f"{e.time:.9f} {e.device} {e.state_before} {e.event} "
-                     f"{e.state_after} {e.action}\n")
-
-
-def write_comms_csv(path, rows):
-    """CSV: (scenario, delay_ms_p50, delay_ms_p95, loss_rate)."""
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["scenario", "delay_ms_p50", "delay_ms_p95", "loss_rate"])
-        for name, stats in rows:
-            writer.writerow([
-                name,
-                f"{stats['delay_ms_p50']:.4f}",
-                f"{stats['delay_ms_p95']:.4f}",
-                f"{stats['loss_rate']:.6f}",
-            ])
-
-
 def m_episodes(entries):
     """(enter_time, exit_time, last_tx_complete) for every M dwell in a log."""
     episodes = []
@@ -535,8 +508,6 @@ __all__ = [
     "ScenarioResult",
     "run_scenario",
     "measure_forced_separator_penalty",
-    "write_event_log",
-    "write_comms_csv",
     "m_episodes",
     "ENABLE_SEPARATOR",
     "DISABLE_SEPARATOR",

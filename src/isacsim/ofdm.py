@@ -8,7 +8,6 @@ bit-exact standard implementation; CSI semantics only require the two known
 long symbols.
 """
 
-import csv
 import enum
 from dataclasses import dataclass, field
 
@@ -525,32 +524,6 @@ def burst_symbol_spans(cfg, n_symbols):
     return spans
 
 
-def write_csi_csv(path, csi_list, cfg):
-    """CSV export: packet_id, timestamp_s, rx_ant, tx_ant, subcarrier, real, imag."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["packet_id", "timestamp_s", "rx_ant", "tx_ant", "subcarrier", "real", "imag"]
-        )
-        for csi in csi_list:
-            n_rx, n_tx, _ = csi.values.shape
-            for a in range(n_rx):
-                for b in range(n_tx):
-                    for s, bin_idx in enumerate(cfg.used_subcarriers):
-                        v = csi.values[a, b, s]
-                        writer.writerow(
-                            [
-                                csi.packet_id,
-                                f"{csi.timestamp:.9f}",
-                                a,
-                                b,
-                                bin_idx,
-                                f"{v.real:.9e}",
-                                f"{v.imag:.9e}",
-                            ]
-                        )
-
-
 __all__ = [
     "SPEED_OF_LIGHT",
     "MAX_FRAME_S",
@@ -574,5 +547,4 @@ __all__ = [
     "pilot_bins",
     "data_bins",
     "symbol_capacity_bits",
-    "write_csi_csv",
 ]

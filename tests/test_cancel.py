@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,6 @@ from isacsim.cancel import (
     params_for_power,
     separator_pipeline,
     template_snr_db,
-    write_calibration_log,
 )
 from isacsim.ofdm import RadioConfig
 from isacsim.sigcore import SampleBuffer, avg_power, db, dbm_to_power, power_to_dbm
@@ -170,6 +167,12 @@ class TestCalibrate:
         stages = {name: res for _, name, res, _ in out.log}
         assert stages["first_stage"] == pytest.approx(-12.0, abs=0.1)
         assert stages["digital"] <= stages["analog"] - 25.0
+
+    def test_log_stages_on_dummy_load(self):
+        _, _, state, _, _ = calibrated_scene(seed=5)
+        assert [e[1] for e in state.log] == ["first_stage", "analog", "digital"]
+        assert all(e[3] == "dummy_load" for e in state.log)
+        assert state.log[0][2] == pytest.approx(-12.0, abs=0.2)
 
     def test_lms_matches_wiener(self):
         rng = np.random.default_rng(11)
@@ -347,16 +350,3 @@ class TestHarm:
         )
         assert clean == pytest.approx(15.0, abs=1.0)
         assert clean - separated >= 10.0
-
-
-class TestCalibrationLog:
-    def test_csv_round_trip(self, tmp_path):
-        _, _, state, _, _ = calibrated_scene(seed=5)
-        path = tmp_path / "cal.csv"
-        write_calibration_log(path, state.log)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["time_s", "stage", "residual_db", "port"]
-        assert [r[1] for r in rows[1:]] == ["first_stage", "analog", "digital"]
-        assert all(r[3] == "dummy_load" for r in rows[1:])
-        assert float(rows[1][2]) == pytest.approx(-12.0, abs=0.2)

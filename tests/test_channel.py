@@ -11,17 +11,14 @@ from isacsim.channel import (
     breathing_trajectory,
     delta_r_series,
     linear_trajectory,
-    load_scenario,
     los_gain,
     path_gain,
     power_ratio,
     propagate,
     resolve_paths,
-    scenario_from_dict,
     steering_vector,
     synthesize_csi_series,
 )
-from isacsim.config import ConfigError, parse_flat_config
 from isacsim.ofdm import SPEED_OF_LIGHT, RadioConfig, extract_csi, extract_csi_symbols
 from isacsim.sigcore import SampleBuffer, avg_power, db
 
@@ -439,66 +436,3 @@ class TestCsiSeries:
         geom = one_path_geometry(position=(5.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             synthesize_csi_series(geom, CFG, [])
-
-
-SCENE_TEXT = """
-# two movers and a noisy floor
-seed = 7
-noise_floor_dbm = -85
-radio.fft_size = 64
-geometry.tx_pos = [0, 0, 0]
-geometry.rx_pos = [3, 0, 0]
-geometry.tx_power_dbm = 5
-geometry.n_antennas = 3
-impairment.cfo_hz = 1200.0
-target0.position = [4, 2, 0]
-target0.velocity = [0.5, 0, 0]
-target0.rcs = 2.0
-target1.position = [1, 1, 0]
-target1.breath_amplitude_m = 0.005
-target1.breath_rate_hz = 0.25
-"""
-
-
-class TestScenarioFiles:
-    def test_full_scene_roundtrip(self, tmp_path):
-        path = tmp_path / "scene.txt"
-        path.write_text(SCENE_TEXT)
-        sc = load_scenario(path)
-        assert sc.seed == 7
-        assert sc.noise_floor_dbm == -85.0
-        assert sc.radio.fft_size == 64
-        assert sc.geometry.n_antennas == 3
-        assert sc.impairments.cfo_hz == 1200.0
-        assert len(sc.geometry.targets) == 2
-        mover, breather = sc.geometry.targets
-        assert mover.rcs == 2.0
-        assert mover.position_at(2.0) == pytest.approx([5.0, 2.0, 0.0])
-        assert breather.position_at(1.0) == pytest.approx([1.005, 1.0, 0.0])
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="geometry.bogus"):
-            scenario_from_dict({"geometry.bogus": 1})
-        with pytest.raises(ConfigError, match="speed"):
-            scenario_from_dict({"target0.position": [1, 1, 0], "target0.speed": 1})
-
-    def test_conflicting_motion_rejected(self):
-        with pytest.raises(ConfigError):
-            scenario_from_dict(
-                {
-                    "target0.position": [1, 1, 0],
-                    "target0.velocity": [1, 0, 0],
-                    "target0.breath_rate_hz": 0.3,
-                }
-            )
-
-    def test_duplicate_key_line_number(self):
-        with pytest.raises(ConfigError, match="line 2"):
-            parse_flat_config("a = 1\na = 2")
-
-    def test_minimal_defaults(self):
-        sc = scenario_from_dict({})
-        assert sc.seed == 0
-        assert sc.noise_floor_dbm is None
-        assert sc.geometry.monostatic
-        assert sc.impairments.cfo_hz == 0.0

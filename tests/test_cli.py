@@ -72,6 +72,11 @@ class TestValidate:
         assert main(["validate", cfg]) == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_duplicate_key_names_the_line(self, tmp_path):
+        cfg = write(tmp_path / "dup.cfg", "run.n_trials = 1\nrun.n_trials = 2\n")
+        with pytest.raises(ConfigError, match="line 2"):
+            load_config(cfg)
+
     def test_missing_file(self, capsys, tmp_path):
         assert main(["validate", str(tmp_path / "nope.cfg")]) == 3
         assert "nope.cfg" in capsys.readouterr().err

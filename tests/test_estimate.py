@@ -1,7 +1,5 @@
 """Tests for the sparse delay/Doppler estimator and the classical baselines."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -30,7 +28,6 @@ from isacsim.estimate import (
     snap_to_uniform,
     velocity_fft,
     velocity_sparse,
-    write_estimates_csv,
 )
 from isacsim.estimate import _kron_apply, _ridge_solver
 from isacsim.ofdm import SPEED_OF_LIGHT, CsiMatrix, RadioConfig
@@ -742,19 +739,3 @@ class TestContainers:
         h_u, sched_u = snap_to_uniform(h, TxSchedule(times))
         assert np.array_equal(h_u, h)
         assert np.allclose(sched_u.times, times)
-
-    def test_estimates_csv(self, tmp_path):
-        path = tmp_path / "est.csv"
-        write_estimates_csv(
-            path,
-            [
-                (0, 5.0, 5.2, "sparse", 15.0, "gaming"),
-                (0, 5.0, 6.9, "ifft", 15.0, "gaming"),
-            ],
-        )
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["trial", "truth_range_m", "est_range_m", "method",
-                           "snr_db", "schedule_kind"]
-        assert rows[1][3] == "sparse"
-        assert float(rows[2][2]) == 6.9

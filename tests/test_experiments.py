@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from isacsim.config import ConfigError
 from isacsim.experiments import (
     EXPERIMENTS,
     ExperimentContext,
@@ -62,6 +63,24 @@ class TestContext:
         assert cfg.carrier_freq == 5.2e9
 
 
+    def test_unknown_key_is_rejected(self):
+        with pytest.raises(ConfigError, match="radio.cyclic_prefix_len"):
+            ExperimentContext(values={"radio.cyclic_prefix_len": 8})
+        with pytest.raises(ConfigError, match="run.ntrials"):
+            run_experiment("phase-offsets", values={"run.ntrials": 2})
+
+    def test_wrong_type_is_rejected(self):
+        with pytest.raises(ConfigError, match="run.n_trials expects int"):
+            ExperimentContext(values={"run.n_trials": 2.5})
+        with pytest.raises(ConfigError, match="run.snr_db expects float"):
+            ExperimentContext(values={"run.snr_db": True})
+
+    def test_numpy_scalars_are_accepted(self):
+        ctx = ExperimentContext(values={"radio.fft_size": np.int64(32),
+                                        "run.snr_db": np.float64(7.5)})
+        assert ctx.cfg.fft_size == 32
+
+
 class TestRegistry:
     def test_every_experiment_has_a_one_line_summary(self):
         for name in experiment_names():
@@ -108,6 +127,34 @@ class TestReports:
         assert a.lines == b.lines
         with open(a.csv_paths[0]) as fa, open(b.csv_paths[0]) as fb:
             assert fa.read() == fb.read()
+
+    def test_ranging_csv_rows(self, tmp_path):
+        rep = run_experiment("ranging", seed=0, values={"run.n_trials": 1},
+                             out_dir=str(tmp_path))
+        with open(rep.csv_paths[0], newline="") as fh:
+            text = fh.read()
+        assert "\r" not in text  # ranging.csv ends its lines with "\n"
+        lines = text.split("\n")
+        assert lines[1] == ("trial,truth_range_m,est_range_m,method,snr_db,"
+                            "schedule_kind")
+        rows = [l.split(",") for l in lines[2:] if l]
+        assert [r[3] for r in rows] == ["sparse", "music", "ifft"]
+        for r in rows:
+            assert r[0] == "0" and r[4] == "15.00" and r[5] == "irregular"
+            assert re.fullmatch(r"\d+\.\d{4}", r[1])
+            assert re.fullmatch(r"\d+\.\d{4}", r[2])
+
+    def test_comms_impact_csv_rows(self, tmp_path):
+        rep = run_experiment("comms-impact", seed=0,
+                             values={"run.duration_s": 0.5},
+                             out_dir=str(tmp_path))
+        with open(rep.csv_paths[0]) as fh:
+            lines = fh.read().splitlines()
+        assert lines[1] == "scenario,delay_ms_p50,delay_ms_p95,loss_rate"
+        cells = lines[2].split(",")
+        assert cells[0] == "regular-sensing-on"
+        assert re.fullmatch(r"\d+\.\d{4}", cells[1])
+        assert re.fullmatch(r"\d+\.\d{6}", cells[3])
 
     def test_ranging_fits_subarray_to_narrow_bands(self, tmp_path):
         # 32-bin FFTs leave 13-bin contiguous runs, shorter than the usual

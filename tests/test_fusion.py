@@ -1,13 +1,11 @@
-"""Tests for sensing messages, the bus, and maximum-likelihood fusion."""
-
-import os
+"""Tests for sensing messages and maximum-likelihood fusion."""
 
 import numpy as np
 import pytest
 
 from isacsim import fusion
 from isacsim.estimate import SensingEstimate, localize_single
-from isacsim.fusion import MessageBus, SensingMessage, fuse_ml, wrap_deg
+from isacsim.fusion import SensingMessage, fuse_ml, wrap_deg
 
 
 def message_for(device_id, pose, target, t_s=0.0, rng=None,
@@ -29,22 +27,6 @@ TARGET = (5.0, 3.0)
 
 
 class TestSensingMessage:
-    def test_line_round_trip(self):
-        m = SensingMessage("dev-a", 1.25, 2.0, -3.0, 45.0, 7.25, -12.5, 0.8)
-        back = SensingMessage.from_line(m.to_line())
-        assert back.device_id == "dev-a"
-        assert back.t_s == pytest.approx(1.25)
-        assert back.x_m == pytest.approx(2.0)
-        assert back.y_m == pytest.approx(-3.0)
-        assert back.heading_deg == pytest.approx(45.0)
-        assert back.range_m == pytest.approx(7.25)
-        assert back.aoa_deg == pytest.approx(-12.5)
-        assert back.confidence == pytest.approx(0.8)
-
-    def test_from_line_rejects_wrong_field_count(self):
-        with pytest.raises(ValueError):
-            SensingMessage.from_line("dev-a,0.0,1.0")
-
     def test_nonfinite_fields_rejected(self):
         with pytest.raises(ValueError):
             SensingMessage("a", float("nan"), 0, 0, 0, 1.0, 0.0)
@@ -68,64 +50,6 @@ class TestSensingMessage:
         assert m.aoa_deg == 20.0
         assert m.confidence == 0.7
         assert (m.x_m, m.y_m, m.heading_deg) == (1.0, 2.0, 90.0)
-
-    def test_file_round_trip(self, tmp_path):
-        msgs = [
-            message_for("dev-a", TWO_POSES["dev-a"], TARGET),
-            message_for("dev-b", TWO_POSES["dev-b"], TARGET, t_s=0.5),
-        ]
-        path = os.path.join(tmp_path, "messages.csv")
-        fusion.write_messages(path, msgs)
-        back = fusion.read_messages(path)
-        assert len(back) == 2
-        assert back[0].device_id == "dev-a"
-        assert back[1].t_s == pytest.approx(0.5)
-        assert back[0].range_m == pytest.approx(msgs[0].range_m, abs=1e-3)
-
-
-class TestMessageBus:
-    def test_delivery_in_timestamp_order(self):
-        bus = MessageBus()
-        sink = bus.collector("obs")
-        for t in (3.0, 1.0, 2.0):
-            bus.publish("obs", SensingMessage(f"d{t}", t, 0, 0, 0, 1.0, 0.0))
-        bus.flush()
-        assert [m.t_s for m in sink] == [1.0, 2.0, 3.0]
-
-    def test_publish_order_breaks_ties(self):
-        bus = MessageBus()
-        sink = bus.collector("obs")
-        bus.publish("obs", SensingMessage("first", 1.0, 0, 0, 0, 1.0, 0.0))
-        bus.publish("obs", SensingMessage("second", 1.0, 0, 0, 0, 1.0, 0.0))
-        bus.flush()
-        assert [m.device_id for m in sink] == ["first", "second"]
-
-    def test_unknown_topic_warns_and_drops(self):
-        bus = MessageBus()
-        with pytest.warns(UserWarning):
-            bus.publish("ghost", SensingMessage("a", 0.0, 0, 0, 0, 1.0, 0.0))
-        assert bus.n_dropped == 1
-        assert bus.flush() == 0
-
-    def test_multiple_subscribers_all_receive(self):
-        bus = MessageBus()
-        a = bus.collector("obs")
-        b = bus.collector("obs")
-        bus.publish("obs", SensingMessage("x", 0.0, 0, 0, 0, 1.0, 0.0))
-        bus.flush()
-        assert len(a) == 1 and len(b) == 1
-
-    def test_delivery_count(self):
-        bus = MessageBus()
-        bus.collector("obs")
-        for t in range(5):
-            bus.publish("obs", SensingMessage("a", float(t), 0, 0, 0, 1.0, 0.0))
-        assert bus.flush() == 5
-        assert bus.n_delivered == 5
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            MessageBus(latency_s=-0.1)
 
 
 class TestFuseMl:

@@ -1,7 +1,5 @@
 """Tests for the C/M/B mode machine, traffic models, and scenario runs."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -373,6 +371,19 @@ class TestEventLoop:
             state, action = step(MacState(e.state_before), MacEvent(e.event))
             assert (state.value, action) == (e.state_after, e.action)
 
+    def test_log_is_time_ordered_with_valid_entries(self):
+        res = mac.run_scenario(
+            two_devices(), None, mac.TrafficModel.streaming(seed=1), 0.5, seed=7
+        )
+        assert res.log
+        for e in res.log:
+            assert e.device in ("dev-a", "dev-b")
+            assert e.state_before in ("C", "M", "B")
+            assert e.event in mac.EVENT_KINDS
+            assert e.state_after in ("C", "M", "B")
+        times = [e.time for e in res.log]
+        assert times == sorted(times)
+
     def test_csi_capture_is_batched_per_link(self):
         geom = ScenarioGeometry(targets=(PropagationPath(
             trajectory=linear_trajectory((3.0, 2.0, 0.0), (0.6, -0.4, 0.0))),))
@@ -408,40 +419,6 @@ class TestEventLoop:
                 snr_db=30.0, rng=rng)
             for r, v in zip(records, values):
                 np.testing.assert_array_equal(r.values, v)
-
-
-class TestExports:
-    def test_event_log_line_format(self, tmp_path):
-        res = mac.run_scenario(
-            two_devices(), None, mac.TrafficModel.streaming(seed=1), 0.5, seed=7
-        )
-        path = os.path.join(tmp_path, "events.log")
-        mac.write_event_log(path, res.log)
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        assert len(lines) == len(res.log)
-        first = lines[0].split()
-        assert len(first) == 6
-        float(first[0])  # time parses
-        assert first[1] in ("dev-a", "dev-b")
-        assert first[2] in ("C", "M", "B")
-        assert first[3] in mac.EVENT_KINDS
-        assert first[4] in ("C", "M", "B")
-        times = [float(ln.split()[0]) for ln in lines]
-        assert times == sorted(times)
-
-    def test_comms_csv_format(self, tmp_path):
-        res = mac.run_scenario(
-            two_devices(), None, mac.TrafficModel.streaming(seed=1), 0.5, seed=7
-        )
-        path = os.path.join(tmp_path, "comms.csv")
-        mac.write_comms_csv(path, [("streaming", res.stats)])
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        assert lines[0] == "scenario,delay_ms_p50,delay_ms_p95,loss_rate"
-        cells = lines[1].split(",")
-        assert cells[0] == "streaming"
-        assert float(cells[3]) == pytest.approx(res.stats["loss_rate"], abs=1e-6)
 
 
 class TestSeparatorPenalty:

@@ -18,7 +18,6 @@ from isacsim.ofdm import (
     generate_preamble,
     packet_duration,
     training_burst,
-    write_csi_csv,
 )
 from isacsim.sigcore import SampleBuffer, avg_power, complex_noise, unwrap_phase
 
@@ -186,6 +185,12 @@ class TestCsiExtraction:
         assert csi.values.shape == (1, 1, 52)
         np.testing.assert_allclose(csi.values, np.ones((1, 1, 52)), atol=1e-9)
 
+    def test_keeps_packet_id_and_timestamp(self):
+        csi = extract_csi(training_burst(CFG), 0, CFG, packet_id=7,
+                          timestamp=1.25)
+        assert csi.packet_id == 7
+        assert csi.timestamp == 1.25
+
     def test_loopback_build_detect_extract(self):
         pkt = build_packet([], PacketMeta(0.0, MCS_TABLE["bpsk-1/2"], 0), CFG)
         det = detect_preamble(pkt, CFG, threshold=0.5)
@@ -253,19 +258,3 @@ class TestCsiExtraction:
             CsiMatrix(np.ones((2, 52)), 0.0)
         with pytest.raises(ValueError):
             CsiMatrix(np.full((1, 1, 4), np.nan), 0.0)
-
-
-class TestCsvExport(object):
-    def test_round_trip(self, tmp_path):
-        pkt = training_burst(CFG)
-        csi = extract_csi(pkt, 0, CFG, packet_id=7, timestamp=1.25)
-        path = tmp_path / "csi.csv"
-        write_csi_csv(path, [csi], CFG)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "packet_id,timestamp_s,rx_ant,tx_ant,subcarrier,real,imag"
-        assert len(lines) == 1 + 52
-        first = lines[1].split(",")
-        assert first[0] == "7"
-        assert float(first[1]) == 1.25
-        assert int(first[4]) == CFG.used_subcarriers[0]
-        assert abs(float(first[5]) - 1.0) < 1e-6
