@@ -71,11 +71,6 @@ class ComponentBuffer:
             return len(arr)
         return 0
 
-    @classmethod
-    def from_parts(cls, sample_rate, start_time=0.0, **parts):
-        return cls({k: v for k, v in parts.items() if v is not None},
-                   sample_rate, start_time)
-
     def component(self, name):
         if name not in self.components:
             return np.zeros(len(self), dtype=np.complex128)
@@ -398,17 +393,6 @@ def separator_pipeline(rx, state, mode, tx_ref=None, kind="circulator",
     return digital_cancel(out, tx_ref, state)
 
 
-def params_for_power(tx_power_dbm, table):
-    """Linear-fit the tx-power -> cancellation curve and evaluate it."""
-    pairs = [(float(p), float(c)) for p, c in table]
-    if len(pairs) < 2:
-        raise ValueError("need at least two calibration pairs")
-    x = np.array([p for p, _ in pairs])
-    y = np.array([c for _, c in pairs])
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(slope * tx_power_dbm + intercept)
-
-
 # ---------------------------------------------------------------------------
 # scene assembly and harm measurement
 
@@ -517,7 +501,6 @@ __all__ = [
     "digital_cancel",
     "calibrate",
     "separator_pipeline",
-    "params_for_power",
     "assemble_rx",
     "template_snr_db",
     "measure_separator_harm",

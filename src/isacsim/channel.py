@@ -1,10 +1,10 @@
 """Multipath scene simulation and receive-clock impairments.
 
-Everything the receiver sees is built here: each propagation path contributes
-a delayed, amplitude-scaled copy of the transmit waveform, moving scatterers
-rotate the carrier phase as their two-hop path length changes, the receiver's
-clock error smears phase across packets and subcarriers, and complex Gaussian
-noise floors the result.
+Everything the receiver sees is built here, as packet-rate CSI: each
+propagation path contributes an amplitude-scaled, delay-rotated term per
+subcarrier, moving scatterers rotate the carrier phase as their two-hop path
+length changes, the receiver's clock error smears phase across packets and
+subcarriers, and complex Gaussian noise floors the result.
 
 Conventions
 -----------
@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels
 from .ofdm import SPEED_OF_LIGHT, burst_symbol_spans
 from .sigcore import SampleBuffer, TWO_PI, complex_noise, dbm_to_power, power_to_dbm
 
@@ -116,26 +115,6 @@ def bistatic_projection(tx_pos, rx_pos, target_pos, displacement):
     return _length(p1) - _length(p0)
 
 
-def path_length(tx_pos, rx_pos, target_pos):
-    """Two-hop distance tx -> target -> rx (vectorized over rows of target_pos)."""
-    tx_pos = np.asarray(tx_pos, dtype=np.float64)
-    rx_pos = np.asarray(rx_pos, dtype=np.float64)
-    p = np.asarray(target_pos, dtype=np.float64)
-    r_tx = np.linalg.norm(p - tx_pos, axis=-1)
-    r_rx = np.linalg.norm(p - rx_pos, axis=-1)
-    if np.any(r_tx < _MIN_RANGE) or np.any(r_rx < _MIN_RANGE):
-        raise ValueError("target position coincides with tx or rx")
-    return r_tx + r_rx
-
-
-def delta_r_series(tx_pos, rx_pos, trajectory, times):
-    """Per-step two-hop path-length changes along a trajectory."""
-    times = np.asarray(times, dtype=np.float64)
-    pos = trajectory_positions(trajectory, times)
-    lengths = path_length(tx_pos, rx_pos, pos)
-    return np.diff(lengths)
-
-
 # ---------------------------------------------------------------------------
 # trajectories
 
@@ -150,26 +129,6 @@ def linear_trajectory(start, velocity):
         if t.ndim == 0:
             return start + float(t) * velocity
         return start[None, :] + t[:, None] * velocity[None, :]
-
-    return position
-
-
-def breathing_trajectory(center, amplitude_m=0.005, rate_hz=0.25,
-                         direction=(1.0, 0.0, 0.0), phase=0.0):
-    """Small sinusoidal sway around ``center`` (chest-motion scale by default)."""
-    center = np.asarray(center, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
-    norm = np.linalg.norm(direction)
-    if norm == 0:
-        raise ValueError("direction must be non-zero")
-    unit = direction / norm
-
-    def position(t):
-        t = np.asarray(t, dtype=np.float64)
-        sway = amplitude_m * np.sin(TWO_PI * rate_hz * t + phase)
-        if t.ndim == 0:
-            return center + float(sway) * unit
-        return center[None, :] + sway[:, None] * unit[None, :]
 
     return position
 
@@ -236,9 +195,8 @@ class ImpairmentProfile:
     ``cpo`` is a cycle-scaled constant offset (the rotation applied is
     ``exp(-2j*pi*cpo)``), kept in [0, 2*pi). ``sfo`` is the fractional
     sampling-rate skew, ``pdd_extra`` an additional (possibly fractional)
-    sampling offset in samples on top of whatever the packet detector
-    realizes. ``drift`` optionally holds per-sqrt-second random-walk
-    deviations, e.g. ``{"cfo_hz": 0.5}``.
+    sampling offset in samples. ``drift`` optionally holds per-sqrt-second
+    random-walk deviations, e.g. ``{"cfo_hz": 0.5}``.
     """
 
     cfo_hz: float = 0.0
@@ -322,13 +280,17 @@ class ScenarioGeometry:
 
 
 def steering_vector(aoa_deg, n_antennas, spacing_wl=0.5):
-    """Array response of a uniform linear array, element 0 as phase reference."""
+    """Array response of a uniform linear array, element 0 as phase reference.
+
+    ``aoa_deg`` may be an array of angles; the result is (..., n_antennas).
+    """
     idx = np.arange(n_antennas)
-    return np.exp(-2j * np.pi * idx * spacing_wl * np.sin(np.radians(aoa_deg)))
+    sin = np.sin(np.radians(np.asarray(aoa_deg, dtype=np.float64)))[..., None]
+    return np.exp(-2j * np.pi * idx * spacing_wl * sin)
 
 
 ResolvedPath = namedtuple(
-    "ResolvedPath", "index alpha delay aoa_deg trajectory length0 label source"
+    "ResolvedPath", "index alpha delay aoa_deg trajectory label source"
 )
 
 
@@ -353,7 +315,6 @@ def resolve_paths(geom, cfg, t=0.0, include_los=None, tx_power=None):
                 delay=dist / SPEED_OF_LIGHT,
                 aoa_deg=float(geom.aoa_of(geom.tx_pos)),
                 trajectory=None,
-                length0=dist,
                 label="direct",
                 source=None,
             )
@@ -394,88 +355,11 @@ def resolve_paths(geom, cfg, t=0.0, include_los=None, tx_power=None):
                 delay=delay,
                 aoa_deg=aoa,
                 trajectory=p.trajectory,
-                length0=delay * SPEED_OF_LIGHT,
                 label=p.label,
                 source=p,
             )
         )
     return resolved
-
-
-# ---------------------------------------------------------------------------
-# waveform-level propagation
-
-
-def _fractional_delay(samples, n_out, delay_s, sample_rate):
-    """Delay by an arbitrary time via a frequency-domain phase ramp."""
-    npad = n_out + int(np.ceil(delay_s * sample_rate)) + 64
-    spec = np.fft.fft(samples, npad)
-    f = np.fft.fftfreq(npad, d=1.0 / sample_rate)
-    spec *= np.exp(-2j * np.pi * f * delay_s)
-    return np.fft.ifft(spec)[:n_out]
-
-
-def _resample_skewed(samples, sample_rate, sfo):
-    """Evaluate the band-limited signal on a (1+sfo)-spaced sample grid."""
-    n = len(samples)
-    t_skewed = np.arange(n) * (1.0 + sfo) / sample_rate
-    if n <= 16384:
-        spec = np.fft.fft(samples) / n
-        f = np.fft.fftfreq(n, d=1.0 / sample_rate)
-        return kernels.ndft_direct(f, spec, -t_skewed)
-    # long buffers: linear interpolation is plenty for sub-ppm skews
-    t = np.arange(n) / sample_rate
-    return np.interp(t_skewed, t, samples.real) + 1j * np.interp(
-        t_skewed, t, samples.imag
-    )
-
-
-def propagate(tx, geom, cfg, imp=None, noise_floor_dbm=None, t0=None, rng=None):
-    """Push a transmit waveform through the scene; one buffer per antenna.
-
-    Each resolved path adds a delayed, scaled copy with carrier rotation
-    ``exp(-2j*pi*f_c*delay)``; moving scatterers additionally rotate by the
-    running two-hop path-length change. Receiver clock terms and per-antenna
-    noise are applied on top. Outputs cover the same sample window as the
-    input (energy delayed past its end is dropped).
-    """
-    if not isinstance(tx, SampleBuffer):
-        tx = SampleBuffer(np.asarray(tx), cfg.sample_rate)
-    if t0 is None:
-        t0 = tx.start_time
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    n = len(tx)
-    fs = tx.sample_rate
-    t_abs = t0 + np.arange(n) / fs
-
-    imp = imp if imp is not None else ImpairmentProfile()
-    extra_delay = imp.pdd_extra / fs  # realized as extra lateness of every path
-
-    paths = resolve_paths(geom, cfg, t=t0)
-    out = np.zeros((geom.n_antennas, n), dtype=np.complex128)
-    for p in paths:
-        delay = p.delay + extra_delay
-        y = _fractional_delay(tx.samples, n, delay, fs)
-        y *= p.alpha * np.exp(-2j * np.pi * cfg.carrier_freq * p.delay)
-        if p.trajectory is not None:
-            lengths = path_length(
-                geom.tx_pos, geom.rx_pos, trajectory_positions(p.trajectory, t_abs)
-            )
-            y *= np.exp(
-                -2j * np.pi * cfg.carrier_freq * (lengths - p.length0) / SPEED_OF_LIGHT
-            )
-        steer = steering_vector(p.aoa_deg, geom.n_antennas, geom.array_spacing_wl)
-        out += steer[:, None] * y[None, :]
-
-    if imp.cfo_hz != 0.0 or imp.cpo != 0.0:
-        out *= np.exp(-2j * np.pi * (imp.cfo_hz * t_abs + imp.cpo))[None, :]
-    if imp.sfo != 0.0:
-        for i in range(geom.n_antennas):
-            out[i] = _resample_skewed(out[i], fs, imp.sfo)
-    if noise_floor_dbm is not None:
-        for i in range(geom.n_antennas):
-            out[i] += complex_noise(n, noise_floor_dbm, rng)
-    return [SampleBuffer(out[i], fs, t0) for i in range(geom.n_antennas)]
 
 
 # ---------------------------------------------------------------------------
@@ -574,13 +458,7 @@ def synthesize_csi_series(geom, cfg, times, imp=None, snr_db=None, rng=None,
             tau = np.full(n_l, p.delay)
             alpha = np.full(n_l, p.alpha)
             aoa = np.full(n_l, p.aoa_deg)
-        steer = np.exp(
-            -2j
-            * np.pi
-            * np.arange(n_ant)[None, :]
-            * geom.array_spacing_wl
-            * np.sin(np.radians(aoa))[:, None]
-        )
+        steer = steering_vector(aoa, n_ant, geom.array_spacing_wl)
         core = np.exp(-2j * np.pi * tau[:, None] * freqs[None, :])
         out += alpha[:, None, None] * steer[:, :, None] * core[:, None, :]
         strongest = max(strongest, float(np.mean(np.abs(alpha) ** 2)))
@@ -605,10 +483,7 @@ __all__ = [
     "los_gain",
     "power_ratio",
     "bistatic_projection",
-    "path_length",
-    "delta_r_series",
     "linear_trajectory",
-    "breathing_trajectory",
     "trajectory_positions",
     "PropagationPath",
     "ImpairmentProfile",
@@ -616,7 +491,6 @@ __all__ = [
     "steering_vector",
     "ResolvedPath",
     "resolve_paths",
-    "propagate",
     "apply_clock_impairments",
     "synthesize_csi_series",
 ]

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import steering_vector
-from .ofdm import SPEED_OF_LIGHT, CsiMatrix
-from .sigcore import TWO_PI
+from .ofdm import SPEED_OF_LIGHT
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +27,6 @@ class TxSchedule:
     """Packet transmit times; gaps may be anything as long as time moves on."""
 
     times: np.ndarray
-    packet_ids: np.ndarray = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -36,11 +34,6 @@ class TxSchedule:
             raise ValueError("schedule needs a non-empty 1-D time sequence")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("schedule times must be strictly increasing")
-        if self.packet_ids is None:
-            self.packet_ids = np.arange(self.times.size)
-        self.packet_ids = np.asarray(self.packet_ids)
-        if self.packet_ids.shape != self.times.shape:
-            raise ValueError("packet_ids must pair with times")
 
     def __len__(self):
         return self.times.size
@@ -261,13 +254,6 @@ def default_doppler_grid():
     return np.arange(-60.0, 60.0 + 1e-9, 0.25)
 
 
-def csi_array_from_matrices(csi_list, antenna=0):
-    """Stack packet CSI matrices into (n_packets, n_sub) plus timestamps."""
-    rows = [np.asarray(c.values)[antenna, 0, :] for c in csi_list]
-    times = np.array([c.timestamp for c in csi_list])
-    return np.asarray(rows), times
-
-
 def _series_2d(csi_series, antenna=0):
     arr = np.asarray(csi_series, dtype=np.complex128)
     if arr.ndim == 3:
@@ -305,12 +291,6 @@ def estimate_features_sparse(csi_series, sched, cfg, delay_grid=None,
     """
     if isinstance(sched, (list, tuple, np.ndarray)):
         sched = TxSchedule(np.asarray(sched))
-    if isinstance(csi_series, (list, tuple)) and csi_series and isinstance(
-        csi_series[0], CsiMatrix
-    ):
-        csi_series, stamps = csi_array_from_matrices(csi_series, antenna)
-        if not np.allclose(stamps, sched.times, atol=1e-9):
-            raise ValueError("CSI timestamps disagree with the schedule")
     h = _series_2d(csi_series, antenna)
     if h.shape[0] != len(sched):
         raise ValueError("need one CSI row per scheduled packet")
@@ -354,8 +334,6 @@ def matched_filter_peak(csi_series, sched, cfg, delay_grid, doppler_grid):
 
 
 def _single_csi(csi, antenna=0):
-    if isinstance(csi, CsiMatrix):
-        return np.asarray(csi.values)[antenna, 0, :]
     arr = np.asarray(csi, dtype=np.complex128)
     if arr.ndim == 3:
         arr = arr[:, antenna, :]
@@ -428,9 +406,7 @@ def range_music(csi, n_paths, cfg, grid=None, subarray_len=16, antenna=0):
         raise ValueError("need at least one path to look for")
     if subarray_len <= n_paths:
         raise ValueError("subarray too short for the requested model order")
-    arr = np.asarray(csi.values)[None, antenna, 0, :] if isinstance(
-        csi, CsiMatrix
-    ) else np.asarray(csi, dtype=np.complex128)
+    arr = np.asarray(csi, dtype=np.complex128)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim == 3:
@@ -490,9 +466,7 @@ def aoa_music(csi, n_sources, spacing_wl=0.5, grid=None):
     if grid is None:
         grid = np.arange(-90.0, 90.0 + 1e-9, 0.5)
     grid = np.asarray(grid, dtype=np.float64)
-    steer = np.stack(
-        [steering_vector(theta, n_ant, spacing_wl) for theta in grid], axis=1
-    )
+    steer = steering_vector(grid, n_ant, spacing_wl).T
     denom = np.sum(np.abs(noise.conj().T @ steer) ** 2, axis=0)
     spectrum = 1.0 / np.maximum(denom, 1e-18)
     angles = _top_peaks(grid, spectrum, n_sources)
@@ -545,7 +519,7 @@ def snap_to_uniform(csi_series, sched):
     left = np.maximum(idx - 1, 0)
     choose_left = np.abs(times[left] - grid) <= np.abs(times[idx] - grid)
     nearest = np.where(choose_left, left, idx)
-    return h[nearest], TxSchedule(grid, sched.packet_ids)
+    return h[nearest], TxSchedule(grid)
 
 
 def velocity_sparse(csi_series, sched, cfg, delay_grid=None, doppler_grid=None,
@@ -586,7 +560,6 @@ __all__ = [
     "admm_lasso",
     "default_delay_grid",
     "default_doppler_grid",
-    "csi_array_from_matrices",
     "dictionary_matrices",
     "estimate_features_sparse",
     "matched_filter_peak",

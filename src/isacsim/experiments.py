@@ -117,12 +117,12 @@ class ExperimentReport:
     csv_paths: list
 
 
-def _write_csv(ctx, name, filename, header, rows, lineterminator="\r\n"):
+def _write_csv(ctx, name, filename, header, rows):
     os.makedirs(ctx.out_dir, exist_ok=True)
     path = os.path.join(ctx.out_dir, filename)
     with open(path, "w", newline="") as fh:
         fh.write(f"# experiment={name} seed={ctx.seed} config_hash={ctx.cfg_hash}\n")
-        writer = _csv.writer(fh, lineterminator=lineterminator)
+        writer = _csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
     return path
@@ -570,12 +570,10 @@ def run_ranging(ctx):
             errs[method].append(abs(est - truth))
             rows.append([trial, f"{truth:.4f}", f"{est:.4f}", method,
                          f"{snr_db:.2f}", "irregular"])
-    # ranging.csv ends its lines with "\n" where the other CSVs use "\r\n";
-    # kept so that reruns stay byte-identical to earlier result files
     path = _write_csv(
         ctx, "ranging", "ranging.csv",
         ["trial", "truth_range_m", "est_range_m", "method", "snr_db",
-         "schedule_kind"], rows, lineterminator="\n",
+         "schedule_kind"], rows,
     )
 
     med = {k: float(np.median(v)) for k, v in errs.items()}

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import localize_single
-
 
 def wrap_deg(angle):
     """Wrap degrees into [-180, 180)."""
@@ -46,14 +44,6 @@ class SensingMessage:
             raise ValueError("range_m must be non-negative")
         if self.confidence <= 0:
             raise ValueError("confidence must be positive")
-
-    @classmethod
-    def from_estimate(cls, device_id, t_s, pose, est):
-        """Build a message from a SensingEstimate and a (x, y, heading) pose."""
-        x, y, heading = pose
-        aoa = est.aoa_deg if est.aoa_deg is not None else float("nan")
-        return cls(device_id, t_s, x, y, heading, est.range_m, aoa,
-                   est.confidence)
 
 
 # ---------------------------------------------------------------------------
@@ -161,24 +151,11 @@ def fuse_ml(messages, sigma_range=0.5, sigma_aoa_deg=5.0, cell_m=0.25,
                         cell_x=float(xs[ix]), cell_y=float(ys[iy]))
 
 
-def fuse_single(message, **kw):
-    """Closed-form single-message fix (range + angle along the heading)."""
-    if not np.isfinite(message.aoa_deg):
-        raise ValueError("single-message fix needs an angle observation")
-    from .estimate import SensingEstimate
-
-    est = SensingEstimate(range_m=message.range_m, aoa_deg=message.aoa_deg,
-                          confidence=message.confidence)
-    return localize_single(est, device_pos=(message.x_m, message.y_m),
-                           heading_deg=message.heading_deg)
-
-
 __all__ = [
     "SensingMessage",
     "LikelihoodGrid",
     "FusionResult",
     "fuse_ml",
-    "fuse_single",
     "message_loglik",
     "wrap_deg",
 ]

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import cancel, channel
 from .estimate import TxSchedule
-from .ofdm import MAX_FRAME_S, MCS_TABLE, RadioConfig, packet_duration
+from .ofdm import MCS_TABLE, RadioConfig, packet_duration
 from .sigcore import power_to_dbm, dbm_to_power
 
 
@@ -489,9 +489,6 @@ def m_episodes(entries):
             episodes.append((current.pop(e.device), e.time,
                              last_txc.get(e.device)))
     return episodes
-
-
-MAX_M_DWELL_S = MAX_FRAME_S  # per-transmission cap; timer extends past it
 
 
 __all__ = [

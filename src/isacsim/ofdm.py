@@ -1,22 +1,20 @@
-"""OFDM PHY: radio parameters, packets, preamble detection, CSI extraction.
+"""OFDM PHY: radio parameters, MCS airtime, training bursts, CSI extraction.
 
 The PHY mirrors a 20 MHz / 64-subcarrier Wi-Fi-style link: a short training
-field with 16-sample periodicity for delayed-autocorrelation detection, a long
-training field of two identical known symbols for per-subcarrier channel
-estimation, and cyclic-prefixed data symbols. It is deliberately not a
-bit-exact standard implementation; CSI semantics only require the two known
-long symbols.
+field with 16-sample periodicity, a long training field of two identical
+known symbols for per-subcarrier channel estimation, and cyclic-prefixed
+repeats of the long symbol. It is deliberately not a bit-exact standard
+implementation; CSI semantics only require the known long symbols.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .sigcore import SampleBuffer, avg_power
 
 SPEED_OF_LIGHT = 299792458.0
-MAX_FRAME_S = 5.484e-3
 
 # fixed seed for the deterministic training-sequence values
 _TRAINING_SEED = 0x2400
@@ -58,10 +56,6 @@ class RadioConfig:
     @property
     def subcarrier_spacing(self):
         return self.sample_rate / self.fft_size
-
-    @property
-    def sample_period(self):
-        return 1.0 / self.sample_rate
 
     @property
     def wavelength(self):
@@ -153,50 +147,6 @@ def packet_duration(n_symbols, cfg):
     return n / cfg.sample_rate
 
 
-@dataclass
-class PacketMeta:
-    tx_time: float
-    mcs: Mcs
-    n_symbols: int
-    duration: float = None
-    cfg: RadioConfig = field(default_factory=RadioConfig, repr=False)
-
-    def __post_init__(self):
-        if self.n_symbols < 0:
-            raise ValueError("n_symbols must be >= 0")
-        expected = packet_duration(self.n_symbols, self.cfg)
-        if self.duration is None:
-            self.duration = expected
-        elif abs(self.duration - expected) > 1e-9:
-            raise ValueError("duration inconsistent with symbol count")
-        if self.duration > MAX_FRAME_S:
-            raise ValueError("frame exceeds maximum duration")
-
-
-@dataclass
-class CsiMatrix:
-    """Per-packet channel estimate indexed [rx_ant][tx_ant][subcarrier]."""
-
-    values: np.ndarray
-    timestamp: float
-    packet_id: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.ndim != 3:
-            raise ValueError("values must be [rx_ant][tx_ant][subcarrier]")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("CSI entries must be finite")
-
-    @property
-    def n_rx(self):
-        return self.values.shape[0]
-
-    @property
-    def n_subcarriers(self):
-        return self.values.shape[2]
-
-
 # ---------------------------------------------------------------------------
 # Training sequences
 # ---------------------------------------------------------------------------
@@ -205,7 +155,6 @@ class CsiMatrix:
 def _training_values(cfg):
     """Deterministic frequency-domain training values (stf_bins, stf_vals, ltf_vals)."""
     rng = np.random.default_rng(_TRAINING_SEED)
-    n = cfg.fft_size
     signed = cfg.signed_index()
     # short training occupies every 4th subcarrier -> 16-sample periodicity
     stf_mask = (signed % 4 == 0)
@@ -229,210 +178,31 @@ def _symbol_from_bins(cfg, bins, vals):
     return np.fft.ifft(spec) * cfg.fft_size / np.sqrt(len(bins))
 
 
-def generate_preamble(cfg):
-    """Deterministic unit-power preamble: repeated short section + two long symbols."""
-    n = cfg.fft_size
+def _raw_preamble(cfg):
+    """Short training section + cyclic-prefixed long symbol pair, unscaled."""
     stf_bins, stf_vals, ltf_vals = _training_values(cfg)
     stf_sym = _symbol_from_bins(cfg, stf_bins, stf_vals)
     ltf_sym = _symbol_from_bins(cfg, cfg.used_bins, ltf_vals)
     stf = np.tile(stf_sym, 3)[: cfg.stf_len]
     ltf = np.concatenate([ltf_sym[-cfg.ltf_cp_len :], ltf_sym, ltf_sym])
-    samples = np.concatenate([stf, ltf])
+    return np.concatenate([stf, ltf])
+
+
+def generate_preamble(cfg):
+    """Deterministic unit-power preamble: repeated short section + two long symbols."""
+    samples = _raw_preamble(cfg)
     samples = samples / np.sqrt(avg_power(samples))
     return SampleBuffer(samples, cfg.sample_rate)
 
 
 def _preamble_scale(cfg):
     """Scale applied to training symbols inside generate_preamble."""
-    n = cfg.fft_size
-    stf_bins, stf_vals, ltf_vals = _training_values(cfg)
-    stf_sym = _symbol_from_bins(cfg, stf_bins, stf_vals)
-    ltf_sym = _symbol_from_bins(cfg, cfg.used_bins, ltf_vals)
-    stf = np.tile(stf_sym, 3)[: cfg.stf_len]
-    ltf = np.concatenate([ltf_sym[-cfg.ltf_cp_len :], ltf_sym, ltf_sym])
-    return 1.0 / np.sqrt(avg_power(np.concatenate([stf, ltf])))
+    return 1.0 / np.sqrt(avg_power(_raw_preamble(cfg)))
 
 
 # ---------------------------------------------------------------------------
-# Constellations
+# CSI extraction
 # ---------------------------------------------------------------------------
-
-_PAM2 = np.array([-1.0, 1.0])
-_PAM4 = np.array([-3.0, -1.0, 3.0, 1.0])  # Gray: 00,01,10,11
-_PAM8 = np.array([-7.0, -5.0, -1.0, -3.0, 7.0, 5.0, 1.0, 3.0])  # Gray 3-bit
-
-
-def _bits_to_symbols(bits, modulation):
-    bits = np.asarray(bits, dtype=np.int64)
-    bps = modulation.bits_per_symbol
-    if len(bits) % bps:
-        raise ValueError("bit count not a multiple of bits per symbol")
-    groups = bits.reshape(-1, bps)
-    if modulation is Modulation.BPSK:
-        return (2.0 * groups[:, 0] - 1.0).astype(np.complex128)
-    half = bps // 2
-    weights = 1 << np.arange(half - 1, -1, -1)
-    i_idx = groups[:, :half] @ weights
-    q_idx = groups[:, half:] @ weights
-    pam = {Modulation.QPSK: _PAM2, Modulation.QAM16: _PAM4, Modulation.QAM64: _PAM8}[
-        modulation
-    ]
-    scale = {Modulation.QPSK: np.sqrt(2.0), Modulation.QAM16: np.sqrt(10.0), Modulation.QAM64: np.sqrt(42.0)}[modulation]
-    return (pam[i_idx] + 1j * pam[q_idx]) / scale
-
-
-def _symbols_to_bits(symbols, modulation):
-    symbols = np.asarray(symbols)
-    if modulation is Modulation.BPSK:
-        return (symbols.real > 0).astype(np.int64)
-    pam = {Modulation.QPSK: _PAM2, Modulation.QAM16: _PAM4, Modulation.QAM64: _PAM8}[
-        modulation
-    ]
-    scale = {Modulation.QPSK: np.sqrt(2.0), Modulation.QAM16: np.sqrt(10.0), Modulation.QAM64: np.sqrt(42.0)}[modulation]
-    half = modulation.bits_per_symbol // 2
-    out = np.empty((len(symbols), modulation.bits_per_symbol), dtype=np.int64)
-    for axis, comp in enumerate((symbols.real * scale, symbols.imag * scale)):
-        idx = np.argmin(np.abs(comp[:, None] - pam[None, :]), axis=1)
-        for b in range(half):
-            out[:, axis * half + b] = (idx >> (half - 1 - b)) & 1
-    return out.reshape(-1)
-
-
-def pilot_bins(cfg):
-    """Four fixed pilot subcarriers (or fewer for tiny FFT sizes)."""
-    signed = cfg.signed_index()
-    quarter = max(1, cfg.fft_size // 9)
-    targets = [quarter * 3, quarter, -quarter, -quarter * 3]
-    bins = []
-    for t in targets:
-        cand = cfg.used_bins[np.argmin(np.abs(signed - t))]
-        if cand not in bins:
-            bins.append(int(cand))
-    return tuple(sorted(bins))
-
-
-_PILOT_VALUES = (1.0, 1.0, 1.0, -1.0)
-
-
-def data_bins(cfg):
-    p = set(pilot_bins(cfg))
-    return tuple(b for b in cfg.used_subcarriers if b not in p)
-
-
-def symbol_capacity_bits(mcs, cfg):
-    """Information bits one data symbol can carry (coding-rate scaled)."""
-    return int(np.floor(len(data_bins(cfg)) * mcs.bits_per_symbol * mcs.coding_rate))
-
-
-def build_packet(payload_bits, meta, cfg=None):
-    """Preamble + cyclic-prefixed data symbols.
-
-    Payload bits modulate the data subcarriers directly (uncoded-equivalent);
-    the coding rate only scales the information capacity used for the overflow
-    check and airtime accounting. Unfilled raw bins carry deterministic
-    scrambler-style padding bits so constellation power stays balanced.
-    """
-    cfg = cfg or meta.cfg
-    payload_bits = np.asarray(payload_bits, dtype=np.int64)
-    capacity = meta.n_symbols * symbol_capacity_bits(meta.mcs, cfg)
-    if len(payload_bits) > capacity:
-        raise ValueError("payload does not fit in n_symbols at this MCS")
-    pre = generate_preamble(cfg)
-    if meta.n_symbols == 0:
-        return SampleBuffer(pre.samples.copy(), cfg.sample_rate, meta.tx_time)
-
-    d_bins = np.asarray(data_bins(cfg), dtype=int)
-    p_bins = np.asarray(pilot_bins(cfg), dtype=int)
-    p_vals = np.asarray(_PILOT_VALUES[: len(p_bins)], dtype=np.complex128)
-    bps = meta.mcs.bits_per_symbol
-    raw_bits_needed = meta.n_symbols * len(d_bins) * bps
-    pad_rng = np.random.default_rng(_TRAINING_SEED + 1)
-    bits = pad_rng.integers(0, 2, raw_bits_needed)
-    bits[: len(payload_bits)] = payload_bits
-    syms = _bits_to_symbols(bits, meta.mcs.modulation).reshape(meta.n_symbols, len(d_bins))
-
-    n = cfg.fft_size
-    cp = cfg.cyclic_prefix_len
-    scale = n / np.sqrt(cfg.n_used)
-    chunks = [pre.samples]
-    for s in range(meta.n_symbols):
-        spec = np.zeros(n, dtype=np.complex128)
-        spec[d_bins] = syms[s]
-        spec[p_bins] = p_vals
-        td = np.fft.ifft(spec) * scale
-        chunks.append(td[-cp:])
-        chunks.append(td)
-    return SampleBuffer(np.concatenate(chunks), cfg.sample_rate, meta.tx_time)
-
-
-def demodulate_packet(buf, meta, cfg=None, n_bits=None):
-    """Loopback demodulator: FFT each data symbol, slice the constellation."""
-    cfg = cfg or meta.cfg
-    n = cfg.fft_size
-    cp = cfg.cyclic_prefix_len
-    d_bins = np.asarray(data_bins(cfg), dtype=int)
-    scale = n / np.sqrt(cfg.n_used)
-    out = []
-    for s in range(meta.n_symbols):
-        start = cfg.preamble_len + s * (n + cp) + cp
-        win = buf.samples[start : start + n]
-        spec = np.fft.fft(win) / scale
-        out.append(_symbols_to_bits(spec[d_bins], meta.mcs.modulation))
-    bits = np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
-    return bits if n_bits is None else bits[:n_bits]
-
-
-# ---------------------------------------------------------------------------
-# Detection and CSI extraction
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PreambleDetection:
-    index: int
-    metric: float
-
-
-def detect_preamble(rx, cfg, threshold=0.5):
-    """Locate a packet start by normalized delayed autocorrelation.
-
-    The short training field repeats every fft_size/4 samples; the metric is
-    |sum r[d+m] conj(r[d+m+lag])| / sqrt(P1 P2) over a short-training-sized
-    window. A cross-correlation against the known preamble refines the coarse
-    index to sample accuracy. Returns None when the metric never reaches the
-    threshold.
-    """
-    if not (0.0 < threshold <= 1.0):
-        raise ValueError("threshold must lie in (0, 1]")
-    r = np.asarray(rx.samples, dtype=np.complex128)
-    n = cfg.fft_size
-    lag = n // 4
-    w = cfg.stf_len - lag
-    if len(r) < w + lag:
-        return None
-    prod = r[:-lag] * np.conj(r[lag:])
-    p2 = np.abs(r[lag:]) ** 2
-    p1 = np.abs(r[:-lag]) ** 2
-    kern = np.ones(w)
-    c = np.convolve(prod, kern, mode="valid")
-    e2 = np.convolve(p2, kern, mode="valid")
-    e1 = np.convolve(p1, kern, mode="valid")
-    denom = np.sqrt(e1 * e2) + 1e-30
-    metric = np.abs(c) / denom
-    coarse = int(np.argmax(metric))
-    if metric[coarse] < threshold:
-        return None
-    template = generate_preamble(cfg).samples
-    lo = max(0, coarse - n)
-    hi = min(len(r) - len(template), coarse + n)
-    if hi < lo:
-        return None
-    best, best_score = lo, -1.0
-    for d in range(lo, hi + 1):
-        score = abs(np.dot(r[d : d + len(template)], np.conj(template)))
-        if score > best_score:
-            best, best_score = d, score
-    return PreambleDetection(index=best, metric=float(min(metric[coarse], 1.0)))
 
 
 def _csi_window(samples, offset, cfg):
@@ -465,32 +235,11 @@ def extract_csi_symbols(rx, index, cfg, n_symbols=2):
     return out
 
 
-def extract_csi(rx, index, cfg, packet_id=0, timestamp=None):
-    """Packet CSI from the two long training symbols (averaged).
-
-    rx may be a single SampleBuffer or a list of per-antenna buffers; the
-    result is indexed [rx_ant][tx_ant=1][subcarrier].
-    """
-    bufs = rx if isinstance(rx, (list, tuple)) else [rx]
-    rows = []
-    for buf in bufs:
-        sym = extract_csi_symbols(buf, index, cfg, n_symbols=2)
-        rows.append(sym.mean(axis=0))
-    values = np.asarray(rows)[:, None, :]
-    if timestamp is None:
-        first = bufs[0]
-        t0 = first.start_time if isinstance(first, SampleBuffer) else 0.0
-        fs = first.sample_rate if isinstance(first, SampleBuffer) else cfg.sample_rate
-        timestamp = t0 + index / fs
-    return CsiMatrix(values, timestamp, packet_id)
-
-
 def training_burst(cfg, n_extra=0):
     """Preamble followed by n_extra cyclic-prefixed repeats of the long symbol."""
     pre = generate_preamble(cfg)
     if n_extra == 0:
         return SampleBuffer(pre.samples.copy(), cfg.sample_rate)
-    n = cfg.fft_size
     ltf_scaled = (
         _symbol_from_bins(cfg, cfg.used_bins, long_training_values(cfg))
         * _preamble_scale(cfg)
@@ -526,25 +275,14 @@ def burst_symbol_spans(cfg, n_symbols):
 
 __all__ = [
     "SPEED_OF_LIGHT",
-    "MAX_FRAME_S",
     "RadioConfig",
     "Modulation",
     "Mcs",
     "MCS_TABLE",
-    "PacketMeta",
-    "CsiMatrix",
-    "PreambleDetection",
     "packet_duration",
     "generate_preamble",
     "long_training_values",
-    "build_packet",
-    "demodulate_packet",
-    "detect_preamble",
-    "extract_csi",
     "extract_csi_symbols",
     "training_burst",
     "burst_symbol_spans",
-    "pilot_bins",
-    "data_bins",
-    "symbol_capacity_bits",
 ]

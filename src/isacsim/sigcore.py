@@ -1,11 +1,11 @@
-"""Complex baseband primitives: buffers, transforms, STFT, phase tools, noise.
+"""Complex baseband primitives: buffers, transforms, STFT, noise.
 
 Power convention used across the package: baseband samples are unitless
 voltages whose mean squared magnitude is a power referenced to 1 mW, i.e. a
 buffer with average power 1.0 sits at 0 dBm.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,22 +212,6 @@ def stft(signal, window_len, hop, window="hann", freqs=None):
     return Spectrogram(np.array(rows), freqs, np.array(centers))
 
 
-def unwrap_phase(phases):
-    """Unwrap so successive differences fall in (-pi, pi].
-
-    The output differs from the input by exact integer multiples of 2*pi
-    (one multiply per element, no cumulative rounding).
-    """
-    p = np.asarray(phases, dtype=np.float64)
-    if p.size == 0:
-        return p.copy()
-    d = np.diff(p)
-    # m chosen so that d - 2*pi*m lies in (-pi, pi]
-    m = np.ceil((d - np.pi) / TWO_PI)
-    k = np.concatenate(([0.0], np.cumsum(m)))
-    return p - TWO_PI * k
-
-
 def complex_noise(n, power_dbm, rng):
     """Circular complex Gaussian noise with the given total power in dBm."""
     p = dbm_to_power(power_dbm)
@@ -242,7 +226,6 @@ __all__ = [
     "ifft",
     "nonuniform_dft",
     "stft",
-    "unwrap_phase",
     "hann_window",
     "rect_window",
     "complex_noise",

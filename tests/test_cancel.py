@@ -14,7 +14,6 @@ from isacsim.cancel import (
     first_stage,
     make_leakage,
     measure_separator_harm,
-    params_for_power,
     separator_pipeline,
     template_snr_db,
 )
@@ -312,23 +311,6 @@ class TestPipeline:
         rx_later = assemble_rx(tx, leak, noise_floor_dbm=-85.0, rng=rng)
         out = separator_pipeline(rx_later, state, "M", tx_ref=tx)
         assert power_to_dbm(out.power()) == pytest.approx(-85.0, abs=3.0)
-
-
-class TestParamsForPower:
-    def test_linear_interpolation(self):
-        assert params_for_power(5.0, [(0.0, 70.0), (10.0, 80.0)]) == pytest.approx(75.0)
-
-    def test_single_pair_rejected(self):
-        with pytest.raises(ValueError):
-            params_for_power(5.0, [(0.0, 70.0)])
-
-    def test_noisy_line_slope_recovered(self):
-        rng = np.random.default_rng(6)
-        powers = np.linspace(-5, 20, 20)
-        cancels = 1.0 * powers + 65.0 + rng.normal(0.0, 0.5, powers.size)
-        fit_at = [params_for_power(p, list(zip(powers, cancels))) for p in (0.0, 1.0)]
-        slope = fit_at[1] - fit_at[0]
-        assert slope == pytest.approx(1.0, rel=0.05)
 
 
 class TestHarm:

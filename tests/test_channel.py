@@ -1,25 +1,22 @@
 import numpy as np
 import pytest
 
-from isacsim import channel, ofdm
+from isacsim import ofdm
 from isacsim.channel import (
     ImpairmentProfile,
     PropagationPath,
     ScenarioGeometry,
     apply_clock_impairments,
     bistatic_projection,
-    breathing_trajectory,
-    delta_r_series,
     linear_trajectory,
     los_gain,
     path_gain,
     power_ratio,
-    propagate,
     resolve_paths,
     steering_vector,
     synthesize_csi_series,
 )
-from isacsim.ofdm import SPEED_OF_LIGHT, RadioConfig, extract_csi, extract_csi_symbols
+from isacsim.ofdm import SPEED_OF_LIGHT, RadioConfig, extract_csi_symbols
 from isacsim.sigcore import SampleBuffer, avg_power, db
 
 
@@ -108,25 +105,6 @@ class TestBistaticProjection:
             bistatic_projection((0, 0, 0), (2, 0, 0), (1.9, 0, 0), (0.1, 0, 0))
 
 
-class TestDeltaRSeries:
-    def test_monostatic_radial_constant_steps(self):
-        traj = linear_trajectory((2, 0, 0), (0.5, 0, 0))
-        steps = delta_r_series((0, 0, 0), (0, 0, 0), traj, np.arange(0, 2.01, 0.1))
-        assert steps == pytest.approx(np.full(len(steps), 0.1), abs=1e-12)
-        assert np.ptp(steps) < 1e-12
-
-    def test_crossing_rail_steps_monotone(self):
-        traj = linear_trajectory((-3.0, 1.5, 0.0), (1.0, 0.0, 0.0))
-        steps = delta_r_series((0, 0, 0), (2, 0, 0), traj, np.linspace(0.0, 8.0, 81))
-        assert np.all(np.diff(steps) > 0)
-        assert steps[0] < 0 < steps[-1]
-
-    def test_perpendicular_rail_steps_monotone(self):
-        traj = linear_trajectory((1.0, 0.5, 0.0), (0.0, 1.0, 0.0))
-        steps = delta_r_series((0, 0, 0), (2, 0, 0), traj, np.linspace(0.0, 5.0, 51))
-        assert np.all(np.diff(steps) >= -1e-12)
-
-
 class TestTrajectories:
     def test_linear_positions(self):
         traj = linear_trajectory((1, 2, 0), (0.5, 0, 0))
@@ -134,13 +112,6 @@ class TestTrajectories:
         pos = traj(np.array([0.0, 1.0]))
         assert pos.shape == (2, 3)
         assert pos[1] == pytest.approx([1.5, 2.0, 0.0])
-
-    def test_breathing_sway(self):
-        traj = breathing_trajectory((3, 0, 0), amplitude_m=0.005, rate_hz=0.25)
-        assert traj(1.0) == pytest.approx([3.005, 0.0, 0.0])
-        assert traj(2.0) == pytest.approx([3.0, 0.0, 0.0], abs=1e-12)
-        span = traj(np.linspace(0, 4, 200))[:, 0]
-        assert np.max(span) - np.min(span) == pytest.approx(0.01, abs=1e-6)
 
 
 class TestImpairmentProfile:
@@ -212,100 +183,18 @@ class TestSteering:
         assert v[1] == pytest.approx(np.exp(-1j * np.pi / 2), abs=1e-12)
         assert v[2] == pytest.approx(np.exp(-1j * np.pi), abs=1e-12)
 
+    def test_angle_array_broadcasts(self):
+        angles = np.array([[-40.0, 0.0], [12.5, 30.0]])
+        v = steering_vector(angles, 4, spacing_wl=0.7)
+        assert v.shape == (2, 2, 4)
+        for idx in np.ndindex(angles.shape):
+            np.testing.assert_array_equal(
+                v[idx], steering_vector(angles[idx], 4, spacing_wl=0.7)
+            )
+
 
 def one_path_geometry(**path_kwargs):
     return ScenarioGeometry(targets=(PropagationPath(**path_kwargs),))
-
-
-class TestPropagate:
-    def test_single_sample_delay_is_a_shift(self):
-        rng = np.random.default_rng(0)
-        tx = SampleBuffer(
-            rng.standard_normal(256) + 1j * rng.standard_normal(256), CFG.sample_rate
-        )
-        geom = one_path_geometry(delay=1.0 / CFG.sample_rate, amplitude=0.5)
-        out = propagate(tx, geom, CFG)[0]
-        # carrier rotation is a whole number of cycles for this delay
-        assert out.samples[0] == pytest.approx(0.0, abs=1e-9)
-        np.testing.assert_allclose(out.samples[1:], 0.5 * tx.samples[:-1], atol=1e-9)
-
-    def test_timing_offset_matches_equivalent_delay(self):
-        rng = np.random.default_rng(1)
-        tx = SampleBuffer(
-            rng.standard_normal(200) + 1j * rng.standard_normal(200), CFG.sample_rate
-        )
-        geom = one_path_geometry(delay=0.0, amplitude=1.0)
-        late = propagate(tx, geom, CFG, imp=ImpairmentProfile(pdd_extra=1.0))[0]
-        shifted = propagate(
-            tx, one_path_geometry(delay=1.0 / CFG.sample_rate, amplitude=1.0), CFG
-        )[0]
-        np.testing.assert_allclose(late.samples, shifted.samples, atol=1e-9)
-
-    def test_fifteen_meter_echo_phase_slope(self):
-        burst = ofdm.training_burst(CFG)
-        geom = one_path_geometry(position=(15.0, 0.0, 0.0))
-        out = propagate(burst, geom, CFG)[0]
-        csi = extract_csi(out, 0, CFG).values[0, 0]
-        signed = CFG.signed_index()
-        order = np.argsort(signed)
-        phases = np.unwrap(np.angle(csi[order]))
-        slope = np.polyfit(signed[order], phases, 1)[0]
-        expected = -2 * np.pi * CFG.subcarrier_spacing * (30.0 / SPEED_OF_LIGHT)
-        assert slope == pytest.approx(expected, rel=1e-2)
-
-    def test_receding_target_rotation_rate(self):
-        burst = ofdm.training_burst(CFG)
-        geom = one_path_geometry(
-            trajectory=linear_trajectory((5.0, 0.0, 0.0), (0.2, 0.0, 0.0))
-        )
-        dt = 0.05
-        c0 = extract_csi(propagate(burst, geom, CFG, t0=0.0)[0], 0, CFG).values
-        c1 = extract_csi(propagate(burst, geom, CFG, t0=dt)[0], 0, CFG).values
-        measured = np.angle(np.mean(c1 * np.conj(c0))) / (-2 * np.pi * dt)
-        doppler = 2 * 0.2 / CFG.wavelength
-        assert measured == pytest.approx(doppler, rel=1e-3)
-
-    def test_array_phase_progression(self):
-        burst = ofdm.training_burst(CFG)
-        geom = ScenarioGeometry(
-            targets=(PropagationPath(delay=5e-8, amplitude=1.0, aoa_deg=30.0),),
-            n_antennas=3,
-        )
-        outs = propagate(burst, geom, CFG)
-        assert len(outs) == 3
-        ratio = np.mean(outs[1].samples[50:250] / outs[0].samples[50:250])
-        assert ratio == pytest.approx(np.exp(-1j * np.pi / 2), abs=1e-6)
-
-    def test_derived_arrival_angle(self):
-        burst = ofdm.training_burst(CFG)
-        geom = ScenarioGeometry(
-            rx_pos=(0, 0, 0),
-            targets=(PropagationPath(position=(3.0, 3.0, 0.0)),),
-            n_antennas=2,
-        )
-        outs = propagate(burst, geom, CFG)
-        ratio = np.mean(outs[1].samples[50:250] / outs[0].samples[50:250])
-        assert np.angle(ratio) == pytest.approx(-np.pi * np.sin(np.radians(45.0)), abs=1e-6)
-
-    def test_noise_floor_level_and_determinism(self):
-        tx = SampleBuffer(np.zeros(4096, dtype=np.complex128), CFG.sample_rate)
-        geom = ScenarioGeometry()
-        a = propagate(tx, geom, CFG, noise_floor_dbm=-85.0, rng=11)[0]
-        b = propagate(tx, geom, CFG, noise_floor_dbm=-85.0, rng=11)[0]
-        c = propagate(tx, geom, CFG, noise_floor_dbm=-85.0, rng=12)[0]
-        np.testing.assert_array_equal(a.samples, b.samples)
-        assert not np.array_equal(a.samples, c.samples)
-        assert db(a.power()) == pytest.approx(-85.0, abs=0.3)
-
-    def test_sampling_skew_resample_tone(self):
-        fs = CFG.sample_rate
-        n = 512
-        t = np.arange(n) / fs
-        f_tone = 32 * fs / n
-        tone = np.exp(2j * np.pi * f_tone * t)
-        out = channel._resample_skewed(tone, fs, 1e-4)
-        expected = np.exp(2j * np.pi * f_tone * t * (1 + 1e-4))
-        np.testing.assert_allclose(out, expected, atol=1e-8)
 
 
 class TestClockImpairments:
@@ -430,6 +319,19 @@ class TestCsiSeries:
         )
         np.testing.assert_allclose(
             rotated, plain * np.exp(-2j * np.pi * 0.5), rtol=1e-12
+        )
+
+    def test_derived_arrival_angle(self):
+        geom = ScenarioGeometry(
+            rx_pos=(0, 0, 0),
+            targets=(PropagationPath(position=(3.0, 3.0, 0.0)),),
+            n_antennas=2,
+        )
+        series = synthesize_csi_series(geom, CFG, np.array([0.0, 0.01]))
+        assert series.shape == (2, 2, CFG.n_used)
+        ratio = series[:, 1, :] / series[:, 0, :]
+        np.testing.assert_allclose(
+            np.angle(ratio), -np.pi * np.sin(np.radians(45.0)), atol=1e-9
         )
 
     def test_empty_times_rejected(self):

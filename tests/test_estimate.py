@@ -17,7 +17,6 @@ from isacsim.estimate import (
     TxSchedule,
     admm_lasso,
     aoa_music,
-    csi_array_from_matrices,
     dictionary_matrices,
     estimate_features_sparse,
     ifft_range_profile,
@@ -30,7 +29,7 @@ from isacsim.estimate import (
     velocity_sparse,
 )
 from isacsim.estimate import _kron_apply, _ridge_solver
-from isacsim.ofdm import SPEED_OF_LIGHT, CsiMatrix, RadioConfig
+from isacsim.ofdm import SPEED_OF_LIGHT, RadioConfig
 from isacsim.sigcore import TWO_PI, from_db
 
 CFG = RadioConfig()
@@ -364,19 +363,6 @@ class TestSparseFeatures:
                                      delay_grid=SMALL_DELAYS,
                                      doppler_grid=SMALL_DOPPLERS)
 
-    def test_csi_matrix_list_timestamps_checked(self):
-        times = np.array([0.0, 0.025, 0.05])
-        vals = np.ones((1, 1, CFG.n_used), dtype=np.complex128)
-        good = [CsiMatrix(vals, t, i) for i, t in enumerate(times)]
-        arr, stamps = csi_array_from_matrices(good)
-        assert arr.shape == (3, CFG.n_used)
-        assert np.allclose(stamps, times)
-        bad_sched = TxSchedule(np.array([0.0, 0.030, 0.05]))
-        with pytest.raises(ValueError):
-            estimate_features_sparse(good, bad_sched, CFG,
-                                     delay_grid=SMALL_DELAYS,
-                                     doppler_grid=SMALL_DOPPLERS)
-
 
 # ---------------------------------------------------------------------------
 # inverse-transform range baseline
@@ -700,7 +686,6 @@ class TestContainers:
 
     def test_schedule_ids_default(self):
         s = TxSchedule(np.array([0.0, 1.0, 2.5]))
-        assert list(s.packet_ids) == [0, 1, 2]
         assert len(s) == 3
         assert s.duration == 2.5
 

@@ -133,11 +133,15 @@ class TestReports:
                              out_dir=str(tmp_path))
         with open(rep.csv_paths[0], newline="") as fh:
             text = fh.read()
-        assert "\r" not in text  # ranging.csv ends its lines with "\n"
-        lines = text.split("\n")
-        assert lines[1] == ("trial,truth_range_m,est_range_m,method,snr_db,"
+        comment, body = text.split("\n", 1)
+        assert comment.startswith("# experiment=ranging seed=0 ")
+        # rows end with the csv module's "\r\n", as in every experiment CSV
+        assert body.endswith("\r\n")
+        assert body.count("\n") == body.count("\r\n")
+        lines = body.split("\r\n")
+        assert lines[0] == ("trial,truth_range_m,est_range_m,method,snr_db,"
                             "schedule_kind")
-        rows = [l.split(",") for l in lines[2:] if l]
+        rows = [l.split(",") for l in lines[1:] if l]
         assert [r[3] for r in rows] == ["sparse", "music", "ifft"]
         for r in rows:
             assert r[0] == "0" and r[4] == "15.00" and r[5] == "irregular"

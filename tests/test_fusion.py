@@ -43,14 +43,6 @@ class TestSensingMessage:
         m = SensingMessage("a", 0.0, 0, 0, 0, 5.0)
         assert not np.isfinite(m.aoa_deg)
 
-    def test_from_estimate(self):
-        est = SensingEstimate(range_m=6.0, aoa_deg=20.0, confidence=0.7)
-        m = SensingMessage.from_estimate("dev-a", 2.0, (1.0, 2.0, 90.0), est)
-        assert m.range_m == 6.0
-        assert m.aoa_deg == 20.0
-        assert m.confidence == 0.7
-        assert (m.x_m, m.y_m, m.heading_deg) == (1.0, 2.0, 90.0)
-
 
 class TestFuseMl:
     def test_single_message_matches_closed_form(self):
@@ -123,15 +115,6 @@ class TestFuseMl:
         strong = SensingMessage("b", 0.0, 0.0, 0.0, 0.0, 7.0, 0.0, confidence=4.0)
         res = fuse_ml([weak, strong], sigma_range=0.5, sigma_aoa_deg=5.0)
         assert abs(res.x_m - 7.0) < abs(res.x_m - 4.0)
-
-    def test_fuse_single_equals_localize_single(self):
-        m = message_for("dev-a", (1.0, 2.0, 15.0), (7.0, 5.0))
-        xy = fusion.fuse_single(m)
-        oracle = localize_single(
-            SensingEstimate(range_m=m.range_m, aoa_deg=m.aoa_deg),
-            device_pos=(1.0, 2.0), heading_deg=15.0,
-        )
-        assert np.allclose(xy, oracle, atol=1e-9)
 
     def test_fused_beats_single_over_trials(self):
         rng = np.random.default_rng(42)

@@ -14,7 +14,6 @@ from isacsim.sigcore import (
     ifft,
     nonuniform_dft,
     stft,
-    unwrap_phase,
 )
 
 
@@ -158,37 +157,6 @@ class TestStft:
             stft(buf, 8, 0)
         with pytest.raises(ValueError):
             stft(buf, 8, 4, window="kaiser")
-
-
-class TestUnwrap:
-    def test_single_wrap(self):
-        out = unwrap_phase([0.0, 2.0, 4.0 - 2 * np.pi])
-        np.testing.assert_allclose(out, [0.0, 2.0, 4.0], atol=1e-12)
-
-    def test_smooth_identity(self):
-        seq = [0.0, 0.1, 0.2]
-        np.testing.assert_array_equal(unwrap_phase(seq), seq)
-
-    def test_ramp_recovery(self):
-        ramp = 0.5 * np.arange(100)
-        wrapped = np.mod(ramp + np.pi, 2 * np.pi) - np.pi
-        # fold the boundary so wrapped values sit in (-pi, pi]
-        wrapped[wrapped == -np.pi] = np.pi
-        out = unwrap_phase(wrapped)
-        assert np.max(np.abs(out - ramp)) < 1e-12
-
-    def test_output_mod_2pi_and_diff_range(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            p = rng.uniform(-40, 40, rng.integers(2, 60))
-            out = unwrap_phase(p)
-            k = (out - p) / (2 * np.pi)
-            np.testing.assert_allclose(k, np.round(k), atol=1e-9)
-            d = np.diff(out)
-            assert np.all(d > -np.pi) and np.all(d <= np.pi + 1e-15)
-
-    def test_empty(self):
-        assert unwrap_phase([]).size == 0
 
 
 class TestNoise:
