@@ -321,6 +321,60 @@ class TestCsiSeries:
             rotated, plain * np.exp(-2j * np.pi * 0.5), rtol=1e-12
         )
 
+    def test_empty_times_rejected(self):
+        geom = one_path_geometry(position=(5.0, 0.0, 0.0))
+        with pytest.raises(ValueError):
+            synthesize_csi_series(geom, CFG, [])
+
+
+class TestPropagate:
+    """Propagation through a ScenarioGeometry, as synthesize_csi_series
+    computes it for each packet, antenna and subcarrier."""
+
+    def test_timing_offset_matches_equivalent_delay(self):
+        times = np.array([0.0, 0.01])
+        late = synthesize_csi_series(
+            one_path_geometry(delay=0.0, amplitude=1.0), CFG, times,
+            imp=ImpairmentProfile(pdd_extra=1.0),
+        )
+        # carrier rotation is a whole number of cycles for a one-sample delay
+        shifted = synthesize_csi_series(
+            one_path_geometry(delay=1.0 / CFG.sample_rate, amplitude=1.0), CFG, times
+        )
+        np.testing.assert_allclose(late, shifted, atol=1e-9)
+
+    def test_fifteen_meter_echo_phase_slope(self):
+        geom = one_path_geometry(position=(15.0, 0.0, 0.0))
+        csi = synthesize_csi_series(geom, CFG, np.zeros(1))[0, 0]
+        signed = CFG.signed_index()
+        order = np.argsort(signed)
+        phases = np.unwrap(np.angle(csi[order]))
+        slope = np.polyfit(signed[order], phases, 1)[0]
+        expected = -2 * np.pi * CFG.subcarrier_spacing * (30.0 / SPEED_OF_LIGHT)
+        assert slope == pytest.approx(expected, rel=1e-2)
+
+    def test_receding_target_rotation_rate(self):
+        geom = one_path_geometry(
+            trajectory=linear_trajectory((5.0, 0.0, 0.0), (0.2, 0.0, 0.0))
+        )
+        dt = 0.05
+        c0, c1 = synthesize_csi_series(geom, CFG, np.array([0.0, dt]))
+        measured = np.angle(np.mean(c1 * np.conj(c0))) / (-2 * np.pi * dt)
+        doppler = 2 * 0.2 / CFG.wavelength
+        assert measured == pytest.approx(doppler, rel=1e-3)
+
+    def test_array_phase_progression(self):
+        geom = ScenarioGeometry(
+            targets=(PropagationPath(delay=5e-8, amplitude=1.0, aoa_deg=30.0),),
+            n_antennas=3,
+        )
+        series = synthesize_csi_series(geom, CFG, np.zeros(1))[0]
+        assert series.shape == (3, CFG.n_used)
+        ratio = np.mean(series[1] / series[0])
+        assert ratio == pytest.approx(np.exp(-1j * np.pi / 2), abs=1e-9)
+        ratio = np.mean(series[2] / series[1])
+        assert ratio == pytest.approx(np.exp(-1j * np.pi / 2), abs=1e-9)
+
     def test_derived_arrival_angle(self):
         geom = ScenarioGeometry(
             rx_pos=(0, 0, 0),
@@ -334,7 +388,13 @@ class TestCsiSeries:
             np.angle(ratio), -np.pi * np.sin(np.radians(45.0)), atol=1e-9
         )
 
-    def test_empty_times_rejected(self):
-        geom = one_path_geometry(position=(5.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            synthesize_csi_series(geom, CFG, [])
+    def test_noise_floor_level_and_determinism(self):
+        geom = one_path_geometry(delay=5e-8, amplitude=1.0)
+        times = np.linspace(0.0, 1.0, 100)
+        clean = synthesize_csi_series(geom, CFG, times)
+        a = synthesize_csi_series(geom, CFG, times, snr_db=30.0, rng=11)
+        b = synthesize_csi_series(geom, CFG, times, snr_db=30.0, rng=11)
+        c = synthesize_csi_series(geom, CFG, times, snr_db=30.0, rng=12)
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
+        assert db(avg_power(a - clean)) == pytest.approx(-30.0, abs=0.3)
