@@ -111,16 +111,12 @@ class ComponentBuffer:
 class LeakageChannel:
     """Internal tx->rx coupling as a short FIR.
 
-    ``stability_s`` is the span over which the coupling stays essentially
-    itself (correlation 0.95 after that long). ``antenna_contribution`` is
-    the fraction of coupling energy contributed by the antenna port rather
-    than the hardware path; it must be small (<= 0.1) for dummy-load
-    calibration to transfer, and defaults to zero.
+    The coupling is the hardware path alone, so it is the same at the
+    antenna and at the dummy load; that is what lets a dummy-load
+    calibration transfer to live use.
     """
 
     taps: np.ndarray
-    stability_s: float = 600.0
-    antenna_contribution: float = 0.0
 
     def __post_init__(self):
         self.taps = np.asarray(self.taps, dtype=np.complex128)
@@ -128,42 +124,10 @@ class LeakageChannel:
             raise ValueError("taps must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(self.taps)):
             raise ValueError("taps must be finite")
-        if self.stability_s <= 0:
-            raise ValueError("stability_s must be positive")
-        if not 0.0 <= self.antenna_contribution <= 0.1:
-            raise ValueError("antenna_contribution must lie in [0, 0.1]")
-
-    def energy(self):
-        return float(np.sum(np.abs(self.taps) ** 2))
-
-    def evolved(self, dt, rng):
-        """Slow coupling drift: correlation 0.95 after ``stability_s``."""
-        if dt <= 0:
-            return self
-        rho = 0.95 ** (dt / self.stability_s)
-        scale = np.sqrt(max(0.0, 1.0 - rho**2) * self.energy() / self.taps.size / 2)
-        wobble = scale * (
-            rng.standard_normal(self.taps.size)
-            + 1j * rng.standard_normal(self.taps.size)
-        )
-        return replace(self, taps=rho * self.taps + wobble)
-
-    def at_port(self, port, rng=None):
-        """Coupling seen at a port; the antenna adds a small extra piece."""
-        if port == PORT_DUMMY_LOAD or self.antenna_contribution == 0.0:
-            return self.taps
-        rng = np.random.default_rng(0) if rng is None else rng
-        extra = rng.standard_normal(self.taps.size) + 1j * rng.standard_normal(
-            self.taps.size
-        )
-        extra *= np.sqrt(
-            self.antenna_contribution * self.energy() / np.sum(np.abs(extra) ** 2)
-        )
-        return self.taps + extra
 
 
 def make_leakage(rng, leakage_db=DEFAULT_LEAKAGE_DB, main_delay=1, n_taps=3,
-                 secondary_fraction=DEFAULT_SECONDARY_FRACTION, **kwargs):
+                 secondary_fraction=DEFAULT_SECONDARY_FRACTION):
     """Random coupling FIR: one dominant tap plus a weak trailing tail.
 
     ``leakage_db`` is total coupling energy relative to the transmit signal;
@@ -182,7 +146,7 @@ def make_leakage(rng, leakage_db=DEFAULT_LEAKAGE_DB, main_delay=1, n_taps=3,
         raw = rng.standard_normal(len(others)) + 1j * rng.standard_normal(len(others))
         raw *= np.sqrt(total * secondary_fraction / np.sum(np.abs(raw) ** 2))
         taps[others] = raw
-    return LeakageChannel(taps, **kwargs)
+    return LeakageChannel(taps)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +256,8 @@ def digital_cancel(rx, tx_ref, state, adapt=False, adapt_span=None, mu=0.1,
 
 
 def calibrate(state, tx_ref, leak, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
-              rng=None, kind="circulator", isolation_db=DEFAULT_FIRST_STAGE_DB,
-              timestamp=0.0, mu=0.1, n_passes=4):
+              rng=None, isolation_db=DEFAULT_FIRST_STAGE_DB, timestamp=0.0,
+              mu=0.1, n_passes=4):
     """Fit the analog tap and digital FIR against the dummy-load coupling.
 
     The port must already be on the dummy load so the fit sees coupling and
@@ -306,11 +270,10 @@ def calibrate(state, tx_ref, leak, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
         raise ProtocolViolation("calibration requires the dummy-load port")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     ref = tx_ref.samples if isinstance(tx_ref, SampleBuffer) else np.asarray(tx_ref)
-    taps_seen = leak.at_port(PORT_DUMMY_LOAD)
-    if len(state.digital_taps) < len(taps_seen):
+    if len(state.digital_taps) < len(leak.taps):
         raise ValueError("digital FIR must be at least as long as the coupling")
 
-    leakage = kernels.fir_apply(ref, taps_seen)
+    leakage = kernels.fir_apply(ref, leak.taps)
     noise = np.zeros_like(leakage)
     if noise_floor_dbm is not None:
         noise = np.sqrt(dbm_to_power(noise_floor_dbm) / 2.0) * (
@@ -368,8 +331,7 @@ def calibrate(state, tx_ref, leak, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
     )
 
 
-def separator_pipeline(rx, state, mode, tx_ref=None, kind="circulator",
-                       isolation_db=DEFAULT_FIRST_STAGE_DB, force=False):
+def separator_pipeline(rx, state, mode, tx_ref=None, force=False):
     """Route a received buffer through the separator according to MAC state.
 
     Only the monitoring state ("M") cancels; the communicating ("C") and
@@ -388,7 +350,7 @@ def separator_pipeline(rx, state, mode, tx_ref=None, kind="circulator",
         raise ProtocolViolation("separator used before calibration")
     if tx_ref is None:
         raise ValueError("M-state separation needs the transmit reference")
-    out = first_stage(rx, kind=kind, isolation_db=isolation_db)
+    out = first_stage(rx)
     out = analog_cancel(out, tx_ref, state)
     return digital_cancel(out, tx_ref, state)
 
@@ -397,14 +359,13 @@ def separator_pipeline(rx, state, mode, tx_ref=None, kind="circulator",
 # scene assembly and harm measurement
 
 
-def assemble_rx(tx, leak, noise_floor_dbm=None, reflection=None, rng=None,
-                port=PORT_ANTENNA):
+def assemble_rx(tx, leak, noise_floor_dbm=None, reflection=None, rng=None):
     """Build the bookkept receive buffer: coupling + optional echo + noise."""
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     ref = tx.samples if isinstance(tx, SampleBuffer) else np.asarray(tx)
     fs = tx.sample_rate if isinstance(tx, SampleBuffer) else 1.0
     t0 = tx.start_time if isinstance(tx, SampleBuffer) else 0.0
-    parts = {"leakage": kernels.fir_apply(ref, leak.at_port(port, rng))}
+    parts = {"leakage": kernels.fir_apply(ref, leak.taps)}
     if reflection is not None:
         refl = (
             reflection.samples
@@ -419,7 +380,7 @@ def assemble_rx(tx, leak, noise_floor_dbm=None, reflection=None, rng=None,
     return ComponentBuffer(parts, fs, t0)
 
 
-def template_snr_db(template, received, noise_power=None):
+def template_snr_db(template, received):
     """Effective SNR of a known waveform inside a received buffer.
 
     Fits a single complex gain of the template by least squares; everything
@@ -431,7 +392,7 @@ def template_snr_db(template, received, noise_power=None):
     p, y = p[:n], y[:n]
     gain = np.vdot(p, y) / np.vdot(p, p).real
     err = y - gain * p
-    denom = avg_power(err) if noise_power is None else noise_power
+    denom = avg_power(err)
     if denom == 0.0:
         return float("inf")
     return db(np.abs(gain) ** 2 * avg_power(p) / denom)

@@ -21,7 +21,7 @@ Conventions
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,15 +195,14 @@ class ImpairmentProfile:
     ``cpo`` is a cycle-scaled constant offset (the rotation applied is
     ``exp(-2j*pi*cpo)``), kept in [0, 2*pi). ``sfo`` is the fractional
     sampling-rate skew, ``pdd_extra`` an additional (possibly fractional)
-    sampling offset in samples. ``drift`` optionally holds per-sqrt-second
-    random-walk deviations, e.g. ``{"cfo_hz": 0.5}``.
+    sampling offset in samples. The terms are fixed for the life of the
+    profile.
     """
 
     cfo_hz: float = 0.0
     cpo: float = 0.0
     sfo: float = 0.0
     pdd_extra: float = 0.0
-    drift: dict = None
 
     def __post_init__(self):
         if not 0.0 <= self.cpo < TWO_PI:
@@ -217,27 +216,13 @@ class ImpairmentProfile:
         return cls(cfo_hz=0.0, cpo=cpo, sfo=0.0, pdd_extra=0.0)
 
     @classmethod
-    def sample(cls, cfg, rng, ppm=20.0, fractional_timing=True):
+    def sample(cls, cfg, rng, ppm=20.0):
         """Draw a device-boot profile: +/-ppm clock errors, uniform cpo."""
         cfo = rng.uniform(-ppm, ppm) * 1e-6 * cfg.carrier_freq
         sfo = rng.uniform(-ppm, ppm) * 1e-6
         cpo = rng.uniform(0.0, TWO_PI)
-        eps = rng.uniform(0.0, 1.0) if fractional_timing else 0.0
+        eps = rng.uniform(0.0, 1.0)
         return cls(cfo_hz=cfo, cpo=cpo, sfo=sfo, pdd_extra=eps)
-
-    def evolve(self, dt, rng):
-        """Random-walk step of the drifting quantities over dt seconds."""
-        if not self.drift or dt <= 0:
-            return self
-        scale = np.sqrt(dt)
-        updates = {}
-        for name in ("cfo_hz", "cpo", "sfo", "pdd_extra"):
-            std = self.drift.get(name, 0.0)
-            if std:
-                updates[name] = getattr(self, name) + rng.normal(0.0, std * scale)
-        if "cpo" in updates:
-            updates["cpo"] = updates["cpo"] % TWO_PI
-        return replace(self, **updates) if updates else self
 
 
 @dataclass
@@ -294,19 +279,18 @@ ResolvedPath = namedtuple(
 )
 
 
-def resolve_paths(geom, cfg, t=0.0, include_los=None, tx_power=None):
+def resolve_paths(geom, cfg, t=0.0, tx_power=None):
     """Freeze the scene at time t into (amplitude, delay, angle) arrivals.
 
-    The direct tx->rx path is prepended for bistatic layouts unless
-    disabled. ``tx_power`` defaults to 1.0 so amplitudes act as field gains
-    on the actual transmit waveform; pass a linear power to bake it in.
+    The direct tx->rx path is prepended for bistatic layouts unless the
+    geometry disables it (``include_los``). ``tx_power`` defaults to 1.0 so
+    amplitudes act as field gains on the actual transmit waveform; pass a
+    linear power to bake it in.
     """
-    if include_los is None:
-        include_los = geom.include_los
     if tx_power is None:
         tx_power = 1.0
     resolved = []
-    if include_los and not geom.monostatic:
+    if geom.include_los and not geom.monostatic:
         dist = geom.los_distance
         resolved.append(
             ResolvedPath(
@@ -366,11 +350,12 @@ def resolve_paths(geom, cfg, t=0.0, include_los=None, tx_power=None):
 # symbol-level clock impairments
 
 
-def apply_clock_impairments(buf, cfg, imp, n_symbols=None, start=0):
+def apply_clock_impairments(buf, cfg, imp):
     """Stamp clock error onto a training burst at symbol granularity.
 
-    Symbol l's samples (cyclic prefix included; the short training field
-    rides with l=0) get the block rotation
+    The burst starts at sample 0, and every whole training symbol in the
+    buffer is stamped. Symbol l's samples (cyclic prefix included; the short
+    training field rides with l=0) get the block rotation
     ``exp(-2j*pi*(l*cfo_hz/(df*n_fft) + cpo))``, and each analysis window is
     re-spun in the frequency domain by ``exp(-2j*pi*k*(sfo+pdd_extra)/n_fft)``
     over the raw FFT bin index k, with cyclic prefixes rebuilt to match. The
@@ -382,32 +367,25 @@ def apply_clock_impairments(buf, cfg, imp, n_symbols=None, start=0):
     t_start = buf.start_time if isinstance(buf, SampleBuffer) else 0.0
     n = cfg.fft_size
     cp = cfg.cyclic_prefix_len
-    avail = len(values) - start
-    if avail < cfg.preamble_len:
+    if len(values) < cfg.preamble_len:
         raise ValueError("buffer too short for a training burst")
-    if n_symbols is None:
-        n_symbols = 2 + max(0, (avail - cfg.preamble_len) // (n + cp))
+    n_symbols = 2 + (len(values) - cfg.preamble_len) // (n + cp)
     spans = burst_symbol_spans(cfg, n_symbols)
-    if start + spans[-1][1] > len(values):
-        raise ValueError("buffer too short for requested symbol count")
 
     skew = imp.sfo + imp.pdd_extra
     if skew != 0.0:
         ramp = np.exp(-2j * np.pi * np.arange(n) * skew / n)
-        for l, (_, _, win) in enumerate(spans):
-            w0 = start + win
+        for l, (_, _, w0) in enumerate(spans):
             spun = np.fft.ifft(np.fft.fft(values[w0 : w0 + n]) * ramp)
             values[w0 : w0 + n] = spun
             if l == 0:
-                values[start + cfg.stf_len : start + cfg.ltf_window_offset] = spun[
-                    -cfg.ltf_cp_len :
-                ]
+                values[cfg.stf_len : cfg.ltf_window_offset] = spun[-cfg.ltf_cp_len :]
             elif l >= 2:
                 values[w0 - cp : w0] = spun[-cp:]
 
     step = imp.cfo_hz / (cfg.subcarrier_spacing * n)
     for l, (lo, hi, _) in enumerate(spans):
-        values[start + lo : start + hi] *= np.exp(-2j * np.pi * (l * step + imp.cpo))
+        values[lo:hi] *= np.exp(-2j * np.pi * (l * step + imp.cpo))
     return SampleBuffer(values, fs, t_start)
 
 
@@ -415,8 +393,7 @@ def apply_clock_impairments(buf, cfg, imp, n_symbols=None, start=0):
 # packet-rate channel synthesis
 
 
-def synthesize_csi_series(geom, cfg, times, imp=None, snr_db=None, rng=None,
-                          include_los=None):
+def synthesize_csi_series(geom, cfg, times, imp=None, snr_db=None, rng=None):
     """Per-packet channel matrices for a sequence of measurement times.
 
     Returns an (n_packets, n_antennas, n_used) complex array. Each path
@@ -432,8 +409,7 @@ def synthesize_csi_series(geom, cfg, times, imp=None, snr_db=None, rng=None,
         raise ValueError("times must be a non-empty 1-D array")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     tx_power = dbm_to_power(geom.tx_power_dbm)
-    paths = resolve_paths(geom, cfg, t=times[0], include_los=include_los,
-                          tx_power=tx_power)
+    paths = resolve_paths(geom, cfg, t=times[0], tx_power=tx_power)
 
     n_l = times.size
     n_ant = geom.n_antennas

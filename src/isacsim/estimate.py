@@ -38,15 +38,12 @@ class TxSchedule:
     def __len__(self):
         return self.times.size
 
-    @property
-    def duration(self):
-        return float(self.times[-1] - self.times[0])
-
-    def is_uniform(self, rtol=1e-6):
+    def is_uniform(self):
+        """Whether every gap matches the first to a relative 1e-6."""
         if len(self) < 3:
             return True
         gaps = np.diff(self.times)
-        return bool(np.all(np.abs(gaps - gaps[0]) <= rtol * gaps[0]))
+        return bool(np.all(np.abs(gaps - gaps[0]) <= 1e-6 * gaps[0]))
 
 
 @dataclass
@@ -89,18 +86,6 @@ class FeatureVector:
             float(self.doppler_grid[j]),
             complex(self.coefficients[i, j]),
         )
-
-    def delay_profile(self):
-        """Peak magnitude over Doppler for each candidate delay."""
-        if self.coefficients.size == 0:
-            return np.zeros(0)
-        return np.max(np.abs(self.coefficients), axis=1)
-
-    def support(self, rel=0.05):
-        mags = np.abs(self.coefficients)
-        if mags.size == 0 or mags.max() == 0:
-            return np.zeros_like(mags, dtype=bool)
-        return mags >= rel * mags.max()
 
 
 @dataclass
@@ -246,18 +231,11 @@ def admm_lasso(factors, y, lam, rho=None, max_iters=200, tol=1e-6):
 # sparse delay/Doppler estimation
 
 
-def default_delay_grid():
-    return np.arange(0.0, 500e-9 + 1e-12, 5e-9)
-
-
-def default_doppler_grid():
-    return np.arange(-60.0, 60.0 + 1e-9, 0.25)
-
-
-def _series_2d(csi_series, antenna=0):
+def _series_2d(csi_series):
+    """(packets, subcarriers) CSI of antenna 0, the array's phase reference."""
     arr = np.asarray(csi_series, dtype=np.complex128)
     if arr.ndim == 3:
-        arr = arr[:, antenna, :]
+        arr = arr[:, 0, :]
     if arr.ndim != 2:
         raise ValueError("csi series must be (packets, subcarriers)")
     return arr
@@ -271,9 +249,8 @@ def dictionary_matrices(sched, cfg, delay_grid, doppler_grid):
     return d_mat, g_mat
 
 
-def estimate_features_sparse(csi_series, sched, cfg, delay_grid=None,
-                             doppler_grid=None, lam_frac=0.1, rho=None,
-                             max_iters=80, tol=1e-3, antenna=0):
+def estimate_features_sparse(csi_series, sched, cfg, delay_grid, doppler_grid,
+                             max_iters=80, tol=1e-3):
     """Sparse delay/Doppler atoms straight from irregular packet times.
 
     The observed (packets x subcarriers) series is modeled as
@@ -282,8 +259,8 @@ def estimate_features_sparse(csi_series, sched, cfg, delay_grid=None,
     solves it as the dictionary ``G kron D`` acting on Gamma^T, with exact
     x-updates from one small ``eigh`` each of G and D per call: an iteration
     costs three products the size of one dictionary application, with no
-    inner iterative solve. ``lam_frac`` scales the l1 weight relative to the
-    largest correlation with the data. The default tolerance is loose
+    inner iterative solve. The l1 weight is 0.1 times the largest
+    correlation with the data. The default tolerance is loose
     because peak positions stabilize long before the coefficients between
     near-identical neighboring atoms do; tighten it when the coefficient
     values themselves matter. The result carries the solve's iteration
@@ -291,27 +268,25 @@ def estimate_features_sparse(csi_series, sched, cfg, delay_grid=None,
     """
     if isinstance(sched, (list, tuple, np.ndarray)):
         sched = TxSchedule(np.asarray(sched))
-    h = _series_2d(csi_series, antenna)
+    h = _series_2d(csi_series)
     if h.shape[0] != len(sched):
         raise ValueError("need one CSI row per scheduled packet")
     if h.size == 0:
         raise ValueError("empty CSI series")
-    delay_grid = default_delay_grid() if delay_grid is None else np.asarray(delay_grid)
-    doppler_grid = (
-        default_doppler_grid() if doppler_grid is None else np.asarray(doppler_grid)
-    )
+    delay_grid = np.asarray(delay_grid)
+    doppler_grid = np.asarray(doppler_grid)
     d_mat, g_mat = dictionary_matrices(sched, cfg, delay_grid, doppler_grid)
     n_l, n_k = h.shape
     n_d, n_v = delay_grid.size, doppler_grid.size
     # h = G' Gamma^T D^T with G' = G/sqrt(n_l*n_k): y = (G' kron D) vec(Gamma^T)
     factors = (g_mat / np.sqrt(n_l * n_k), d_mat)
     y = h.reshape(-1)
-    lam = lam_frac * float(np.max(np.abs(
+    lam = 0.1 * float(np.max(np.abs(
         _kron_apply([f.conj().T for f in factors], y))))
     if lam == 0.0:
         coef = np.zeros((n_d, n_v), dtype=np.complex128)
         return FeatureVector(delay_grid, doppler_grid, coef, converged=True)
-    result = admm_lasso(factors, y, lam, rho=rho, max_iters=max_iters, tol=tol)
+    result = admm_lasso(factors, y, lam, max_iters=max_iters, tol=tol)
     coef = result.coefficients.reshape(n_v, n_d).T
     return FeatureVector(delay_grid, doppler_grid, coef, result.converged,
                          result.iterations, result.primal_residual,
@@ -333,10 +308,10 @@ def matched_filter_peak(csi_series, sched, cfg, delay_grid, doppler_grid):
 # classical range baselines
 
 
-def _single_csi(csi, antenna=0):
+def _single_csi(csi):
     arr = np.asarray(csi, dtype=np.complex128)
     if arr.ndim == 3:
-        arr = arr[:, antenna, :]
+        arr = arr[:, 0, :]
     if arr.ndim == 2:
         # coherent packet averaging: the traditional pre-processing step,
         # and the reason slow-moving targets wash out of this baseline
@@ -344,27 +319,27 @@ def _single_csi(csi, antenna=0):
     return arr
 
 
-def ifft_range_profile(csi, cfg, pad_factor=1, antenna=0):
+def ifft_range_profile(csi, cfg):
     """Coarse power-delay profile from an inverse transform across bins."""
-    h = _single_csi(csi, antenna)
+    h = _single_csi(csi)
     if h.size < 2:
         raise ValueError("need at least two subcarriers")
-    n = cfg.fft_size * pad_factor
+    n = cfg.fft_size
     spec = np.zeros(n, dtype=np.complex128)
-    spec[np.asarray(cfg.used_bins) * pad_factor] = h
+    spec[cfg.used_bins] = h
     profile = np.abs(np.fft.ifft(spec))
-    delays = np.arange(n) / (cfg.sample_rate * pad_factor)
+    delays = np.arange(n) / cfg.sample_rate
     ranges = SPEED_OF_LIGHT * delays / 2.0
     return ranges, profile
 
 
-def range_ifft(csi, cfg, antenna=0):
+def range_ifft(csi, cfg):
     """Strongest bin of the inverse-transform profile, as a monostatic range.
 
     Resolution is hard-limited by the swept bandwidth: c/(2B), i.e. 7.5 m
     bins for a 20 MHz channel.
     """
-    ranges, profile = ifft_range_profile(csi, cfg, antenna=antenna)
+    ranges, profile = ifft_range_profile(csi, cfg)
     half = len(profile) // 2 + 1
     return float(ranges[int(np.argmax(profile[:half]))])
 
@@ -394,7 +369,7 @@ def _contiguous_runs(signed):
     return np.split(np.arange(signed.size), breaks + 1)
 
 
-def range_music(csi, n_paths, cfg, grid=None, subarray_len=16, antenna=0):
+def range_music(csi, n_paths, cfg, grid=None, subarray_len=16):
     """Subspace delay pseudospectrum with frequency smoothing.
 
     CSI bins are grouped into contiguous equally spaced runs, and sliding
@@ -410,7 +385,7 @@ def range_music(csi, n_paths, cfg, grid=None, subarray_len=16, antenna=0):
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim == 3:
-        arr = arr[:, antenna, :]
+        arr = arr[:, 0, :]
 
     signed = cfg.signed_index()
     order = np.argsort(signed)
@@ -477,25 +452,25 @@ def aoa_music(csi, n_sources, spacing_wl=0.5, grid=None):
 # velocity
 
 
-def velocity_fft(csi_series, sched, cfg, pad_factor=8, remove_static=True,
-                 antenna=0):
+def velocity_fft(csi_series, sched, cfg):
     """Packet-rate Doppler peak, monostatic velocity magnitude.
 
     Only defined for uniform schedules — the transform has no notion of
     sample positions, which is this baseline's defining weakness. The packet
     rate must exceed twice the Doppler being measured (a 3.5 m/s target at
-    2.4 GHz needs > 112 packets/s) or the peak aliases.
+    2.4 GHz needs > 112 packets/s) or the peak aliases. With at least 8
+    packets the per-subcarrier mean (the static paths) is removed first.
     """
     if isinstance(sched, (list, tuple, np.ndarray)):
         sched = TxSchedule(np.asarray(sched))
     if not sched.is_uniform():
         raise ValueError("transform baseline requires a uniform schedule")
-    h = _series_2d(csi_series, antenna)
+    h = _series_2d(csi_series)
     if h.shape[0] != len(sched):
         raise ValueError("need one CSI row per scheduled packet")
-    if remove_static and h.shape[0] >= 8:
+    if h.shape[0] >= 8:
         h = h - h.mean(axis=0, keepdims=True)
-    n_fft = pad_factor * h.shape[0]
+    n_fft = 8 * h.shape[0]  # zero-padded eightfold
     spec = np.fft.fft(h, n=n_fft, axis=0)
     power = np.sum(np.abs(spec) ** 2, axis=1)
     dt = float(np.mean(np.diff(sched.times))) if len(sched) > 1 else 1.0
@@ -522,7 +497,7 @@ def snap_to_uniform(csi_series, sched):
     return h[nearest], TxSchedule(grid)
 
 
-def velocity_sparse(csi_series, sched, cfg, delay_grid=None, doppler_grid=None,
+def velocity_sparse(csi_series, sched, cfg, doppler_grid, delay_grid=None,
                     **solver_kwargs):
     """Velocity magnitude from the dominant sparse Doppler atom."""
     if isinstance(sched, (list, tuple, np.ndarray)):
@@ -558,8 +533,6 @@ __all__ = [
     "SensingEstimate",
     "LassoResult",
     "admm_lasso",
-    "default_delay_grid",
-    "default_doppler_grid",
     "dictionary_matrices",
     "estimate_features_sparse",
     "matched_filter_peak",

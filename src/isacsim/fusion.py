@@ -82,18 +82,6 @@ class FusionResult:
     cell_y: float = 0.0
 
 
-def _default_bounds(messages, margin):
-    xs = np.array([m.x_m for m in messages])
-    ys = np.array([m.y_m for m in messages])
-    reach = np.array([m.range_m for m in messages]) + margin
-    return (
-        float(np.min(xs - reach)),
-        float(np.max(xs + reach)),
-        float(np.min(ys - reach)),
-        float(np.max(ys + reach)),
-    )
-
-
 def message_loglik(message, x, y, sigma_range=0.5, sigma_aoa_deg=5.0):
     """Gaussian log-likelihood (up to constants) of one observation at (x, y)."""
     dx = np.asarray(x, dtype=np.float64) - message.x_m
@@ -119,11 +107,11 @@ def _refine_axis(values, idx, step):
     return float(np.clip(offset, -0.5, 0.5)) * step
 
 
-def fuse_ml(messages, sigma_range=0.5, sigma_aoa_deg=5.0, cell_m=0.25,
-            bounds=None, margin=1.0):
+def fuse_ml(messages, bounds, sigma_range=0.5, sigma_aoa_deg=5.0, cell_m=0.25):
     """Maximum-likelihood target position from any number of messages.
 
-    Sums per-message Gaussian log-likelihoods over a ground grid (range
+    Sums per-message Gaussian log-likelihoods over the ground grid that
+    ``bounds`` = (x_lo, x_hi, y_lo, y_hi) spans in ``cell_m`` cells (range
     always; angle when the message carries one), takes the best cell, and
     refines each axis with a three-point parabola. Raises on an empty
     message list."""
@@ -132,8 +120,6 @@ def fuse_ml(messages, sigma_range=0.5, sigma_aoa_deg=5.0, cell_m=0.25,
         raise ValueError("need at least one sensing message")
     if cell_m <= 0:
         raise ValueError("cell size must be positive")
-    if bounds is None:
-        bounds = _default_bounds(messages, margin)
     x_lo, x_hi, y_lo, y_hi = bounds
     if not (x_hi > x_lo and y_hi > y_lo):
         raise ValueError("bounds must span a nonzero area")

@@ -59,6 +59,17 @@ DEFER_BISTATIC = "defer-bistatic"
 CALIBRATE = "calibrate-dummy-load"
 VIOLATION = "protocol-violation"
 
+# air-interface timing: short interframe space before an ACK, CSMA backoff
+# slot, and DATA/ACK lengths in cyclic-prefixed training symbols
+SIFS_S = 16e-6
+SLOT_S = 9e-6
+DATA_SYMBOLS = 20
+ACK_SYMBOLS = 2
+# transmit power and receiver noise floor that set the link SNR when a run
+# gives none; the forced separator is calibrated at the same noise floor
+TX_POWER_DBM = 15.0
+NOISE_FLOOR_DBM = -85.0
+
 
 @dataclass(frozen=True)
 class MacEvent:
@@ -235,16 +246,16 @@ _STEP_TABLE = {(s.value, kind): (after.value, action)
                for after, action in [step(s, kind)]}
 
 
-def measure_forced_separator_penalty(cfg=None, noise_floor_dbm=-85.0,
-                                     clean_snr_db=15.0, seed=0):
+def measure_forced_separator_penalty(cfg=None, seed=0):
     """How many dB a frozen separator costs a packet it was never meant for.
 
     Calibrates a separator on synthetic leakage, then passes a clean remote
-    packet through its correction chain and compares matched-template SNRs.
+    packet 15 dB above ``NOISE_FLOOR_DBM`` through its correction chain and
+    compares matched-template SNRs.
     """
     clean, separated = cancel.forced_separator_harm(
         cfg or RadioConfig(), np.random.default_rng([seed, 91]),
-        noise_floor_dbm, clean_snr_db)
+        NOISE_FLOOR_DBM, 15.0)
     return float(clean - separated)
 
 
@@ -273,11 +284,9 @@ def _materialize_csi(captures, geometry, cfg, rng):
 
 
 def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
-                 timer_s=1e-3, sifs_s=16e-6, n_symbols=20, ack_symbols=2,
-                 noise_floor_dbm=-85.0, tx_power_dbm=15.0, link_snr_db=None,
-                 sensing_enabled=True, force_separator=False,
-                 collect_csi=False, max_csi=256, cal_interval_s=None,
-                 log=True, backoff_slot_s=9e-6, max_events=None):
+                 timer_s=1e-3, link_snr_db=None, sensing_enabled=True,
+                 force_separator=False, collect_csi=False, max_csi=256,
+                 cal_interval_s=None, log=True):
     """Event-driven run of the full scenario.
 
     ``geometry`` may be None (no CSI materialization) or a
@@ -316,8 +325,7 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
 
     penalty_db = 0.0
     if force_separator:
-        penalty_db = measure_forced_separator_penalty(
-            cfg, noise_floor_dbm, seed=seed)
+        penalty_db = measure_forced_separator_penalty(cfg, seed=seed)
 
     # positions, MCS and the penalty are fixed for the run
     for ctx in ctxs.values():
@@ -328,13 +336,13 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
             d = float(np.linalg.norm(np.asarray(ctx.dev.pos, dtype=float)
                                      - np.asarray(ctx.peer.dev.pos, dtype=float)))
             amp = channel.los_gain(max(d, 0.1), cfg,
-                                   tx_power=dbm_to_power(tx_power_dbm))
-            snr = power_to_dbm(abs(amp) ** 2) - noise_floor_dbm
+                                   tx_power=dbm_to_power(TX_POWER_DBM))
+            snr = power_to_dbm(abs(amp) ** 2) - NOISE_FLOOR_DBM
         ctx.link_snr = float(snr) - penalty_db
         ctx.link_success = success_probability(ctx.link_snr, ctx.peer.mcs)
 
-    data_duration = packet_duration(n_symbols, cfg)
-    ack_duration = packet_duration(ack_symbols, cfg)
+    data_duration = packet_duration(DATA_SYMBOLS, cfg)
+    ack_duration = packet_duration(ACK_SYMBOLS, cfg)
 
     heap = []
     seq = itertools.count()
@@ -393,13 +401,11 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     while heap:
         t, _, kind, payload = pop(heap)
         n_events += 1
-        if max_events is not None and n_events > max_events:
-            break
 
         if kind == "pkt-due":
             ctx, sched_t, ptype = payload
             if t < medium_free_at:
-                backoff = backoff_slot_s * int(rng_comms.integers(0, 16))
+                backoff = SLOT_S * int(rng_comms.integers(0, 16))
                 push(heap, (medium_free_at + backoff, next(seq), kind, payload))
                 continue
             dur = data_duration if ptype == "DATA" else ack_duration
@@ -443,8 +449,8 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
                 successes.append(ok)
                 rx_snrs.append(tx_ctx.link_snr)
                 if ok:
-                    push(heap, (t + sifs_s, next(seq), "pkt-due",
-                                (rx_ctx, t + sifs_s, "ACK")))
+                    push(heap, (t + SIFS_S, next(seq), "pkt-due",
+                                (rx_ctx, t + SIFS_S, "ACK")))
 
         elif kind == "calibration":
             ctx = payload

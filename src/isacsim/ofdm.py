@@ -69,15 +69,14 @@ class RadioConfig:
     def used_bins(self):
         return np.asarray(self.used_subcarriers, dtype=np.int64)
 
-    def signed_index(self, bins=None):
-        """FFT bin index -> signed subcarrier index (negative above N/2)."""
-        k = self.used_bins if bins is None else np.asarray(bins)
+    def signed_index(self):
+        """Used FFT bin index -> signed subcarrier index (negative above N/2)."""
         n = self.fft_size
-        return ((k + n // 2) % n) - n // 2
+        return ((self.used_bins + n // 2) % n) - n // 2
 
-    def subcarrier_freqs(self, bins=None):
+    def subcarrier_freqs(self):
         """Baseband frequency offset of each used subcarrier in Hz."""
-        return self.signed_index(bins) * self.subcarrier_spacing
+        return self.signed_index() * self.subcarrier_spacing
 
     # --- preamble geometry (all lengths in samples) ---
 
@@ -129,10 +128,6 @@ class Mcs:
     @property
     def bits_per_symbol(self):
         return self.modulation.bits_per_symbol
-
-    @property
-    def name(self):
-        return f"{self.modulation.name.lower()}-{self.coding_rate_name}"
 
 
 MCS_TABLE = {

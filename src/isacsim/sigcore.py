@@ -1,4 +1,4 @@
-"""Complex baseband primitives: buffers, transforms, STFT, noise.
+"""Complex baseband primitives: buffers, nonuniform DFT, STFT, noise.
 
 Power convention used across the package: baseband samples are unitless
 voltages whose mean squared magnitude is a power referenced to 1 mW, i.e. a
@@ -8,8 +8,6 @@ buffer with average power 1.0 sits at 0 dBm.
 from dataclasses import dataclass
 
 import numpy as np
-
-from .kernels import ndft_direct
 
 TWO_PI = 2.0 * np.pi
 
@@ -61,13 +59,6 @@ class SampleBuffer:
     def __len__(self):
         return len(self.samples)
 
-    @property
-    def duration(self):
-        return len(self.samples) / self.sample_rate
-
-    def times(self):
-        return self.start_time + np.arange(len(self.samples)) / self.sample_rate
-
     def power(self):
         return avg_power(self.samples)
 
@@ -91,9 +82,9 @@ class Spectrogram:
         if self.bins.size and np.min(self.bins) < 0:
             raise ValueError("power bins must be non-negative")
 
-    def band_energy_fraction(self, f_lo, f_hi, absolute=True):
-        """Fraction of total energy whose |frequency| (or frequency) lies in [f_lo, f_hi]."""
-        f = np.abs(self.freq_axis) if absolute else self.freq_axis
+    def band_energy_fraction(self, f_lo, f_hi):
+        """Fraction of total energy whose |frequency| lies in [f_lo, f_hi]."""
+        f = np.abs(self.freq_axis)
         total = float(np.sum(self.bins))
         if total == 0.0:
             return 0.0
@@ -101,31 +92,11 @@ class Spectrogram:
         return float(np.sum(self.bins[:, mask])) / total
 
 
-def fft(buf, size=None):
-    """size-point DFT of the first `size` samples of a buffer or array."""
-    samples = buf.samples if isinstance(buf, SampleBuffer) else np.asarray(buf)
-    if size is None:
-        size = len(samples)
-    size = int(size)
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    if len(samples) < size:
-        raise ValueError("buffer shorter than requested transform size")
-    return np.fft.fft(np.asarray(samples[:size], dtype=np.complex128))
-
-
-def ifft(spectrum):
-    """Inverse DFT, same length as the spectrum."""
-    spectrum = np.asarray(spectrum, dtype=np.complex128)
-    if spectrum.size < 1:
-        raise ValueError("spectrum must be non-empty")
-    return np.fft.ifft(spectrum)
-
-
 def nonuniform_dft(times, values, freqs):
     """Direct nonuniform DFT: c(f) = sum_m values[m] * exp(-2j*pi*f*times[m]).
 
-    times must be strictly increasing and match values in length.
+    times must be strictly increasing and match values in length. The outer
+    product is built in frequency chunks so the temporary stays bounded.
     """
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.complex128)
@@ -136,31 +107,21 @@ def nonuniform_dft(times, values, freqs):
         raise ValueError("times and values must have equal length")
     if times.size > 1 and np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    return ndft_direct(times, values, freqs)
+    out = np.empty(len(freqs), dtype=np.complex128)
+    chunk = max(1, 4_000_000 // len(times))
+    for i in range(0, len(freqs), chunk):
+        block = freqs[i : i + chunk, None] * times[None, :]
+        out[i : i + chunk] = np.exp(-2j * np.pi * block) @ values
+    return out
 
 
-def hann_window(n, periodic=True):
-    denom = n if periodic else n - 1
-    return 0.5 - 0.5 * np.cos(TWO_PI * np.arange(n) / denom)
+def hann_window(n):
+    """Periodic Hann window of length n."""
+    return 0.5 - 0.5 * np.cos(TWO_PI * np.arange(n) / n)
 
 
-def rect_window(n):
-    return np.ones(n)
-
-
-_WINDOWS = {"hann": hann_window, "rect": rect_window}
-
-
-def _window_weights(name, n):
-    try:
-        factory = _WINDOWS[name]
-    except KeyError:
-        raise ValueError(f"unknown window {name!r}") from None
-    return factory(n)
-
-
-def stft(signal, window_len, hop, window="hann", freqs=None):
-    """Short-time power spectrogram.
+def stft(signal, window_len, hop, freqs=None):
+    """Short-time power spectrogram with a periodic Hann window.
 
     `signal` is either a SampleBuffer (uniform path, FFT per window) or a
     (times, values) pair (nonuniform path, direct nonuniform DFT per window
@@ -177,7 +138,7 @@ def stft(signal, window_len, hop, window="hann", freqs=None):
         samples = signal.samples
         if len(samples) < window_len:
             raise ValueError("fewer samples than one window")
-        w = _window_weights(window, window_len)
+        w = hann_window(window_len)
         starts = range(0, len(samples) - window_len + 1, hop)
         freq_axis = np.fft.fftshift(np.fft.fftfreq(window_len, d=1.0 / signal.sample_rate))
         rows = []
@@ -200,7 +161,7 @@ def stft(signal, window_len, hop, window="hann", freqs=None):
         mean_dt = (times[-1] - times[0]) / (times.size - 1)
         freqs = np.fft.fftshift(np.fft.fftfreq(window_len, d=mean_dt))
     freqs = np.asarray(freqs, dtype=np.float64)
-    w = _window_weights(window, window_len)
+    w = hann_window(window_len)
     rows = []
     centers = []
     for s in range(0, times.size - window_len + 1, hop):
@@ -222,12 +183,9 @@ def complex_noise(n, power_dbm, rng):
 __all__ = [
     "SampleBuffer",
     "Spectrogram",
-    "fft",
-    "ifft",
     "nonuniform_dft",
     "stft",
     "hann_window",
-    "rect_window",
     "complex_noise",
     "db",
     "from_db",

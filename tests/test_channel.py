@@ -135,14 +135,6 @@ class TestImpairmentProfile:
         assert imp.cfo_hz == 0.0 and imp.sfo == 0.0 and imp.pdd_extra == 0.0
         assert imp.cpo == 0.7
 
-    def test_drift_walk(self):
-        imp = ImpairmentProfile(cfo_hz=100.0, drift={"cfo_hz": 1.0})
-        stepped = imp.evolve(4.0, np.random.default_rng(3))
-        again = imp.evolve(4.0, np.random.default_rng(3))
-        assert stepped.cfo_hz != 100.0
-        assert stepped.cfo_hz == again.cfo_hz
-        assert stepped.sfo == 0.0
-
 
 class TestResolvePaths:
     def test_direct_path_prepended_when_separated(self):

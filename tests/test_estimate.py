@@ -109,7 +109,7 @@ def gaming_times(n, seed, median_gap=0.02, sigma=1.2):
 
 
 def top_two_profile_peaks(fv, min_sep_s=50e-9):
-    prof = fv.delay_profile()
+    prof = np.max(np.abs(fv.coefficients), axis=1)
     order = np.argsort(prof)[::-1]
     first = order[0]
     second = next(
@@ -610,8 +610,9 @@ class TestVelocitySparse:
     def test_too_few_packets_raises(self):
         times = np.arange(5) / 40.0
         h = model_csi(CFG, times, [(1.0, 100e-9, 0.0)])
-        with pytest.raises(ValueError):
-            velocity_sparse(h, TxSchedule(times), CFG)
+        with pytest.raises(ValueError, match="at least 8 packets"):
+            velocity_sparse(h, TxSchedule(times), CFG,
+                            doppler_grid=np.arange(-30.0, 30.01, 0.25))
 
     def test_global_phase_invariance(self):
         times = gaming_times(64, seed=13)
@@ -687,7 +688,6 @@ class TestContainers:
     def test_schedule_ids_default(self):
         s = TxSchedule(np.array([0.0, 1.0, 2.5]))
         assert len(s) == 3
-        assert s.duration == 2.5
 
     def test_feature_vector_validation(self):
         with pytest.raises(ValueError):
@@ -703,8 +703,6 @@ class TestContainers:
         fv = FeatureVector(np.array([0.0, 1e-9, 2e-9]), np.array([-1.0, 1.0]), coef)
         delay, doppler, peak = fv.dominant()
         assert delay == 1e-9 and doppler == -1.0 and peak == 2.0
-        assert fv.support(rel=0.1).sum() == 2
-        assert np.argmax(fv.delay_profile()) == 1
 
     def test_sensing_estimate_fills_range(self):
         est = SensingEstimate(tof=1e-7)

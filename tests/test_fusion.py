@@ -24,6 +24,9 @@ def message_for(device_id, pose, target, t_s=0.0, rng=None,
 
 TWO_POSES = {"dev-a": (0.0, 0.0, 0.0), "dev-b": (10.0, 0.0, 180.0)}
 TARGET = (5.0, 3.0)
+# both devices' noiseless range to TARGET plus 1 m around each device
+_REACH = np.hypot(5.0, 3.0) + 1.0
+TWO_POSE_BOUNDS = (-_REACH, 10.0 + _REACH, -_REACH, _REACH)
 
 
 class TestSensingMessage:
@@ -47,7 +50,8 @@ class TestSensingMessage:
 class TestFuseMl:
     def test_single_message_matches_closed_form(self):
         m = message_for("dev-a", (0.0, 0.0, 0.0), (5.0, 0.0))
-        res = fuse_ml([m], sigma_range=0.3, sigma_aoa_deg=3.0)
+        res = fuse_ml([m], sigma_range=0.3, sigma_aoa_deg=3.0,
+                      bounds=(-6.0, 6.0, -6.0, 6.0))
         oracle = localize_single(SensingEstimate(range_m=m.range_m,
                                                  aoa_deg=m.aoa_deg))
         assert abs(res.x_m - oracle[0]) <= 0.125
@@ -55,13 +59,14 @@ class TestFuseMl:
 
     def test_single_message_off_axis(self):
         m = message_for("dev-a", (2.0, -1.0, 30.0), (6.0, 4.0))
-        res = fuse_ml([m])
+        r = np.hypot(4.0, 5.0) + 1.0
+        res = fuse_ml([m], bounds=(2.0 - r, 2.0 + r, -1.0 - r, -1.0 + r))
         assert abs(res.x_m - 6.0) <= 0.125
         assert abs(res.y_m - 4.0) <= 0.125
 
     def test_two_devices_noiseless_recovers_target(self):
         msgs = [message_for(d, p, TARGET) for d, p in TWO_POSES.items()]
-        res = fuse_ml(msgs)
+        res = fuse_ml(msgs, bounds=TWO_POSE_BOUNDS)
         assert abs(res.x_m - TARGET[0]) <= 0.125
         assert abs(res.y_m - TARGET[1]) <= 0.125
 
@@ -82,18 +87,18 @@ class TestFuseMl:
 
     def test_duplicated_messages_keep_argmax(self):
         msgs = [message_for(d, p, TARGET) for d, p in TWO_POSES.items()]
-        a = fuse_ml(msgs)
-        b = fuse_ml(msgs * 3)
+        a = fuse_ml(msgs, bounds=TWO_POSE_BOUNDS)
+        b = fuse_ml(msgs * 3, bounds=TWO_POSE_BOUNDS)
         assert (a.cell_x, a.cell_y) == (b.cell_x, b.cell_y)
 
     def test_empty_messages_rejected(self):
         with pytest.raises(ValueError):
-            fuse_ml([])
+            fuse_ml([], bounds=TWO_POSE_BOUNDS)
 
     def test_bad_cell_size_rejected(self):
         m = message_for("dev-a", (0.0, 0.0, 0.0), (5.0, 0.0))
         with pytest.raises(ValueError):
-            fuse_ml([m], cell_m=0.0)
+            fuse_ml([m], bounds=TWO_POSE_BOUNDS, cell_m=0.0)
 
     def test_degenerate_bounds_rejected(self):
         m = message_for("dev-a", (0.0, 0.0, 0.0), (5.0, 0.0))
@@ -113,7 +118,8 @@ class TestFuseMl:
     def test_confidence_weights_conflicting_observations(self):
         weak = SensingMessage("a", 0.0, 0.0, 0.0, 0.0, 4.0, 0.0, confidence=1.0)
         strong = SensingMessage("b", 0.0, 0.0, 0.0, 0.0, 7.0, 0.0, confidence=4.0)
-        res = fuse_ml([weak, strong], sigma_range=0.5, sigma_aoa_deg=5.0)
+        res = fuse_ml([weak, strong], sigma_range=0.5, sigma_aoa_deg=5.0,
+                      bounds=(-8.0, 8.0, -8.0, 8.0))
         assert abs(res.x_m - 7.0) < abs(res.x_m - 4.0)
 
     def test_fused_beats_single_over_trials(self):

@@ -1,11 +1,16 @@
-"""Every module-level import in the package is used or re-exported."""
+"""The package's imports: each one used, each third-party one declared."""
 
 import ast
 import pathlib
+import re
+import sys
+
+import pytest
 
 import isacsim
 
 PACKAGE_DIR = pathlib.Path(isacsim.__file__).parent
+PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def unused_imports(source):
@@ -37,3 +42,45 @@ def test_no_unused_module_imports():
         (1, "os"), (2, "c")
     ]
     assert found == []
+
+
+def third_party_imports(source):
+    """(module-level, anywhere) sets of third-party top-level module names."""
+    tree = ast.parse(source)
+
+    def names(nodes):
+        out = set()
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                out.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                out.add(node.module.split(".")[0])
+        return out - set(sys.stdlib_module_names) - {"isacsim"}
+
+    return names(tree.body), names(ast.walk(tree))
+
+
+def requirement_names(requirements):
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group(0).lower().replace("-", "_")
+            for r in requirements}
+
+
+def test_imports_match_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    required = requirement_names(project["dependencies"])
+    optional = requirement_names(
+        r for reqs in project.get("optional-dependencies", {}).values()
+        for r in reqs)
+    top, anywhere = set(), set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        t, a = third_party_imports(path.read_text())
+        top |= t
+        anywhere |= a
+    assert third_party_imports(
+        "import os\nimport numpy.linalg\ndef f():\n    from scipy import fft\n"
+    ) == ({"numpy"}, {"numpy", "scipy"})
+    # module-level imports are exactly the required dependencies; imports
+    # inside functions (guarded plot helpers) may also use optional ones
+    assert top == required
+    assert anywhere <= required | optional

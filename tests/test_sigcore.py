@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -10,8 +6,6 @@ from isacsim.sigcore import (
     SampleBuffer,
     Spectrogram,
     complex_noise,
-    fft,
-    ifft,
     nonuniform_dft,
     stft,
 )
@@ -26,41 +20,6 @@ def naive_dft_sum(times, values, freqs):
             acc += v * np.exp(-2j * np.pi * f * t)
         out.append(acc)
     return np.array(out)
-
-
-class TestFft:
-    def test_impulse_is_flat(self):
-        buf = SampleBuffer(np.r_[1.0, np.zeros(7)], 1.0)
-        np.testing.assert_allclose(fft(buf, 8), np.ones(8), atol=1e-12)
-
-    def test_pure_tone_single_bin(self):
-        n = np.arange(8)
-        buf = SampleBuffer(np.exp(2j * np.pi * 2 * n / 8), 1.0)
-        spec = fft(buf, 8)
-        expected = np.zeros(8, dtype=complex)
-        expected[2] = 8.0
-        np.testing.assert_allclose(spec, expected, atol=1e-12)
-
-    def test_parseval(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        spec = fft(SampleBuffer(x, 1.0), 64)
-        time_energy = np.sum(np.abs(x) ** 2)
-        freq_energy = np.sum(np.abs(spec) ** 2) / 64.0
-        assert abs(time_energy - freq_energy) / time_energy < 1e-9
-
-    def test_round_trip_identity(self):
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        back = ifft(fft(SampleBuffer(x, 1.0)))
-        np.testing.assert_allclose(back, x, rtol=1e-9, atol=1e-12)
-
-    def test_bad_args(self):
-        buf = SampleBuffer(np.ones(4, dtype=complex), 1.0)
-        with pytest.raises(ValueError):
-            fft(buf, 0)
-        with pytest.raises(ValueError):
-            fft(buf, 5)
 
 
 class TestNonuniformDft:
@@ -155,8 +114,6 @@ class TestStft:
             stft(buf, 1, 4)
         with pytest.raises(ValueError):
             stft(buf, 8, 0)
-        with pytest.raises(ValueError):
-            stft(buf, 8, 4, window="kaiser")
 
 
 class TestNoise:
@@ -187,26 +144,13 @@ class TestBufferInvariants:
 
 
 class TestKernelPaths:
-    def test_active_path_matches_numpy_reference(self):
-        rng = np.random.default_rng(41)
-        times = np.sort(rng.uniform(0, 1, 50))
-        values = rng.standard_normal(50) + 1j * rng.standard_normal(50)
-        freqs = rng.uniform(-40, 40, 33)
-        got = kernels.ndft_direct(times, values, freqs)
-        want = kernels._ndft_direct_numpy(times, values, freqs)
-        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-9
-
     def test_nlms_paths_agree(self):
         rng = np.random.default_rng(42)
         ref = rng.standard_normal(300) + 1j * rng.standard_normal(300)
         true_taps = np.array([0.5 - 0.2j, 0.1j, -0.05])
         desired = np.convolve(ref, true_taps)[:300]
-        fast = kernels.nlms_fir(ref, desired, 3, mu=0.5, n_passes=20)
-        slow = kernels._nlms_fir_python(
-            ref, desired, np.zeros(3, dtype=complex), 0.5, 1e-12, 20
-        )
-        np.testing.assert_allclose(fast, slow, rtol=1e-8, atol=1e-10)
-        np.testing.assert_allclose(fast, true_taps, rtol=1e-5, atol=1e-7)
+        taps = kernels.nlms_fir(ref, desired, 3, mu=0.5, n_passes=20)
+        np.testing.assert_allclose(taps, true_taps, rtol=1e-5, atol=1e-7)
 
     def test_fir_apply_matches_convolve(self):
         rng = np.random.default_rng(43)
@@ -215,21 +159,3 @@ class TestKernelPaths:
         got = kernels.fir_apply(ref, taps)
         want = np.convolve(ref, taps)[:64]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_env_flag_selects_numpy_fallback(self):
-        env = dict(os.environ, ISACSIM_DISABLE_NUMBA="1")
-        code = """
-import numpy as np
-from isacsim import kernels
-assert not kernels.HAS_NUMBA
-rng = np.random.default_rng(3)
-t = np.sort(rng.uniform(0, 1, 20))
-v = rng.standard_normal(20) * 1j
-f = np.linspace(-5, 5, 11)
-c = kernels.ndft_direct(t, v, f)
-print(complex(c[0]))
-"""
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
