@@ -326,7 +326,7 @@ def run_comms_impact(ctx):
                 mac.MacDevice("dev-b", (4.0, 0.0, 0.0)),
             ]
             return mac.run_scenario(
-                devs, None, model, duration, seed=ctx.seed,
+                devs, None, model, duration, seed=ctx.seed, cfg=ctx.cfg,
                 link_snr_db=link_snr, log=False, **kw,
             )
 

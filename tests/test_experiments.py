@@ -160,6 +160,22 @@ class TestReports:
         assert re.fullmatch(r"\d+\.\d{4}", cells[1])
         assert re.fullmatch(r"\d+\.\d{6}", cells[3])
 
+    def test_comms_impact_follows_radio_config(self, tmp_path):
+        def rows(values):
+            rep = run_experiment(
+                "comms-impact", seed=0,
+                values={"run.duration_s": 0.5, **values},
+                out_dir=str(tmp_path / str(len(values))),
+            )
+            with open(rep.csv_paths[0]) as fh:
+                return fh.read().splitlines()[2:]
+
+        default = rows({})
+        # the defaults spelled out reach the MAC as the default radio does
+        assert rows({"radio.fft_size": 64, "radio.cp_len": 16}) == default
+        # a longer symbol lengthens every airtime, so delays move
+        assert rows({"radio.fft_size": 128, "radio.cp_len": 32}) != default
+
     def test_ranging_fits_subarray_to_narrow_bands(self, tmp_path):
         # 32-bin FFTs leave 13-bin contiguous runs, shorter than the usual
         # 16-bin smoothing subarray; the run must complete, not raise.

@@ -22,6 +22,28 @@ def naive_dft_sum(times, values, freqs):
     return np.array(out)
 
 
+def nlms_fir_loop(ref, desired, n_taps, mu=0.1, eps=1e-12, n_passes=1,
+                  taps_init=None):
+    """Per-sample NLMS recursion: the reference for kernels.nlms_fir."""
+    ref = np.ascontiguousarray(ref, dtype=np.complex128)
+    desired = np.ascontiguousarray(desired, dtype=np.complex128)
+    if taps_init is None:
+        w = np.zeros(n_taps, dtype=np.complex128)
+    else:
+        w = np.ascontiguousarray(taps_init, dtype=np.complex128).copy()
+    mu, eps = float(mu), float(eps)
+    x = np.zeros(n_taps, dtype=np.complex128)
+    for _ in range(int(n_passes)):
+        x[:] = 0.0
+        for i in range(len(desired)):
+            x[1:] = x[:-1]
+            x[0] = ref[i]
+            err = desired[i] - np.dot(w, x)
+            norm = eps + np.real(np.vdot(x, x))
+            w = w + (mu * err / norm) * np.conj(x)
+    return w
+
+
 class TestNonuniformDft:
     def test_uniform_grid_equals_fft(self):
         rng = np.random.default_rng(11)
@@ -151,6 +173,61 @@ class TestKernelPaths:
         desired = np.convolve(ref, true_taps)[:300]
         taps = kernels.nlms_fir(ref, desired, 3, mu=0.5, n_passes=20)
         np.testing.assert_allclose(taps, true_taps, rtol=1e-5, atol=1e-7)
+
+    # (n samples, n taps, keywords); the block size is B and a batch holds
+    # BATCH * B samples
+    B = kernels._BLOCK
+    BATCH = kernels._BLOCKS_PER_BATCH
+    NLMS_CASES = {
+        "calibrate": (960, 16, {"mu": 0.1, "n_passes": 4}),
+        "partial-block": (3 * B + 5, 16, {"mu": 0.1, "n_passes": 3}),
+        "partial-batch": (BATCH * B + 2 * B + 7, 16, {"mu": 0.1}),
+        "shorter-than-block": (B - 3, 16, {"mu": 0.3, "n_passes": 2}),
+        "taps-exceed-length": (5, 9, {"mu": 0.3, "n_passes": 2}),
+        "no-passes": (40, 4, {"n_passes": 0, "taps_init": "random"}),
+        "taps-init": (300, 16, {"mu": 0.1, "n_passes": 2,
+                                "taps_init": "random"}),
+        "unit-step": (300, 16, {"mu": 1.0, "n_passes": 2}),
+        "zero-run": (400, 16, {"mu": 0.5, "n_passes": 2, "zero_run": True}),
+        "single-tap": (100, 1, {"mu": 0.5, "n_passes": 2}),
+    }
+
+    @pytest.mark.parametrize("case", NLMS_CASES)
+    def test_nlms_matches_per_sample_recursion(self, case):
+        n, n_taps, kw = self.NLMS_CASES[case]
+        kw = dict(kw)
+        rng = np.random.default_rng(7)
+        ref = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if kw.pop("zero_run", False):
+            # regressors that are all zero take the eps-only step
+            ref[100:200] = 0.0
+        desired = np.convolve(ref, [0.5 - 0.2j, 0.1j, -0.05])[:n]
+        desired += 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        if kw.get("taps_init") == "random":
+            kw["taps_init"] = (rng.standard_normal(n_taps)
+                               + 1j * rng.standard_normal(n_taps))
+        got = kernels.nlms_fir(ref, desired, n_taps, **kw)
+        want = nlms_fir_loop(ref, desired, n_taps, **kw)
+        # rounding scales with the largest tap, not with each tap: the fit's
+        # noise taps sit ~1e-4 below it
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    def test_nlms_empty_input_returns_initial_taps(self):
+        init = np.array([1.0, 2.0 - 1.0j, 0.5j])
+        got = kernels.nlms_fir([], [], 3, taps_init=init)
+        np.testing.assert_array_equal(got, init)
+        assert got is not init
+        np.testing.assert_array_equal(kernels.nlms_fir([], [], 2), np.zeros(2))
+
+    def test_nlms_rejects_bad_arguments(self):
+        ref = np.ones(8)
+        with pytest.raises(ValueError):
+            kernels.nlms_fir(ref, ref[:7], 3)
+        with pytest.raises(ValueError):
+            kernels.nlms_fir(ref, ref, 0)
+        with pytest.raises(ValueError):
+            kernels.nlms_fir(ref, ref, 3, taps_init=np.zeros(4))
 
     def test_fir_apply_matches_convolve(self):
         rng = np.random.default_rng(43)
