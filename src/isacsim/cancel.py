@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .ofdm import training_burst
-from .sigcore import SampleBuffer, avg_power, db, dbm_to_power, from_db
+from .sigcore import SampleBuffer, avg_power, complex_noise, db, dbm_to_power, from_db
 
 # default power budget (dB figures are relative unless suffixed _dbm)
 DEFAULT_TX_POWER_DBM = 5.0
@@ -276,9 +276,7 @@ def calibrate(state, tx_ref, leak, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
     leakage = kernels.fir_apply(ref, leak.taps)
     noise = np.zeros_like(leakage)
     if noise_floor_dbm is not None:
-        noise = np.sqrt(dbm_to_power(noise_floor_dbm) / 2.0) * (
-            rng.standard_normal(len(ref)) + 1j * rng.standard_normal(len(ref))
-        )
+        noise = complex_noise(len(ref), noise_floor_dbm, rng)
     raw_power = avg_power(leakage)
     if raw_power == 0.0:
         # nothing to cancel; zero out the corrections
@@ -374,9 +372,7 @@ def assemble_rx(tx, leak, noise_floor_dbm=None, reflection=None, rng=None):
         )
         parts["reflection"] = refl
     if noise_floor_dbm is not None:
-        parts["noise"] = np.sqrt(dbm_to_power(noise_floor_dbm) / 2.0) * (
-            rng.standard_normal(len(ref)) + 1j * rng.standard_normal(len(ref))
-        )
+        parts["noise"] = complex_noise(len(ref), noise_floor_dbm, rng)
     return ComponentBuffer(parts, fs, t0)
 
 
@@ -407,9 +403,7 @@ def measure_separator_harm(template, state, remote_gain, noise_floor_dbm, rng):
     coupling. Returns (clean_snr_db, separated_snr_db).
     """
     ref = template.samples if isinstance(template, SampleBuffer) else np.asarray(template)
-    noise = np.sqrt(dbm_to_power(noise_floor_dbm) / 2.0) * (
-        rng.standard_normal(len(ref)) + 1j * rng.standard_normal(len(ref))
-    )
+    noise = complex_noise(len(ref), noise_floor_dbm, rng)
     clean = remote_gain * ref + noise
     correction = state.analog_tap * _delayed(ref, state.analog_delay)
     correction -= kernels.fir_apply(ref, state.digital_taps)

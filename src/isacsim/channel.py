@@ -6,6 +6,10 @@ subcarrier, moving scatterers rotate the carrier phase as their two-hop path
 length changes, the receiver's clock error smears phase across packets and
 subcarriers, and complex Gaussian noise floors the result.
 
+``resolve_paths`` turns a scene into per-packet (amplitude, delay, angle)
+rows, one per path, for fixed and moving scatterers alike; a path's explicit
+amplitude, delay or angle overrides the geometric value at every packet.
+
 Conventions
 -----------
 * Positions are length-3 vectors in meters; times in seconds.
@@ -20,7 +24,6 @@ Conventions
   ``i * array_spacing_wl`` wavelengths along the array axis.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +38,7 @@ _MIN_RANGE = 1e-9
 # amplitudes and geometry scalars
 
 
-def path_gain(tx_range, rx_range, rcs, cfg, tx_power=1.0, gain_tx=1.0, gain_rx=1.0):
+def path_gain(tx_range, rx_range, rcs, cfg, tx_power=1.0):
     """Received field amplitude of one reflected (two-hop) path.
 
     Accepts scalars or arrays for the ranges. A zero or negative range is a
@@ -50,19 +53,12 @@ def path_gain(tx_range, rx_range, rcs, cfg, tx_power=1.0, gain_tx=1.0, gain_rx=1
     if tx_power < 0:
         raise ValueError("tx_power must be non-negative")
     lam = cfg.wavelength
-    a2 = (
-        tx_power
-        * gain_tx
-        * gain_rx
-        * lam**2
-        * rcs
-        / ((4.0 * np.pi) ** 3 * (tx_range * rx_range) ** 2)
-    )
+    a2 = tx_power * lam**2 * rcs / ((4.0 * np.pi) ** 3 * (tx_range * rx_range) ** 2)
     out = np.sqrt(a2)
     return float(out) if out.ndim == 0 else out
 
 
-def los_gain(distance, cfg, tx_power=1.0, gain_tx=1.0, gain_rx=1.0):
+def los_gain(distance, cfg, tx_power=1.0):
     """Direct tx->rx field amplitude over separation ``distance``.
 
     Normalized so that ``path_gain(r_tx, r_rx, rcs, ...)`` relative to this
@@ -72,7 +68,7 @@ def los_gain(distance, cfg, tx_power=1.0, gain_tx=1.0, gain_rx=1.0):
     if np.any(distance <= 0):
         raise ValueError("direct-path distance must be positive")
     lam = cfg.wavelength
-    a2 = tx_power * gain_tx * gain_rx * lam**2 / ((4.0 * np.pi) ** 2 * distance)
+    a2 = tx_power * lam**2 / ((4.0 * np.pi) ** 2 * distance)
     out = np.sqrt(a2)
     return float(out) if out.ndim == 0 else out
 
@@ -148,44 +144,35 @@ def trajectory_positions(trajectory, times):
 
 @dataclass
 class PropagationPath:
-    """One arrival at the receiver.
+    """One scatterer's arrival at the receiver.
 
-    ``index`` is bookkeeping: 0 is the internal tx->rx coupling, 1 the
-    direct over-the-air path, 2+ scatterers. Geometry can be given as a fixed
-    ``position``, a ``trajectory`` (callable t -> position), or raw ranges;
-    an explicit ``amplitude`` (linear field gain on the transmit waveform)
-    overrides the spreading law, and an explicit ``delay`` overrides the
-    geometric one.
+    Geometry is a fixed ``position`` or a ``trajectory`` (callable t ->
+    position); the two-hop amplitude, delay and arrival angle follow from it
+    at every packet time. An explicit ``amplitude`` (linear field gain on
+    the transmit waveform), ``delay`` or ``aoa_deg`` overrides the geometric
+    value, for fixed and moving paths alike. A path with neither position
+    nor trajectory needs both ``delay`` and ``amplitude``; its angle defaults
+    to boresight.
     """
 
-    index: int = 2
     position: object = None
     trajectory: object = None
-    tx_range: float = None
-    rx_range: float = None
     rcs: float = 1.0
     aoa_deg: float = None
     amplitude: float = None
     delay: float = None
-    label: str = ""
 
     def __post_init__(self):
         if self.position is not None:
             self.position = np.asarray(self.position, dtype=np.float64)
+            if self.position.shape != (3,):
+                raise ValueError("position must be a 3-vector")
         if self.delay is not None and self.delay < 0:
             raise ValueError("path delay must be non-negative")
         if self.rcs < 0:
             raise ValueError("rcs must be non-negative")
-        for r in (self.tx_range, self.rx_range):
-            if r is not None and r <= 0:
-                raise ValueError("path ranges must be positive")
         if self.trajectory is not None and not callable(self.trajectory):
             raise ValueError("trajectory must be callable")
-
-    def position_at(self, t):
-        if self.trajectory is not None:
-            return np.asarray(self.trajectory(t), dtype=np.float64)
-        return self.position
 
 
 @dataclass
@@ -233,8 +220,6 @@ class ScenarioGeometry:
     rx_pos: object = (0.0, 0.0, 0.0)
     targets: tuple = ()
     tx_power_dbm: float = 5.0
-    gain_tx: float = 1.0
-    gain_rx: float = 1.0
     n_antennas: int = 1
     array_spacing_wl: float = 0.5
     boresight_deg: float = 0.0
@@ -274,76 +259,50 @@ def steering_vector(aoa_deg, n_antennas, spacing_wl=0.5):
     return np.exp(-2j * np.pi * idx * spacing_wl * sin)
 
 
-ResolvedPath = namedtuple(
-    "ResolvedPath", "index alpha delay aoa_deg trajectory label source"
-)
+def resolve_paths(geom, cfg, times, tx_power=1.0):
+    """Resolve the scene at every time into (amplitude, delay, angle) rows.
 
-
-def resolve_paths(geom, cfg, t=0.0, tx_power=None):
-    """Freeze the scene at time t into (amplitude, delay, angle) arrivals.
-
-    The direct tx->rx path is prepended for bistatic layouts unless the
-    geometry disables it (``include_los``). ``tx_power`` defaults to 1.0 so
+    Returns three (n_paths, n_times) arrays: field amplitude, delay in
+    seconds and arrival angle in degrees. The direct tx->rx path comes first
+    for bistatic layouts unless the geometry disables it (``include_los``).
+    A fixed ``position`` is broadcast over ``times`` and a ``trajectory`` is
+    evaluated at each of them; a path's explicit amplitude, delay or angle
+    overrides the geometric value. ``tx_power`` defaults to 1.0 so
     amplitudes act as field gains on the actual transmit waveform; pass a
     linear power to bake it in.
     """
-    if tx_power is None:
-        tx_power = 1.0
-    resolved = []
-    if geom.include_los and not geom.monostatic:
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a non-empty 1-D array")
+    los = int(geom.include_los and not geom.monostatic)
+    alpha, delay, aoa = np.empty((3, los + len(geom.targets), times.size))
+    if los:
         dist = geom.los_distance
-        resolved.append(
-            ResolvedPath(
-                index=1,
-                alpha=los_gain(dist, cfg, tx_power, geom.gain_tx, geom.gain_rx),
-                delay=dist / SPEED_OF_LIGHT,
-                aoa_deg=float(geom.aoa_of(geom.tx_pos)),
-                trajectory=None,
-                label="direct",
-                source=None,
-            )
-        )
-    for p in geom.targets:
-        pos = p.position_at(t)
-        if pos is not None:
-            r_tx = float(np.linalg.norm(pos - geom.tx_pos))
-            r_rx = float(np.linalg.norm(pos - geom.rx_pos))
-            if r_tx < _MIN_RANGE or r_rx < _MIN_RANGE:
+        alpha[0] = los_gain(dist, cfg, tx_power)
+        delay[0] = dist / SPEED_OF_LIGHT
+        aoa[0] = geom.aoa_of(geom.tx_pos)
+    for i, p in enumerate(geom.targets, start=los):
+        if p.trajectory is None and p.position is None:
+            if p.delay is None or p.amplitude is None:
+                raise ValueError("path needs a position, a trajectory, or both "
+                                 "an explicit delay and amplitude")
+            gain, tau, angle = p.amplitude, p.delay, 0.0
+        else:
+            if p.trajectory is not None:
+                pos = trajectory_positions(p.trajectory, times)
+            else:
+                pos = np.broadcast_to(p.position, (times.size, 3))
+            r_tx = np.linalg.norm(pos - geom.tx_pos, axis=-1)
+            r_rx = np.linalg.norm(pos - geom.rx_pos, axis=-1)
+            if np.any(r_tx < _MIN_RANGE) or np.any(r_rx < _MIN_RANGE):
                 raise ValueError("scatterer position coincides with tx or rx")
-        else:
-            r_tx, r_rx = p.tx_range, p.rx_range
-        if p.delay is not None:
-            delay = p.delay
-        elif r_tx is not None and r_rx is not None:
-            delay = (r_tx + r_rx) / SPEED_OF_LIGHT
-        else:
-            raise ValueError("path needs a position, ranges, or an explicit delay")
-        if p.amplitude is not None:
-            alpha = p.amplitude
-        elif r_tx is not None and r_rx is not None:
-            alpha = path_gain(
-                r_tx, r_rx, p.rcs, cfg, tx_power, geom.gain_tx, geom.gain_rx
-            )
-        else:
-            raise ValueError("path needs ranges/position or an explicit amplitude")
-        if p.aoa_deg is not None:
-            aoa = p.aoa_deg
-        elif pos is not None:
-            aoa = float(geom.aoa_of(pos))
-        else:
-            aoa = 0.0
-        resolved.append(
-            ResolvedPath(
-                index=p.index,
-                alpha=alpha,
-                delay=delay,
-                aoa_deg=aoa,
-                trajectory=p.trajectory,
-                label=p.label,
-                source=p,
-            )
-        )
-    return resolved
+            gain = path_gain(r_tx, r_rx, p.rcs, cfg, tx_power)
+            tau = (r_tx + r_rx) / SPEED_OF_LIGHT
+            angle = geom.aoa_of(pos)
+        alpha[i] = gain if p.amplitude is None else p.amplitude
+        delay[i] = tau if p.delay is None else p.delay
+        aoa[i] = angle if p.aoa_deg is None else p.aoa_deg
+    return alpha, delay, aoa
 
 
 # ---------------------------------------------------------------------------
@@ -397,47 +356,27 @@ def synthesize_csi_series(geom, cfg, times, imp=None, snr_db=None, rng=None):
     """Per-packet channel matrices for a sequence of measurement times.
 
     Returns an (n_packets, n_antennas, n_used) complex array. Each path
-    contributes ``alpha * exp(-2j*pi*(f_c + f_k) * tau(t))`` with the exact
-    two-hop delay at each packet time, so scatterer motion shows up as
-    carrier-phase rotation across packets. Clock impairments add the packet
+    that ``resolve_paths`` yields contributes
+    ``alpha(t) * a(aoa(t)) * exp(-2j*pi*(f_c + f_k) * tau(t))``, where ``a``
+    is the array steering vector and ``tau(t)`` the exact two-hop delay at
+    each packet time unless the path fixes it, so scatterer motion shows up
+    as carrier-phase rotation across packets. Clock impairments add the packet
     rotation ``exp(-2j*pi*(cfo_hz*t + cpo))`` and a fixed phase ramp over the
     FFT bin index. ``snr_db`` sets per-subcarrier noise relative to the
     strongest path's power.
     """
     times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a non-empty 1-D array")
+    alpha, tau, aoa = resolve_paths(geom, cfg, times, dbm_to_power(geom.tx_power_dbm))
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    tx_power = dbm_to_power(geom.tx_power_dbm)
-    paths = resolve_paths(geom, cfg, t=times[0], tx_power=tx_power)
 
-    n_l = times.size
-    n_ant = geom.n_antennas
     freqs = cfg.carrier_freq + cfg.subcarrier_freqs()
-    out = np.zeros((n_l, n_ant, cfg.n_used), dtype=np.complex128)
+    out = np.zeros((times.size, geom.n_antennas, cfg.n_used), dtype=np.complex128)
     strongest = 0.0
-    for p in paths:
-        if p.trajectory is not None:
-            pos = trajectory_positions(p.trajectory, times)
-            r_tx = np.linalg.norm(pos - geom.tx_pos, axis=1)
-            r_rx = np.linalg.norm(pos - geom.rx_pos, axis=1)
-            if np.any(r_tx < _MIN_RANGE) or np.any(r_rx < _MIN_RANGE):
-                raise ValueError("scatterer trajectory crosses tx or rx")
-            tau = (r_tx + r_rx) / SPEED_OF_LIGHT
-            if p.source is not None and p.source.amplitude is not None:
-                alpha = np.full(n_l, p.source.amplitude)
-            else:
-                alpha = path_gain(r_tx, r_rx, p.source.rcs, cfg, tx_power,
-                                  geom.gain_tx, geom.gain_rx)
-            aoa = geom.aoa_of(pos)
-        else:
-            tau = np.full(n_l, p.delay)
-            alpha = np.full(n_l, p.alpha)
-            aoa = np.full(n_l, p.aoa_deg)
-        steer = steering_vector(aoa, n_ant, geom.array_spacing_wl)
-        core = np.exp(-2j * np.pi * tau[:, None] * freqs[None, :])
-        out += alpha[:, None, None] * steer[:, :, None] * core[:, None, :]
-        strongest = max(strongest, float(np.mean(np.abs(alpha) ** 2)))
+    for a, d, ang in zip(alpha, tau, aoa):
+        steer = steering_vector(ang, geom.n_antennas, geom.array_spacing_wl)
+        core = np.exp(-2j * np.pi * d[:, None] * freqs[None, :])
+        out += a[:, None, None] * steer[:, :, None] * core[:, None, :]
+        strongest = max(strongest, float(np.mean(np.abs(a) ** 2)))
 
     if imp is not None:
         packet_phase = np.exp(-2j * np.pi * (imp.cfo_hz * times + imp.cpo))
@@ -465,7 +404,6 @@ __all__ = [
     "ImpairmentProfile",
     "ScenarioGeometry",
     "steering_vector",
-    "ResolvedPath",
     "resolve_paths",
     "apply_clock_impairments",
     "synthesize_csi_series",

@@ -22,7 +22,7 @@ identically and produces bit-identical delay/loss statistics.
 import heapq
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -267,13 +267,8 @@ def _materialize_csi(captures, geometry, cfg, rng):
         for i, (_, _, rx, tx) in enumerate(captures):
             links.setdefault((rx, tx), []).append(i)
         for (rx, tx), idx in links.items():
-            g = channel.ScenarioGeometry(
-                tx_pos=tx.dev.pos, rx_pos=rx.dev.pos,
-                targets=geometry.targets,
-                tx_power_dbm=geometry.tx_power_dbm,
-                n_antennas=geometry.n_antennas,
-                include_los=rx is not tx,
-            )
+            g = replace(geometry, tx_pos=tx.dev.pos, rx_pos=rx.dev.pos,
+                        include_los=rx is not tx)
             series = channel.synthesize_csi_series(
                 g, cfg, np.array([captures[i][0] for i in idx]), snr_db=30.0,
                 rng=rng)
@@ -290,8 +285,9 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     """Event-driven run of the full scenario.
 
     ``geometry`` may be None (no CSI materialization) or a
-    channel.ScenarioGeometry whose targets are used to synthesize actual CSI
-    values when ``collect_csi`` is on. The event loop only notes when each
+    channel.ScenarioGeometry used to synthesize actual CSI values when
+    ``collect_csi`` is on; each link keeps its targets, power and array and
+    takes its tx/rx positions from the devices. The event loop only notes when each
     of the first ``max_csi`` captures happened; after it, every (rx, tx)
     link's captures are synthesized in one ``synthesize_csi_series`` call,
     so their noise level is set relative to the strongest path over that

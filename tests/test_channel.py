@@ -138,32 +138,87 @@ class TestImpairmentProfile:
 
 class TestResolvePaths:
     def test_direct_path_prepended_when_separated(self):
-        geom = ScenarioGeometry(tx_pos=(0, 0, 0), rx_pos=(2, 0, 0))
-        paths = resolve_paths(geom, CFG)
-        assert len(paths) == 1
-        assert paths[0].index == 1
-        assert paths[0].delay == pytest.approx(2.0 / SPEED_OF_LIGHT)
-        assert paths[0].alpha == pytest.approx(los_gain(2.0, CFG))
-        assert abs(paths[0].aoa_deg) == pytest.approx(180.0)
+        geom = ScenarioGeometry(
+            tx_pos=(0, 0, 0), rx_pos=(2, 0, 0),
+            targets=(PropagationPath(position=(1, 1, 0)),),
+        )
+        alpha, delay, aoa = resolve_paths(geom, CFG, [0.0, 0.5])
+        assert alpha.shape == delay.shape == aoa.shape == (2, 2)
+        np.testing.assert_allclose(delay[0], 2.0 / SPEED_OF_LIGHT)
+        np.testing.assert_allclose(alpha[0], los_gain(2.0, CFG))
+        np.testing.assert_allclose(np.abs(aoa[0]), 180.0)
+        np.testing.assert_allclose(delay[1], 2 * np.sqrt(2) / SPEED_OF_LIGHT)
 
     def test_no_direct_path_when_colocated(self):
         geom = ScenarioGeometry(
             targets=(PropagationPath(position=(5, 0, 0)),)
         )
-        paths = resolve_paths(geom, CFG)
-        assert len(paths) == 1
-        assert paths[0].index == 2
-        assert paths[0].delay == pytest.approx(10.0 / SPEED_OF_LIGHT)
+        alpha, delay, aoa = resolve_paths(geom, CFG, [0.0])
+        assert delay.shape == (1, 1)
+        assert delay[0, 0] == pytest.approx(10.0 / SPEED_OF_LIGHT)
 
     def test_underspecified_path_rejected(self):
         geom = ScenarioGeometry(targets=(PropagationPath(delay=1e-8),))
         with pytest.raises(ValueError):
-            resolve_paths(geom, CFG)
+            resolve_paths(geom, CFG, [0.0])
+
+    def test_position_must_be_three_vector(self):
+        # a scalar would otherwise broadcast to the point (5, 5, 5)
+        for bad in (5.0, (5.0, 1.0)):
+            with pytest.raises(ValueError, match="3-vector"):
+                PropagationPath(position=bad)
 
     def test_scatterer_on_node_rejected(self):
         geom = ScenarioGeometry(targets=(PropagationPath(position=(0, 0, 0)),))
         with pytest.raises(ValueError):
-            resolve_paths(geom, CFG)
+            resolve_paths(geom, CFG, [0.0])
+        # a moving scatterer that passes over the node at one packet time
+        crossing = linear_trajectory((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
+        geom = ScenarioGeometry(targets=(PropagationPath(trajectory=crossing),))
+        resolve_paths(geom, CFG, [0.0, 0.5])
+        with pytest.raises(ValueError):
+            resolve_paths(geom, CFG, [0.0, 0.5, 1.0])
+
+    def test_overrides_apply_to_moving_paths(self):
+        traj = linear_trajectory((5.0, 0.0, 0.0), (1.0, 0.5, 0.0))
+        times = np.array([0.0, 0.01, 0.02])
+        geom = ScenarioGeometry(
+            targets=(PropagationPath(trajectory=traj, delay=4e-8, aoa_deg=25.0),),
+            n_antennas=2,
+        )
+        series = synthesize_csi_series(geom, CFG, times)
+        # the amplitude still follows the moving geometry
+        pos = traj(times)
+        r = np.linalg.norm(pos, axis=1)
+        alpha = path_gain(r, r, 1.0, CFG, tx_power=10 ** (geom.tx_power_dbm / 10.0))
+        core = np.exp(-2j * np.pi * (CFG.carrier_freq + CFG.subcarrier_freqs()) * 4e-8)
+        steer = steering_vector(25.0, 2)
+        expected = alpha[:, None, None] * steer[None, :, None] * core[None, None, :]
+        np.testing.assert_allclose(series, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"aoa_deg": -20.0},
+        {"delay": 3e-8, "amplitude": 1e-4},
+    ])
+    def test_stationary_trajectory_matches_position(self, overrides):
+        times = np.array([0.0, 0.3, 0.7])
+        geom_static = ScenarioGeometry(
+            tx_pos=(0, 0, 0), rx_pos=(1.5, 0, 0), n_antennas=3,
+            targets=(PropagationPath(position=(3.0, 2.0, 0.0), rcs=2.0,
+                                     **overrides),),
+        )
+        geom_still = ScenarioGeometry(
+            tx_pos=(0, 0, 0), rx_pos=(1.5, 0, 0), n_antennas=3,
+            targets=(PropagationPath(
+                trajectory=linear_trajectory((3.0, 2.0, 0.0), (0.0, 0.0, 0.0)),
+                rcs=2.0, **overrides),),
+        )
+        np.testing.assert_allclose(
+            synthesize_csi_series(geom_still, CFG, times),
+            synthesize_csi_series(geom_static, CFG, times),
+            rtol=1e-12,
+        )
 
 
 class TestSteering:

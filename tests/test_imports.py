@@ -1,6 +1,7 @@
 """The package's imports: each one used, each third-party one declared."""
 
 import ast
+import importlib
 import pathlib
 import re
 import sys
@@ -84,3 +85,13 @@ def test_imports_match_declared_dependencies():
     # inside functions (guarded plot helpers) may also use optional ones
     assert top == required
     assert anywhere <= required | optional
+
+
+def test_exports_exist():
+    stale = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        name = "isacsim" if path.stem == "__init__" else f"isacsim.{path.stem}"
+        module = importlib.import_module(name)
+        stale += [f"{name}.{export}" for export in getattr(module, "__all__", ())
+                  if not hasattr(module, export)]
+    assert stale == []

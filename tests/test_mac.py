@@ -385,8 +385,15 @@ class TestEventLoop:
         assert times == sorted(times)
 
     def test_csi_capture_is_batched_per_link(self):
+        # default array, then a tilted sub-half-wave pair the links must keep
+        for array in ({}, {"n_antennas": 2, "boresight_deg": 60.0,
+                           "array_spacing_wl": 0.25}):
+            self.check_csi_capture_is_batched_per_link(array)
+
+    def check_csi_capture_is_batched_per_link(self, array):
         geom = ScenarioGeometry(targets=(PropagationPath(
-            trajectory=linear_trajectory((3.0, 2.0, 0.0), (0.6, -0.4, 0.0))),))
+            trajectory=linear_trajectory((3.0, 2.0, 0.0), (0.6, -0.4, 0.0))),),
+            **array)
         devices = three_traffic_devices()
         res = mac.run_scenario(devices, geom, None, 1.0, seed=4,
                                collect_csi=True, max_csi=90)
@@ -404,7 +411,8 @@ class TestEventLoop:
         assert got == expected[:90]
 
         # one synthesis per link over its capture times, links in order of
-        # first capture, all drawing noise from the same sensing stream
+        # first capture, all drawing noise from the same sensing stream; each
+        # link keeps the caller's array and power
         pos = {d.device_id: d.pos for d in devices}
         rng = np.random.default_rng([4, 29])
         links = {}
@@ -413,7 +421,8 @@ class TestEventLoop:
         assert len(links) == 6
         for (rx, tx), records in links.items():
             g = ScenarioGeometry(tx_pos=pos[tx], rx_pos=pos[rx],
-                                 targets=geom.targets, include_los=rx != tx)
+                                 targets=geom.targets, include_los=rx != tx,
+                                 **array)
             values = synthesize_csi_series(
                 g, RadioConfig(), np.array([r.time for r in records]),
                 snr_db=30.0, rng=rng)
