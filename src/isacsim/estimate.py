@@ -32,6 +32,8 @@ class TxSchedule:
         self.times = np.asarray(self.times, dtype=np.float64)
         if self.times.ndim != 1 or self.times.size == 0:
             raise ValueError("schedule needs a non-empty 1-D time sequence")
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("schedule times must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("schedule times must be strictly increasing")
 
@@ -120,59 +122,60 @@ LassoResult = namedtuple("LassoResult", "coefficients converged iterations "
 
 
 def _soft_threshold(x, kappa):
-    mags = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(mags > kappa, 1.0 - kappa / np.maximum(mags, 1e-300), 0.0)
+    # scale = 1 - kappa/max(|x|, kappa): exactly 0 where |x| <= kappa
+    scale = np.abs(x)
+    np.maximum(scale, kappa, out=scale)
+    np.divide(kappa, scale, out=scale)
+    np.subtract(1.0, scale, out=scale)
     return x * scale
 
 
 def _kron_apply(mats, x):
     """``(M_1 kron ... kron M_m) @ x``, x flattened row-major, one axis per M_k.
 
-    Each step multiplies the leading axis by one factor and moves it last.
+    The last factor multiplies from the right and each earlier one on its
+    own axis, so every step's result is already row-major.
     """
-    for m in mats:
-        x = (m @ x.reshape(m.shape[1], -1)).T
+    *head, last = mats
+    x = x.reshape(-1, last.shape[1]) @ last.T
+    post = last.shape[0]
+    for m in reversed(head):
+        x = m @ x.reshape(-1, m.shape[1], post)
+        post *= m.shape[0]
     return x.reshape(-1)
 
 
-def _ridge_solver(factors, rho=None):
-    """Exact ``b -> (A^H A + rho I)^{-1} b`` for A = F_1 kron ... kron F_m.
+def _rotation(factors):
+    """Rotate A = F_1 kron ... kron F_m onto orthogonal rows.
 
-    An ``eigh`` of each factor's smaller Gram matrix gives W_k with
-    W_k^H W_k = F_k^H F_k and W_k W_k^H = diag(e_k). With W and e the
-    Kronecker products of the W_k and e_k, Woodbury's identity makes the
-    solve ``(b - W^H diag(1/(e+rho)) W b) / rho``, dividing by no singular
-    value. Returns ``(rho, solve)``; ``rho`` defaults to ||A||^2 = max(e).
+    An ``eigh`` of each factor's row Gram matrix, F_k F_k^H =
+    U_k diag(e_k) U_k^H, gives W_k = U_k^H F_k. With U, W and e the
+    Kronecker products of the U_k, W_k and e_k, A = U W with U unitary and
+    W W^H = diag(e). Returns ``(ws, uhs, e)``, the W_k, the U_k^H and e.
     """
-    ws, e = [], np.ones(1)
+    ws, uhs, e = [], [], np.ones(1)
     for f in factors:
-        if f.shape[0] <= f.shape[1]:
-            ek, u = np.linalg.eigh(f @ f.conj().T)
-            w = u.conj().T @ f
-        else:
-            ek, v = np.linalg.eigh(f.conj().T @ f)
-            w = np.sqrt(np.maximum(ek, 0.0))[:, None] * v.conj().T
-        ws.append(w)
+        ek, u = np.linalg.eigh(f @ f.conj().T)
+        uhs.append(u.conj().T)
+        ws.append(uhs[-1] @ f)
         e = np.multiply.outer(e, ek).reshape(-1)
-    if rho is None:
-        rho = max(float(e.max()), 1e-8)
-    whs, gain = [w.conj().T for w in ws], 1.0 / (e + rho)
-
-    def solve(b):
-        return (b - _kron_apply(whs, _kron_apply(ws, b) * gain)) / rho
-
-    return rho, solve
+    return ws, uhs, e
 
 
 def admm_lasso(factors, y, lam, rho=None, max_iters=200, tol=1e-6):
     """Solve min 0.5*||A x - y||^2 + lam*||x||_1 for A = F_1 kron ... kron F_m.
 
     ``factors`` are A's Kronecker factors (a dense A is ``(a,)``) and x is
-    flattened row-major, one axis per factor. The x-update is exact, from
-    one small factorization per factor made once per call
-    (``_ridge_solver``), so an iteration costs three operator-sized
-    products. ``rho`` defaults to ||A||^2, which damps the splitting enough
+    flattened row-major, one axis per factor. The solve runs in the rotated
+    measurement space A = U W of ``_rotation``, taken once per call. With
+    v = z - u and y~ = U^H y, the exact x-update
+    (A^H A + rho I)^{-1} (A^H y + rho v) is, by the push-through identity,
+    ``x = v + W^H w`` with ``w = (y~ - W v) / (e + rho)``, and
+    ``W x = W v + e * w`` needs no product. Keeping W z and W u beside z
+    and u, an iteration costs two dense products, ``W^H w`` and ``W z``;
+    the objective's residual is ``W z - y~`` because U is unitary. A^H y is
+    never formed and rho enters the update only through ``1/(e + rho)``.
+    ``rho`` defaults to ||A||^2 = max(e), which damps the splitting enough
     that the objective decreases essentially monotonically instead of
     ringing toward the optimum. The returned LassoResult's ``converged`` is
     False when the stopping criteria were not met within ``max_iters`` —
@@ -189,24 +192,35 @@ def admm_lasso(factors, y, lam, rho=None, max_iters=200, tol=1e-6):
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
     if y.size != np.prod([f.shape[0] for f in factors]):
         raise ValueError("operator output size does not match y")
-    aty = _kron_apply([f.conj().T for f in factors], y)
-    rho, ridge_solve = _ridge_solver(factors, rho)
+    ws, uhs, e = _rotation(factors)
+    whs = [w.conj().T for w in ws]
+    if rho is None:
+        rho = max(float(e.max()), 1e-8)
+    gain = 1.0 / (e + rho)
+    y_rot = _kron_apply(uhs, y)
 
-    z = u = np.zeros_like(aty)
+    n = int(np.prod([f.shape[1] for f in factors]))
+    z = u = np.zeros(n, dtype=np.complex128)
+    wz = wu = np.zeros_like(y_rot)
     objectives = []
     converged = False
     iterations = 0
     stalled = 0
     r_norm = s_norm = np.inf
-    sqrt_n = np.sqrt(aty.size)
+    sqrt_n = np.sqrt(n)
     for it in range(max_iters):
         iterations = it + 1
-        x = ridge_solve(aty + rho * (z - u))
+        wv = wz - wu
+        w_step = (y_rot - wv) * gain
+        x = z - u + _kron_apply(whs, w_step)
+        wx = wv + e * w_step
         z_old = z
         z = _soft_threshold(x + u, lam / rho)
         u = u + x - z
+        wz = _kron_apply(ws, z)
+        wu = wu + wx - wz
 
-        resid = _kron_apply(factors, z) - y
+        resid = wz - y_rot
         objectives.append(0.5 * np.vdot(resid, resid).real
                           + lam * np.sum(np.abs(z)))
         if len(objectives) >= 2 and abs(objectives[-1] - objectives[-2]) <= (
@@ -256,11 +270,12 @@ def estimate_features_sparse(csi_series, sched, cfg, delay_grid, doppler_grid,
     The observed (packets x subcarriers) series is modeled as
     ``G Gamma^T D^T``, with the Doppler part G evaluated at the actual
     transmit instants, so nothing assumes uniform sampling. ``admm_lasso``
-    solves it as the dictionary ``G kron D`` acting on Gamma^T, with exact
-    x-updates from one small ``eigh`` each of G and D per call: an iteration
-    costs three products the size of one dictionary application, with no
-    inner iterative solve. The l1 weight is 0.1 times the largest
-    correlation with the data. The default tolerance is loose
+    solves it as the dictionary ``G kron D`` acting on Gamma^T, rotated by
+    one small ``eigh`` each of G G^H and D D^H per call onto orthogonal
+    rows: an iteration is an exact x-update with no inner iterative solve
+    and costs two products the size of one dictionary application. The l1
+    weight is 0.1 times the largest correlation with the data, the one
+    place A^H y is formed. The default tolerance is loose
     because peak positions stabilize long before the coefficients between
     near-identical neighboring atoms do; tighten it when the coefficient
     values themselves matter. The result carries the solve's iteration

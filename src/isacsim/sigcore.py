@@ -95,8 +95,9 @@ class Spectrogram:
 def nonuniform_dft(times, values, freqs):
     """Direct nonuniform DFT: c(f) = sum_m values[m] * exp(-2j*pi*f*times[m]).
 
-    times must be strictly increasing and match values in length. The outer
-    product is built in frequency chunks so the temporary stays bounded.
+    times must be finite, strictly increasing and match values in length.
+    The outer product is built in frequency chunks so the temporary stays
+    bounded.
     """
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.complex128)
@@ -105,6 +106,8 @@ def nonuniform_dft(times, values, freqs):
         raise ValueError("empty input")
     if times.shape != values.shape:
         raise ValueError("times and values must have equal length")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if times.size > 1 and np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     out = np.empty(len(freqs), dtype=np.complex128)

@@ -28,7 +28,7 @@ from isacsim.estimate import (
     velocity_fft,
     velocity_sparse,
 )
-from isacsim.estimate import _kron_apply, _ridge_solver
+from isacsim.estimate import _kron_apply, _rotation, _soft_threshold
 from isacsim.ofdm import SPEED_OF_LIGHT, RadioConfig
 from isacsim.sigcore import TWO_PI, from_db
 
@@ -79,6 +79,51 @@ KRON_PAIRS = [((3, 7), (4, 9)), ((7, 3), (9, 4)), ((3, 7), (9, 4))]
 
 def random_factors(rng, shapes):
     return [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+
+
+def rotated_x_update(factors, y, v, rho=None):
+    """``v + W^H((y~ - W v)/(e + rho))`` from ``_rotation``; rho defaults to max(e)."""
+    ws, uhs, e = _rotation(factors)
+    if rho is None:
+        rho = float(e.max())
+    y_rot = _kron_apply(uhs, y)
+    w_step = (y_rot - _kron_apply(ws, v)) / (e + rho)
+    return rho, v + _kron_apply([w.conj().T for w in ws], w_step)
+
+
+def dense_admm(a, y, lam, rho, max_iters, tol):
+    """Textbook ADMM lasso: explicit (A^H A + rho I) solve and explicit A z.
+
+    Same splitting, updates and stopping rule as ``admm_lasso``, written
+    the way Boyd et al. (2011, section 6.4) state them.
+    """
+    n = a.shape[1]
+    aty = a.conj().T @ y
+    gram = a.conj().T @ a + rho * np.eye(n)
+    z = u = np.zeros(n, dtype=np.complex128)
+    objectives, stalled, converged = [], 0, False
+    for it in range(max_iters):
+        x = np.linalg.solve(gram, aty + rho * (z - u))
+        z_old = z
+        z = soft_threshold(x + u, lam / rho)
+        u = u + x - z
+        objectives.append(lasso_objective(a, y, z, lam))
+        if len(objectives) >= 2 and abs(objectives[-1] - objectives[-2]) <= (
+            tol * max(1.0, abs(objectives[-2]))
+        ):
+            stalled += 1
+        else:
+            stalled = 0
+        r_norm = np.linalg.norm(x - z)
+        s_norm = rho * np.linalg.norm(z - z_old)
+        eps_pri = np.sqrt(n) * tol + tol * max(np.linalg.norm(x),
+                                               np.linalg.norm(z))
+        eps_dual = np.sqrt(n) * tol + tol * rho * np.linalg.norm(u)
+        if r_norm <= eps_pri and (s_norm <= eps_dual or stalled >= 5):
+            converged = True
+            break
+    return LassoResult(z, converged, it + 1, np.asarray(objectives),
+                       float(r_norm), float(s_norm))
 
 
 def model_csi(cfg, times, paths, snr_db=None, rng=None):
@@ -209,24 +254,82 @@ class TestAdmmLasso:
         assert np.allclose(adjoint, a.conj().T @ y, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("shapes", KRON_PAIRS)
+    def test_rotation_has_orthogonal_rows(self, shapes):
+        factors = random_factors(np.random.default_rng(3), shapes)
+        ws, uhs, e = _rotation(factors)
+        w, uh = np.kron(*ws), np.kron(*uhs)
+        scale = np.linalg.norm(np.kron(*factors), 2) ** 2
+        assert np.allclose(uh @ uh.conj().T, np.eye(uh.shape[0]),
+                           rtol=0, atol=1e-12)
+        assert np.allclose(uh.conj().T @ w, np.kron(*factors),
+                           rtol=0, atol=1e-12 * np.sqrt(scale))
+        assert np.allclose(w @ w.conj().T, np.diag(e), rtol=0,
+                           atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("shapes", KRON_PAIRS)
     @pytest.mark.parametrize("rho", [None, 0.05, 30.0])
     def test_exact_x_update_matches_dense_solve(self, shapes, rho):
         rng = np.random.default_rng(7)
         factors = random_factors(rng, shapes)
         a = np.kron(*factors)
-        b = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
-        rho_used, solve = _ridge_solver(factors, rho)
+        y = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
+        v = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
+        rho_used, x = rotated_x_update(factors, y, v, rho)
         expected = np.linalg.solve(
-            a.conj().T @ a + rho_used * np.eye(a.shape[1]), b)
-        err = np.linalg.norm(solve(b) - expected) / np.linalg.norm(expected)
+            a.conj().T @ a + rho_used * np.eye(a.shape[1]),
+            a.conj().T @ y + rho_used * v)
+        err = np.linalg.norm(x - expected) / np.linalg.norm(expected)
         assert err <= 1e-10
 
     @pytest.mark.parametrize("shapes", KRON_PAIRS)
     def test_default_rho_is_squared_operator_norm(self, shapes):
         factors = random_factors(np.random.default_rng(11), shapes)
-        rho, _ = _ridge_solver(factors)
+        _, _, e = _rotation(factors)
         expected = np.linalg.norm(np.kron(*factors), 2) ** 2
-        assert rho == pytest.approx(expected, rel=1e-10)
+        assert e.max() == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("shapes", KRON_PAIRS + [((24, 1), (52, 40))])
+    @pytest.mark.parametrize("max_iters", [1, 5, 40])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-2])
+    def test_matches_dense_admm_oracle(self, shapes, max_iters, tol):
+        rng = np.random.default_rng(17)
+        factors = random_factors(rng, shapes)
+        a = np.kron(*factors)
+        y = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
+        lam = 0.1 * np.max(np.abs(a.conj().T @ y))
+        res = admm_lasso(factors, y, lam, max_iters=max_iters, tol=tol)
+        ref = dense_admm(a, y, lam, np.linalg.norm(a, 2) ** 2, max_iters, tol)
+        assert res.iterations == ref.iterations
+        assert res.converged == ref.converged
+        err = np.linalg.norm(res.coefficients - ref.coefficients)
+        assert err <= 1e-9 * np.linalg.norm(ref.coefficients)
+        assert np.allclose(res.objectives, ref.objectives, rtol=1e-9, atol=0)
+        assert res.primal_residual == pytest.approx(ref.primal_residual, rel=1e-9)
+        assert res.dual_residual == pytest.approx(ref.dual_residual, rel=1e-9)
+
+    def test_two_atom_size_products_per_iteration(self, monkeypatch):
+        # lambda's A^H y once, then W^H and W z per iteration; no other
+        # product may touch an atom-size vector
+        times = gaming_times(48, seed=21, median_gap=0.015, sigma=0.9)
+        delays = np.arange(0.0, 500e-9, 2.5e-9)
+        dopplers = np.arange(-17.0, 17.1, 0.25)
+        n_atoms = delays.size * dopplers.size
+        h = model_csi(CFG, times, [(1e-4, 40e-9, 6.0), (5e-5, 90e-9, 0.0)],
+                      snr_db=15, rng=21)
+        calls = []
+
+        def counting_apply(mats, x):
+            out = _kron_apply(mats, x)
+            calls.append(n_atoms in (x.size, out.size))
+            return out
+
+        monkeypatch.setattr("isacsim.estimate._kron_apply", counting_apply)
+        for max_iters, tol in [(60, 1e-3), (4, 1e-14)]:
+            calls.clear()
+            fv = estimate_features_sparse(h, times, CFG, delays, dopplers,
+                                          max_iters=max_iters, tol=tol)
+            assert sum(calls) == 1 + 2 * fv.iterations
+        assert fv.iterations == 4
 
     def test_final_residuals_reported(self):
         a, y, _, _ = sparse_instance(4)
@@ -235,6 +338,15 @@ class TestAdmmLasso:
         assert isinstance(res, LassoResult)
         assert np.isfinite(res.primal_residual) and res.primal_residual > 0
         assert np.isfinite(res.dual_residual) and res.dual_residual > 0
+
+    def test_soft_threshold_is_bit_identical_to_oracle(self):
+        rng = np.random.default_rng(23)
+        kappa = 0.7
+        x = rng.standard_normal(400) + 1j * rng.standard_normal(400)
+        x[:40] = 0.0
+        x[40:80] = kappa * np.exp(1j * rng.uniform(0.0, TWO_PI, 40))
+        np.testing.assert_array_equal(_soft_threshold(x, kappa),
+                                      soft_threshold(x, kappa))
 
     def test_bad_penalty_raises(self):
         y = np.ones(4, dtype=np.complex128)
@@ -680,6 +792,15 @@ class TestContainers:
             TxSchedule(np.array([0.2, 0.1]))
         with pytest.raises(ValueError):
             TxSchedule(np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_schedule_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TxSchedule(np.array([0.0, bad, 1.0]))
+        h = model_csi(CFG, np.arange(3) * 0.01, [(1.0, 50e-9, 0.0)])
+        with pytest.raises(ValueError, match="finite"):
+            estimate_features_sparse(h, [0.0, 0.01, bad], CFG,
+                                     SMALL_DELAYS, SMALL_DOPPLERS)
 
     def test_schedule_uniformity(self):
         assert TxSchedule(np.arange(10) * 0.025).is_uniform()

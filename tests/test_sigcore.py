@@ -69,6 +69,11 @@ class TestNonuniformDft:
         c = nonuniform_dft(times, np.zeros(16), np.arange(5.0))
         np.testing.assert_array_equal(c, np.zeros(5, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_times_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            nonuniform_dft([0.0, bad, 1.0], np.ones(3), np.arange(3.0))
+
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
