@@ -8,9 +8,11 @@ short adaptive FIR canceller trained on the known preamble. Calibration runs
 with the antenna port switched to a dummy load so nothing from the air
 contaminates the fit; the frozen taps are then used live.
 
-The simulator synthesizes leakage, echoes, and noise as separate component
-streams and sums them, so per-component power through every stage is exactly
-measurable; cancellation corrections are charged to the leakage component.
+Every waveform is a plain complex array at ``cfg.sample_rate``. The stages
+are linear: the front end scales the coupling, and the analog and digital
+stages each add a correction that depends only on the transmit reference.
+Per-stage leakage figures therefore come from running the same stages on
+the coupling alone; no component streams are kept.
 """
 
 from dataclasses import dataclass, field, replace
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .ofdm import training_burst
-from .sigcore import SampleBuffer, avg_power, complex_noise, db, dbm_to_power, from_db
+from .sigcore import avg_power, complex_noise, db, dbm_to_power, from_db
 
 # default power budget (dB figures are relative unless suffixed _dbm)
 DEFAULT_TX_POWER_DBM = 5.0
@@ -37,70 +39,6 @@ PORT_DUMMY_LOAD = "dummy_load"
 
 class ProtocolViolation(RuntimeError):
     """An operation was invoked in a state its protocol forbids."""
-
-
-# ---------------------------------------------------------------------------
-# component bookkeeping
-
-
-@dataclass
-class ComponentBuffer:
-    """A received buffer kept as separately addressable additive parts.
-
-    Conventional component names are "leakage", "reflection", and "noise";
-    any names are accepted. All parts share one sample grid.
-    """
-
-    components: dict
-    sample_rate: float
-    start_time: float = 0.0
-
-    def __post_init__(self):
-        sizes = set()
-        clean = {}
-        for name, arr in self.components.items():
-            arr = np.asarray(arr, dtype=np.complex128)
-            sizes.add(arr.shape)
-            clean[name] = arr
-        if len(sizes) > 1:
-            raise ValueError("all components must share one length")
-        self.components = clean
-
-    def __len__(self):
-        for arr in self.components.values():
-            return len(arr)
-        return 0
-
-    def component(self, name):
-        if name not in self.components:
-            return np.zeros(len(self), dtype=np.complex128)
-        return self.components[name]
-
-    def combined(self):
-        total = np.zeros(len(self), dtype=np.complex128)
-        for arr in self.components.values():
-            total = total + arr
-        return SampleBuffer(total, self.sample_rate, self.start_time)
-
-    def power(self, name=None):
-        if name is None:
-            return avg_power(self.combined().samples)
-        return avg_power(self.component(name))
-
-    def copy(self):
-        return ComponentBuffer(
-            {k: v.copy() for k, v in self.components.items()},
-            self.sample_rate,
-            self.start_time,
-        )
-
-    def add_to(self, name, values):
-        """Accumulate ``values`` into one component (created if missing)."""
-        if name in self.components:
-            self.components[name] = self.components[name] + values
-        else:
-            base = np.zeros(len(self), dtype=np.complex128)
-            self.components = {**self.components, name: base + values}
 
 
 # ---------------------------------------------------------------------------
@@ -195,64 +133,43 @@ def _delayed(samples, delay):
 # stages
 
 
-def first_stage(rx, kind="circulator", isolation_db=DEFAULT_FIRST_STAGE_DB):
-    """Front-end isolation: attenuates the internal coupling only.
+def first_stage(leakage, kind="circulator", isolation_db=DEFAULT_FIRST_STAGE_DB):
+    """Front-end isolation: the coupling array scaled by ``-isolation_db``.
 
-    Both supported devices give the same isolation figure; over-the-air
-    components are untouched, which is why this stage operates on the
-    bookkept leakage component.
+    Both supported devices give the same isolation figure. Over-the-air
+    signals are not attenuated, so this stage takes the internal coupling
+    alone; echoes and noise are added behind it.
     """
     if kind not in FIRST_STAGE_KINDS:
         raise ValueError(f"kind must be one of {FIRST_STAGE_KINDS}")
-    if not isinstance(rx, ComponentBuffer):
-        raise TypeError("first_stage needs component bookkeeping (ComponentBuffer)")
-    out = rx.copy()
-    if "leakage" in out.components:
-        out.components["leakage"] = out.components["leakage"] * np.sqrt(
-            from_db(-isolation_db)
-        )
-    return out
+    return leakage * np.sqrt(from_db(-isolation_db))
 
 
 def analog_cancel(rx, tx_ref, state):
-    """Add the single analog correction ``analog_tap * tx_ref`` (delayed)."""
-    ref = tx_ref.samples if isinstance(tx_ref, SampleBuffer) else np.asarray(tx_ref)
-    correction = state.analog_tap * _delayed(ref, state.analog_delay)
-    if isinstance(rx, ComponentBuffer):
-        out = rx.copy()
-        out.add_to("leakage", correction)
-        return out
-    return SampleBuffer(rx.samples + correction, rx.sample_rate, rx.start_time)
+    """``rx`` plus the single analog correction ``analog_tap * tx_ref`` (delayed)."""
+    return rx + state.analog_tap * _delayed(np.asarray(tx_ref), state.analog_delay)
 
 
 def digital_cancel(rx, tx_ref, state, adapt=False, adapt_span=None, mu=0.1,
                    n_passes=4):
-    """Subtract the adaptive-FIR estimate of the remaining coupling.
+    """``rx`` minus the adaptive-FIR estimate of the remaining coupling.
 
     The correction spans the whole reference; when ``adapt`` is set, taps are
     first updated by normalized LMS using only the first ``adapt_span``
-    samples (the preamble), never the payload.
+    samples (the preamble) of ``rx``, never the payload.
     """
     if not state.calibrated:
         raise ProtocolViolation("digital cancellation before calibration")
-    ref = tx_ref.samples if isinstance(tx_ref, SampleBuffer) else np.asarray(tx_ref)
+    ref = np.asarray(tx_ref)
     taps = state.digital_taps
     if adapt:
         span = len(ref) if adapt_span is None else min(adapt_span, len(ref))
-        desired = (
-            rx.combined().samples if isinstance(rx, ComponentBuffer) else rx.samples
-        )
         taps = kernels.nlms_fir(
-            ref[:span], desired[:span], len(taps), mu=mu, n_passes=n_passes,
+            ref[:span], rx[:span], len(taps), mu=mu, n_passes=n_passes,
             taps_init=taps,
         )
         state.digital_taps = taps
-    correction = -kernels.fir_apply(ref, taps)
-    if isinstance(rx, ComponentBuffer):
-        out = rx.copy()
-        out.add_to("leakage", correction)
-        return out
-    return SampleBuffer(rx.samples + correction, rx.sample_rate, rx.start_time)
+    return rx - kernels.fir_apply(ref, taps)
 
 
 def calibrate(state, tx_ref, leak, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
@@ -268,8 +185,8 @@ def calibrate(state, tx_ref, leak, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
     """
     if state.port != PORT_DUMMY_LOAD:
         raise ProtocolViolation("calibration requires the dummy-load port")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    ref = tx_ref.samples if isinstance(tx_ref, SampleBuffer) else np.asarray(tx_ref)
+    rng = np.random.default_rng(rng)
+    ref = np.asarray(tx_ref)
     if len(state.digital_taps) < len(leak.taps):
         raise ValueError("digital FIR must be at least as long as the coupling")
 
@@ -291,7 +208,7 @@ def calibrate(state, tx_ref, leak, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
                                     PORT_DUMMY_LOAD)]
         return cleared
 
-    rx = leakage * np.sqrt(from_db(-isolation_db)) + noise
+    rx = first_stage(leakage, isolation_db=isolation_db) + noise
     log = list(state.log)
     log.append((timestamp, "first_stage", db(avg_power(rx) / raw_power),
                 PORT_DUMMY_LOAD))
@@ -330,12 +247,13 @@ def calibrate(state, tx_ref, leak, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
 
 
 def separator_pipeline(rx, state, mode, tx_ref=None, force=False):
-    """Route a received buffer through the separator according to MAC state.
+    """Route the receive-port array behind the front end by MAC state.
 
-    Only the monitoring state ("M") cancels; the communicating ("C") and
-    blocked ("B") states pass the buffer through untouched because filtering
-    someone else's packet would wreck it. Forcing cancellation in C/B is the
-    protocol violation that experiment reproduces deliberately.
+    Only the monitoring state ("M") cancels: the analog stage, then the
+    digital stage. The communicating ("C") and blocked ("B") states return
+    ``rx`` itself because filtering someone else's packet would wreck it.
+    Forcing cancellation in C/B is the protocol violation that experiment
+    reproduces deliberately.
     """
     key = getattr(mode, "name", mode)
     if key in ("C", "B"):
@@ -348,42 +266,21 @@ def separator_pipeline(rx, state, mode, tx_ref=None, force=False):
         raise ProtocolViolation("separator used before calibration")
     if tx_ref is None:
         raise ValueError("M-state separation needs the transmit reference")
-    out = first_stage(rx)
-    out = analog_cancel(out, tx_ref, state)
-    return digital_cancel(out, tx_ref, state)
+    return digital_cancel(analog_cancel(rx, tx_ref, state), tx_ref, state)
 
 
 # ---------------------------------------------------------------------------
-# scene assembly and harm measurement
-
-
-def assemble_rx(tx, leak, noise_floor_dbm=None, reflection=None, rng=None):
-    """Build the bookkept receive buffer: coupling + optional echo + noise."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    ref = tx.samples if isinstance(tx, SampleBuffer) else np.asarray(tx)
-    fs = tx.sample_rate if isinstance(tx, SampleBuffer) else 1.0
-    t0 = tx.start_time if isinstance(tx, SampleBuffer) else 0.0
-    parts = {"leakage": kernels.fir_apply(ref, leak.taps)}
-    if reflection is not None:
-        refl = (
-            reflection.samples
-            if isinstance(reflection, SampleBuffer)
-            else np.asarray(reflection)
-        )
-        parts["reflection"] = refl
-    if noise_floor_dbm is not None:
-        parts["noise"] = complex_noise(len(ref), noise_floor_dbm, rng)
-    return ComponentBuffer(parts, fs, t0)
+# harm measurement
 
 
 def template_snr_db(template, received):
-    """Effective SNR of a known waveform inside a received buffer.
+    """Effective SNR of a known waveform inside a received array.
 
     Fits a single complex gain of the template by least squares; everything
     the scaled template fails to explain counts as noise-plus-distortion.
     """
-    p = template.samples if isinstance(template, SampleBuffer) else np.asarray(template)
-    y = received.samples if isinstance(received, SampleBuffer) else np.asarray(received)
+    p = np.asarray(template)
+    y = np.asarray(received)
     n = min(len(p), len(y))
     p, y = p[:n], y[:n]
     gain = np.vdot(p, y) / np.vdot(p, p).real
@@ -402,7 +299,7 @@ def measure_separator_harm(template, state, remote_gain, noise_floor_dbm, rng):
     front-end isolation is not involved because it only touches the internal
     coupling. Returns (clean_snr_db, separated_snr_db).
     """
-    ref = template.samples if isinstance(template, SampleBuffer) else np.asarray(template)
+    ref = np.asarray(template)
     noise = complex_noise(len(ref), noise_floor_dbm, rng)
     clean = remote_gain * ref + noise
     correction = state.analog_tap * _delayed(ref, state.analog_delay)
@@ -422,9 +319,8 @@ def calibrated_separator(cfg, rng, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM):
     calibration noise, and handed back switched to the antenna. Returns
     (tx, leak, state).
     """
-    txs = np.asarray(training_burst(cfg, n_extra=8).samples)
-    txs = txs * np.sqrt(dbm_to_power(DEFAULT_TX_POWER_DBM) / avg_power(txs))
-    tx = SampleBuffer(txs, cfg.sample_rate)
+    tx = training_burst(cfg, n_extra=8)
+    tx = tx * np.sqrt(dbm_to_power(DEFAULT_TX_POWER_DBM) / avg_power(tx))
     leak = make_leakage(rng)
     state = calibrate(CancellatorState().to_dummy_load(), tx, leak,
                       noise_floor_dbm=noise_floor_dbm, rng=rng).to_antenna()
@@ -441,13 +337,12 @@ def forced_separator_harm(cfg, rng, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
     """
     tx, _, state = calibrated_separator(cfg, rng, noise_floor_dbm)
     remote_gain = np.sqrt(dbm_to_power(noise_floor_dbm)
-                          * 10 ** (clean_snr_db / 10.0) / tx.power())
+                          * 10 ** (clean_snr_db / 10.0) / avg_power(tx))
     return measure_separator_harm(tx, state, remote_gain, noise_floor_dbm, rng)
 
 
 __all__ = [
     "ProtocolViolation",
-    "ComponentBuffer",
     "LeakageChannel",
     "make_leakage",
     "CancellatorState",
@@ -456,7 +351,6 @@ __all__ = [
     "digital_cancel",
     "calibrate",
     "separator_pipeline",
-    "assemble_rx",
     "template_snr_db",
     "measure_separator_harm",
     "calibrated_separator",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ofdm import SPEED_OF_LIGHT, burst_symbol_spans
-from .sigcore import SampleBuffer, TWO_PI, complex_noise, dbm_to_power, power_to_dbm
+from .sigcore import TWO_PI, complex_noise, dbm_to_power, power_to_dbm
 
 _MIN_RANGE = 1e-9
 
@@ -309,21 +309,19 @@ def resolve_paths(geom, cfg, times, tx_power=1.0):
 # symbol-level clock impairments
 
 
-def apply_clock_impairments(buf, cfg, imp):
+def apply_clock_impairments(samples, cfg, imp):
     """Stamp clock error onto a training burst at symbol granularity.
 
-    The burst starts at sample 0, and every whole training symbol in the
-    buffer is stamped. Symbol l's samples (cyclic prefix included; the short
-    training field rides with l=0) get the block rotation
+    Returns a new array. The burst starts at sample 0, and every whole
+    training symbol in it is stamped. Symbol l's samples (cyclic prefix
+    included; the short training field rides with l=0) get the block rotation
     ``exp(-2j*pi*(l*cfo_hz/(df*n_fft) + cpo))``, and each analysis window is
     re-spun in the frequency domain by ``exp(-2j*pi*k*(sfo+pdd_extra)/n_fft)``
     over the raw FFT bin index k, with cyclic prefixes rebuilt to match. The
     measured subcarrier phases then follow the clock-error model exactly,
     which is what makes phase-accuracy checks meaningful.
     """
-    values = (buf.samples if isinstance(buf, SampleBuffer) else np.asarray(buf)).copy()
-    fs = buf.sample_rate if isinstance(buf, SampleBuffer) else cfg.sample_rate
-    t_start = buf.start_time if isinstance(buf, SampleBuffer) else 0.0
+    values = np.array(samples, dtype=np.complex128)
     n = cfg.fft_size
     cp = cfg.cyclic_prefix_len
     if len(values) < cfg.preamble_len:
@@ -345,7 +343,7 @@ def apply_clock_impairments(buf, cfg, imp):
     step = imp.cfo_hz / (cfg.subcarrier_spacing * n)
     for l, (lo, hi, _) in enumerate(spans):
         values[lo:hi] *= np.exp(-2j * np.pi * (l * step + imp.cpo))
-    return SampleBuffer(values, fs, t_start)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +365,7 @@ def synthesize_csi_series(geom, cfg, times, imp=None, snr_db=None, rng=None):
     """
     times = np.asarray(times, dtype=np.float64)
     alpha, tau, aoa = resolve_paths(geom, cfg, times, dbm_to_power(geom.tx_power_dbm))
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
 
     freqs = cfg.carrier_freq + cfg.subcarrier_freqs()
     out = np.zeros((times.size, geom.n_antennas, cfg.n_used), dtype=np.complex128)

@@ -7,13 +7,14 @@ a minute. The CSVs are the contract; plots are optional sugar.
 """
 
 import csv as _csv
+import math
 import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cancel, mac
+from . import cancel, kernels, mac
 from .channel import (
     ImpairmentProfile,
     PropagationPath,
@@ -38,8 +39,8 @@ from .estimate import (
 from .fusion import SensingMessage, fuse_ml
 from .ofdm import SPEED_OF_LIGHT, RadioConfig, extract_csi_symbols, training_burst
 from .sigcore import (
-    SampleBuffer,
     avg_power,
+    complex_noise,
     db,
     dbm_to_power,
     power_to_dbm,
@@ -70,9 +71,11 @@ def radio_config_from(values):
 def check_config(values, lines=None):
     """The RadioConfig of fully validated values; ConfigError if invalid.
 
-    Rejects unknown keys, values of the wrong type and radio keys that are
-    individually fine yet clash. When ``lines`` maps keys to source line
-    numbers, the error names the offending line.
+    Rejects unknown keys, values of the wrong type, non-finite numbers
+    (JSON parsing turns ``NaN`` and ``Infinity`` into floats), a trial count
+    or duration that is not positive, and radio keys that are individually
+    fine yet clash. When ``lines`` maps keys to source line numbers, the
+    error names the offending line.
     """
     lines = lines or {}
     check_keys(values, KNOWN_KEYS, lines=lines)
@@ -84,6 +87,12 @@ def check_config(values, lines=None):
             val, numbers.Integral if want is int else numbers.Real)
         if not ok:
             raise ConfigError(f"{key} expects {want.__name__}, got {val!r}",
+                              lines.get(key))
+        if want is float and not math.isfinite(val):
+            raise ConfigError(f"{key} must be finite, got {val!r}",
+                              lines.get(key))
+        if key in ("run.n_trials", "run.duration_s") and val <= 0:
+            raise ConfigError(f"{key} must be positive, got {val!r}",
                               lines.get(key))
     try:
         return radio_config_from(values)
@@ -403,7 +412,7 @@ def run_stft_irregular(ctx):
 
     t_reg = np.arange(0.0, duration, 0.01)
     series = _doppler_series(ctx, t_reg, speed, snr_db, 3)
-    spec = stft(SampleBuffer(series, 100.0), window, hop)
+    spec = stft(t_reg, series, window, hop)
     frac_regular = spec.band_energy_fraction(9.0, 15.0)
 
     # Bursty schedule: runs of back-to-back packets separated by idle
@@ -416,11 +425,12 @@ def run_stft_irregular(ctx):
     series_irr = _doppler_series(ctx, t_irr, speed, snr_db, 5)
     mean_dt = float(np.mean(np.diff(t_irr)))
 
-    naive = stft(SampleBuffer(series_irr, 1.0 / mean_dt), window, hop)
+    # the naive transform pretends the samples sit at the mean spacing
+    naive = stft(np.arange(t_irr.size) * mean_dt, series_irr, window, hop)
     frac_naive = naive.band_energy_fraction(9.0, 15.0)
 
     freqs = np.fft.fftshift(np.fft.fftfreq(window, d=mean_dt))
-    restored = stft((t_irr, series_irr), window, hop, freqs=freqs)
+    restored = stft(t_irr, series_irr, window, hop, freqs=freqs)
     frac_restored = restored.band_energy_fraction(9.0, 15.0)
 
     rows = [
@@ -454,27 +464,29 @@ def run_cancellation_budget(ctx):
     for trial in range(n_trials):
         rng = np.random.default_rng([ctx.seed, trial])
         tx, leak, state = cancel.calibrated_separator(cfg, rng)
-        txs = tx.samples
         # Budget is measured on a leakage-plus-noise reception so the
-        # residual reflects what the separator leaves behind; the echo test
-        # adds a reflection and asks how much of it survives.
-        rx = cancel.assemble_rx(tx, leak, noise_floor_dbm=-85.0, rng=rng)
-        stage1 = cancel.first_stage(rx)
+        # residual reflects what the separator leaves behind. The stages
+        # are linear, so running them on the coupling alone gives each
+        # stage's leakage figure. The echo test adds a reflection and asks
+        # how much of it survives.
+        coupling = kernels.fir_apply(tx, leak.taps)
+        noise = complex_noise(len(tx), -85.0, rng)
+        stage1 = cancel.first_stage(coupling)
         stage2 = cancel.analog_cancel(stage1, tx, state)
-        out = cancel.separator_pipeline(rx, state, "M", tx_ref=tx)
-        g_first = db(rx.power("leakage") / stage1.power("leakage"))
-        g_analog = db(stage1.power("leakage") / stage2.power("leakage"))
-        g_digital = db(stage2.power("leakage") / out.power("leakage"))
-        total = db(rx.power() / out.power())
-        resid_dbm = power_to_dbm(out.power())
+        leak_out = cancel.separator_pipeline(stage1, state, "M", tx_ref=tx)
+        out = cancel.separator_pipeline(stage1 + noise, state, "M", tx_ref=tx)
+        g_first = db(avg_power(coupling) / avg_power(stage1))
+        g_analog = db(avg_power(stage1) / avg_power(stage2))
+        g_digital = db(avg_power(stage2) / avg_power(leak_out))
+        total = db(avg_power(coupling + noise) / avg_power(out))
+        resid_dbm = power_to_dbm(avg_power(out))
 
-        gain = np.sqrt(dbm_to_power(-60.0) / avg_power(txs)) * np.exp(0.7j)
-        refl = gain * np.concatenate([np.zeros(6, dtype=complex), txs[:-6]])
-        rx_echo = cancel.assemble_rx(tx, leak, noise_floor_dbm=-85.0,
-                                     reflection=refl, rng=rng)
-        out_echo = cancel.separator_pipeline(rx_echo, state, "M", tx_ref=tx)
-        g = np.vdot(refl, out_echo.combined().samples)
-        g = g / np.vdot(refl, refl).real
+        gain = np.sqrt(dbm_to_power(-60.0) / avg_power(tx)) * np.exp(0.7j)
+        refl = gain * np.concatenate([np.zeros(6, dtype=complex), tx[:-6]])
+        noise2 = complex_noise(len(tx), -85.0, rng)
+        out_echo = cancel.separator_pipeline(stage1 + refl + noise2, state,
+                                             "M", tx_ref=tx)
+        g = np.vdot(refl, out_echo) / np.vdot(refl, refl).real
         echo_delta = db(np.abs(g) ** 2)
         rows.append([trial, f"{g_first:.2f}", f"{g_analog:.2f}",
                      f"{g_digital:.2f}", f"{total:.2f}", f"{resid_dbm:.2f}",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sigcore import SampleBuffer, avg_power
+from .sigcore import avg_power
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -186,8 +186,7 @@ def _raw_preamble(cfg):
 def generate_preamble(cfg):
     """Deterministic unit-power preamble: repeated short section + two long symbols."""
     samples = _raw_preamble(cfg)
-    samples = samples / np.sqrt(avg_power(samples))
-    return SampleBuffer(samples, cfg.sample_rate)
+    return samples / np.sqrt(avg_power(samples))
 
 
 def _preamble_scale(cfg):
@@ -207,13 +206,13 @@ def _csi_window(samples, offset, cfg):
     return np.fft.fft(samples[offset : offset + n])
 
 
-def extract_csi_symbols(rx, index, cfg, n_symbols=2):
+def extract_csi_symbols(samples, index, cfg, n_symbols=2):
     """Per-symbol CSI over a training burst (LTF pair + cyclic-prefixed repeats).
 
     Returns an (n_symbols, n_used) array; row l is the CSI measured from the
     l-th known training symbol, so per-symbol phase evolution is observable.
     """
-    samples = rx.samples if isinstance(rx, SampleBuffer) else np.asarray(rx)
+    samples = np.asarray(samples)
     ltf_vals = long_training_values(cfg) * _preamble_scale(cfg) * (
         cfg.fft_size / np.sqrt(cfg.n_used)
     )
@@ -233,18 +232,16 @@ def extract_csi_symbols(rx, index, cfg, n_symbols=2):
 def training_burst(cfg, n_extra=0):
     """Preamble followed by n_extra cyclic-prefixed repeats of the long symbol."""
     pre = generate_preamble(cfg)
-    if n_extra == 0:
-        return SampleBuffer(pre.samples.copy(), cfg.sample_rate)
     ltf_scaled = (
         _symbol_from_bins(cfg, cfg.used_bins, long_training_values(cfg))
         * _preamble_scale(cfg)
     )
     cp = cfg.cyclic_prefix_len
-    chunks = [pre.samples]
+    chunks = [pre]
     for _ in range(n_extra):
         chunks.append(ltf_scaled[-cp:])
         chunks.append(ltf_scaled)
-    return SampleBuffer(np.concatenate(chunks), cfg.sample_rate)
+    return np.concatenate(chunks)
 
 
 def burst_symbol_spans(cfg, n_symbols):

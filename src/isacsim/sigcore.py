@@ -1,8 +1,9 @@
-"""Complex baseband primitives: buffers, nonuniform DFT, STFT, noise.
+"""Complex baseband primitives: nonuniform DFT, STFT, noise, dB helpers.
 
-Power convention used across the package: baseband samples are unitless
-voltages whose mean squared magnitude is a power referenced to 1 mW, i.e. a
-buffer with average power 1.0 sits at 0 dBm.
+A waveform is a plain complex ndarray sampled at ``cfg.sample_rate`` and
+starting at sample 0. Power convention used across the package: baseband
+samples are unitless voltages whose mean squared magnitude is a power
+referenced to 1 mW, i.e. an array with average power 1.0 sits at 0 dBm.
 """
 
 from dataclasses import dataclass
@@ -37,30 +38,6 @@ def avg_power(samples):
     if samples.size == 0:
         return 0.0
     return float(np.mean(np.abs(samples) ** 2))
-
-
-@dataclass
-class SampleBuffer:
-    """Uniformly sampled complex baseband sequence."""
-
-    samples: np.ndarray
-    sample_rate: float
-    start_time: float = 0.0
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        if not np.isfinite(self.sample_rate) or self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive and finite")
-        if self.samples.size and not np.all(np.isfinite(self.samples)):
-            raise ValueError("samples must be finite")
-
-    def __len__(self):
-        return len(self.samples)
-
-    def power(self):
-        return avg_power(self.samples)
 
 
 @dataclass
@@ -123,12 +100,14 @@ def hann_window(n):
     return 0.5 - 0.5 * np.cos(TWO_PI * np.arange(n) / n)
 
 
-def stft(signal, window_len, hop, freqs=None):
+def stft(times, values, window_len, hop, freqs=None):
     """Short-time power spectrogram with a periodic Hann window.
 
-    `signal` is either a SampleBuffer (uniform path, FFT per window) or a
-    (times, values) pair (nonuniform path, direct nonuniform DFT per window
-    evaluated at `freqs`, defaulting to the FFT bins of the mean sample rate).
+    Each window of ``window_len`` samples, ``hop`` apart, is weighted by the
+    Hann window and transformed by ``nonuniform_dft`` at ``freqs`` (default:
+    the FFT bins of the mean sample spacing), so on uniform times a row is
+    the windowed FFT's power. A window's time is the midpoint of its first
+    and last sample time.
     """
     window_len = int(window_len)
     hop = int(hop)
@@ -136,24 +115,6 @@ def stft(signal, window_len, hop, freqs=None):
         raise ValueError("window_len must be >= 2")
     if hop < 1:
         raise ValueError("hop must be >= 1")
-
-    if isinstance(signal, SampleBuffer):
-        samples = signal.samples
-        if len(samples) < window_len:
-            raise ValueError("fewer samples than one window")
-        w = hann_window(window_len)
-        starts = range(0, len(samples) - window_len + 1, hop)
-        freq_axis = np.fft.fftshift(np.fft.fftfreq(window_len, d=1.0 / signal.sample_rate))
-        rows = []
-        centers = []
-        for s in starts:
-            seg = samples[s : s + window_len] * w
-            spec = np.fft.fftshift(np.fft.fft(seg))
-            rows.append(np.abs(spec) ** 2)
-            centers.append(signal.start_time + (s + (window_len - 1) / 2.0) / signal.sample_rate)
-        return Spectrogram(np.array(rows), freq_axis, np.array(centers))
-
-    times, values = signal
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.complex128)
     if times.size != values.size:
@@ -169,8 +130,7 @@ def stft(signal, window_len, hop, freqs=None):
     centers = []
     for s in range(0, times.size - window_len + 1, hop):
         t_seg = times[s : s + window_len]
-        v_seg = values[s : s + window_len] * w
-        spec = nonuniform_dft(t_seg, v_seg, freqs)
+        spec = nonuniform_dft(t_seg, values[s : s + window_len] * w, freqs)
         rows.append(np.abs(spec) ** 2)
         centers.append(0.5 * (t_seg[0] + t_seg[-1]))
     return Spectrogram(np.array(rows), freqs, np.array(centers))
@@ -184,7 +144,6 @@ def complex_noise(n, power_dbm, rng):
 
 
 __all__ = [
-    "SampleBuffer",
     "Spectrogram",
     "nonuniform_dft",
     "stft",

@@ -17,7 +17,7 @@ from isacsim.channel import (
     synthesize_csi_series,
 )
 from isacsim.ofdm import SPEED_OF_LIGHT, RadioConfig, extract_csi_symbols
-from isacsim.sigcore import SampleBuffer, avg_power, db
+from isacsim.sigcore import avg_power, db
 
 
 def quarter_wave_cfg():
@@ -282,18 +282,18 @@ class TestClockImpairments:
         n, cp = CFG.fft_size, CFG.cyclic_prefix_len
         for start, _, win in ofdm.burst_symbol_spans(CFG, 5)[2:]:
             np.testing.assert_allclose(
-                out.samples[start : start + cp],
-                out.samples[win + n - cp : win + n],
+                out[start : start + cp],
+                out[win + n - cp : win + n],
                 atol=1e-12,
             )
         np.testing.assert_allclose(
-            out.samples[CFG.stf_len : CFG.ltf_window_offset],
-            out.samples[CFG.ltf_window_offset + n // 2 : CFG.ltf_window_offset + n],
+            out[CFG.stf_len : CFG.ltf_window_offset],
+            out[CFG.ltf_window_offset + n // 2 : CFG.ltf_window_offset + n],
             atol=1e-12,
         )
 
     def test_short_buffer_rejected(self):
-        short = SampleBuffer(np.zeros(100, dtype=np.complex128), CFG.sample_rate)
+        short = np.zeros(100, dtype=np.complex128)
         with pytest.raises(ValueError):
             apply_clock_impairments(short, CFG, ImpairmentProfile())
 

@@ -88,6 +88,25 @@ class TestValidate:
         assert "radio.fft_size" in err
         assert "int" in err
 
+    @pytest.mark.parametrize("text", [
+        "radio.carrier_hz = NaN",
+        "run.snr_db = Infinity",
+        "radio.sample_rate_hz = -Infinity",
+        "run.duration_s = 0",
+        "run.n_trials = 0",
+        "run.n_trials = -3",
+    ])
+    def test_out_of_range_value_names_the_line(self, capsys, tmp_path, text):
+        cfg = write(tmp_path / "bad.cfg", f"# header\n{text}\n")
+        key = text.split(" = ")[0]
+        assert main(["validate", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "line 2" in err and key in err
+        rc = main(["run", "ranging", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 3
+        assert "line 2" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "ranging.csv")
+
     def test_float_key_accepts_integer_literal(self, tmp_path):
         cfg = write(tmp_path / "e.cfg", "run.snr_db = 10\n")
         assert load_config(cfg) == {"run.snr_db": 10}

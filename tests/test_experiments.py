@@ -75,6 +75,16 @@ class TestContext:
         with pytest.raises(ConfigError, match="run.snr_db expects float"):
             ExperimentContext(values={"run.snr_db": True})
 
+    @pytest.mark.parametrize("values", [
+        {"run.snr_db": float("nan")},
+        {"radio.carrier_hz": float("inf")},
+        {"run.duration_s": 0.0},
+        {"run.n_trials": 0},
+    ])
+    def test_non_finite_or_non_positive_is_rejected(self, values):
+        with pytest.raises(ConfigError, match="must be"):
+            ExperimentContext(values=values)
+
     def test_numpy_scalars_are_accepted(self):
         ctx = ExperimentContext(values={"radio.fft_size": np.int64(32),
                                         "run.snr_db": np.float64(7.5)})

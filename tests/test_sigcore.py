@@ -3,9 +3,9 @@ import pytest
 
 from isacsim import kernels, sigcore
 from isacsim.sigcore import (
-    SampleBuffer,
     Spectrogram,
     complex_noise,
+    hann_window,
     nonuniform_dft,
     stft,
 )
@@ -99,8 +99,7 @@ class TestStft:
     def test_tone_ridge(self):
         fs = 100.0
         t = np.arange(1024) / fs
-        buf = SampleBuffer(np.exp(2j * np.pi * 16.0 * t), fs)
-        spec = stft(buf, 128, 32)
+        spec = stft(t, np.exp(2j * np.pi * 16.0 * t), 128, 32)
         for row in spec.bins:
             peak = spec.freq_axis[np.argmax(row)]
             assert abs(peak - 16.0) <= fs / 128
@@ -112,35 +111,55 @@ class TestStft:
         f0, f1 = 5.0, 20.0
         k = (f1 - f0) / t[-1]
         phase = 2 * np.pi * (f0 * t + 0.5 * k * t**2)
-        buf = SampleBuffer(np.exp(1j * phase), fs)
-        spec = stft(buf, 128, 64)
+        spec = stft(t, np.exp(1j * phase), 128, 64)
         peaks = spec.freq_axis[np.argmax(spec.bins, axis=1)]
         inst = f0 + k * spec.time_axis  # instantaneous frequency at window centers
         assert np.all(np.diff(peaks) >= 0)
         assert np.max(np.abs(peaks - inst)) <= 2 * fs / 128
 
     def test_silence(self):
-        buf = SampleBuffer(np.zeros(256, dtype=complex), 100.0)
-        spec = stft(buf, 64, 16)
+        spec = stft(np.arange(256) / 100.0, np.zeros(256, dtype=complex), 64, 16)
         assert np.all(spec.bins == 0)
+
+    def test_uniform_times_match_windowed_fft(self):
+        # oracle: on uniform times every row is the windowed FFT's power
+        fs, w, hop = 100.0, 64, 24
+        rng = np.random.default_rng(17)
+        t = 0.3 + np.arange(500) / fs
+        x = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+        spec = stft(t, x, w, hop)
+        np.testing.assert_allclose(
+            spec.freq_axis, np.fft.fftshift(np.fft.fftfreq(w, d=1.0 / fs)),
+            rtol=1e-12,
+        )
+        starts = range(0, len(x) - w + 1, hop)
+        assert spec.bins.shape == (len(starts), w)
+        for row, s in zip(spec.bins, starts):
+            seg = x[s : s + w] * hann_window(w)
+            ref = np.abs(np.fft.fftshift(np.fft.fft(seg))) ** 2
+            np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12 * ref.max())
+        centres = [t[0] + (s + (w - 1) / 2.0) / fs for s in starts]
+        np.testing.assert_allclose(spec.time_axis, centres, rtol=1e-12)
 
     def test_nonuniform_path_tone(self):
         rng = np.random.default_rng(21)
         times = np.cumsum(rng.uniform(0.005, 0.015, 400))
         values = np.exp(-2j * np.pi * 12.0 * times)
         freqs = np.arange(-25.0, 25.0, 0.5)
-        spec = stft((times, values), 64, 16, freqs=freqs)
+        spec = stft(times, values, 64, 16, freqs=freqs)
         for row in spec.bins:
             assert abs(abs(spec.freq_axis[np.argmax(row)]) - 12.0) <= 1.0
 
     def test_errors(self):
-        buf = SampleBuffer(np.zeros(16, dtype=complex), 1.0)
+        t, x = np.arange(16.0), np.zeros(16, dtype=complex)
         with pytest.raises(ValueError):
-            stft(buf, 32, 4)
+            stft(t, x, 32, 4)
         with pytest.raises(ValueError):
-            stft(buf, 1, 4)
+            stft(t, x, 1, 4)
         with pytest.raises(ValueError):
-            stft(buf, 8, 0)
+            stft(t, x, 8, 0)
+        with pytest.raises(ValueError):
+            stft(t[:-1], x, 8, 4)
 
 
 class TestNoise:
@@ -155,14 +174,6 @@ class TestNoise:
 
 
 class TestBufferInvariants:
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            SampleBuffer(np.array([1.0, np.nan]), 1.0)
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            SampleBuffer(np.ones(4), 0.0)
-
     def test_spectrogram_shape_check(self):
         with pytest.raises(ValueError):
             Spectrogram(np.zeros((3, 4)), np.zeros(4), np.zeros(2))
