@@ -30,8 +30,9 @@ DEFAULT_NOISE_FLOOR_DBM = -85.0
 DEFAULT_FIRST_STAGE_DB = 12.0
 DEFAULT_SECONDARY_FRACTION = 1e-4
 DEFAULT_DIGITAL_TAPS = 16
-
-FIRST_STAGE_KINDS = ("circulator", "hybrid_coupler")
+# normalized-LMS step and sweep count of every digital FIR fit
+NLMS_STEP = 0.1
+NLMS_PASSES = 4
 
 PORT_ANTENNA = "antenna"
 PORT_DUMMY_LOAD = "dummy_load"
@@ -64,27 +65,21 @@ class LeakageChannel:
             raise ValueError("taps must be finite")
 
 
-def make_leakage(rng, leakage_db=DEFAULT_LEAKAGE_DB, main_delay=1, n_taps=3,
-                 secondary_fraction=DEFAULT_SECONDARY_FRACTION):
-    """Random coupling FIR: one dominant tap plus a weak trailing tail.
+def make_leakage(rng):
+    """Random 3-tap coupling FIR: a dominant tap at delay 1 between weak ones.
 
-    ``leakage_db`` is total coupling energy relative to the transmit signal;
-    ``secondary_fraction`` is the share of that energy left outside the
-    dominant tap (this is what the single analog tap cannot reach).
+    Total coupling energy is ``DEFAULT_LEAKAGE_DB`` relative to the transmit
+    signal; ``DEFAULT_SECONDARY_FRACTION`` of it lies outside the dominant
+    tap (this is what the single analog tap cannot reach).
     """
-    if not 0 <= main_delay < n_taps:
-        raise ValueError("main_delay must index into the taps")
-    total = from_db(leakage_db)
-    taps = np.zeros(n_taps, dtype=np.complex128)
-    taps[main_delay] = np.sqrt(total * (1.0 - secondary_fraction)) * np.exp(
+    total = from_db(DEFAULT_LEAKAGE_DB)
+    main = np.sqrt(total * (1.0 - DEFAULT_SECONDARY_FRACTION)) * np.exp(
         2j * np.pi * rng.uniform()
     )
-    others = [i for i in range(n_taps) if i != main_delay]
-    if others and secondary_fraction > 0:
-        raw = rng.standard_normal(len(others)) + 1j * rng.standard_normal(len(others))
-        raw *= np.sqrt(total * secondary_fraction / np.sum(np.abs(raw) ** 2))
-        taps[others] = raw
-    return LeakageChannel(taps)
+    weak = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    weak *= np.sqrt(total * DEFAULT_SECONDARY_FRACTION
+                    / np.sum(np.abs(weak) ** 2))
+    return LeakageChannel([weak[0], main, weak[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +128,13 @@ def _delayed(samples, delay):
 # stages
 
 
-def first_stage(leakage, kind="circulator", isolation_db=DEFAULT_FIRST_STAGE_DB):
+def first_stage(leakage, isolation_db=DEFAULT_FIRST_STAGE_DB):
     """Front-end isolation: the coupling array scaled by ``-isolation_db``.
 
-    Both supported devices give the same isolation figure. Over-the-air
-    signals are not attenuated, so this stage takes the internal coupling
-    alone; echoes and noise are added behind it.
+    A circulator and a hybrid coupler give the same isolation figure.
+    Over-the-air signals are not attenuated, so this stage takes the
+    internal coupling alone; echoes and noise are added behind it.
     """
-    if kind not in FIRST_STAGE_KINDS:
-        raise ValueError(f"kind must be one of {FIRST_STAGE_KINDS}")
     return leakage * np.sqrt(from_db(-isolation_db))
 
 
@@ -150,13 +143,14 @@ def analog_cancel(rx, tx_ref, state):
     return rx + state.analog_tap * _delayed(np.asarray(tx_ref), state.analog_delay)
 
 
-def digital_cancel(rx, tx_ref, state, adapt=False, adapt_span=None, mu=0.1,
-                   n_passes=4):
+def digital_cancel(rx, tx_ref, state, adapt=False, adapt_span=None):
     """``rx`` minus the adaptive-FIR estimate of the remaining coupling.
 
     The correction spans the whole reference; when ``adapt`` is set, taps are
-    first updated by normalized LMS using only the first ``adapt_span``
-    samples (the preamble) of ``rx``, never the payload.
+    first re-adapted by normalized LMS, starting from the state's taps and
+    using only the first ``adapt_span`` samples (the preamble) of ``rx``,
+    never the payload. The re-adapted taps serve this call only; ``state``
+    is left untouched.
     """
     if not state.calibrated:
         raise ProtocolViolation("digital cancellation before calibration")
@@ -165,23 +159,23 @@ def digital_cancel(rx, tx_ref, state, adapt=False, adapt_span=None, mu=0.1,
     if adapt:
         span = len(ref) if adapt_span is None else min(adapt_span, len(ref))
         taps = kernels.nlms_fir(
-            ref[:span], rx[:span], len(taps), mu=mu, n_passes=n_passes,
-            taps_init=taps,
+            ref[:span], rx[:span], len(taps), mu=NLMS_STEP,
+            n_passes=NLMS_PASSES, taps_init=taps,
         )
-        state.digital_taps = taps
     return rx - kernels.fir_apply(ref, taps)
 
 
 def calibrate(state, tx_ref, leak, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
-              rng=None, isolation_db=DEFAULT_FIRST_STAGE_DB, timestamp=0.0,
-              mu=0.1, n_passes=4):
+              rng=None, isolation_db=DEFAULT_FIRST_STAGE_DB,
+              n_passes=NLMS_PASSES):
     """Fit the analog tap and digital FIR against the dummy-load coupling.
 
     The port must already be on the dummy load so the fit sees coupling and
     noise only. The analog tap is the least-squares single-tap optimum over
     a scanned alignment; the digital FIR is then adapted on the post-analog
-    residual. Returns a new calibrated state whose log records the residual
-    (relative to the raw coupling power) after each stage.
+    residual by ``n_passes`` sweeps of normalized LMS. Returns a new state
+    calibrated at time 0 whose log rows (time, stage, residual_db, port)
+    record the residual relative to the raw coupling power after each stage.
     """
     if state.port != PORT_DUMMY_LOAD:
         raise ProtocolViolation("calibration requires the dummy-load port")
@@ -202,15 +196,15 @@ def calibrate(state, tx_ref, leak, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
             analog_tap=0.0,
             analog_delay=0,
             digital_taps=np.zeros_like(state.digital_taps),
-            calibrated_at=timestamp,
+            calibrated_at=0.0,
         )
-        cleared.log = state.log + [(timestamp, "digital", float("-inf"),
+        cleared.log = state.log + [(0.0, "digital", float("-inf"),
                                     PORT_DUMMY_LOAD)]
         return cleared
 
     rx = first_stage(leakage, isolation_db=isolation_db) + noise
     log = list(state.log)
-    log.append((timestamp, "first_stage", db(avg_power(rx) / raw_power),
+    log.append((0.0, "first_stage", db(avg_power(rx) / raw_power),
                 PORT_DUMMY_LOAD))
 
     # single complex degree of freedom, alignment scanned over the FIR span
@@ -226,14 +220,15 @@ def calibrate(state, tx_ref, leak, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
         if best is None or p < best[0]:
             best = (p, delay, tap, residual)
     _, analog_delay, analog_tap, post_analog = best
-    log.append((timestamp, "analog", db(avg_power(post_analog) / raw_power),
+    log.append((0.0, "analog", db(avg_power(post_analog) / raw_power),
                 PORT_DUMMY_LOAD))
 
     digital_taps = kernels.nlms_fir(
-        ref, post_analog, len(state.digital_taps), mu=mu, n_passes=n_passes
+        ref, post_analog, len(state.digital_taps), mu=NLMS_STEP,
+        n_passes=n_passes,
     )
     post_digital = post_analog - kernels.fir_apply(ref, digital_taps)
-    log.append((timestamp, "digital", db(avg_power(post_digital) / raw_power),
+    log.append((0.0, "digital", db(avg_power(post_digital) / raw_power),
                 PORT_DUMMY_LOAD))
 
     return replace(
@@ -241,7 +236,7 @@ def calibrate(state, tx_ref, leak, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
         analog_tap=analog_tap,
         analog_delay=analog_delay,
         digital_taps=digital_taps,
-        calibrated_at=timestamp,
+        calibrated_at=0.0,
         log=log,
     )
 
@@ -255,12 +250,11 @@ def separator_pipeline(rx, state, mode, tx_ref=None, force=False):
     Forcing cancellation in C/B is the protocol violation that experiment
     reproduces deliberately.
     """
-    key = getattr(mode, "name", mode)
-    if key in ("C", "B"):
+    if mode in ("C", "B"):
         if force:
-            raise ProtocolViolation(f"cancellation forced in {key}-state")
+            raise ProtocolViolation(f"cancellation forced in {mode}-state")
         return rx
-    if key != "M":
+    if mode != "M":
         raise ValueError(f"unknown MAC state {mode!r}")
     if not state.calibrated:
         raise ProtocolViolation("separator used before calibration")
@@ -311,34 +305,35 @@ def measure_separator_harm(template, state, remote_gain, noise_floor_dbm, rng):
     )
 
 
-def calibrated_separator(cfg, rng, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM):
+def calibrated_separator(cfg, rng):
     """A training burst, fresh leakage, and a separator fitted to it.
 
     The burst runs at the default transmit power; the separator is fitted on
-    the dummy load against ``make_leakage(rng)``, drawn before the
-    calibration noise, and handed back switched to the antenna. Returns
-    (tx, leak, state).
+    the dummy load at the default noise floor against ``make_leakage(rng)``,
+    drawn before the calibration noise, and handed back switched to the
+    antenna. Returns (tx, leak, state).
     """
     tx = training_burst(cfg, n_extra=8)
     tx = tx * np.sqrt(dbm_to_power(DEFAULT_TX_POWER_DBM) / avg_power(tx))
     leak = make_leakage(rng)
     state = calibrate(CancellatorState().to_dummy_load(), tx, leak,
-                      noise_floor_dbm=noise_floor_dbm, rng=rng).to_antenna()
+                      rng=rng).to_antenna()
     return tx, leak, state
 
 
-def forced_separator_harm(cfg, rng, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
-                          clean_snr_db=15.0):
+def forced_separator_harm(cfg, rng, clean_snr_db=15.0):
     """Calibrate a separator on fresh leakage, then measure its harm.
 
     ``calibrated_separator`` fits the separator; a remote copy of its
-    training burst ``clean_snr_db`` above the noise floor then passes
-    through the frozen corrections. Returns (clean_snr_db, separated_snr_db).
+    training burst ``clean_snr_db`` above the default noise floor then
+    passes through the frozen corrections. Returns (clean_snr_db,
+    separated_snr_db).
     """
-    tx, _, state = calibrated_separator(cfg, rng, noise_floor_dbm)
-    remote_gain = np.sqrt(dbm_to_power(noise_floor_dbm)
+    tx, _, state = calibrated_separator(cfg, rng)
+    remote_gain = np.sqrt(dbm_to_power(DEFAULT_NOISE_FLOOR_DBM)
                           * 10 ** (clean_snr_db / 10.0) / avg_power(tx))
-    return measure_separator_harm(tx, state, remote_gain, noise_floor_dbm, rng)
+    return measure_separator_harm(tx, state, remote_gain,
+                                  DEFAULT_NOISE_FLOOR_DBM, rng)
 
 
 __all__ = [

@@ -32,6 +32,9 @@ from .ofdm import SPEED_OF_LIGHT, burst_symbol_spans
 from .sigcore import TWO_PI, complex_noise, dbm_to_power, power_to_dbm
 
 _MIN_RANGE = 1e-9
+# clock tolerance of a drawn device profile: carrier and sample-rate errors
+# are uniform within +/- this many parts per million
+CLOCK_PPM = 20.0
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +206,10 @@ class ImpairmentProfile:
         return cls(cfo_hz=0.0, cpo=cpo, sfo=0.0, pdd_extra=0.0)
 
     @classmethod
-    def sample(cls, cfg, rng, ppm=20.0):
-        """Draw a device-boot profile: +/-ppm clock errors, uniform cpo."""
-        cfo = rng.uniform(-ppm, ppm) * 1e-6 * cfg.carrier_freq
-        sfo = rng.uniform(-ppm, ppm) * 1e-6
+    def sample(cls, cfg, rng):
+        """Draw a device-boot profile: +/-CLOCK_PPM clock errors, uniform cpo."""
+        cfo = rng.uniform(-CLOCK_PPM, CLOCK_PPM) * 1e-6 * cfg.carrier_freq
+        sfo = rng.uniform(-CLOCK_PPM, CLOCK_PPM) * 1e-6
         cpo = rng.uniform(0.0, TWO_PI)
         eps = rng.uniform(0.0, 1.0)
         return cls(cfo_hz=cfo, cpo=cpo, sfo=sfo, pdd_extra=eps)

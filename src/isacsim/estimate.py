@@ -281,8 +281,6 @@ def estimate_features_sparse(csi_series, sched, cfg, delay_grid, doppler_grid,
     values themselves matter. The result carries the solve's iteration
     count and final primal and dual residuals.
     """
-    if isinstance(sched, (list, tuple, np.ndarray)):
-        sched = TxSchedule(np.asarray(sched))
     h = _series_2d(csi_series)
     if h.shape[0] != len(sched):
         raise ValueError("need one CSI row per scheduled packet")
@@ -310,8 +308,6 @@ def estimate_features_sparse(csi_series, sched, cfg, delay_grid, doppler_grid,
 
 def matched_filter_peak(csi_series, sched, cfg, delay_grid, doppler_grid):
     """Dense correlation search over the same dictionary (baseline oracle)."""
-    if isinstance(sched, (list, tuple, np.ndarray)):
-        sched = TxSchedule(np.asarray(sched))
     h = _series_2d(csi_series)
     d_mat, g_mat = dictionary_matrices(sched, cfg, delay_grid, doppler_grid)
     corr = np.abs(d_mat.conj().T @ h.T @ g_mat.conj())
@@ -476,8 +472,6 @@ def velocity_fft(csi_series, sched, cfg):
     2.4 GHz needs > 112 packets/s) or the peak aliases. With at least 8
     packets the per-subcarrier mean (the static paths) is removed first.
     """
-    if isinstance(sched, (list, tuple, np.ndarray)):
-        sched = TxSchedule(np.asarray(sched))
     if not sched.is_uniform():
         raise ValueError("transform baseline requires a uniform schedule")
     h = _series_2d(csi_series)
@@ -500,8 +494,6 @@ def snap_to_uniform(csi_series, sched):
     This is the obvious (and wrong) way to feed irregular packets to the
     transform baseline; it exists to measure how badly that goes.
     """
-    if isinstance(sched, (list, tuple, np.ndarray)):
-        sched = TxSchedule(np.asarray(sched))
     h = _series_2d(csi_series)
     times = sched.times
     grid = np.linspace(times[0], times[-1], len(sched))
@@ -515,8 +507,6 @@ def snap_to_uniform(csi_series, sched):
 def velocity_sparse(csi_series, sched, cfg, doppler_grid, delay_grid=None,
                     **solver_kwargs):
     """Velocity magnitude from the dominant sparse Doppler atom."""
-    if isinstance(sched, (list, tuple, np.ndarray)):
-        sched = TxSchedule(np.asarray(sched))
     if len(sched) < 8:
         raise ValueError("need at least 8 packets for the sparse estimator")
     if delay_grid is None:

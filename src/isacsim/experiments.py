@@ -292,14 +292,13 @@ def run_motion_ambiguity(ctx):
 def run_separator_harm(ctx):
     """SNR cost of forcing the transmit separator onto incoming packets."""
     n_trials = int(ctx.param("run.n_trials", 4))
-    noise_floor = -85.0
     clean_target = float(ctx.param("run.snr_db", 15.0))
     rows = []
     min_penalty = np.inf
     for trial in range(n_trials):
         clean, separated = cancel.forced_separator_harm(
             ctx.cfg, np.random.default_rng([ctx.seed, trial, 91]),
-            noise_floor, clean_target,
+            clean_target,
         )
         penalty = float(clean - separated)
         min_penalty = min(min_penalty, penalty)
@@ -368,19 +367,18 @@ def run_comms_impact(ctx):
     return _report("comms-impact", checks, [path])
 
 
-def _bursty_times(rng, duration, gap_s=0.012, run_lo=50, run_hi=110,
-                  pause_lo=0.25, pause_hi=0.7):
-    """Sample times in regular runs separated by random idle pauses."""
+def _bursty_times(rng, duration):
+    """Runs of 50-109 samples 12 ms apart separated by 0.25-0.7 s idle pauses."""
     t = 0.0
     out = []
     while t < duration:
-        run = int(rng.integers(run_lo, run_hi))
+        run = int(rng.integers(50, 110))
         for i in range(run):
-            tt = t + i * gap_s
+            tt = t + i * 0.012
             if tt >= duration:
                 break
             out.append(tt)
-        t = out[-1] + rng.uniform(pause_lo, pause_hi)
+        t = out[-1] + rng.uniform(0.25, 0.7)
     return np.asarray(out)
 
 
@@ -460,7 +458,6 @@ def run_cancellation_budget(ctx):
     rows = []
     checks_ok = {"first": True, "analog": True, "digital": True,
                  "total": True, "floor": True, "echo": True}
-    worst = {}
     for trial in range(n_trials):
         rng = np.random.default_rng([ctx.seed, trial])
         tx, leak, state = cancel.calibrated_separator(cfg, rng)
@@ -497,8 +494,6 @@ def run_cancellation_budget(ctx):
         checks_ok["total"] &= total >= 70.0
         checks_ok["floor"] &= abs(resid_dbm - (-85.0)) <= 3.0
         checks_ok["echo"] &= abs(echo_delta) <= 1.0
-        worst[trial] = (g_first, g_analog, g_digital, total, resid_dbm,
-                        echo_delta)
     path = _write_csv(
         ctx, "cancellation-budget", "cancellation_budget.csv",
         ["trial", "first_stage_db", "analog_db", "digital_db", "total_db",

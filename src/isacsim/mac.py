@@ -10,8 +10,10 @@ packet, which is the whole point of the state machine.
 
 Channel access is a deliberately small CSMA abstraction: one shared medium,
 a device defers while the medium is busy and retries after a random number
-of 9 us backoff slots. Packet success is a logistic function of link SNR
-with per-MCS midpoints documented in ``success_probability``.
+of 9 us backoff slots. Every link runs qpsk-1/2, so packet success is one
+logistic function of link SNR (``success_probability``). Traffic comes in
+three fixed shapes, regular, streaming and gaming; only the regular rate
+and the seed are settable.
 
 Randomness is split into two independent streams — one for everything that
 affects communications (backoff, loss draws), one for sensing-side noise —
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import cancel, channel
 from .estimate import TxSchedule
-from .ofdm import MCS_TABLE, RadioConfig, packet_duration
+from .ofdm import RadioConfig, packet_duration
 from .sigcore import power_to_dbm, dbm_to_power
 
 
@@ -68,13 +70,20 @@ ACK_SYMBOLS = 2
 # transmit power and receiver noise floor that set the link SNR when a run
 # gives none; the forced separator is calibrated at the same noise floor
 TX_POWER_DBM = 15.0
-NOISE_FLOOR_DBM = -85.0
+NOISE_FLOOR_DBM = cancel.DEFAULT_NOISE_FLOOR_DBM
 
-
-@dataclass(frozen=True)
-class MacEvent:
-    kind: str
-    payload: str = ""
+# streaming: burst anchors at a fixed rate with jitter, a few packets per
+# burst a couple of milliseconds apart
+STREAM_BURSTS_PER_S = 30.0
+STREAM_BURST_LOW = 1
+STREAM_BURST_HIGH = 8
+STREAM_INTRA_GAP_S = 0.002
+STREAM_JITTER_S = 0.003
+# gaming: short bursts separated by lognormal pauses
+GAMING_MEDIAN_GAP_S = 0.02
+GAMING_GAP_SIGMA = 1.2
+GAMING_BURST_HIGH = 3
+GAMING_INTRA_GAP_S = 0.006
 
 
 _TRANSITIONS = {
@@ -95,25 +104,19 @@ _TRANSITIONS = {
 }
 
 
-def step(state, event):
-    """One deterministic transition. Undefined pairs leave the state alone
-    and report a protocol violation instead of raising."""
-    kind = event.kind if isinstance(event, MacEvent) else str(event)
+def step(state, kind):
+    """One deterministic transition on an event-kind string. Undefined
+    pairs leave the state alone and report a protocol violation instead of
+    raising."""
     if kind not in EVENT_KINDS:
         raise ValueError(f"unknown MAC event kind {kind!r}")
     new_state, action = _TRANSITIONS.get((state, kind), (state, VIOLATION))
     return new_state, action
 
 
-def success_probability(snr_db, mcs):
-    """Logistic packet-success curve.
-
-    Midpoint grows with spectral efficiency: 2 + 4 * (bits/symbol * coding
-    rate) dB, width 1.5 dB — e.g. 6 dB for qpsk-1/2, 20 dB for qam64-3/4.
-    """
-    eff = mcs.bits_per_symbol * mcs.coding_rate
-    midpoint = 2.0 + 4.0 * eff
-    return 1.0 / (1.0 + np.exp(-(snr_db - midpoint) / 1.5))
+def success_probability(snr_db):
+    """Logistic qpsk-1/2 packet-success curve: midpoint 6 dB, width 1.5 dB."""
+    return 1.0 / (1.0 + np.exp(-(snr_db - 6.0) / 1.5))
 
 
 # ---------------------------------------------------------------------------
@@ -122,19 +125,10 @@ def success_probability(snr_db, mcs):
 
 @dataclass
 class TrafficModel:
-    """Parametric packet-arrival process (renewal/burst, seeded)."""
+    """Seeded packet-arrival process of one of three shapes."""
 
     kind: str
     rate_hz: float = 40.0
-    bursts_per_s: float = 30.0
-    burst_low: int = 1
-    burst_high: int = 8
-    intra_gap_s: float = 0.002
-    jitter_s: float = 0.003
-    median_gap_s: float = 0.02
-    gap_sigma: float = 1.2
-    gaming_burst_high: int = 3
-    gaming_intra_gap_s: float = 0.006
     seed: int = 0
 
     def __post_init__(self):
@@ -146,19 +140,19 @@ class TrafficModel:
         return cls("regular", rate_hz=rate_hz, seed=seed)
 
     @classmethod
-    def streaming(cls, seed=0, **kw):
-        return cls("streaming", seed=seed, **kw)
+    def streaming(cls, seed=0):
+        return cls("streaming", seed=seed)
 
     @classmethod
-    def gaming(cls, seed=0, **kw):
-        return cls("gaming", seed=seed, **kw)
+    def gaming(cls, seed=0):
+        return cls("gaming", seed=seed)
 
 
-def generate_traffic(model, duration, seed=None, start=0.0):
-    """Seeded packet schedule for one device.
+def generate_traffic(model, duration, seed=None):
+    """Seeded packet schedule for one device, starting at time 0.
 
-    regular: exact constant spacing. streaming: burst anchors at
-    ``bursts_per_s`` with jitter, 1-8 packets per burst a couple of
+    regular: exact constant spacing at ``rate_hz``. streaming: burst anchors
+    at ``STREAM_BURSTS_PER_S`` with jitter, 1-8 packets per burst a couple of
     milliseconds apart. gaming: short bursts separated by heavy-tailed
     lognormal pauses (gap coefficient of variation > 1).
     """
@@ -168,28 +162,27 @@ def generate_traffic(model, duration, seed=None, start=0.0):
     times = []
     if model.kind == "regular":
         n = int(np.floor(duration * model.rate_hz - 1e-9)) + 1
-        times = start + np.arange(n) / model.rate_hz
-        return TxSchedule(times)
+        return TxSchedule(np.arange(n) / model.rate_hz)
     if model.kind == "streaming":
-        n_bursts = int(np.ceil(duration * model.bursts_per_s))
+        n_bursts = int(np.ceil(duration * STREAM_BURSTS_PER_S))
         for k in range(n_bursts):
-            anchor = k / model.bursts_per_s + rng.uniform(0.0, model.jitter_s)
-            size = int(rng.integers(model.burst_low, model.burst_high + 1))
+            anchor = (k / STREAM_BURSTS_PER_S
+                      + rng.uniform(0.0, STREAM_JITTER_S))
+            size = int(rng.integers(STREAM_BURST_LOW, STREAM_BURST_HIGH + 1))
             for i in range(size):
-                t = anchor + i * model.intra_gap_s
+                t = anchor + i * STREAM_INTRA_GAP_S
                 if t < duration:
-                    times.append(start + t)
+                    times.append(t)
     else:  # gaming
-        t = rng.lognormal(np.log(model.median_gap_s), model.gap_sigma)
+        log_median = np.log(GAMING_MEDIAN_GAP_S)
+        t = rng.lognormal(log_median, GAMING_GAP_SIGMA)
         while t < duration:
-            size = int(rng.integers(1, model.gaming_burst_high + 1))
+            size = int(rng.integers(1, GAMING_BURST_HIGH + 1))
             for i in range(size):
-                tt = t + i * model.gaming_intra_gap_s
+                tt = t + i * GAMING_INTRA_GAP_S
                 if tt < duration:
-                    times.append(start + tt)
-            t = (times[-1] - start) + rng.lognormal(
-                np.log(model.median_gap_s), model.gap_sigma
-            )
+                    times.append(tt)
+            t = times[-1] + rng.lognormal(log_median, GAMING_GAP_SIGMA)
     return TxSchedule(np.asarray(times))
 
 
@@ -201,10 +194,8 @@ def generate_traffic(model, duration, seed=None, start=0.0):
 class MacDevice:
     device_id: str
     pos: tuple = (0.0, 0.0, 0.0)
-    heading_deg: float = 0.0
     traffic: TrafficModel = None
     peer_id: str = None
-    mcs: str = "qpsk-1/2"
 
 
 LogEntry = namedtuple("LogEntry", "time device event state_before state_after action")
@@ -226,7 +217,7 @@ class ScenarioResult:
 class _DeviceCtx:
     """Per-run state of one device; ``link_*`` describe its packets at the peer."""
 
-    __slots__ = ("dev", "state", "separator_on", "m_timer_deadline", "mcs",
+    __slots__ = ("dev", "state", "separator_on", "m_timer_deadline",
                  "peer", "link_snr", "link_success")
 
     def __init__(self, dev):
@@ -234,9 +225,6 @@ class _DeviceCtx:
         self.state = MacState.C.value
         self.separator_on = False
         self.m_timer_deadline = None
-        if dev.mcs not in MCS_TABLE:
-            raise ValueError(f"unknown MCS {dev.mcs!r}")
-        self.mcs = MCS_TABLE[dev.mcs]
         self.peer = None
 
 
@@ -244,19 +232,6 @@ class _DeviceCtx:
 _STEP_TABLE = {(s.value, kind): (after.value, action)
                for s in MacState for kind in EVENT_KINDS
                for after, action in [step(s, kind)]}
-
-
-def measure_forced_separator_penalty(cfg=None, seed=0):
-    """How many dB a frozen separator costs a packet it was never meant for.
-
-    Calibrates a separator on synthetic leakage, then passes a clean remote
-    packet 15 dB above ``NOISE_FLOOR_DBM`` through its correction chain and
-    compares matched-template SNRs.
-    """
-    clean, separated = cancel.forced_separator_harm(
-        cfg or RadioConfig(), np.random.default_rng([seed, 91]),
-        NOISE_FLOOR_DBM, 15.0)
-    return float(clean - separated)
 
 
 def _materialize_csi(captures, geometry, cfg, rng):
@@ -293,10 +268,14 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     so their noise level is set relative to the strongest path over that
     link's series. ``traffic`` is the default TrafficModel for devices that
     don't carry their own; devices without a ``peer_id`` send to the next
-    device in the list (the caller's devices are not modified). Paired runs
-    that differ only in ``sensing_enabled`` produce identical delay/loss
-    numbers; ``force_separator`` models the incompatible always-on separator
-    and charges its measured SNR penalty to every reception.
+    device in the list (the caller's devices are not modified). Each
+    device's schedule is drawn from ``(seed, device index)``, so a
+    TrafficModel's own ``seed`` does not affect it. Paired runs that differ
+    only in ``sensing_enabled`` produce identical delay/loss numbers;
+    ``force_separator`` models the incompatible always-on separator: a
+    separator calibrated on fresh leakage is run over a clean remote packet
+    15 dB above the noise floor, and the SNR it costs is charged to every
+    reception.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -321,9 +300,11 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
 
     penalty_db = 0.0
     if force_separator:
-        penalty_db = measure_forced_separator_penalty(cfg, seed=seed)
+        clean, separated = cancel.forced_separator_harm(
+            cfg, np.random.default_rng([seed, 91]), 15.0)
+        penalty_db = float(clean - separated)
 
-    # positions, MCS and the penalty are fixed for the run
+    # positions and the penalty are fixed for the run
     for ctx in ctxs.values():
         if ctx.peer is None:
             continue
@@ -335,7 +316,7 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
                                    tx_power=dbm_to_power(TX_POWER_DBM))
             snr = power_to_dbm(abs(amp) ** 2) - NOISE_FLOOR_DBM
         ctx.link_snr = float(snr) - penalty_db
-        ctx.link_success = success_probability(ctx.link_snr, ctx.peer.mcs)
+        ctx.link_success = success_probability(ctx.link_snr)
 
     data_duration = packet_duration(DATA_SYMBOLS, cfg)
     ack_duration = packet_duration(ACK_SYMBOLS, cfg)
@@ -495,7 +476,6 @@ def m_episodes(entries):
 
 __all__ = [
     "MacState",
-    "MacEvent",
     "EVENT_KINDS",
     "step",
     "success_probability",
@@ -506,7 +486,6 @@ __all__ = [
     "CsiRecord",
     "ScenarioResult",
     "run_scenario",
-    "measure_forced_separator_penalty",
     "m_episodes",
     "ENABLE_SEPARATOR",
     "DISABLE_SEPARATOR",

@@ -1,14 +1,15 @@
-"""OFDM PHY: radio parameters, MCS airtime, training bursts, CSI extraction.
+"""OFDM PHY: radio parameters, packet airtime, training bursts, CSI extraction.
 
 The PHY mirrors a 20 MHz / 64-subcarrier Wi-Fi-style link: a short training
 field with 16-sample periodicity, a long training field of two identical
 known symbols for per-subcarrier channel estimation, and cyclic-prefixed
 repeats of the long symbol. It is deliberately not a bit-exact standard
-implementation; CSI semantics only require the known long symbols.
+implementation; CSI semantics only require the known long symbols. The
+used subcarriers follow from the FFT size: 26 per side of DC at 64 bins,
+scaled with the FFT size.
 """
 
-import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,37 +21,26 @@ SPEED_OF_LIGHT = 299792458.0
 _TRAINING_SEED = 0x2400
 
 
-def _default_used_bins(fft_size):
-    half = fft_size // 2
-    n_side = int(round(26 * fft_size / 64))
-    n_side = min(n_side, half - 1)
-    return tuple(range(1, n_side + 1)) + tuple(range(fft_size - n_side, fft_size))
-
-
 @dataclass(frozen=True)
 class RadioConfig:
     carrier_freq: float = 2.4e9
     sample_rate: float = 20e6
     fft_size: int = 64
     cyclic_prefix_len: int = 16
-    used_subcarriers: tuple = None
+    used_subcarriers: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.used_subcarriers is None:
-            object.__setattr__(self, "used_subcarriers", _default_used_bins(self.fft_size))
         if self.fft_size < 4:
             raise ValueError("fft_size too small")
         if not (0 < self.cyclic_prefix_len < self.fft_size):
             raise ValueError("cyclic prefix must be positive and shorter than a symbol")
-        if self.carrier_freq <= 0 or self.sample_rate <= 0:
-            raise ValueError("carrier_freq and sample_rate must be positive")
-        bins = tuple(int(b) for b in self.used_subcarriers)
-        if 0 in bins:
-            raise ValueError("DC bin cannot be used")
-        if any(b < 0 or b >= self.fft_size for b in bins):
-            raise ValueError("subcarrier index out of range")
-        if len(set(bins)) != len(bins):
-            raise ValueError("duplicate subcarrier index")
+        if not (0 < self.carrier_freq < np.inf
+                and 0 < self.sample_rate < np.inf):
+            raise ValueError(
+                "carrier_freq and sample_rate must be positive and finite")
+        n = self.fft_size
+        n_side = min(int(round(26 * n / 64)), n // 2 - 1)
+        bins = tuple(range(1, n_side + 1)) + tuple(range(n - n_side, n))
         object.__setattr__(self, "used_subcarriers", bins)
 
     @property
@@ -96,45 +86,6 @@ class RadioConfig:
     def ltf_window_offset(self):
         """Offset of the first long-training FFT window from packet start."""
         return 3 * self.fft_size
-
-
-class Modulation(enum.Enum):
-    BPSK = 1
-    QPSK = 2
-    QAM16 = 4
-    QAM64 = 6
-
-    @property
-    def bits_per_symbol(self):
-        return self.value
-
-
-_CODING_RATES = {"1/2": 0.5, "2/3": 2.0 / 3.0, "3/4": 0.75, "5/6": 5.0 / 6.0}
-
-
-@dataclass(frozen=True)
-class Mcs:
-    modulation: Modulation
-    coding_rate_name: str
-
-    def __post_init__(self):
-        if self.coding_rate_name not in _CODING_RATES:
-            raise ValueError(f"unknown coding rate {self.coding_rate_name!r}")
-
-    @property
-    def coding_rate(self):
-        return _CODING_RATES[self.coding_rate_name]
-
-    @property
-    def bits_per_symbol(self):
-        return self.modulation.bits_per_symbol
-
-
-MCS_TABLE = {
-    f"{mod.name.lower()}-{rate}": Mcs(mod, rate)
-    for mod in Modulation
-    for rate in _CODING_RATES
-}
 
 
 def packet_duration(n_symbols, cfg):
@@ -216,15 +167,9 @@ def extract_csi_symbols(samples, index, cfg, n_symbols=2):
     ltf_vals = long_training_values(cfg) * _preamble_scale(cfg) * (
         cfg.fft_size / np.sqrt(cfg.n_used)
     )
-    n = cfg.fft_size
-    cp = cfg.cyclic_prefix_len
     out = np.empty((n_symbols, cfg.n_used), dtype=np.complex128)
-    for l in range(n_symbols):
-        if l < 2:
-            offset = index + cfg.ltf_window_offset + l * n
-        else:
-            offset = index + cfg.preamble_len + (l - 2) * (n + cp) + cp
-        spec = _csi_window(samples, offset, cfg)
+    for l, (_, _, window) in enumerate(burst_symbol_spans(cfg, n_symbols)):
+        spec = _csi_window(samples, index + window, cfg)
         out[l] = spec[cfg.used_bins] / ltf_vals
     return out
 
@@ -268,9 +213,6 @@ def burst_symbol_spans(cfg, n_symbols):
 __all__ = [
     "SPEED_OF_LIGHT",
     "RadioConfig",
-    "Modulation",
-    "Mcs",
-    "MCS_TABLE",
     "packet_duration",
     "generate_preamble",
     "long_training_values",

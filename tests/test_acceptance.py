@@ -85,16 +85,9 @@ def test_c2_reflections_survive_but_not_ablation():
         # ablation: re-adapt the FIR on the live signal, so the echo sits
         # inside the adaptation target and gets cancelled along with the
         # leakage
-        ablated = CancellatorState(
-            analog_tap=state.analog_tap,
-            analog_delay=state.analog_delay,
-            digital_taps=state.digital_taps.copy(),
-            calibrated_at=state.calibrated_at,
-        )
-        stage2 = analog_cancel(rx, tx, ablated)
+        stage2 = analog_cancel(rx, tx, state)
         out_ablated = digital_cancel(
-            stage2, tx, ablated, adapt=True, adapt_span=CFG.preamble_len,
-            n_passes=4,
+            stage2, tx, state, adapt=True, adapt_span=CFG.preamble_len
         )
         worst_ablated = max(worst_ablated, _echo_gain_db(refl, out_ablated))
     _criterion(

@@ -74,17 +74,6 @@ class TestFirstStage:
         out = first_stage(sig)
         assert db(avg_power(sig) / avg_power(out)) == pytest.approx(12.0, abs=0.1)
 
-    def test_kinds_give_same_isolation(self):
-        rng = np.random.default_rng(4)
-        sig = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-        circ = first_stage(sig, kind="circulator")
-        np.testing.assert_array_equal(first_stage(sig, kind="hybrid_coupler"), circ)
-        assert db(avg_power(sig) / avg_power(circ)) == pytest.approx(12.0, abs=1e-9)
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            first_stage(np.ones(4), kind="isolator")
-
 
 class TestCalibrate:
     def test_wrong_port_rejected(self):
@@ -147,7 +136,7 @@ class TestCalibrate:
         assert rel <= 1e-3
 
     def test_short_fir_rejected(self):
-        leak = make_leakage(np.random.default_rng(0), n_taps=3)
+        leak = make_leakage(np.random.default_rng(0))
         state = CancellatorState(digital_taps=np.zeros(2)).to_dummy_load()
         with pytest.raises(ValueError):
             calibrate(state, tx_burst(), leak)
@@ -172,6 +161,17 @@ class TestDigitalCancel:
         state = CancellatorState(calibrated_at=0.0)
         out = digital_cancel(np.zeros(32, dtype=complex), np.zeros(32), state)
         assert np.all(out == 0)
+
+    def test_adapt_leaves_state_untouched(self):
+        tx, _, state, rx, _ = calibrated_scene(seed=5)
+        taps = state.digital_taps
+        before = taps.copy()
+        out = digital_cancel(rx, tx, state, adapt=True,
+                             adapt_span=CFG.preamble_len)
+        assert state.digital_taps is taps
+        np.testing.assert_array_equal(state.digital_taps, before)
+        # the re-adapted taps did act on this call
+        assert not np.array_equal(out, digital_cancel(rx, tx, state))
 
 
 def calibrated_scene(seed=0, reflection_delay=6, reflection_dbm=None):
@@ -259,16 +259,9 @@ class TestPipeline:
 
         # ablation: re-adapt the FIR on the live signal instead of the
         # dummy-load fit; the echo is now inside the adaptation signal
-        ablated = CancellatorState(
-            analog_tap=state.analog_tap,
-            analog_delay=state.analog_delay,
-            digital_taps=state.digital_taps.copy(),
-            calibrated_at=state.calibrated_at,
-        )
-        stage2 = analog_cancel(rx, tx, ablated)
+        stage2 = analog_cancel(rx, tx, state)
         out_ablate = digital_cancel(
-            stage2, tx, ablated, adapt=True, adapt_span=CFG.preamble_len,
-            n_passes=4,
+            stage2, tx, state, adapt=True, adapt_span=CFG.preamble_len
         )
         assert refl_gain_db(out_ablate) <= -10.0
 

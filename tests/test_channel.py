@@ -124,7 +124,7 @@ class TestImpairmentProfile:
     def test_sampled_profiles_in_bounds(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            imp = ImpairmentProfile.sample(CFG, rng, ppm=20.0)
+            imp = ImpairmentProfile.sample(CFG, rng)
             assert abs(imp.cfo_hz) <= 20e-6 * CFG.carrier_freq
             assert abs(imp.sfo) <= 20e-6
             assert 0.0 <= imp.cpo < 2 * np.pi

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from isacsim.ofdm import (
-    MCS_TABLE,
     RadioConfig,
     burst_symbol_spans,
     extract_csi_symbols,
@@ -31,8 +30,17 @@ class TestRadioConfig:
     def test_invalid(self):
         with pytest.raises(ValueError):
             RadioConfig(cyclic_prefix_len=64)
-        with pytest.raises(ValueError):
-            RadioConfig(used_subcarriers=(0, 1))
+        for field in ("carrier_freq", "sample_rate"):
+            for value in (float("nan"), float("inf"), float("-inf"), 0.0):
+                with pytest.raises(ValueError, match="finite"):
+                    RadioConfig(**{field: value})
+
+    def test_used_subcarriers_follow_fft_size(self):
+        assert CFG.used_subcarriers == tuple(range(1, 27)) + tuple(range(38, 64))
+        small = RadioConfig(fft_size=32, cyclic_prefix_len=8)
+        assert small.used_subcarriers == tuple(range(1, 14)) + tuple(range(19, 32))
+        with pytest.raises(TypeError):
+            RadioConfig(used_subcarriers=(1, 2))
 
     def test_fft_size_override_recomputes_spacing(self):
         small = RadioConfig(fft_size=32, cyclic_prefix_len=8)
@@ -74,11 +82,6 @@ class TestPackets:
         assert packet_duration(2, narrow) == pytest.approx(
             (160 + 2 * 40) / 20e6, rel=1e-12
         )
-
-    def test_mcs_table_complete(self):
-        assert len(MCS_TABLE) == 16
-        assert MCS_TABLE["qam16-2/3"].bits_per_symbol == 4
-        assert abs(MCS_TABLE["qam64-5/6"].coding_rate - 5 / 6) < 1e-12
 
 
 class TestCsiExtraction:
