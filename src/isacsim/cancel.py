@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .ofdm import training_burst
-from .sigcore import avg_power, complex_noise, db, dbm_to_power, from_db
+from .sigcore import avg_power, complex_noise, db, from_db
 
 # default power budget (dB figures are relative unless suffixed _dbm)
 DEFAULT_TX_POWER_DBM = 5.0
@@ -93,7 +93,7 @@ class CancellatorState:
     analog_tap: complex = 0.0
     analog_delay: int = 0
     digital_taps: np.ndarray = None
-    calibrated_at: float = None
+    calibrated: bool = False
     port: str = PORT_ANTENNA
     log: list = field(default_factory=list)
 
@@ -103,10 +103,6 @@ class CancellatorState:
         self.digital_taps = np.asarray(self.digital_taps, dtype=np.complex128)
         if self.port not in (PORT_ANTENNA, PORT_DUMMY_LOAD):
             raise ValueError("unknown port")
-
-    @property
-    def calibrated(self):
-        return self.calibrated_at is not None
 
     def to_dummy_load(self):
         return replace(self, port=PORT_DUMMY_LOAD)
@@ -173,9 +169,11 @@ def calibrate(state, tx_ref, leak, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
     The port must already be on the dummy load so the fit sees coupling and
     noise only. The analog tap is the least-squares single-tap optimum over
     a scanned alignment; the digital FIR is then adapted on the post-analog
-    residual by ``n_passes`` sweeps of normalized LMS. Returns a new state
-    calibrated at time 0 whose log rows (time, stage, residual_db, port)
-    record the residual relative to the raw coupling power after each stage.
+    residual by ``n_passes`` sweeps of normalized LMS. Returns a new,
+    calibrated state whose log gains (time, stage, residual_db, port) rows:
+    the residual relative to the raw coupling power after each stage. The
+    time is always 0.0; the layout stays because ``perfbench/tracing.py``
+    reads the stage and residual by position.
     """
     if state.port != PORT_DUMMY_LOAD:
         raise ProtocolViolation("calibration requires the dummy-load port")
@@ -196,7 +194,7 @@ def calibrate(state, tx_ref, leak, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
             analog_tap=0.0,
             analog_delay=0,
             digital_taps=np.zeros_like(state.digital_taps),
-            calibrated_at=0.0,
+            calibrated=True,
         )
         cleared.log = state.log + [(0.0, "digital", float("-inf"),
                                     PORT_DUMMY_LOAD)]
@@ -236,7 +234,7 @@ def calibrate(state, tx_ref, leak, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
         analog_tap=analog_tap,
         analog_delay=analog_delay,
         digital_taps=digital_taps,
-        calibrated_at=0.0,
+        calibrated=True,
         log=log,
     )
 
@@ -314,7 +312,7 @@ def calibrated_separator(cfg, rng):
     antenna. Returns (tx, leak, state).
     """
     tx = training_burst(cfg, n_extra=8)
-    tx = tx * np.sqrt(dbm_to_power(DEFAULT_TX_POWER_DBM) / avg_power(tx))
+    tx = tx * np.sqrt(from_db(DEFAULT_TX_POWER_DBM) / avg_power(tx))
     leak = make_leakage(rng)
     state = calibrate(CancellatorState().to_dummy_load(), tx, leak,
                       rng=rng).to_antenna()
@@ -330,8 +328,8 @@ def forced_separator_harm(cfg, rng, clean_snr_db=15.0):
     separated_snr_db).
     """
     tx, _, state = calibrated_separator(cfg, rng)
-    remote_gain = np.sqrt(dbm_to_power(DEFAULT_NOISE_FLOOR_DBM)
-                          * 10 ** (clean_snr_db / 10.0) / avg_power(tx))
+    remote_gain = np.sqrt(from_db(DEFAULT_NOISE_FLOOR_DBM)
+                          * from_db(clean_snr_db) / avg_power(tx))
     return measure_separator_harm(tx, state, remote_gain,
                                   DEFAULT_NOISE_FLOOR_DBM, rng)
 

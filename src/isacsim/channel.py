@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ofdm import SPEED_OF_LIGHT, burst_symbol_spans
-from .sigcore import TWO_PI, complex_noise, dbm_to_power, power_to_dbm
+from .sigcore import TWO_PI, complex_noise, db, from_db
 
 _MIN_RANGE = 1e-9
 # clock tolerance of a drawn device profile: carrier and sample-rate errors
@@ -88,8 +88,7 @@ def power_ratio(los_distance, tx_range, rx_range, rcs=1.0):
         raise ValueError("path ranges must be positive")
     if rcs < 0:
         raise ValueError("rcs must be non-negative")
-    ratio = rcs * los_distance / (4.0 * np.pi * (tx_range * rx_range) ** 2)
-    return 10.0 * np.log10(ratio)
+    return db(rcs * los_distance / (4.0 * np.pi * (tx_range * rx_range) ** 2))
 
 
 def bistatic_projection(tx_pos, rx_pos, target_pos, displacement):
@@ -155,7 +154,7 @@ class PropagationPath:
     the transmit waveform), ``delay`` or ``aoa_deg`` overrides the geometric
     value, for fixed and moving paths alike. A path with neither position
     nor trajectory needs both ``delay`` and ``amplitude``; its angle defaults
-    to boresight.
+    to boresight. Every number given must be finite.
     """
 
     position: object = None
@@ -170,6 +169,10 @@ class PropagationPath:
             self.position = np.asarray(self.position, dtype=np.float64)
             if self.position.shape != (3,):
                 raise ValueError("position must be a 3-vector")
+        for name in ("position", "rcs", "aoa_deg", "amplitude", "delay"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"path {name} must be finite")
         if self.delay is not None and self.delay < 0:
             raise ValueError("path delay must be non-negative")
         if self.rcs < 0:
@@ -233,6 +236,9 @@ class ScenarioGeometry:
         self.rx_pos = np.asarray(self.rx_pos, dtype=np.float64)
         if self.tx_pos.shape != (3,) or self.rx_pos.shape != (3,):
             raise ValueError("positions must be 3-vectors")
+        for name in ("tx_pos", "rx_pos", "tx_power_dbm"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         self.targets = tuple(self.targets)
         if self.n_antennas < 1:
             raise ValueError("need at least one receive antenna")
@@ -367,7 +373,7 @@ def synthesize_csi_series(geom, cfg, times, imp=None, snr_db=None, rng=None):
     strongest path's power.
     """
     times = np.asarray(times, dtype=np.float64)
-    alpha, tau, aoa = resolve_paths(geom, cfg, times, dbm_to_power(geom.tx_power_dbm))
+    alpha, tau, aoa = resolve_paths(geom, cfg, times, from_db(geom.tx_power_dbm))
     rng = np.random.default_rng(rng)
 
     freqs = cfg.carrier_freq + cfg.subcarrier_freqs()
@@ -388,7 +394,7 @@ def synthesize_csi_series(geom, cfg, times, imp=None, snr_db=None, rng=None):
     if snr_db is not None:
         if strongest == 0.0:
             raise ValueError("cannot scale noise to an all-zero scene")
-        noise_dbm = power_to_dbm(strongest) - snr_db
+        noise_dbm = db(strongest) - snr_db
         noise = complex_noise(out.size, noise_dbm, rng).reshape(out.shape)
         out += noise
     return out

@@ -7,6 +7,11 @@ l1-penalized least-squares problem with ADMM. Classical baselines (inverse
 transform across subcarriers, subspace pseudospectra for delay and angle,
 packet-rate FFT Doppler) are included because their failure modes under
 irregular sampling are exactly what the sparse path fixes.
+
+Every estimator takes CSI in one shape, the (packets, antennas,
+subcarriers) array that ``channel.synthesize_csi_series`` returns, and
+raises ValueError on any other. All but the arrival-angle estimator read
+antenna 0, the array's phase reference.
 """
 
 from collections import namedtuple
@@ -111,6 +116,15 @@ class SensingEstimate:
                 raise ValueError("range and time-of-flight disagree")
         if self.aoa_deg is not None and not -90.0 <= self.aoa_deg <= 90.0:
             raise ValueError("arrival angle must lie in [-90, 90] degrees")
+
+
+def _csi_3d(csi):
+    """``csi`` as a complex (packets, antennas, subcarriers) array."""
+    arr = np.asarray(csi, dtype=np.complex128)
+    if arr.ndim != 3:
+        raise ValueError("CSI must be a (packets, antennas, subcarriers) "
+                         f"array, got shape {arr.shape}")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +259,6 @@ def admm_lasso(factors, y, lam, rho=None, max_iters=200, tol=1e-6):
 # sparse delay/Doppler estimation
 
 
-def _series_2d(csi_series):
-    """(packets, subcarriers) CSI of antenna 0, the array's phase reference."""
-    arr = np.asarray(csi_series, dtype=np.complex128)
-    if arr.ndim == 3:
-        arr = arr[:, 0, :]
-    if arr.ndim != 2:
-        raise ValueError("csi series must be (packets, subcarriers)")
-    return arr
-
-
 def dictionary_matrices(sched, cfg, delay_grid, doppler_grid):
     """The separable nonuniform dictionary: per-subcarrier and per-packet parts."""
     freqs = cfg.carrier_freq + cfg.subcarrier_freqs()
@@ -267,7 +271,7 @@ def estimate_features_sparse(csi_series, sched, cfg, delay_grid, doppler_grid,
                              max_iters=80, tol=1e-3):
     """Sparse delay/Doppler atoms straight from irregular packet times.
 
-    The observed (packets x subcarriers) series is modeled as
+    Antenna 0's (packets x subcarriers) series is modeled as
     ``G Gamma^T D^T``, with the Doppler part G evaluated at the actual
     transmit instants, so nothing assumes uniform sampling. ``admm_lasso``
     solves it as the dictionary ``G kron D`` acting on Gamma^T, rotated by
@@ -281,7 +285,7 @@ def estimate_features_sparse(csi_series, sched, cfg, delay_grid, doppler_grid,
     values themselves matter. The result carries the solve's iteration
     count and final primal and dual residuals.
     """
-    h = _series_2d(csi_series)
+    h = _csi_3d(csi_series)[:, 0, :]
     if h.shape[0] != len(sched):
         raise ValueError("need one CSI row per scheduled packet")
     if h.size == 0:
@@ -308,7 +312,7 @@ def estimate_features_sparse(csi_series, sched, cfg, delay_grid, doppler_grid,
 
 def matched_filter_peak(csi_series, sched, cfg, delay_grid, doppler_grid):
     """Dense correlation search over the same dictionary (baseline oracle)."""
-    h = _series_2d(csi_series)
+    h = _csi_3d(csi_series)[:, 0, :]
     d_mat, g_mat = dictionary_matrices(sched, cfg, delay_grid, doppler_grid)
     corr = np.abs(d_mat.conj().T @ h.T @ g_mat.conj())
     i, j = np.unravel_index(np.argmax(corr), corr.shape)
@@ -319,20 +323,11 @@ def matched_filter_peak(csi_series, sched, cfg, delay_grid, doppler_grid):
 # classical range baselines
 
 
-def _single_csi(csi):
-    arr = np.asarray(csi, dtype=np.complex128)
-    if arr.ndim == 3:
-        arr = arr[:, 0, :]
-    if arr.ndim == 2:
-        # coherent packet averaging: the traditional pre-processing step,
-        # and the reason slow-moving targets wash out of this baseline
-        arr = arr.mean(axis=0)
-    return arr
-
-
 def ifft_range_profile(csi, cfg):
     """Coarse power-delay profile from an inverse transform across bins."""
-    h = _single_csi(csi)
+    # coherent packet averaging: the traditional pre-processing step,
+    # and the reason slow-moving targets wash out of this baseline
+    h = _csi_3d(csi)[:, 0, :].mean(axis=0)
     if h.size < 2:
         raise ValueError("need at least two subcarriers")
     n = cfg.fft_size
@@ -374,6 +369,23 @@ def _top_peaks(grid, spectrum, count):
     return grid[order[:count]]
 
 
+def _music(snapshots, n_sources, grid, steer):
+    """Subspace pseudospectrum of (n_snapshots, m) ``snapshots`` on ``grid``.
+
+    ``steer`` is the (m, grid size) steering matrix. Returns the
+    ``n_sources`` highest peaks, whether the covariance is rank-deficient
+    (fewer snapshots than sensors), and the spectrum.
+    """
+    m = snapshots.shape[1]
+    degraded = snapshots.shape[0] < m
+    cov = (snapshots.T @ snapshots.conj()) / snapshots.shape[0]
+    _, vecs = np.linalg.eigh(cov)
+    noise = vecs[:, : m - n_sources]
+    denom = np.sum(np.abs(noise.conj().T @ steer) ** 2, axis=0)
+    spectrum = 1.0 / np.maximum(denom, 1e-18)
+    return _top_peaks(grid, spectrum, n_sources), degraded, spectrum
+
+
 def _contiguous_runs(signed):
     """Split a sorted signed-index array into runs with unit spacing."""
     breaks = np.flatnonzero(np.diff(signed) != 1)
@@ -392,11 +404,7 @@ def range_music(csi, n_paths, cfg, grid=None, subarray_len=16):
         raise ValueError("need at least one path to look for")
     if subarray_len <= n_paths:
         raise ValueError("subarray too short for the requested model order")
-    arr = np.asarray(csi, dtype=np.complex128)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim == 3:
-        arr = arr[:, 0, :]
+    arr = _csi_3d(csi)[:, 0, :]
 
     signed = cfg.signed_index()
     order = np.argsort(signed)
@@ -413,11 +421,6 @@ def range_music(csi, n_paths, cfg, grid=None, subarray_len=16):
     if not snapshots:
         raise ValueError("no contiguous bin run is as long as the subarray")
     stack = np.concatenate(snapshots, axis=0)  # (n_snapshots, subarray_len)
-    degraded = stack.shape[0] < subarray_len
-    cov = (stack.T @ stack.conj()) / stack.shape[0]
-
-    _, vecs = np.linalg.eigh(cov)
-    noise = vecs[:, : subarray_len - n_paths]
     if grid is None:
         grid = np.arange(0.0, 500e-9, 1e-9)
     grid = np.asarray(grid, dtype=np.float64)
@@ -427,35 +430,22 @@ def range_music(csi, n_paths, cfg, grid=None, subarray_len=16):
         * cfg.subcarrier_spacing
         * np.outer(np.arange(subarray_len), grid)
     )
-    denom = np.sum(np.abs(noise.conj().T @ steer) ** 2, axis=0)
-    spectrum = 1.0 / np.maximum(denom, 1e-18)
-    delays = _top_peaks(grid, spectrum, n_paths)
-    ranges = SPEED_OF_LIGHT * delays / 2.0
-    return MusicResult(ranges, degraded, grid, spectrum)
+    delays, degraded, spectrum = _music(stack, n_paths, grid, steer)
+    return MusicResult(SPEED_OF_LIGHT * delays / 2.0, degraded, grid, spectrum)
 
 
 def aoa_music(csi, n_sources, spacing_wl=0.5, grid=None):
     """Subspace arrival-angle pseudospectrum over the antenna dimension."""
-    arr = np.asarray(csi, dtype=np.complex128)
-    if arr.ndim == 2:
-        arr = arr[None, :, :]
-    if arr.ndim != 3:
-        raise ValueError("need (packets, antennas, subcarriers) CSI")
+    arr = _csi_3d(csi)
     n_ant = arr.shape[1]
     if not 1 <= n_sources < n_ant:
         raise ValueError("source count must be below the antenna count")
-    snapshots = np.moveaxis(arr, 1, 2).reshape(-1, n_ant)
-    degraded = snapshots.shape[0] < n_ant
-    cov = (snapshots.T @ snapshots.conj()) / snapshots.shape[0]
-    _, vecs = np.linalg.eigh(cov)
-    noise = vecs[:, : n_ant - n_sources]
     if grid is None:
         grid = np.arange(-90.0, 90.0 + 1e-9, 0.5)
     grid = np.asarray(grid, dtype=np.float64)
+    snapshots = np.moveaxis(arr, 1, 2).reshape(-1, n_ant)
     steer = steering_vector(grid, n_ant, spacing_wl).T
-    denom = np.sum(np.abs(noise.conj().T @ steer) ** 2, axis=0)
-    spectrum = 1.0 / np.maximum(denom, 1e-18)
-    angles = _top_peaks(grid, spectrum, n_sources)
+    angles, degraded, spectrum = _music(snapshots, n_sources, grid, steer)
     return MusicResult(angles, degraded, grid, spectrum)
 
 
@@ -474,7 +464,7 @@ def velocity_fft(csi_series, sched, cfg):
     """
     if not sched.is_uniform():
         raise ValueError("transform baseline requires a uniform schedule")
-    h = _series_2d(csi_series)
+    h = _csi_3d(csi_series)[:, 0, :]
     if h.shape[0] != len(sched):
         raise ValueError("need one CSI row per scheduled packet")
     if h.shape[0] >= 8:
@@ -492,9 +482,10 @@ def snap_to_uniform(csi_series, sched):
     """Naive regularization: snap each uniform grid slot to the nearest packet.
 
     This is the obvious (and wrong) way to feed irregular packets to the
-    transform baseline; it exists to measure how badly that goes.
+    transform baseline; it exists to measure how badly that goes. Returns
+    the snapped (packets, antennas, subcarriers) series and its schedule.
     """
-    h = _series_2d(csi_series)
+    h = _csi_3d(csi_series)
     times = sched.times
     grid = np.linspace(times[0], times[-1], len(sched))
     idx = np.clip(np.searchsorted(times, grid), 0, len(times) - 1)

@@ -38,14 +38,7 @@ from .estimate import (
 )
 from .fusion import SensingMessage, fuse_ml
 from .ofdm import SPEED_OF_LIGHT, RadioConfig, extract_csi_symbols, training_burst
-from .sigcore import (
-    avg_power,
-    complex_noise,
-    db,
-    dbm_to_power,
-    power_to_dbm,
-    stft,
-)
+from .sigcore import avg_power, complex_noise, db, from_db, stft
 
 # config keys the harness accepts (dotted, flat): the RadioConfig field each
 # radio.* key overrides (None for run.* keys) and the type its value must have
@@ -458,6 +451,7 @@ def run_cancellation_budget(ctx):
     rows = []
     checks_ok = {"first": True, "analog": True, "digital": True,
                  "total": True, "floor": True, "echo": True}
+    floor_dbm = cancel.DEFAULT_NOISE_FLOOR_DBM
     for trial in range(n_trials):
         rng = np.random.default_rng([ctx.seed, trial])
         tx, leak, state = cancel.calibrated_separator(cfg, rng)
@@ -467,7 +461,7 @@ def run_cancellation_budget(ctx):
         # stage's leakage figure. The echo test adds a reflection and asks
         # how much of it survives.
         coupling = kernels.fir_apply(tx, leak.taps)
-        noise = complex_noise(len(tx), -85.0, rng)
+        noise = complex_noise(len(tx), floor_dbm, rng)
         stage1 = cancel.first_stage(coupling)
         stage2 = cancel.analog_cancel(stage1, tx, state)
         leak_out = cancel.separator_pipeline(stage1, state, "M", tx_ref=tx)
@@ -476,11 +470,11 @@ def run_cancellation_budget(ctx):
         g_analog = db(avg_power(stage1) / avg_power(stage2))
         g_digital = db(avg_power(stage2) / avg_power(leak_out))
         total = db(avg_power(coupling + noise) / avg_power(out))
-        resid_dbm = power_to_dbm(avg_power(out))
+        resid_dbm = db(avg_power(out))
 
-        gain = np.sqrt(dbm_to_power(-60.0) / avg_power(tx)) * np.exp(0.7j)
+        gain = np.sqrt(from_db(-60.0) / avg_power(tx)) * np.exp(0.7j)
         refl = gain * np.concatenate([np.zeros(6, dtype=complex), tx[:-6]])
-        noise2 = complex_noise(len(tx), -85.0, rng)
+        noise2 = complex_noise(len(tx), floor_dbm, rng)
         out_echo = cancel.separator_pipeline(stage1 + refl + noise2, state,
                                              "M", tx_ref=tx)
         g = np.vdot(refl, out_echo) / np.vdot(refl, refl).real
@@ -492,7 +486,7 @@ def run_cancellation_budget(ctx):
         checks_ok["analog"] &= g_analog >= 35.0
         checks_ok["digital"] &= g_digital >= 20.0
         checks_ok["total"] &= total >= 70.0
-        checks_ok["floor"] &= abs(resid_dbm - (-85.0)) <= 3.0
+        checks_ok["floor"] &= abs(resid_dbm - floor_dbm) <= 3.0
         checks_ok["echo"] &= abs(echo_delta) <= 1.0
     path = _write_csv(
         ctx, "cancellation-budget", "cancellation_budget.csv",

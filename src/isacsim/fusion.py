@@ -24,7 +24,8 @@ class SensingMessage:
     """One device's observation at one instant.
 
     Pose fields locate the device on the ground plane; ``aoa_deg`` may be
-    NaN for a range-only observation (single-antenna device).
+    NaN for a range-only observation (single-antenna device), but not
+    infinite.
     """
 
     device_id: str
@@ -40,6 +41,8 @@ class SensingMessage:
         for name in ("t_s", "x_m", "y_m", "heading_deg", "range_m", "confidence"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if np.isinf(self.aoa_deg):
+            raise ValueError("aoa_deg must be finite, or NaN for range-only")
         if self.range_m < 0:
             raise ValueError("range_m must be non-negative")
         if self.confidence <= 0:

@@ -6,14 +6,17 @@ it owes a peer — and drops back to C a short timer after the transmission
 ends. Receiving a peer's packet from C opens a B (bistatic capture) episode
 that closes when the reception completes. The separator must be engaged
 exactly while in M: engaging it during a reception shreds the incoming
-packet, which is the whole point of the state machine.
+packet, which is the whole point of the state machine. A state is one of
+the strings in ``MAC_STATES``, the same "C"/"M"/"B" that the event log and
+``cancel.separator_pipeline`` use.
 
 Channel access is a deliberately small CSMA abstraction: one shared medium,
 a device defers while the medium is busy and retries after a random number
 of 9 us backoff slots. Every link runs qpsk-1/2, so packet success is one
-logistic function of link SNR (``success_probability``). Traffic comes in
-three fixed shapes, regular, streaming and gaming; only the regular rate
-and the seed are settable.
+logistic function of link SNR (``success_probability``); a link without a
+given SNR gets its line-of-sight power at ``TX_POWER_DBM`` over the
+canceller's noise floor. Traffic comes in three fixed shapes, regular,
+streaming and gaming; only the regular rate and the seed are settable.
 
 Randomness is split into two independent streams — one for everything that
 affects communications (backoff, loss draws), one for sensing-side noise —
@@ -25,30 +28,16 @@ import heapq
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
 from . import cancel, channel
 from .estimate import TxSchedule
 from .ofdm import RadioConfig, packet_duration
-from .sigcore import power_to_dbm, dbm_to_power
+from .sigcore import db, from_db
 
-
-class MacState(Enum):
-    C = "C"
-    M = "M"
-    B = "B"
-
-
-EVENT_KINDS = (
-    "TxStart",
-    "TxComplete",
-    "RxStart",
-    "RxComplete",
-    "TimerExpiry",
-    "CalibrationDue",
-)
+MAC_STATES = ("C", "M", "B")
+EVENT_KINDS = ("TxStart", "TxComplete", "RxStart", "RxComplete", "TimerExpiry")
 
 # actions emitted by the transition table
 ENABLE_SEPARATOR = "enable-separator"
@@ -58,7 +47,6 @@ CONTINUE_BURST = "continue-burst"
 BISTATIC_CAPTURE = "bistatic-capture"
 END_CAPTURE = "end-capture"
 DEFER_BISTATIC = "defer-bistatic"
-CALIBRATE = "calibrate-dummy-load"
 VIOLATION = "protocol-violation"
 
 # air-interface timing: short interframe space before an ACK, CSMA backoff
@@ -67,10 +55,9 @@ SIFS_S = 16e-6
 SLOT_S = 9e-6
 DATA_SYMBOLS = 20
 ACK_SYMBOLS = 2
-# transmit power and receiver noise floor that set the link SNR when a run
-# gives none; the forced separator is calibrated at the same noise floor
+# transmit power that, against the canceller's noise floor, sets the link
+# SNR when a run gives none
 TX_POWER_DBM = 15.0
-NOISE_FLOOR_DBM = cancel.DEFAULT_NOISE_FLOOR_DBM
 
 # streaming: burst anchors at a fixed rate with jitter, a few packets per
 # burst a couple of milliseconds apart
@@ -87,31 +74,32 @@ GAMING_INTRA_GAP_S = 0.006
 
 
 _TRANSITIONS = {
-    (MacState.C, "TxStart"): (MacState.M, ENABLE_SEPARATOR),
-    (MacState.M, "TxStart"): (MacState.M, CONTINUE_BURST),
-    (MacState.M, "TxComplete"): (MacState.M, ARM_TIMER),
-    (MacState.M, "TimerExpiry"): (MacState.C, DISABLE_SEPARATOR),
-    (MacState.C, "RxStart"): (MacState.B, BISTATIC_CAPTURE),
-    (MacState.B, "RxComplete"): (MacState.C, END_CAPTURE),
+    ("C", "TxStart"): ("M", ENABLE_SEPARATOR),
+    ("M", "TxStart"): ("M", CONTINUE_BURST),
+    ("M", "TxComplete"): ("M", ARM_TIMER),
+    ("M", "TimerExpiry"): ("C", DISABLE_SEPARATOR),
+    ("C", "RxStart"): ("B", BISTATIC_CAPTURE),
+    ("B", "RxComplete"): ("C", END_CAPTURE),
     # a reception that lands while the device is still in its own post-tx
     # window is handled for communications but produces no bistatic capture;
     # (C, RxComplete) is the tail of such a reception when the window closed
     # while it was still in the air
-    (MacState.M, "RxStart"): (MacState.M, DEFER_BISTATIC),
-    (MacState.M, "RxComplete"): (MacState.M, DEFER_BISTATIC),
-    (MacState.C, "RxComplete"): (MacState.C, DEFER_BISTATIC),
-    (MacState.C, "CalibrationDue"): (MacState.C, CALIBRATE),
+    ("M", "RxStart"): ("M", DEFER_BISTATIC),
+    ("M", "RxComplete"): ("M", DEFER_BISTATIC),
+    ("C", "RxComplete"): ("C", DEFER_BISTATIC),
 }
 
 
 def step(state, kind):
-    """One deterministic transition on an event-kind string. Undefined
-    pairs leave the state alone and report a protocol violation instead of
-    raising."""
+    """One deterministic transition of a state in ``MAC_STATES`` on an
+    event kind in ``EVENT_KINDS``. Undefined pairs leave the state alone
+    and report a protocol violation instead of raising; an unknown state or
+    kind raises ValueError."""
+    if state not in MAC_STATES:
+        raise ValueError(f"unknown MAC state {state!r}")
     if kind not in EVENT_KINDS:
         raise ValueError(f"unknown MAC event kind {kind!r}")
-    new_state, action = _TRANSITIONS.get((state, kind), (state, VIOLATION))
-    return new_state, action
+    return _TRANSITIONS.get((state, kind), (state, VIOLATION))
 
 
 def success_probability(snr_db):
@@ -134,6 +122,9 @@ class TrafficModel:
     def __post_init__(self):
         if self.kind not in ("regular", "streaming", "gaming"):
             raise ValueError(f"unknown traffic kind {self.kind!r}")
+        if not (np.isfinite(self.rate_hz) and self.rate_hz > 0):
+            raise ValueError(f"rate_hz must be positive and finite, "
+                             f"got {self.rate_hz!r}")
 
     @classmethod
     def regular(cls, rate_hz=40.0, seed=0):
@@ -222,16 +213,16 @@ class _DeviceCtx:
 
     def __init__(self, dev):
         self.dev = dev
-        self.state = MacState.C.value
+        self.state = "C"
         self.separator_on = False
         self.m_timer_deadline = None
         self.peer = None
 
 
-# (state value, event kind) -> (state value after, action), read off ``step``
-_STEP_TABLE = {(s.value, kind): (after.value, action)
-               for s in MacState for kind in EVENT_KINDS
-               for after, action in [step(s, kind)]}
+# (state, event kind) -> (state after, action) for every pair, read off
+# ``step`` so the event loop never builds a default
+_STEP_TABLE = {(s, kind): step(s, kind)
+               for s in MAC_STATES for kind in EVENT_KINDS}
 
 
 def _materialize_csi(captures, geometry, cfg, rng):
@@ -256,7 +247,7 @@ def _materialize_csi(captures, geometry, cfg, rng):
 def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
                  timer_s=1e-3, link_snr_db=None, sensing_enabled=True,
                  force_separator=False, collect_csi=False, max_csi=256,
-                 cal_interval_s=None, log=True):
+                 log=True):
     """Event-driven run of the full scenario.
 
     ``geometry`` may be None (no CSI materialization) or a
@@ -313,8 +304,8 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
             d = float(np.linalg.norm(np.asarray(ctx.dev.pos, dtype=float)
                                      - np.asarray(ctx.peer.dev.pos, dtype=float)))
             amp = channel.los_gain(max(d, 0.1), cfg,
-                                   tx_power=dbm_to_power(TX_POWER_DBM))
-            snr = power_to_dbm(abs(amp) ** 2) - NOISE_FLOOR_DBM
+                                   tx_power=from_db(TX_POWER_DBM))
+            snr = db(abs(amp) ** 2) - cancel.DEFAULT_NOISE_FLOOR_DBM
         ctx.link_snr = float(snr) - penalty_db
         ctx.link_success = success_probability(ctx.link_snr)
 
@@ -338,8 +329,6 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
         for t in sched.times:
             t = float(t)
             push(heap, (t, next(seq), "pkt-due", (ctx, t, "DATA")))
-        if cal_interval_s:
-            push(heap, (cal_interval_s, next(seq), "calibration", ctx))
 
     entries = []
     violations = []
@@ -429,17 +418,6 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
                     push(heap, (t + SIFS_S, next(seq), "pkt-due",
                                 (rx_ctx, t + SIFS_S, "ACK")))
 
-        elif kind == "calibration":
-            ctx = payload
-            if ctx.state == "C":
-                if sensing_enabled:
-                    apply_step(t, ctx, "CalibrationDue")
-                nxt = t + cal_interval_s
-            else:
-                nxt = t + 0.005  # busy; retry shortly
-            if nxt < duration:
-                push(heap, (nxt, next(seq), "calibration", ctx))
-
     delays_ms = 1e3 * np.asarray(delays) if delays else np.zeros(1)
     stats = {
         "n_data": len(successes),
@@ -475,7 +453,7 @@ def m_episodes(entries):
 
 
 __all__ = [
-    "MacState",
+    "MAC_STATES",
     "EVENT_KINDS",
     "step",
     "success_probability",
@@ -494,6 +472,5 @@ __all__ = [
     "BISTATIC_CAPTURE",
     "END_CAPTURE",
     "DEFER_BISTATIC",
-    "CALIBRATE",
     "VIOLATION",
 ]

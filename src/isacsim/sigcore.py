@@ -4,6 +4,8 @@ A waveform is a plain complex ndarray sampled at ``cfg.sample_rate`` and
 starting at sample 0. Power convention used across the package: baseband
 samples are unitless voltages whose mean squared magnitude is a power
 referenced to 1 mW, i.e. an array with average power 1.0 sits at 0 dBm.
+dBm is therefore dB relative to 1, and ``db``/``from_db`` are the one
+conversion each way for ratios and absolute powers alike.
 """
 
 from dataclasses import dataclass
@@ -14,23 +16,14 @@ TWO_PI = 2.0 * np.pi
 
 
 def db(ratio):
-    """Power ratio -> decibels; zero power is -inf."""
+    """Power ratio (or power in mW) -> dB (or dBm); zero power is -inf."""
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(ratio)
 
 
 def from_db(d):
-    """Decibels -> power ratio."""
+    """dB (or dBm) -> power ratio (or power in mW)."""
     return 10.0 ** (np.asarray(d) / 10.0)
-
-
-def dbm_to_power(dbm):
-    """dBm -> linear power in the package's mW-referenced unit."""
-    return 10.0 ** (dbm / 10.0)
-
-
-def power_to_dbm(p):
-    return 10.0 * np.log10(p)
 
 
 def avg_power(samples):
@@ -138,7 +131,7 @@ def stft(times, values, window_len, hop, freqs=None):
 
 def complex_noise(n, power_dbm, rng):
     """Circular complex Gaussian noise with the given total power in dBm."""
-    p = dbm_to_power(power_dbm)
+    p = from_db(power_dbm)
     scale = np.sqrt(p / 2.0)
     return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
@@ -151,7 +144,5 @@ __all__ = [
     "complex_noise",
     "db",
     "from_db",
-    "dbm_to_power",
-    "power_to_dbm",
     "avg_power",
 ]

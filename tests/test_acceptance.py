@@ -26,7 +26,7 @@ from isacsim.sigcore import (
     avg_power,
     complex_noise,
     db,
-    dbm_to_power,
+    from_db,
     nonuniform_dft,
 )
 
@@ -68,12 +68,12 @@ def test_c2_reflections_survive_but_not_ablation():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         burst = ofdm.training_burst(CFG, n_extra=8)
-        tx = burst * np.sqrt(dbm_to_power(5.0) / avg_power(burst))
+        tx = burst * np.sqrt(from_db(5.0) / avg_power(burst))
         leak = make_leakage(rng)
         state = calibrate(
             CancellatorState().to_dummy_load(), tx, leak, rng=rng
         ).to_antenna()
-        gain = np.sqrt(dbm_to_power(-60.0) / avg_power(tx)) * np.exp(0.7j)
+        gain = np.sqrt(from_db(-60.0) / avg_power(tx)) * np.exp(0.7j)
         refl = gain * np.concatenate([np.zeros(6, dtype=complex), tx[:-6]])
         # receive port behind the front end: isolated coupling, echo, noise
         rx = (first_stage(kernels.fir_apply(tx, leak.taps)) + refl

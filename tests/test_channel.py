@@ -168,6 +168,29 @@ class TestResolvePaths:
             with pytest.raises(ValueError, match="3-vector"):
                 PropagationPath(position=bad)
 
+    @pytest.mark.parametrize("field,value", [
+        ("position", (5.0, float("nan"), 0.0)),
+        ("delay", float("nan")),
+        ("rcs", float("nan")),
+        ("amplitude", float("nan")),
+        ("amplitude", complex(float("inf"), 0.0)),
+        ("aoa_deg", float("inf")),
+    ])
+    def test_nonfinite_path_rejected(self, field, value):
+        kwargs = {"delay": 1e-8, "amplitude": 1e-4, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PropagationPath(**kwargs)
+
+    @pytest.mark.parametrize("field,value", [
+        ("tx_pos", (float("nan"), 0.0, 0.0)),
+        ("rx_pos", (0.0, float("inf"), 0.0)),
+        ("tx_power_dbm", float("nan")),
+        ("tx_power_dbm", float("-inf")),
+    ])
+    def test_nonfinite_geometry_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ScenarioGeometry(**{field: value})
+
     def test_scatterer_on_node_rejected(self):
         geom = ScenarioGeometry(targets=(PropagationPath(position=(0, 0, 0)),))
         with pytest.raises(ValueError):

@@ -127,7 +127,10 @@ def dense_admm(a, y, lam, rho, max_iters, tol):
 
 
 def model_csi(cfg, times, paths, snr_db=None, rng=None):
-    """Direct evaluation of the path model: (amp, delay_s, doppler_hz) tuples."""
+    """Direct evaluation of the path model: (amp, delay_s, doppler_hz) tuples.
+
+    Returns one-antenna (packets, 1, subcarriers) CSI.
+    """
     freqs = cfg.carrier_freq + cfg.subcarrier_freqs()
     times = np.asarray(times, dtype=np.float64)
     h = np.zeros((times.size, freqs.size), dtype=np.complex128)
@@ -144,7 +147,7 @@ def model_csi(cfg, times, paths, snr_db=None, rng=None):
         h = h + sigma * (
             gen.standard_normal(h.shape) + 1j * gen.standard_normal(h.shape)
         )
-    return h
+    return h[:, None, :]
 
 
 def gaming_times(n, seed, median_gap=0.02, sigma=1.2):
@@ -452,7 +455,7 @@ class TestSparseFeatures:
 
     def test_zero_csi_returns_empty_features(self):
         times = np.arange(16) / 40.0
-        h = np.zeros((16, CFG.n_used), dtype=np.complex128)
+        h = np.zeros((16, 1, CFG.n_used), dtype=np.complex128)
         fv = estimate_features_sparse(
             h, TxSchedule(times), CFG,
             delay_grid=SMALL_DELAYS, doppler_grid=SMALL_DOPPLERS,
@@ -462,7 +465,7 @@ class TestSparseFeatures:
 
     def test_row_count_mismatch_raises(self):
         times = np.arange(8) / 40.0
-        h = np.ones((7, CFG.n_used), dtype=np.complex128)
+        h = np.ones((7, 1, CFG.n_used), dtype=np.complex128)
         with pytest.raises(ValueError):
             estimate_features_sparse(h, TxSchedule(times), CFG,
                                      delay_grid=SMALL_DELAYS,
@@ -470,7 +473,7 @@ class TestSparseFeatures:
 
     def test_empty_series_raises(self):
         times = np.arange(3) / 40.0
-        h = np.zeros((3, 0), dtype=np.complex128)
+        h = np.zeros((3, 1, 0), dtype=np.complex128)
         with pytest.raises(ValueError):
             estimate_features_sparse(h, TxSchedule(times), CFG,
                                      delay_grid=SMALL_DELAYS,
@@ -484,19 +487,19 @@ class TestSparseFeatures:
 class TestRangeIfft:
     def test_single_path_at_15m(self):
         tau = 2.0 / CFG.sample_rate  # exactly two range bins
-        h = model_csi(CFG, [0.0], [(1.0, tau, 0.0)])[0]
+        h = model_csi(CFG, [0.0], [(1.0, tau, 0.0)])
         est = range_ifft(h, CFG)
         assert abs(est - 15.0) <= 3.75
 
     def test_flat_csi_is_zero_range(self):
-        h = np.ones(CFG.n_used, dtype=np.complex128)
+        h = np.ones((1, 1, CFG.n_used), dtype=np.complex128)
         assert range_ifft(h, CFG) == 0.0
 
     def test_two_paths_profile_peaks(self):
         h = model_csi(
             CFG, [0.0],
             [(1.0, 2.0 / CFG.sample_rate, 0.0), (0.9, 6.0 / CFG.sample_rate, 0.0)],
-        )[0]
+        )
         ranges, profile = ifft_range_profile(h, CFG)
         half = len(profile) // 2
         idx = np.argsort(profile[:half])[::-1][:2]
@@ -507,7 +510,7 @@ class TestRangeIfft:
     def test_packet_series_is_averaged(self):
         tau = 2.0 / CFG.sample_rate
         h = model_csi(CFG, [0.0, 0.1], [(1.0, tau, 0.0)])
-        assert range_ifft(h, CFG) == range_ifft(h[0], CFG)
+        assert range_ifft(h, CFG) == range_ifft(h[:1], CFG)
 
     def test_packet_averaging_buries_moving_target(self):
         # the baseline's advertised weakness: coherent averaging across
@@ -522,7 +525,7 @@ class TestRangeIfft:
 
     def test_too_few_bins_raises(self):
         with pytest.raises(ValueError):
-            range_ifft(np.ones(1, dtype=np.complex128), CFG)
+            range_ifft(np.ones((1, 1, 1), dtype=np.complex128), CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -552,22 +555,22 @@ class TestRangeMusic:
         assert abs(found[1] - SPEED_OF_LIGHT * 150e-9) <= 1.5
 
     def test_zero_paths_raises(self):
-        h = np.ones(CFG.n_used, dtype=np.complex128)
+        h = np.ones((1, 1, CFG.n_used), dtype=np.complex128)
         with pytest.raises(ValueError):
             range_music(h, 0, CFG)
 
     def test_model_order_must_fit_subarray(self):
-        h = np.ones(CFG.n_used, dtype=np.complex128)
+        h = np.ones((1, 1, CFG.n_used), dtype=np.complex128)
         with pytest.raises(ValueError):
             range_music(h, 16, CFG, subarray_len=16)
 
     def test_subarray_longer_than_runs_raises(self):
-        h = np.ones(CFG.n_used, dtype=np.complex128)
+        h = np.ones((1, 1, CFG.n_used), dtype=np.complex128)
         with pytest.raises(ValueError):
             range_music(h, 1, CFG, subarray_len=27)
 
     def test_rank_deficient_covariance_is_flagged(self):
-        h = model_csi(CFG, [0.0], [(1.0, 100e-9, 0.0)], snr_db=30, rng=1)[0]
+        h = model_csi(CFG, [0.0], [(1.0, 100e-9, 0.0)], snr_db=30, rng=1)
         res = range_music(h, 1, CFG, subarray_len=25)
         assert res.degraded
 
@@ -779,6 +782,40 @@ class TestLocalizeSingle:
         rmse = np.sqrt(np.mean(sq))
         predicted = np.sqrt(sigma_r**2 + (truth_r * np.radians(sigma_deg)) ** 2)
         assert abs(rmse - predicted) <= 0.2 * predicted
+
+
+# ---------------------------------------------------------------------------
+# one CSI shape
+
+
+_SHAPE_TIMES = np.arange(8) / 40.0
+_SHAPE_CALLS = {
+    "range_ifft": lambda h: range_ifft(h, CFG),
+    "range_music": lambda h: range_music(h, 1, CFG),
+    "aoa_music": lambda h: aoa_music(h, 1),
+    "velocity_fft": lambda h: velocity_fft(h, TxSchedule(_SHAPE_TIMES), CFG),
+    "estimate_features_sparse": lambda h: estimate_features_sparse(
+        h, TxSchedule(_SHAPE_TIMES), CFG, SMALL_DELAYS, SMALL_DOPPLERS),
+    "matched_filter_peak": lambda h: matched_filter_peak(
+        h, TxSchedule(_SHAPE_TIMES), CFG, SMALL_DELAYS, SMALL_DOPPLERS),
+    "snap_to_uniform": lambda h: snap_to_uniform(h, TxSchedule(_SHAPE_TIMES)),
+}
+
+
+class TestCsiShape:
+    @pytest.mark.parametrize("name", sorted(_SHAPE_CALLS))
+    @pytest.mark.parametrize("shape", [(52,), (8, 52), (8, 2, 52, 1)],
+                             ids=["1d", "2d", "4d"])
+    def test_non_3d_csi_raises(self, name, shape):
+        h = np.ones(shape, dtype=np.complex128)
+        with pytest.raises(ValueError, match="packets, antennas, subcarriers"):
+            _SHAPE_CALLS[name](h)
+
+    def test_snap_to_uniform_keeps_antennas(self):
+        times = gaming_times(8, seed=4)
+        h = np.arange(8 * 2 * 3).reshape(8, 2, 3).astype(np.complex128)
+        h_u, _ = snap_to_uniform(h, TxSchedule(times))
+        assert h_u.shape == h.shape
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,11 @@ class TestSensingMessage:
         with pytest.raises(ValueError):
             SensingMessage("a", 0.0, 0, 0, 0, 1.0, 0.0, confidence=0.0)
 
+    @pytest.mark.parametrize("aoa", [float("inf"), float("-inf")])
+    def test_infinite_aoa_rejected(self, aoa):
+        with pytest.raises(ValueError, match="aoa_deg"):
+            SensingMessage("a", 0.0, 0, 0, 0, 5.0, aoa)
+
     def test_nan_aoa_allowed_for_range_only(self):
         m = SensingMessage("a", 0.0, 0, 0, 0, 5.0)
         assert not np.isfinite(m.aoa_deg)

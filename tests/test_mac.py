@@ -10,7 +10,7 @@ from isacsim.channel import (
     linear_trajectory,
     synthesize_csi_series,
 )
-from isacsim.mac import MacState, step
+from isacsim.mac import step
 from isacsim.ofdm import RadioConfig
 
 
@@ -35,60 +35,53 @@ def two_devices(d=4.0):
 
 class TestStep:
     def test_tx_from_idle_enables_separator(self):
-        state, action = step(MacState.C, "TxStart")
-        assert state == MacState.M
+        state, action = step("C", "TxStart")
+        assert state == "M"
         assert action == mac.ENABLE_SEPARATOR
 
     def test_ack_transmission_also_enters_m(self):
-        state, action = step(MacState.C, "TxStart")
-        assert state == MacState.M
+        state, action = step("C", "TxStart")
+        assert state == "M"
         assert action == mac.ENABLE_SEPARATOR
 
     def test_timer_expiry_returns_to_idle(self):
-        state, action = step(MacState.M, "TimerExpiry")
-        assert state == MacState.C
+        state, action = step("M", "TimerExpiry")
+        assert state == "C"
         assert action == mac.DISABLE_SEPARATOR
 
     def test_reception_from_idle_opens_bistatic_capture(self):
-        state, action = step(MacState.C, "RxStart")
-        assert state == MacState.B
+        state, action = step("C", "RxStart")
+        assert state == "B"
         assert action == mac.BISTATIC_CAPTURE
 
     def test_reception_complete_closes_capture(self):
-        state, action = step(MacState.B, "RxComplete")
-        assert state == MacState.C
+        state, action = step("B", "RxComplete")
+        assert state == "C"
         assert action == mac.END_CAPTURE
 
     def test_tx_complete_arms_timer(self):
-        state, action = step(MacState.M, "TxComplete")
-        assert state == MacState.M
+        state, action = step("M", "TxComplete")
+        assert state == "M"
         assert action == mac.ARM_TIMER
 
     def test_burst_continuation_stays_in_m(self):
-        state, action = step(MacState.M, "TxStart")
-        assert state == MacState.M
+        state, action = step("M", "TxStart")
+        assert state == "M"
         assert action == mac.CONTINUE_BURST
 
-    def test_calibration_only_from_idle(self):
-        state, action = step(MacState.C, "CalibrationDue")
-        assert state == MacState.C
-        assert action == mac.CALIBRATE
-
     def test_reception_during_m_window_is_deferred(self):
-        state, action = step(MacState.M, "RxStart")
-        assert state == MacState.M
+        state, action = step("M", "RxStart")
+        assert state == "M"
         assert action == mac.DEFER_BISTATIC
 
     @pytest.mark.parametrize(
         "state,event",
         [
-            (MacState.B, "TxStart"),
-            (MacState.B, "TimerExpiry"),
-            (MacState.B, "CalibrationDue"),
-            (MacState.C, "TxComplete"),
-            (MacState.C, "TimerExpiry"),
-            (MacState.M, "CalibrationDue"),
-            (MacState.B, "RxStart"),
+            ("B", "TxStart"),
+            ("B", "TimerExpiry"),
+            ("C", "TxComplete"),
+            ("C", "TimerExpiry"),
+            ("B", "RxStart"),
         ],
     )
     def test_undefined_pairs_leave_state_unchanged(self, state, event):
@@ -98,11 +91,24 @@ class TestStep:
 
     def test_unknown_event_kind_raises(self):
         with pytest.raises(ValueError):
-            step(MacState.C, "Sleep")
+            step("C", "Sleep")
+
+    def test_unknown_state_raises(self):
+        with pytest.raises(ValueError, match="state"):
+            step("X", "TxStart")
 
     def test_plain_string_event_accepted(self):
-        state, action = step(MacState.C, "TxStart")
-        assert state == MacState.M
+        assert step("C", "TxStart") == ("M", mac.ENABLE_SEPARATOR)
+
+    def test_step_is_total_over_states_and_kinds(self):
+        for state in mac.MAC_STATES:
+            for kind in mac.EVENT_KINDS:
+                expected = mac._TRANSITIONS.get((state, kind),
+                                                (state, mac.VIOLATION))
+                assert step(state, kind) == expected
+                assert mac._STEP_TABLE[state, kind] == expected
+        assert len(mac._STEP_TABLE) == (len(mac.MAC_STATES)
+                                        * len(mac.EVENT_KINDS))
 
 
 class TestSuccessProbability:
@@ -123,6 +129,11 @@ class TestTraffic:
         assert len(sched) == 400
         assert sched.times[0] == 0.0
         assert np.allclose(np.diff(sched.times), 0.025, atol=1e-12)
+
+    @pytest.mark.parametrize("rate", [0.0, -5.0, float("nan"), float("inf")])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="rate_hz"):
+            mac.TrafficModel.regular(rate)
 
     def test_regular_is_uniform(self):
         sched = mac.generate_traffic(mac.TrafficModel.regular(100.0), 1.0)
@@ -278,14 +289,6 @@ class TestRunScenario:
         assert any(e.state_after == "M" for e in res.log)
         assert not any(e.state_after == "B" for e in res.log)
 
-    def test_calibration_runs_only_from_idle(self):
-        res = self.run(cal_interval_s=0.25)
-        cals = [e for e in res.log if e.action == mac.CALIBRATE]
-        assert len(cals) >= 4
-        for e in cals:
-            assert e.state_before == "C"
-            assert e.state_after == "C"
-
     def test_duplicate_device_ids_rejected(self):
         devs = [mac.MacDevice("x"), mac.MacDevice("x", (1.0, 0.0, 0.0))]
         with pytest.raises(ValueError):
@@ -343,12 +346,11 @@ def three_traffic_devices():
 class TestEventLoop:
     def test_every_logged_transition_matches_step(self):
         res = mac.run_scenario(three_traffic_devices(), None, None, 1.0,
-                               seed=5, cal_interval_s=0.05)
+                               seed=5)
         events = {e.event for e in res.log}
         assert events == set(mac.EVENT_KINDS)
         for e in res.log:
-            state, action = step(MacState(e.state_before), e.event)
-            assert (state.value, action) == (e.state_after, e.action)
+            assert step(e.state_before, e.event) == (e.state_after, e.action)
 
     def test_log_is_time_ordered_with_valid_entries(self):
         res = mac.run_scenario(

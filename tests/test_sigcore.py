@@ -170,7 +170,7 @@ class TestNoise:
 
     def test_power_level(self):
         x = complex_noise(200_000, -10.0, np.random.default_rng(5))
-        assert abs(sigcore.power_to_dbm(sigcore.avg_power(x)) - (-10.0)) < 0.1
+        assert abs(sigcore.db(sigcore.avg_power(x)) - (-10.0)) < 0.1
 
 
 class TestBufferInvariants:
