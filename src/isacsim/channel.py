@@ -236,12 +236,14 @@ class ScenarioGeometry:
         self.rx_pos = np.asarray(self.rx_pos, dtype=np.float64)
         if self.tx_pos.shape != (3,) or self.rx_pos.shape != (3,):
             raise ValueError("positions must be 3-vectors")
-        for name in ("tx_pos", "rx_pos", "tx_power_dbm"):
+        for name in ("tx_pos", "rx_pos", "tx_power_dbm", "boresight_deg"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         self.targets = tuple(self.targets)
         if self.n_antennas < 1:
             raise ValueError("need at least one receive antenna")
+        if not 0.0 < self.array_spacing_wl < np.inf:
+            raise ValueError("array_spacing_wl must be finite and positive")
 
     @property
     def los_distance(self):
@@ -299,6 +301,8 @@ def resolve_paths(geom, cfg, times, tx_power=1.0):
         else:
             if p.trajectory is not None:
                 pos = trajectory_positions(p.trajectory, times)
+                if not np.all(np.isfinite(pos)):
+                    raise ValueError("trajectory positions must be finite")
             else:
                 pos = np.broadcast_to(p.position, (times.size, 3))
             r_tx = np.linalg.norm(pos - geom.tx_pos, axis=-1)
@@ -370,8 +374,10 @@ def synthesize_csi_series(geom, cfg, times, imp=None, snr_db=None, rng=None):
     as carrier-phase rotation across packets. Clock impairments add the packet
     rotation ``exp(-2j*pi*(cfo_hz*t + cpo))`` and a fixed phase ramp over the
     FFT bin index. ``snr_db`` sets per-subcarrier noise relative to the
-    strongest path's power.
+    strongest path's power; it must be finite, and None adds no noise.
     """
+    if snr_db is not None and not np.isfinite(snr_db):
+        raise ValueError("snr_db must be finite (None means no noise)")
     times = np.asarray(times, dtype=np.float64)
     alpha, tau, aoa = resolve_paths(geom, cfg, times, from_db(geom.tx_power_dbm))
     rng = np.random.default_rng(rng)

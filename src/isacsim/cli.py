@@ -5,7 +5,6 @@ failed check, 2 for usage mistakes, 3 for unreadable or invalid configs.
 """
 
 import argparse
-import os
 import sys
 
 from .config import ConfigError, read_flat_config
@@ -40,8 +39,6 @@ def build_parser():
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--config", help="flat 'key = value' override file")
     p_run.add_argument("--out", default=".", help="directory for CSV output")
-    p_run.add_argument("--plots", action="store_true",
-                       help="write PNG summaries next to the CSVs")
 
     sub.add_parser("list", help="list experiment names")
 
@@ -85,9 +82,8 @@ def main(argv=None):
             print(f"error: {exc}", file=sys.stderr)
             return 3
 
-    os.makedirs(args.out, exist_ok=True)
     report = run_experiment(args.experiment, seed=args.seed, values=values,
-                            out_dir=args.out, plots=args.plots)
+                            out_dir=args.out)
     for line in report.lines:
         print(line)
     return 0 if report.passed else 1

@@ -1,14 +1,16 @@
 """Named, seeded benchmark experiments behind the ``isac-bench`` CLI.
 
-Each experiment is a deterministic function of (seed, config): it writes one
-or more CSV files whose first line embeds ``experiment``, ``seed``, and the
-config hash, prints one PASS/FAIL line per check, and finishes in well under
-a minute. The CSVs are the contract; plots are optional sugar.
+Each experiment is a deterministic function of (seed, config) that returns
+its table and its checks, ``(header, rows, checks)``, and finishes in well
+under a minute. ``run_experiment`` writes the table to one CSV named after
+the experiment, whose first line embeds ``experiment``, ``seed`` and the
+config hash, and judges the checks into one PASS/FAIL line each.
 """
 
 import csv as _csv
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -97,8 +99,6 @@ def check_config(values, lines=None):
 class ExperimentContext:
     seed: int = 0
     values: dict = field(default_factory=dict)
-    out_dir: str = "."
-    make_plots: bool = False
 
     def __post_init__(self):
         self.cfg = check_config(self.values)
@@ -111,52 +111,48 @@ class ExperimentContext:
         return np.random.default_rng([self.seed, salt])
 
 
+_RELATIONS = {"<": operator.lt, "<=": operator.le,
+              ">": operator.gt, ">=": operator.ge}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One acceptance check: it passes when ``value <relation> bound``.
+
+    ``text`` is a ``str.format`` template whose ``{value}`` and ``{bound}``
+    fields are filled from the record, so a threshold is written once. A NaN
+    value or bound fails.
+    """
+
+    text: str
+    value: float
+    relation: str
+    bound: float
+
+    @property
+    def passed(self):
+        return bool(_RELATIONS[self.relation](self.value, self.bound))
+
+    @property
+    def line(self):
+        text = self.text.format(value=self.value, bound=self.bound)
+        return f"{'PASS' if self.passed else 'FAIL'}: {text}"
+
+
 @dataclass
 class ExperimentReport:
     name: str
-    passed: bool
-    lines: list
-    csv_paths: list
+    checks: list
+    csv_path: str
 
+    @property
+    def passed(self):
+        return all(c.passed for c in self.checks)
 
-def _write_csv(ctx, name, filename, header, rows):
-    os.makedirs(ctx.out_dir, exist_ok=True)
-    path = os.path.join(ctx.out_dir, filename)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# experiment={name} seed={ctx.seed} config_hash={ctx.cfg_hash}\n")
-        writer = _csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
-
-
-def _report(name, checks, csv_paths):
-    lines = [f"{'PASS' if ok else 'FAIL'}: {desc}" for desc, ok in checks]
-    passed = all(ok for _, ok in checks)
-    lines.append(f"experiment {name}: {'PASS' if passed else 'FAIL'}")
-    return ExperimentReport(name, passed, lines, csv_paths)
-
-
-def _maybe_hist(ctx, filename, data_by_label, xlabel):
-    if not ctx.make_plots:
-        return None
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        return None
-    fig, ax = plt.subplots(figsize=(6, 4))
-    for label, data in data_by_label.items():
-        ax.hist(data, bins=20, alpha=0.6, label=label)
-    ax.set_xlabel(xlabel)
-    ax.set_ylabel("count")
-    ax.legend()
-    path = os.path.join(ctx.out_dir, filename)
-    fig.savefig(path, dpi=110)
-    plt.close(fig)
-    return path
+    @property
+    def lines(self):
+        verdict = f"experiment {self.name}: {'PASS' if self.passed else 'FAIL'}"
+        return [c.line for c in self.checks] + [verdict]
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +190,13 @@ def run_phase_offsets(ctx):
     drift = float(np.max(np.abs(np.angle(sym * np.conj(sym[0][None, :])))))
     rows.append(["monostatic-drift", 0, "0.0", f"{drift:.3e}"])
 
-    path = _write_csv(
-        ctx, "phase-offsets", "phase_offsets.csv",
-        ["case", "trial", "cfo_hz", "max_abs_phase_err_rad"], rows,
-    )
     checks = [
-        (f"bistatic phase error {worst_bistatic:.2e} rad < 1e-6 "
-         f"({n_trials} impairment draws)", worst_bistatic < 1e-6),
-        (f"monostatic drift {drift:.2e} rad < 1e-6 over 100 symbols",
-         drift < 1e-6),
+        Check("bistatic phase error {value:.2e} rad < 1e-6 "
+              f"({n_trials} impairment draws)", worst_bistatic, "<", 1e-6),
+        Check("monostatic drift {value:.2e} rad < 1e-6 over 100 symbols",
+              drift, "<", 1e-6),
     ]
-    return _report("phase-offsets", checks, [path])
+    return ["case", "trial", "cfo_hz", "max_abs_phase_err_rad"], rows, checks
 
 
 def run_los_dominance(ctx):
@@ -223,16 +215,12 @@ def run_los_dominance(ctx):
             worst = max(worst, ratio)
             rows.append([f"{x:.1f}", f"{y:.1f}", f"{tr:.3f}", f"{rr:.3f}",
                          f"{ratio:.2f}"])
-    path = _write_csv(
-        ctx, "los-dominance", "los_dominance.csv",
-        ["x_m", "y_m", "tx_range_m", "rx_range_m", "reflection_vs_los_db"],
-        rows,
-    )
     checks = [
-        (f"every reflection at least 10 dB below the direct path "
-         f"(worst {worst:.1f} dB)", worst <= -10.0),
+        Check("every reflection at least 10 dB below the direct path "
+              "(worst {value:.1f} dB)", worst, "<=", -10.0),
     ]
-    return _report("los-dominance", checks, [path])
+    header = ["x_m", "y_m", "tx_range_m", "rx_range_m", "reflection_vs_los_db"]
+    return header, rows, checks
 
 
 def run_motion_ambiguity(ctx):
@@ -266,20 +254,16 @@ def run_motion_ambiguity(ctx):
         dr_bi = bistatic_projection(tx_b, rx_b, near_baseline, u) / eps
         blind.append(abs(dr_bi))
         rows.append(["baseline", axis, "", f"{dr_bi:.4f}"])
-    blind_worst = max(blind)
-    path = _write_csv(
-        ctx, "motion-ambiguity", "motion_ambiguity.csv",
-        ["angle_deg", "axis", "dr_colocated_m_per_m", "dr_separated_m_per_m"],
-        rows,
-    )
     checks = [
-        (f"colocated sensitivity reaches twice the displacement "
-         f"(max {mono_max:.3f})", abs(mono_max - 2.0) < 1e-6),
-        (f"separated geometry has a blind region near the baseline "
-         f"(worst-axis sensitivity {blind_worst:.3f} < 0.3)",
-         blind_worst < 0.3),
+        Check("colocated sensitivity reaches twice the displacement "
+              f"(max {mono_max:.3f})", abs(mono_max - 2.0), "<", 1e-6),
+        Check("separated geometry has a blind region near the baseline "
+              "(worst-axis sensitivity {value:.3f} < {bound})",
+              max(blind), "<", 0.3),
     ]
-    return _report("motion-ambiguity", checks, [path])
+    header = ["angle_deg", "axis", "dr_colocated_m_per_m",
+              "dr_separated_m_per_m"]
+    return header, rows, checks
 
 
 def run_separator_harm(ctx):
@@ -297,16 +281,12 @@ def run_separator_harm(ctx):
         min_penalty = min(min_penalty, penalty)
         rows.append([trial, f"{clean:.2f}", f"{separated:.2f}",
                      f"{penalty:.2f}"])
-    path = _write_csv(
-        ctx, "separator-harm", "separator_harm.csv",
-        ["trial", "clean_snr_db", "separated_snr_db", "penalty_db"], rows,
-    )
     checks = [
-        (f"separator costs at least 10 dB on receptions "
-         f"(min {min_penalty:.1f} dB over {n_trials} scenes)",
-         min_penalty >= 10.0),
+        Check("separator costs at least {bound:g} dB on receptions "
+              "(min {value:.1f} dB " f"over {n_trials} scenes)",
+              min_penalty, ">=", 10.0),
     ]
-    return _report("separator-harm", checks, [path])
+    return ["trial", "clean_snr_db", "separated_snr_db", "penalty_db"], rows, checks
 
 
 def run_comms_impact(ctx):
@@ -339,25 +319,17 @@ def run_comms_impact(ctx):
             s = res.stats
             rows.append([f"{name}-{label}", f"{s['delay_ms_p50']:.4f}",
                          f"{s['delay_ms_p95']:.4f}", f"{s['loss_rate']:.6f}"])
-        same = (
-            on.stats["delay_ms_p50"] == off.stats["delay_ms_p50"]
-            and on.stats["delay_ms_p95"] == off.stats["delay_ms_p95"]
-            and on.stats["loss_rate"] == off.stats["loss_rate"]
-        )
-        checks.append(
-            (f"{name}: sensing on/off leaves delay and loss untouched", same)
-        )
-        checks.append(
-            (f"{name}: forced separator raises loss "
-             f"({off.stats['loss_rate']:.3f} -> "
-             f"{forced.stats['loss_rate']:.3f})",
-             forced.stats["loss_rate"] > off.stats["loss_rate"] + 0.3),
-        )
-    path = _write_csv(
-        ctx, "comms-impact", "comms_impact.csv",
-        ["scenario", "delay_ms_p50", "delay_ms_p95", "loss_rate"], rows,
-    )
-    return _report("comms-impact", checks, [path])
+        moved = np.max([abs(on.stats[k] - off.stats[k])
+                        for k in ("delay_ms_p50", "delay_ms_p95", "loss_rate")])
+        checks.append(Check(
+            f"{name}: sensing on/off leaves delay and loss untouched",
+            moved, "<=", 0.0))
+        # not forced - off > 0.3: that rounds differently, e.g. at 0.1 -> 0.4
+        loss_off = off.stats["loss_rate"]
+        checks.append(Check(
+            f"{name}: forced separator raises loss ({loss_off:.3f} -> "
+            "{value:.3f})", forced.stats["loss_rate"], ">", loss_off + 0.3))
+    return ["scenario", "delay_ms_p50", "delay_ms_p95", "loss_rate"], rows, checks
 
 
 def _bursty_times(rng, duration):
@@ -375,19 +347,16 @@ def _bursty_times(rng, duration):
     return np.asarray(out)
 
 
+def _receding_target(speed_mps):
+    """Monostatic scene of one target moving off (4, 0, 0) m along x."""
+    trajectory = linear_trajectory((4.0, 0.0, 0.0), (speed_mps, 0.0, 0.0))
+    return ScenarioGeometry(targets=(PropagationPath(trajectory=trajectory),))
+
+
 def _doppler_series(ctx, times, speed_mps, snr_db, salt):
     """Single-subcarrier CSI series of one receding target, mean-removed."""
-    geom = ScenarioGeometry(
-        targets=(
-            PropagationPath(
-                trajectory=linear_trajectory((4.0, 0.0, 0.0),
-                                             (speed_mps, 0.0, 0.0))
-            ),
-        ),
-        include_los=False,
-    )
-    csi = synthesize_csi_series(geom, ctx.cfg, times, snr_db=snr_db,
-                                rng=ctx.rng(salt))
+    csi = synthesize_csi_series(_receding_target(speed_mps), ctx.cfg, times,
+                                snr_db=snr_db, rng=ctx.rng(salt))
     series = csi[:, 0, 0]
     return series - np.mean(series)
 
@@ -429,19 +398,16 @@ def run_stft_irregular(ctx):
         ["irregular", "naive-fft", f"{frac_naive:.4f}"],
         ["irregular", "nonuniform-dft", f"{frac_restored:.4f}"],
     ]
-    path = _write_csv(
-        ctx, "stft-irregular", "stft_irregular.csv",
-        ["schedule", "method", "band_energy_fraction_9_15hz"], rows,
-    )
     checks = [
-        (f"regular sampling concentrates {frac_regular:.2f} of the energy "
-         f"in the {f_doppler:.0f} Hz band (>= 0.8)", frac_regular >= 0.8),
-        (f"naive transform of the irregular series holds {frac_naive:.2f} "
-         f"(< 0.5)", frac_naive < 0.5),
-        (f"nonuniform transform restores {frac_restored:.2f} (>= 0.8)",
-         frac_restored >= 0.8),
+        Check("regular sampling concentrates {value:.2f} of the energy "
+              f"in the {f_doppler:.0f} Hz band " "(>= {bound})",
+              frac_regular, ">=", 0.8),
+        Check("naive transform of the irregular series holds {value:.2f} "
+              "(< {bound})", frac_naive, "<", 0.5),
+        Check("nonuniform transform restores {value:.2f} (>= {bound})",
+              frac_restored, ">=", 0.8),
     ]
-    return _report("stft-irregular", checks, [path])
+    return ["schedule", "method", "band_energy_fraction_9_15hz"], rows, checks
 
 
 def run_cancellation_budget(ctx):
@@ -449,9 +415,9 @@ def run_cancellation_budget(ctx):
     cfg = ctx.cfg
     n_trials = int(ctx.param("run.n_trials", 3))
     rows = []
-    checks_ok = {"first": True, "analog": True, "digital": True,
-                 "total": True, "floor": True, "echo": True}
+    figures = []
     floor_dbm = cancel.DEFAULT_NOISE_FLOOR_DBM
+    first_db = cancel.DEFAULT_FIRST_STAGE_DB
     for trial in range(n_trials):
         rng = np.random.default_rng([ctx.seed, trial])
         tx, leak, state = cancel.calibrated_separator(cfg, rng)
@@ -482,26 +448,26 @@ def run_cancellation_budget(ctx):
         rows.append([trial, f"{g_first:.2f}", f"{g_analog:.2f}",
                      f"{g_digital:.2f}", f"{total:.2f}", f"{resid_dbm:.2f}",
                      f"{echo_delta:.3f}"])
-        checks_ok["first"] &= abs(g_first - 12.0) <= 1.0
-        checks_ok["analog"] &= g_analog >= 35.0
-        checks_ok["digital"] &= g_digital >= 20.0
-        checks_ok["total"] &= total >= 70.0
-        checks_ok["floor"] &= abs(resid_dbm - floor_dbm) <= 3.0
-        checks_ok["echo"] &= abs(echo_delta) <= 1.0
-    path = _write_csv(
-        ctx, "cancellation-budget", "cancellation_budget.csv",
-        ["trial", "first_stage_db", "analog_db", "digital_db", "total_db",
-         "residual_dbm", "echo_delta_db"], rows,
-    )
+        figures.append([abs(g_first - first_db), g_analog, g_digital, total,
+                        abs(resid_dbm - floor_dbm), abs(echo_delta)])
+    # the worst trial of each figure; np.max/np.min let a NaN trial fail
+    first, analog, digital, suppression, floor, echo = np.transpose(figures)
     checks = [
-        ("front-end isolation lands at 12 +/- 1 dB", checks_ok["first"]),
-        ("analog stage removes >= 35 dB", checks_ok["analog"]),
-        ("digital stage removes >= 20 dB", checks_ok["digital"]),
-        ("total suppression >= 70 dB", checks_ok["total"]),
-        ("residual sits within 3 dB of the noise floor", checks_ok["floor"]),
-        ("reflections preserved within 1 dB", checks_ok["echo"]),
+        Check(f"front-end isolation lands at {first_db:g} " "+/- {bound:g} dB",
+              np.max(first), "<=", 1.0),
+        Check("analog stage removes >= {bound:g} dB", np.min(analog), ">=", 35.0),
+        Check("digital stage removes >= {bound:g} dB",
+              np.min(digital), ">=", 20.0),
+        Check("total suppression >= {bound:g} dB",
+              np.min(suppression), ">=", 70.0),
+        Check("residual sits within {bound:g} dB of the noise floor",
+              np.max(floor), "<=", 3.0),
+        Check("reflections preserved within {bound:g} dB",
+              np.max(echo), "<=", 1.0),
     ]
-    return _report("cancellation-budget", checks, [path])
+    header = ["trial", "first_stage_db", "analog_db", "digital_db", "total_db",
+              "residual_dbm", "echo_delta_db"]
+    return header, rows, checks
 
 
 def _irregular_times(rng, n, median_gap, sigma):
@@ -571,22 +537,18 @@ def run_ranging(ctx):
             errs[method].append(abs(est - truth))
             rows.append([trial, f"{truth:.4f}", f"{est:.4f}", method,
                          f"{snr_db:.2f}", "irregular"])
-    path = _write_csv(
-        ctx, "ranging", "ranging.csv",
-        ["trial", "truth_range_m", "est_range_m", "method", "snr_db",
-         "schedule_kind"], rows,
-    )
-
     med = {k: float(np.median(v)) for k, v in errs.items()}
-    _maybe_hist(ctx, "ranging_errors.png", errs, "absolute range error (m)")
     checks = [
-        (f"sparse median error {med['sparse']:.2f} m <= 2.84 m",
-         med["sparse"] <= 2.84),
-        (f"error ordering sparse ({med['sparse']:.2f}) < subspace "
-         f"({med['music']:.2f}) < inverse-transform ({med['ifft']:.2f})",
-         med["sparse"] < med["music"] < med["ifft"]),
+        Check("sparse median error {value:.2f} m <= {bound} m",
+              med["sparse"], "<=", 2.84),
+        Check(f"error ordering sparse ({med['sparse']:.2f}) < subspace "
+              f"({med['music']:.2f}) < inverse-transform ({med['ifft']:.2f})",
+              np.min([med["music"] - med["sparse"], med["ifft"] - med["music"]]),
+              ">", 0.0),
     ]
-    return _report("ranging", checks, [path])
+    header = ["trial", "truth_range_m", "est_range_m", "method", "snr_db",
+              "schedule_kind"]
+    return header, rows, checks
 
 
 def run_velocity(ctx):
@@ -602,15 +564,8 @@ def run_velocity(ctx):
         truth = float(rng.uniform(0.4, 3.0))
         times = _irregular_times(rng, 64, 0.012, 1.2)
         sched = TxSchedule(times)
-        geom = ScenarioGeometry(
-            targets=(
-                PropagationPath(
-                    trajectory=linear_trajectory((4.0, 0.0, 0.0),
-                                                 (truth, 0.0, 0.0))
-                ),
-            ),
-        )
-        csi = synthesize_csi_series(geom, cfg, times, snr_db=snr_db, rng=rng)
+        csi = synthesize_csi_series(_receding_target(truth), cfg, times,
+                                    snr_db=snr_db, rng=rng)
         est_sparse = velocity_sparse(
             csi, sched, cfg, doppler_grid=doppler_grid, max_iters=40, tol=1e-3,
         )
@@ -620,21 +575,16 @@ def run_velocity(ctx):
             errs[method].append(abs(est - truth))
             rows.append([trial, f"{truth:.3f}", f"{est:.3f}", method,
                          f"{snr_db:.1f}", "gaming"])
-    path = _write_csv(
-        ctx, "velocity", "velocity.csv",
-        ["trial", "truth_mps", "est_mps", "method", "snr_db", "schedule_kind"],
-        rows,
-    )
     med_sparse = float(np.median(errs["sparse"]))
-    med_fft = float(np.median(errs["fft-snap"]))
-    _maybe_hist(ctx, "velocity_errors.png", errs, "absolute velocity error (m/s)")
     checks = [
-        (f"sparse median error {med_sparse:.3f} m/s <= 0.2",
-         med_sparse <= 0.2),
-        (f"uniform-grid baseline is worse ({med_fft:.3f} m/s median)",
-         med_fft > med_sparse),
+        Check("sparse median error {value:.3f} m/s <= {bound}",
+              med_sparse, "<=", 0.2),
+        Check("uniform-grid baseline is worse ({value:.3f} m/s median)",
+              float(np.median(errs["fft-snap"])), ">", med_sparse),
     ]
-    return _report("velocity", checks, [path])
+    header = ["trial", "truth_mps", "est_mps", "method", "snr_db",
+              "schedule_kind"]
+    return header, rows, checks
 
 
 def _device_observation(ctx, device_pos, heading_deg, target, snr_db, salt):
@@ -665,8 +615,7 @@ def run_localization(ctx):
     snr_db = float(ctx.param("run.snr_db", 15.0))
     poses = {"dev-a": (0.0, 0.0, 45.0), "dev-b": (10.0, 10.0, 225.0)}
     rows = []
-    single_errs = []
-    fused_errs = []
+    errs = {"single": [], "fused": []}
     rng = ctx.rng(21)
     for trial in range(n_trials):
         target = rng.uniform(1.0, 9.0, size=2)
@@ -681,33 +630,22 @@ def run_localization(ctx):
         one = fuse_ml([msgs[0]], sigma_range=0.5, sigma_aoa_deg=4.0,
                       bounds=bounds)
         both = fuse_ml(msgs, sigma_range=0.5, sigma_aoa_deg=4.0, bounds=bounds)
-        e_one = float(np.hypot(one.x_m - target[0], one.y_m - target[1]))
-        e_both = float(np.hypot(both.x_m - target[0], both.y_m - target[1]))
-        single_errs.append(e_one)
-        fused_errs.append(e_both)
-        rows.append([trial, f"{target[0]:.3f}", f"{target[1]:.3f}",
-                     f"{one.x_m:.3f}", f"{one.y_m:.3f}", "single",
-                     f"{e_one:.3f}"])
-        rows.append([trial, f"{target[0]:.3f}", f"{target[1]:.3f}",
-                     f"{both.x_m:.3f}", f"{both.y_m:.3f}", "fused",
-                     f"{e_both:.3f}"])
-    path = _write_csv(
-        ctx, "localization", "localization.csv",
-        ["trial", "truth_x_m", "truth_y_m", "est_x_m", "est_y_m", "method",
-         "error_m"], rows,
-    )
-    med_single = float(np.median(single_errs))
-    med_fused = float(np.median(fused_errs))
-    _maybe_hist(ctx, "localization_errors.png",
-                {"single": single_errs, "fused": fused_errs},
-                "position error (m)")
+        for method, fix in (("single", one), ("fused", both)):
+            err = float(np.hypot(fix.x_m - target[0], fix.y_m - target[1]))
+            errs[method].append(err)
+            rows.append([trial, f"{target[0]:.3f}", f"{target[1]:.3f}",
+                         f"{fix.x_m:.3f}", f"{fix.y_m:.3f}", method,
+                         f"{err:.3f}"])
+    med_single = float(np.median(errs["single"]))
     checks = [
-        (f"single-device median error {med_single:.2f} m <= 1.5",
-         med_single <= 1.5),
-        (f"fused median error {med_fused:.2f} m <= single "
-         f"({med_single:.2f} m)", med_fused <= med_single),
+        Check("single-device median error {value:.2f} m <= {bound}",
+              med_single, "<=", 1.5),
+        Check("fused median error {value:.2f} m <= single ({bound:.2f} m)",
+              float(np.median(errs["fused"])), "<=", med_single),
     ]
-    return _report("localization", checks, [path])
+    header = ["trial", "truth_x_m", "truth_y_m", "est_x_m", "est_y_m",
+              "method", "error_m"]
+    return header, rows, checks
 
 
 EXPERIMENTS = {
@@ -732,16 +670,24 @@ def describe(name):
     return (EXPERIMENTS[name].__doc__ or "").strip().splitlines()[0]
 
 
-def run_experiment(name, seed=0, values=None, out_dir=".", plots=False):
-    if name not in EXPERIMENTS:
-        raise KeyError(name)
-    ctx = ExperimentContext(seed=seed, values=dict(values or {}),
-                            out_dir=out_dir, make_plots=plots)
-    return EXPERIMENTS[name](ctx)
+def run_experiment(name, seed=0, values=None, out_dir="."):
+    """Run one experiment, write its CSV into ``out_dir``, judge its checks."""
+    experiment = EXPERIMENTS[name]
+    ctx = ExperimentContext(seed=seed, values=dict(values or {}))
+    os.makedirs(out_dir, exist_ok=True)
+    header, rows, checks = experiment(ctx)
+    path = os.path.join(out_dir, name.replace("-", "_") + ".csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# experiment={name} seed={seed} config_hash={ctx.cfg_hash}\n")
+        writer = _csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return ExperimentReport(name, checks, path)
 
 
 __all__ = [
     "KNOWN_KEYS",
+    "Check",
     "ExperimentContext",
     "ExperimentReport",
     "EXPERIMENTS",

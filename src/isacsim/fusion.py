@@ -87,6 +87,10 @@ class FusionResult:
 
 def message_loglik(message, x, y, sigma_range=0.5, sigma_aoa_deg=5.0):
     """Gaussian log-likelihood (up to constants) of one observation at (x, y)."""
+    for name, sigma in (("sigma_range", sigma_range),
+                        ("sigma_aoa_deg", sigma_aoa_deg)):
+        if not 0.0 < sigma < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {sigma!r}")
     dx = np.asarray(x, dtype=np.float64) - message.x_m
     dy = np.asarray(y, dtype=np.float64) - message.y_m
     r = np.hypot(dx, dy)
@@ -117,7 +121,7 @@ def fuse_ml(messages, bounds, sigma_range=0.5, sigma_aoa_deg=5.0, cell_m=0.25):
     ``bounds`` = (x_lo, x_hi, y_lo, y_hi) spans in ``cell_m`` cells (range
     always; angle when the message carries one), takes the best cell, and
     refines each axis with a three-point parabola. Raises on an empty
-    message list."""
+    message list and, through ``message_loglik``, on a bad sigma."""
     messages = list(messages)
     if not messages:
         raise ValueError("need at least one sensing message")

@@ -186,10 +186,26 @@ class TestResolvePaths:
         ("rx_pos", (0.0, float("inf"), 0.0)),
         ("tx_power_dbm", float("nan")),
         ("tx_power_dbm", float("-inf")),
+        ("boresight_deg", float("nan")),
+        ("array_spacing_wl", float("inf")),
+        ("array_spacing_wl", float("nan")),
+        ("array_spacing_wl", 0.0),
     ])
     def test_nonfinite_geometry_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        with pytest.raises(ValueError, match=f"{field} must be"):
             ScenarioGeometry(**{field: value})
+
+    @pytest.mark.parametrize("snr_db,velocity", [
+        (float("nan"), (1.0, 0.0, 0.0)),
+        (float("-inf"), (1.0, 0.0, 0.0)),
+        (float("inf"), (1.0, 0.0, 0.0)),
+        (None, (float("nan"), 0.0, 0.0)),
+    ])
+    def test_nonfinite_synthesis_input_rejected(self, snr_db, velocity):
+        geom = ScenarioGeometry(targets=(PropagationPath(
+            trajectory=linear_trajectory((5.0, 0.0, 0.0), velocity)),))
+        with pytest.raises(ValueError, match="must be finite"):
+            synthesize_csi_series(geom, CFG, [0.0, 0.01], snr_db=snr_db)
 
     def test_scatterer_on_node_rejected(self):
         geom = ScenarioGeometry(targets=(PropagationPath(position=(0, 0, 0)),))

@@ -185,12 +185,8 @@ class TestRun:
         assert main(["run", "los-dominance", "--out", str(dest)]) == 0
         assert (dest / "los_dominance.csv").exists()
 
-    def test_plots_flag_writes_png(self, capsys, tmp_path):
-        pytest.importorskip("matplotlib")
-        rc = main(["run", "ranging", "--plots", "--config",
-                   write(tmp_path / "t.cfg", "run.n_trials = 4\n"),
-                   "--out", str(tmp_path)])
-        capsys.readouterr()
-        assert rc in (0, 1)
-        pngs = [p for p in os.listdir(tmp_path) if p.endswith(".png")]
-        assert pngs
+    def test_plots_flag_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "los-dominance", "--plots", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--plots" in capsys.readouterr().err

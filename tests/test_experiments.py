@@ -1,11 +1,16 @@
+import csv
+import os
 import re
 
 import numpy as np
 import pytest
 
+from isacsim import experiments
+from isacsim.cancel import DEFAULT_FIRST_STAGE_DB, DEFAULT_NOISE_FLOOR_DBM
 from isacsim.config import ConfigError
 from isacsim.experiments import (
     EXPERIMENTS,
+    Check,
     ExperimentContext,
     describe,
     experiment_names,
@@ -115,14 +120,14 @@ class TestReports:
             f"experiment {name}: {'PASS' if rep.passed else 'FAIL'}"
         )
         assert all(l.startswith(("PASS: ", "FAIL: ")) for l in rep.lines[:-1])
-        assert rep.csv_paths
-        for path in rep.csv_paths:
-            with open(path) as fh:
-                first = fh.readline().strip()
-            assert re.fullmatch(
-                rf"# experiment={name} seed=1 config_hash=[0-9a-f]{{12}}",
-                first,
-            )
+        # one CSV per experiment, named after it
+        assert os.listdir(tmp_path) == [name.replace("-", "_") + ".csv"]
+        with open(rep.csv_path) as fh:
+            first = fh.readline().strip()
+        assert re.fullmatch(
+            rf"# experiment={name} seed=1 config_hash=[0-9a-f]{{12}}",
+            first,
+        )
 
     @pytest.mark.parametrize("name", CHEAP)
     def test_cheap_experiments_pass_at_defaults(self, name, tmp_path):
@@ -135,13 +140,13 @@ class TestReports:
         b = run_experiment("motion-ambiguity", seed=4,
                            out_dir=str(tmp_path / "b"))
         assert a.lines == b.lines
-        with open(a.csv_paths[0]) as fa, open(b.csv_paths[0]) as fb:
+        with open(a.csv_path) as fa, open(b.csv_path) as fb:
             assert fa.read() == fb.read()
 
     def test_ranging_csv_rows(self, tmp_path):
         rep = run_experiment("ranging", seed=0, values={"run.n_trials": 1},
                              out_dir=str(tmp_path))
-        with open(rep.csv_paths[0], newline="") as fh:
+        with open(rep.csv_path, newline="") as fh:
             text = fh.read()
         comment, body = text.split("\n", 1)
         assert comment.startswith("# experiment=ranging seed=0 ")
@@ -162,7 +167,7 @@ class TestReports:
         rep = run_experiment("comms-impact", seed=0,
                              values={"run.duration_s": 0.5},
                              out_dir=str(tmp_path))
-        with open(rep.csv_paths[0]) as fh:
+        with open(rep.csv_path) as fh:
             lines = fh.read().splitlines()
         assert lines[1] == "scenario,delay_ms_p50,delay_ms_p95,loss_rate"
         cells = lines[2].split(",")
@@ -177,7 +182,7 @@ class TestReports:
                 values={"run.duration_s": 0.5, **values},
                 out_dir=str(tmp_path / str(len(values))),
             )
-            with open(rep.csv_paths[0]) as fh:
+            with open(rep.csv_path) as fh:
                 return fh.read().splitlines()[2:]
 
         default = rows({})
@@ -196,3 +201,53 @@ class TestReports:
             out_dir=str(tmp_path),
         )
         assert rep.lines
+
+
+class TestChecks:
+    def test_text_takes_value_and_bound_from_the_record(self):
+        check = Check("error {value:.2f} m <= {bound} m", 0.5, "<=", 2.84)
+        assert check.passed
+        assert check.line == "PASS: error 0.50 m <= 2.84 m"
+        assert Check("x", 3.0, "<=", 2.84).line == "FAIL: x"
+
+    @pytest.mark.parametrize("relation", ["<", "<=", ">", ">="])
+    def test_nan_fails_every_relation(self, relation):
+        assert not Check("nan value", float("nan"), relation, 0.0).passed
+        assert not Check("nan bound", 0.0, relation, float("nan")).passed
+
+    def test_ranging_ordering_fails_on_a_nan_ifft_median(self, tmp_path,
+                                                         monkeypatch):
+        # at these settings the ordering holds; only the NaN can fail it
+        monkeypatch.setattr(experiments, "range_ifft",
+                            lambda csi, cfg: float("nan"))
+        rep = run_experiment("ranging", seed=0, values={"run.n_trials": 3},
+                             out_dir=str(tmp_path))
+        sparse, ordering = rep.checks
+        assert sparse.passed
+        assert not ordering.passed
+        assert rep.lines[1].startswith("FAIL: error ordering")
+        assert rep.lines[1].endswith("inverse-transform (nan)")
+
+    def test_cancellation_budget_judges_the_worst_trial(self, tmp_path):
+        rep = run_experiment("cancellation-budget", seed=0,
+                             values={"run.n_trials": 4}, out_dir=str(tmp_path))
+        with open(rep.csv_path, newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh
+                                       if not line.startswith("#")))
+        assert len(rows) == 4
+
+        def col(key):
+            return np.array([float(r[key]) for r in rows])
+
+        worst = [
+            np.max(np.abs(col("first_stage_db") - DEFAULT_FIRST_STAGE_DB)),
+            np.min(col("analog_db")),
+            np.min(col("digital_db")),
+            np.min(col("total_db")),
+            np.max(np.abs(col("residual_dbm") - DEFAULT_NOISE_FLOOR_DBM)),
+            np.max(np.abs(col("echo_delta_db"))),
+        ]
+        rounding = [0.005] * 5 + [0.0005]
+        assert len(rep.checks) == len(worst)
+        for check, figure, tol in zip(rep.checks, worst, rounding):
+            assert abs(check.value - figure) <= tol + 1e-12, check.text

@@ -5,7 +5,7 @@ import pytest
 
 from isacsim import fusion
 from isacsim.estimate import SensingEstimate, localize_single
-from isacsim.fusion import SensingMessage, fuse_ml, wrap_deg
+from isacsim.fusion import SensingMessage, fuse_ml, message_loglik, wrap_deg
 
 
 def message_for(device_id, pose, target, t_s=0.0, rng=None,
@@ -104,6 +104,21 @@ class TestFuseMl:
         m = message_for("dev-a", (0.0, 0.0, 0.0), (5.0, 0.0))
         with pytest.raises(ValueError):
             fuse_ml([m], bounds=TWO_POSE_BOUNDS, cell_m=0.0)
+
+    @pytest.mark.parametrize("sigmas", [
+        {"sigma_range": 0.0},
+        {"sigma_range": -0.5},
+        {"sigma_range": float("nan")},
+        {"sigma_aoa_deg": float("inf")},
+        {"sigma_aoa_deg": 0.0},
+    ])
+    def test_bad_sigma_rejected(self, sigmas):
+        m = message_for("dev-a", (0.0, 0.0, 0.0), (5.0, 0.0))
+        name = next(iter(sigmas))
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            fuse_ml([m], bounds=TWO_POSE_BOUNDS, **sigmas)
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            message_loglik(m, 1.0, 1.0, **sigmas)
 
     def test_degenerate_bounds_rejected(self):
         m = message_for("dev-a", (0.0, 0.0, 0.0), (5.0, 0.0))
