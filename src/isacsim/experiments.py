@@ -120,8 +120,10 @@ class Check:
     """One acceptance check: it passes when ``value <relation> bound``.
 
     ``text`` is a ``str.format`` template whose ``{value}`` and ``{bound}``
-    fields are filled from the record, so a threshold is written once. A NaN
-    value or bound fails.
+    fields are filled from the record, so a threshold is written once. A text
+    that also interpolates other figures is an f-string throughout, with the
+    record fields escaped as ``{{value}}`` and ``{{bound}}``. A NaN value or
+    bound fails.
     """
 
     text: str
@@ -191,7 +193,7 @@ def run_phase_offsets(ctx):
     rows.append(["monostatic-drift", 0, "0.0", f"{drift:.3e}"])
 
     checks = [
-        Check("bistatic phase error {value:.2e} rad < 1e-6 "
+        Check(f"bistatic phase error {{value:.2e}} rad < 1e-6 "
               f"({n_trials} impairment draws)", worst_bistatic, "<", 1e-6),
         Check("monostatic drift {value:.2e} rad < 1e-6 over 100 symbols",
               drift, "<", 1e-6),
@@ -255,7 +257,7 @@ def run_motion_ambiguity(ctx):
         blind.append(abs(dr_bi))
         rows.append(["baseline", axis, "", f"{dr_bi:.4f}"])
     checks = [
-        Check("colocated sensitivity reaches twice the displacement "
+        Check(f"colocated sensitivity reaches twice the displacement "
               f"(max {mono_max:.3f})", abs(mono_max - 2.0), "<", 1e-6),
         Check("separated geometry has a blind region near the baseline "
               "(worst-axis sensitivity {value:.3f} < {bound})",
@@ -282,8 +284,8 @@ def run_separator_harm(ctx):
         rows.append([trial, f"{clean:.2f}", f"{separated:.2f}",
                      f"{penalty:.2f}"])
     checks = [
-        Check("separator costs at least {bound:g} dB on receptions "
-              "(min {value:.1f} dB " f"over {n_trials} scenes)",
+        Check(f"separator costs at least {{bound:g}} dB on receptions "
+              f"(min {{value:.1f}} dB over {n_trials} scenes)",
               min_penalty, ">=", 10.0),
     ]
     return ["trial", "clean_snr_db", "separated_snr_db", "penalty_db"], rows, checks
@@ -328,7 +330,7 @@ def run_comms_impact(ctx):
         loss_off = off.stats["loss_rate"]
         checks.append(Check(
             f"{name}: forced separator raises loss ({loss_off:.3f} -> "
-            "{value:.3f})", forced.stats["loss_rate"], ">", loss_off + 0.3))
+            f"{{value:.3f}})", forced.stats["loss_rate"], ">", loss_off + 0.3))
     return ["scenario", "delay_ms_p50", "delay_ms_p95", "loss_rate"], rows, checks
 
 
@@ -399,8 +401,8 @@ def run_stft_irregular(ctx):
         ["irregular", "nonuniform-dft", f"{frac_restored:.4f}"],
     ]
     checks = [
-        Check("regular sampling concentrates {value:.2f} of the energy "
-              f"in the {f_doppler:.0f} Hz band " "(>= {bound})",
+        Check(f"regular sampling concentrates {{value:.2f}} of the energy "
+              f"in the {f_doppler:.0f} Hz band (>= {{bound}})",
               frac_regular, ">=", 0.8),
         Check("naive transform of the irregular series holds {value:.2f} "
               "(< {bound})", frac_naive, "<", 0.5),
@@ -453,7 +455,7 @@ def run_cancellation_budget(ctx):
     # the worst trial of each figure; np.max/np.min let a NaN trial fail
     first, analog, digital, suppression, floor, echo = np.transpose(figures)
     checks = [
-        Check(f"front-end isolation lands at {first_db:g} " "+/- {bound:g} dB",
+        Check(f"front-end isolation lands at {first_db:g} +/- {{bound:g}} dB",
               np.max(first), "<=", 1.0),
         Check("analog stage removes >= {bound:g} dB", np.min(analog), ">=", 35.0),
         Check("digital stage removes >= {bound:g} dB",

@@ -192,7 +192,7 @@ class TestResolvePaths:
         ("array_spacing_wl", 0.0),
     ])
     def test_nonfinite_geometry_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
             ScenarioGeometry(**{field: value})
 
     @pytest.mark.parametrize("snr_db,velocity", [
