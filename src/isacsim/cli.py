@@ -1,7 +1,8 @@
 """``isac-bench``: run seeded benchmark experiments from the command line.
 
 Exit codes: 0 when every check passes, 1 when an experiment reports a
-failed check, 2 for usage mistakes, 3 for unreadable or invalid configs.
+failed check, 2 for usage mistakes, 3 for unreadable or invalid configs,
+4 when the output directory or CSV cannot be written.
 """
 
 import argparse
@@ -82,8 +83,13 @@ def main(argv=None):
             print(f"error: {exc}", file=sys.stderr)
             return 3
 
-    report = run_experiment(args.experiment, seed=args.seed, values=values,
-                            out_dir=args.out)
+    try:
+        report = run_experiment(args.experiment, seed=args.seed,
+                                values=values, out_dir=args.out)
+    except OSError as exc:
+        print(f"error: cannot write output under {args.out!r}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 4
     for line in report.lines:
         print(line)
     return 0 if report.passed else 1

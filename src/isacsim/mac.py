@@ -18,6 +18,13 @@ given SNR gets its line-of-sight power at ``TX_POWER_DBM`` over the
 canceller's noise floor. Traffic comes in three fixed shapes, regular,
 streaming and gaming; only the regular rate and the seed are settable.
 
+The event loop is a heap of (time, sequence number) entries. It holds only
+each device's next scheduled packet, pushed when the one before it pops, so
+the heap stays a few entries deep however long the run. A transmission
+pushes one completion entry: the sender's TxComplete and, when it has a
+peer, the peer's RxComplete fall at the same instant with nothing
+scheduled between them, so they are handled together.
+
 Randomness is split into two independent streams — one for everything that
 affects communications (backoff, loss draws), one for sensing-side noise —
 so that a run with sensing disabled consumes the communications stream
@@ -32,7 +39,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cancel, channel
-from .estimate import TxSchedule
 from .ofdm import RadioConfig, packet_duration
 from .sigcore import db, from_db
 
@@ -140,7 +146,8 @@ class TrafficModel:
 
 
 def generate_traffic(model, duration, seed=None):
-    """Seeded packet schedule for one device, starting at time 0.
+    """Seeded packet times of one device in [0, duration), strictly
+    increasing; empty when no packet falls before ``duration``.
 
     regular: exact constant spacing at ``rate_hz``. streaming: burst anchors
     at ``STREAM_BURSTS_PER_S`` with jitter, 1-8 packets per burst a couple of
@@ -153,7 +160,7 @@ def generate_traffic(model, duration, seed=None):
     times = []
     if model.kind == "regular":
         n = int(np.floor(duration * model.rate_hz - 1e-9)) + 1
-        return TxSchedule(np.arange(n) / model.rate_hz)
+        return np.arange(n) / model.rate_hz
     if model.kind == "streaming":
         n_bursts = int(np.ceil(duration * STREAM_BURSTS_PER_S))
         for k in range(n_bursts):
@@ -174,7 +181,7 @@ def generate_traffic(model, duration, seed=None):
                 if tt < duration:
                     times.append(tt)
             t = times[-1] + rng.lognormal(log_median, GAMING_GAP_SIGMA)
-    return TxSchedule(np.asarray(times))
+    return np.asarray(times, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +274,15 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     separator calibrated on fresh leakage is run over a clean remote packet
     15 dB above the noise floor, and the SNR it costs is charged to every
     reception.
+
+    The heap holds one pending packet per device (its next scheduled DATA
+    packet, in schedule order) plus deferred retries, ACKs, timers and one
+    completion entry per transmission, which runs the sender's TxComplete
+    and then the peer's RxComplete and loss draw. ``n_events`` counts the
+    events handled: every packet that comes due (a deferral counts again
+    when it retries), every TxComplete, every RxComplete and every timer
+    expiry, including timers a later transmission superseded. A device with
+    no packet before ``duration`` sends nothing.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -313,22 +329,29 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     ack_duration = packet_duration(ACK_SYMBOLS, cfg)
 
     heap = []
-    seq = itertools.count()
     push = heapq.heappush
     pop = heapq.heappop
 
+    # each scheduled packet keeps the sequence number it would have with
+    # every schedule pushed up front, its offset in the concatenated
+    # schedules, so ties break as they would; dynamic entries number on
+    # from there. The schedules live in the heap entries, not on the
+    # contexts, whose peer links form reference cycles.
+    n_scheduled = 0
     for i, d in enumerate(devices):
         model = d.traffic if d.traffic is not None else traffic
         if model is None:
             raise ValueError(f"device {d.device_id!r} has no traffic model")
-        sched = generate_traffic(
+        times = generate_traffic(
             model, duration,
             seed=np.random.default_rng([seed, i, 5]).integers(0, 2**32),
-        )
-        ctx = ctxs[d.device_id]
-        for t in sched.times:
-            t = float(t)
-            push(heap, (t, next(seq), "pkt-due", (ctx, t, "DATA")))
+        ).tolist()
+        packets = zip(times, itertools.count(n_scheduled))
+        first = next(packets, None)
+        if first is not None:
+            push(heap, (*first, "pkt-sched", (ctxs[d.device_id], packets)))
+        n_scheduled += len(times)
+    seq = itertools.count(n_scheduled)
 
     entries = []
     violations = []
@@ -368,6 +391,15 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
         t, _, kind, payload = pop(heap)
         n_events += 1
 
+        if kind == "pkt-sched":
+            # schedules are strictly increasing: the device's next packet
+            # cannot be due before this one
+            ctx, packets = payload
+            following = next(packets, None)
+            if following is not None:
+                push(heap, (*following, kind, payload))
+            kind, payload = "pkt-due", (ctx, t, "DATA")
+
         if kind == "pkt-due":
             ctx, sched_t, ptype = payload
             if t < medium_free_at:
@@ -383,20 +415,14 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
                     captures.append((t, "mono", ctx, ctx))
             if ptype == "DATA":
                 delays.append(t - sched_t)
-            push(heap, (t + dur, next(seq), "tx-complete", ctx))
             rx_ctx = ctx.peer
-            if rx_ctx is not None:
-                if sensing_enabled:
-                    was_c = rx_ctx.state == "C"
-                    apply_step(t, rx_ctx, "RxStart")
-                    if (was_c and collect_csi and rx_ctx.state == "B"
-                            and len(captures) < max_csi):
-                        captures.append((t, "bi", rx_ctx, ctx))
-                push(heap, (t + dur, next(seq), "rx-complete", (ctx, ptype)))
-
-        elif kind == "tx-complete":
-            if sensing_enabled:
-                apply_step(t, payload, "TxComplete")
+            if rx_ctx is not None and sensing_enabled:
+                was_c = rx_ctx.state == "C"
+                apply_step(t, rx_ctx, "RxStart")
+                if (was_c and collect_csi and rx_ctx.state == "B"
+                        and len(captures) < max_csi):
+                    captures.append((t, "bi", rx_ctx, ctx))
+            push(heap, (t + dur, next(seq), "tx-done", (ctx, ptype)))
 
         elif kind == "timer":
             ctx, deadline = payload
@@ -405,9 +431,18 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
             if sensing_enabled:
                 apply_step(t, ctx, "TimerExpiry")
 
-        elif kind == "rx-complete":
+        elif kind == "tx-done":
+            # the sender's TxComplete, then the peer's RxComplete: both fall
+            # at t, and no entry can come between them, since the only push
+            # in between is TxComplete's timer, due at or after t and pushed
+            # after both
             tx_ctx, ptype = payload
+            if sensing_enabled:
+                apply_step(t, tx_ctx, "TxComplete")
             rx_ctx = tx_ctx.peer
+            if rx_ctx is None:
+                continue
+            n_events += 1
             if sensing_enabled:
                 apply_step(t, rx_ctx, "RxComplete")
             ok = rng_comms.random() < tx_ctx.link_success

@@ -185,6 +185,27 @@ class TestRun:
         assert main(["run", "los-dominance", "--out", str(dest)]) == 0
         assert (dest / "los_dominance.csv").exists()
 
+    def test_devices_with_no_packet_fail_checks_not_crash(self, capsys,
+                                                           tmp_path):
+        # at 2 ms the streaming and gaming devices draw no packet
+        cfg = write(tmp_path / "short.cfg", "run.duration_s = 0.002\n")
+        rc = main(["run", "comms-impact", "--config", cfg,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "FAIL: streaming: forced separator raises loss" in out
+        assert out.endswith("experiment comms-impact: FAIL\n")
+
+    def test_unwritable_output_is_exit_four(self, capsys, tmp_path):
+        afile = write(tmp_path / "afile", "")
+        rc = main(["run", "los-dominance", "--out", afile + "/x"])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: cannot write output under ")
+
     def test_plots_flag_is_gone(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["run", "los-dominance", "--plots", "--out", str(tmp_path)])

@@ -228,6 +228,34 @@ class TestChecks:
         assert rep.lines[1].startswith("FAIL: error ordering")
         assert rep.lines[1].endswith("inverse-transform (nan)")
 
+    @pytest.mark.parametrize("name,attr,call,failing", [
+        ("phase-offsets", "extract_csi_symbols", 0, "bistatic phase error"),
+        ("los-dominance", "power_ratio", 0, "every reflection"),
+        # projections 0-1 are the radial reference, 2 the first colocated
+        # one on the circle, 99 the baseline target's second axis
+        ("motion-ambiguity", "bistatic_projection", 2,
+         "colocated sensitivity"),
+        ("motion-ambiguity", "bistatic_projection", 99,
+         "separated geometry has a blind region"),
+        ("separator-harm", "forced_separator_harm", 0, "separator costs"),
+    ])
+    def test_one_nan_trial_fails_its_check(self, name, attr, call, failing,
+                                           tmp_path, monkeypatch):
+        owner = (experiments.cancel if attr == "forced_separator_harm"
+                 else experiments)
+        real = getattr(owner, attr)
+        calls = iter(range(10**6))
+
+        def nan_once(*args, **kwargs):
+            out = real(*args, **kwargs)
+            return np.asarray(out) * np.nan if next(calls) == call else out
+
+        monkeypatch.setattr(owner, attr, nan_once)
+        rep = run_experiment(name, seed=0, out_dir=str(tmp_path))
+        failed = [c.text for c in rep.checks if not c.passed]
+        assert len(failed) == 1
+        assert failed[0].startswith(failing)
+
     def test_cancellation_budget_judges_the_worst_trial(self, tmp_path):
         rep = run_experiment("cancellation-budget", seed=0,
                              values={"run.n_trials": 4}, out_dir=str(tmp_path))

@@ -1,17 +1,22 @@
 """Tests for the C/M/B mode machine, traffic models, and scenario runs."""
 
+import heapq
+import itertools
+
 import numpy as np
 import pytest
 
-from isacsim import cancel, mac
+from isacsim import cancel, channel, mac
 from isacsim.channel import (
     PropagationPath,
     ScenarioGeometry,
     linear_trajectory,
     synthesize_csi_series,
 )
+from isacsim.estimate import TxSchedule
 from isacsim.mac import step
-from isacsim.ofdm import RadioConfig
+from isacsim.ofdm import RadioConfig, packet_duration
+from isacsim.sigcore import db, from_db
 
 
 def tx_spans(log):
@@ -125,10 +130,10 @@ class TestSuccessProbability:
 
 class TestTraffic:
     def test_regular_40hz_gives_400_packets_at_exact_spacing(self):
-        sched = mac.generate_traffic(mac.TrafficModel.regular(40.0), 10.0)
-        assert len(sched) == 400
-        assert sched.times[0] == 0.0
-        assert np.allclose(np.diff(sched.times), 0.025, atol=1e-12)
+        times = mac.generate_traffic(mac.TrafficModel.regular(40.0), 10.0)
+        assert len(times) == 400
+        assert times[0] == 0.0
+        assert np.allclose(np.diff(times), 0.025, atol=1e-12)
 
     @pytest.mark.parametrize("rate", [0.0, -5.0, float("nan"), float("inf")])
     def test_rate_must_be_positive_and_finite(self, rate):
@@ -136,18 +141,17 @@ class TestTraffic:
             mac.TrafficModel.regular(rate)
 
     def test_regular_is_uniform(self):
-        sched = mac.generate_traffic(mac.TrafficModel.regular(100.0), 1.0)
-        assert sched.is_uniform()
+        times = mac.generate_traffic(mac.TrafficModel.regular(100.0), 1.0)
+        assert TxSchedule(times).is_uniform()
 
     def test_streaming_seeded_identical(self):
         a = mac.generate_traffic(mac.TrafficModel.streaming(seed=5), 4.0)
         b = mac.generate_traffic(mac.TrafficModel.streaming(seed=5), 4.0)
-        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a, b)
 
     def test_streaming_burst_sizes_within_bounds(self):
         model = mac.TrafficModel.streaming(seed=2)
-        sched = mac.generate_traffic(model, 10.0)
-        gaps = np.diff(sched.times)
+        gaps = np.diff(mac.generate_traffic(model, 10.0))
         # bursts are ~2 ms apart inside, anchors >= 1/30 s apart
         burst_sizes = []
         size = 1
@@ -164,14 +168,14 @@ class TestTraffic:
 
     def test_gaming_gaps_are_heavy_tailed(self):
         for seed in range(4):
-            sched = mac.generate_traffic(mac.TrafficModel.gaming(seed=seed), 60.0)
-            gaps = np.diff(sched.times)
+            gaps = np.diff(mac.generate_traffic(
+                mac.TrafficModel.gaming(seed=seed), 60.0))
             cv = gaps.std() / gaps.mean()
             assert cv > 1.0
 
     def test_gaming_schedule_is_irregular(self):
-        sched = mac.generate_traffic(mac.TrafficModel.gaming(seed=1), 20.0)
-        assert not sched.is_uniform()
+        times = mac.generate_traffic(mac.TrafficModel.gaming(seed=1), 20.0)
+        assert not TxSchedule(times).is_uniform()
 
     def test_times_bounded_by_duration(self):
         for model in (
@@ -179,9 +183,28 @@ class TestTraffic:
             mac.TrafficModel.streaming(seed=0),
             mac.TrafficModel.gaming(seed=0),
         ):
-            sched = mac.generate_traffic(model, 3.0)
-            assert sched.times[-1] < 3.0
-            assert np.all(np.diff(sched.times) > 0)
+            times = mac.generate_traffic(model, 3.0)
+            assert times[-1] < 3.0
+            assert np.all(np.diff(times) > 0)
+
+    @pytest.mark.parametrize("kind", ["regular", "streaming", "gaming"])
+    def test_schedules_are_strictly_increasing(self, kind):
+        # the event loop pushes a device's next packet only when the one
+        # before it pops, which is right only for increasing schedules
+        for seed in range(8):
+            for duration in (0.05, 1.0, 12.0):
+                times = mac.generate_traffic(mac.TrafficModel(kind), duration,
+                                             seed=seed)
+                assert times.ndim == 1 and times.dtype == float
+                assert np.all(np.diff(times) > 0)
+                assert np.all((times >= 0) & (times < duration))
+
+    @pytest.mark.parametrize("kind,duration", [
+        ("gaming", 0.001), ("gaming", 0.005), ("streaming", 0.001)])
+    def test_no_packet_before_duration_is_an_empty_schedule(self, kind,
+                                                            duration):
+        assert mac.generate_traffic(mac.TrafficModel(kind), duration,
+                                    seed=0).size == 0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -332,6 +355,147 @@ class TestRunScenario:
         assert res.stats["n_data"] > 0
 
 
+def reference_run_scenario(devices, geometry, traffic, duration, seed=0,
+                           timer_s=1e-3, link_snr_db=None,
+                           sensing_enabled=True, force_separator=False,
+                           collect_csi=False, max_csi=256):
+    """The straightforward event loop ``run_scenario`` must reproduce: every
+    scheduled packet pushed up front, and separate tx-complete and
+    rx-complete entries for each transmission."""
+    cfg = RadioConfig()
+    ids = [d.device_id for d in devices]
+    ctxs = {d.device_id: mac._DeviceCtx(d) for d in devices}
+    for i, d in enumerate(devices):
+        peer = d.peer_id
+        if peer is None and len(devices) > 1:
+            peer = ids[(i + 1) % len(ids)]
+        ctxs[d.device_id].peer = None if peer is None else ctxs[peer]
+    rng_comms = np.random.default_rng([seed, 17])
+    rng_sense = np.random.default_rng([seed, 29])
+    penalty_db = 0.0
+    if force_separator:
+        clean, separated = cancel.forced_separator_harm(
+            cfg, np.random.default_rng([seed, 91]), 15.0)
+        penalty_db = float(clean - separated)
+    for ctx in ctxs.values():
+        if ctx.peer is None:
+            continue
+        snr = link_snr_db
+        if snr is None:
+            d = float(np.linalg.norm(np.asarray(ctx.dev.pos, dtype=float)
+                                     - np.asarray(ctx.peer.dev.pos,
+                                                  dtype=float)))
+            amp = channel.los_gain(max(d, 0.1), cfg,
+                                   tx_power=from_db(mac.TX_POWER_DBM))
+            snr = db(abs(amp) ** 2) - cancel.DEFAULT_NOISE_FLOOR_DBM
+        ctx.link_snr = float(snr) - penalty_db
+        ctx.link_success = mac.success_probability(ctx.link_snr)
+    data_duration = packet_duration(mac.DATA_SYMBOLS, cfg)
+    ack_duration = packet_duration(mac.ACK_SYMBOLS, cfg)
+
+    heap = []
+    seq = itertools.count()
+    for i, d in enumerate(devices):
+        times = mac.generate_traffic(
+            d.traffic or traffic, duration,
+            seed=np.random.default_rng([seed, i, 5]).integers(0, 2**32))
+        for t in times:
+            heapq.heappush(heap, (float(t), next(seq), "pkt-due",
+                                  (ctxs[d.device_id], float(t), "DATA")))
+
+    entries, violations, captures = [], [], []
+    delays, successes, rx_snrs = [], [], []
+    medium_free_at = 0.0
+    counts = {"events": 0, "checks": 0, "mismatches": 0}
+
+    def apply_step(t, ctx, event_kind):
+        before = ctx.state
+        after, action = mac._STEP_TABLE[before, event_kind]
+        ctx.state = after
+        if action in (mac.ENABLE_SEPARATOR, mac.DISABLE_SEPARATOR):
+            ctx.separator_on = action == mac.ENABLE_SEPARATOR
+            ctx.m_timer_deadline = None
+        elif action == mac.CONTINUE_BURST:
+            ctx.m_timer_deadline = None
+        elif action == mac.ARM_TIMER:
+            deadline = ctx.m_timer_deadline = t + timer_s
+            heapq.heappush(heap, (deadline, next(seq), "timer",
+                                  (ctx, deadline)))
+        entry = mac.LogEntry(t, ctx.dev.device_id, event_kind, before, after,
+                             action)
+        if action == mac.VIOLATION:
+            violations.append(entry)
+        entries.append(entry)
+        counts["checks"] += 1
+        counts["mismatches"] += ctx.separator_on != (after == "M")
+
+    while heap:
+        t, _, kind, payload = heapq.heappop(heap)
+        counts["events"] += 1
+        if kind == "pkt-due":
+            ctx, sched_t, ptype = payload
+            if t < medium_free_at:
+                backoff = mac.SLOT_S * int(rng_comms.integers(0, 16))
+                heapq.heappush(heap, (medium_free_at + backoff, next(seq),
+                                      kind, payload))
+                continue
+            dur = data_duration if ptype == "DATA" else ack_duration
+            medium_free_at = t + dur
+            if sensing_enabled:
+                apply_step(t, ctx, "TxStart")
+                if (collect_csi and ctx.state == "M"
+                        and len(captures) < max_csi):
+                    captures.append((t, "mono", ctx, ctx))
+            if ptype == "DATA":
+                delays.append(t - sched_t)
+            heapq.heappush(heap, (t + dur, next(seq), "tx-complete", ctx))
+            rx_ctx = ctx.peer
+            if rx_ctx is not None:
+                if sensing_enabled:
+                    was_c = rx_ctx.state == "C"
+                    apply_step(t, rx_ctx, "RxStart")
+                    if (was_c and collect_csi and rx_ctx.state == "B"
+                            and len(captures) < max_csi):
+                        captures.append((t, "bi", rx_ctx, ctx))
+                heapq.heappush(heap, (t + dur, next(seq), "rx-complete",
+                                      (ctx, ptype)))
+        elif kind == "tx-complete":
+            if sensing_enabled:
+                apply_step(t, payload, "TxComplete")
+        elif kind == "timer":
+            ctx, deadline = payload
+            if ctx.m_timer_deadline == deadline and sensing_enabled:
+                apply_step(t, ctx, "TimerExpiry")
+        else:
+            tx_ctx, ptype = payload
+            rx_ctx = tx_ctx.peer
+            if sensing_enabled:
+                apply_step(t, rx_ctx, "RxComplete")
+            ok = rng_comms.random() < tx_ctx.link_success
+            if ptype == "DATA":
+                successes.append(ok)
+                rx_snrs.append(tx_ctx.link_snr)
+                if ok:
+                    heapq.heappush(heap, (t + mac.SIFS_S, next(seq), "pkt-due",
+                                          (rx_ctx, t + mac.SIFS_S, "ACK")))
+
+    delays_ms = 1e3 * np.asarray(delays) if delays else np.zeros(1)
+    stats = {
+        "n_data": len(successes),
+        "delay_ms_p50": float(np.percentile(delays_ms, 50)),
+        "delay_ms_p95": float(np.percentile(delays_ms, 95)),
+        "loss_rate": float(1.0 - np.mean(successes)) if successes else 0.0,
+        "mean_rx_snr_db": (float(np.mean(rx_snrs)) if rx_snrs
+                           else float("nan")),
+    }
+    return mac.ScenarioResult(
+        entries, mac._materialize_csi(captures, geometry, cfg, rng_sense),
+        stats, violations, n_events=counts["events"],
+        invariant_checks=counts["checks"],
+        separator_mismatches=counts["mismatches"],
+        separator_penalty_db=penalty_db)
+
+
 def three_traffic_devices():
     return [
         mac.MacDevice("dev-a", (0.0, 0.0, 0.0),
@@ -409,6 +573,110 @@ class TestEventLoop:
                 snr_db=30.0, rng=rng)
             for r, v in zip(records, values):
                 np.testing.assert_array_equal(r.values, v)
+
+
+def assert_same_run(got, want):
+    assert got.log == want.log
+    # repr, so that a NaN mean SNR compares equal to itself
+    assert repr(got.stats) == repr(want.stats)
+    assert got.violations == want.violations
+    assert got.n_events == want.n_events
+    assert got.invariant_checks == want.invariant_checks
+    assert got.separator_mismatches == want.separator_mismatches
+    assert got.separator_penalty_db == want.separator_penalty_db
+    assert ([(r.time, r.kind, r.device, r.tx_device, r.values.tobytes())
+             for r in got.csi_records]
+            == [(r.time, r.kind, r.device, r.tx_device, r.values.tobytes())
+                for r in want.csi_records])
+
+
+MODES = {
+    "on-csi": dict(collect_csi=True, max_csi=120),
+    "off": dict(sensing_enabled=False),
+    "forced": dict(force_separator=True),
+}
+
+
+class TestEventLoopOracle:
+    """``run_scenario`` keeps one pending packet per device and one
+    completion entry per transmission; it must handle exactly the events
+    of the loop that pushes everything up front."""
+
+    GEOM = ScenarioGeometry(targets=(PropagationPath(position=(3.0, 2.0,
+                                                               0.0)),))
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("n_devices", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["regular", "streaming", "gaming"])
+    def test_matches_reference_loop(self, kind, n_devices, mode):
+        model = mac.TrafficModel(kind, rate_hz=150.0)
+        for seed in (0, 1, 5):
+            devices = [mac.MacDevice(f"dev-{i}", (4.0 * i, 1.5 * (i == 2),
+                                                  0.0))
+                       for i in range(n_devices)]
+            kw = MODES[mode]
+            geom = self.GEOM if kw.get("collect_csi") else None
+            got = mac.run_scenario(devices, geom, model, 0.6, seed=seed, **kw)
+            want = reference_run_scenario(devices, geom, model, 0.6,
+                                          seed=seed, **kw)
+            assert got.n_events > 0
+            assert_same_run(got, want)
+
+    def test_regular_devices_tie_at_every_packet(self):
+        # identical regular schedules: every packet ties with the other
+        # device's, so only the sequence numbers order them
+        devices = two_devices()
+        model = mac.TrafficModel.regular(400.0)
+        times = mac.generate_traffic(model, 1.0)
+        for seed in (0, 3):
+            got = mac.run_scenario(devices, self.GEOM, model, 1.0, seed=seed,
+                                   collect_csi=True, max_csi=200)
+            want = reference_run_scenario(devices, self.GEOM, model, 1.0,
+                                          seed=seed, collect_csi=True,
+                                          max_csi=200)
+            assert_same_run(got, want)
+            starts = [e.time for e in got.log
+                      if e.event == "TxStart" and e.device == "dev-a"]
+            assert len(starts) >= len(times)
+            assert got.stats["delay_ms_p95"] > 0.0
+
+    def test_timer_ties_with_the_next_scheduled_packet(self):
+        # dev-b's M timer, armed at its packet's TxComplete, expires exactly
+        # when its next packet comes due; that packet was scheduled before
+        # the timer was pushed, so it goes first and continues the burst
+        data_s = packet_duration(mac.DATA_SYMBOLS, RadioConfig())
+        timer_s = 1.0 / 400.0 - data_s
+        assert data_s + timer_s == 1.0 / 400.0
+        devices = two_devices()
+        devices[0].traffic = mac.TrafficModel.regular(100.0)
+        devices[1].traffic = mac.TrafficModel.regular(400.0)
+        for seed in (0, 1):
+            got = mac.run_scenario(devices, None, None, 0.3, seed=seed,
+                                   timer_s=timer_s)
+            want = reference_run_scenario(devices, None, None, 0.3,
+                                          seed=seed, timer_s=timer_s)
+            assert_same_run(got, want)
+            tie = [(e.device, e.event, e.action) for e in got.log
+                   if e.time == 2.0 / 400.0]
+            assert tie == [("dev-b", "TxStart", mac.CONTINUE_BURST),
+                           ("dev-a", "RxStart", mac.DEFER_BISTATIC)]
+
+    def test_devices_without_packets_send_nothing(self):
+        # at 2 ms neither streaming nor gaming draws a packet at seed 0
+        for model in (mac.TrafficModel.streaming(), mac.TrafficModel.gaming()):
+            res = mac.run_scenario(two_devices(), None, model, 0.002, seed=0)
+            assert res.n_events == 0 and res.log == []
+            assert res.stats["n_data"] == 0
+            assert_same_run(res, reference_run_scenario(
+                two_devices(), None, model, 0.002, seed=0))
+        # one idle device beside a busy one
+        devices = two_devices()
+        devices[0].traffic = mac.TrafficModel.regular(100.0)
+        devices[1].traffic = mac.TrafficModel.gaming()
+        res = mac.run_scenario(devices, None, None, 0.002, seed=0)
+        assert res.stats["n_data"] == 1  # dev-a's packet at t = 0
+        assert_same_run(res, reference_run_scenario(devices, None, None,
+                                                    0.002, seed=0))
 
 
 class TestSeparatorPenalty:
