@@ -294,13 +294,8 @@ def measure_separator_harm(template, state, remote_gain, noise_floor_dbm, rng):
     ref = np.asarray(template)
     noise = complex_noise(len(ref), noise_floor_dbm, rng)
     clean = remote_gain * ref + noise
-    correction = state.analog_tap * _delayed(ref, state.analog_delay)
-    correction -= kernels.fir_apply(ref, state.digital_taps)
-    separated = clean + correction
-    return (
-        template_snr_db(ref, clean),
-        template_snr_db(ref, separated),
-    )
+    separated = separator_pipeline(clean, state, "M", tx_ref=ref)
+    return template_snr_db(ref, clean), template_snr_db(ref, separated)
 
 
 def calibrated_separator(cfg, rng):

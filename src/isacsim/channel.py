@@ -3,8 +3,9 @@
 Everything the receiver sees is built here, as packet-rate CSI: each
 propagation path contributes an amplitude-scaled, delay-rotated term per
 subcarrier, moving scatterers rotate the carrier phase as their two-hop path
-length changes, the receiver's clock error smears phase across packets and
-subcarriers, and complex Gaussian noise floors the result.
+length changes, and complex Gaussian noise floors the result. Clock error
+is modelled once, on waveforms: ``apply_clock_impairments`` stamps it onto a
+training burst, whose extracted CSI then carries it.
 
 ``resolve_paths`` turns a scene into per-packet (amplitude, delay, angle)
 rows, one per path, for fixed and moving scatterers alike; a path's explicit
@@ -17,9 +18,10 @@ Conventions
   ``alpha**2 = P * g_tx * g_rx * lam**2 * rcs / ((4*pi)**3 * (r_tx*r_rx)**2)``.
 * The direct tx->rx amplitude is normalized so the reflected-to-direct power
   ratio equals ``rcs * L / (4*pi * (r_tx*r_rx)**2)`` (see ``power_ratio``).
-* Receiver clock terms rotate sample n by ``exp(-2j*pi*(cfo_hz*t + cpo))``;
-  a sampling-rate skew ``sfo`` and a fractional timing offset ``pdd_extra``
-  appear as phase ramps over the FFT bin index within each symbol window.
+* Receiver clock terms rotate training symbol l by
+  ``exp(-2j*pi*(l*cfo_hz/(df*n_fft) + cpo))``; a sampling-rate skew ``sfo``
+  and a fractional timing offset ``pdd_extra`` appear as phase ramps over
+  the FFT bin index within each symbol window.
 * Antenna 0 is the phase reference of a uniform linear array; element i sits
   ``i * array_spacing_wl`` wavelengths along the array axis.
 """
@@ -189,7 +191,7 @@ class ImpairmentProfile:
     ``exp(-2j*pi*cpo)``), kept in [0, 2*pi). ``sfo`` is the fractional
     sampling-rate skew, ``pdd_extra`` an additional (possibly fractional)
     sampling offset in samples. The terms are fixed for the life of the
-    profile.
+    profile, and every one must be finite.
     """
 
     cfo_hz: float = 0.0
@@ -198,6 +200,9 @@ class ImpairmentProfile:
     pdd_extra: float = 0.0
 
     def __post_init__(self):
+        for name in ("cfo_hz", "sfo", "pdd_extra"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 <= self.cpo < TWO_PI:
             raise ValueError("cpo must lie in [0, 2*pi)")
         if abs(self.sfo) >= 1e-3:
@@ -336,25 +341,21 @@ def apply_clock_impairments(samples, cfg, imp):
     """
     values = np.array(samples, dtype=np.complex128)
     n = cfg.fft_size
-    cp = cfg.cyclic_prefix_len
     if len(values) < cfg.preamble_len:
         raise ValueError("buffer too short for a training burst")
-    n_symbols = 2 + (len(values) - cfg.preamble_len) // (n + cp)
+    n_symbols = 2 + (len(values) - cfg.preamble_len) // (n + cfg.cyclic_prefix_len)
     spans = burst_symbol_spans(cfg, n_symbols)
 
     skew = imp.sfo + imp.pdd_extra
     if skew != 0.0:
         ramp = np.exp(-2j * np.pi * np.arange(n) * skew / n)
-        for l, (_, _, w0) in enumerate(spans):
+        for _, _, w0, p0 in spans:
             spun = np.fft.ifft(np.fft.fft(values[w0 : w0 + n]) * ramp)
-            values[w0 : w0 + n] = spun
-            if l == 0:
-                values[cfg.stf_len : cfg.ltf_window_offset] = spun[-cfg.ltf_cp_len :]
-            elif l >= 2:
-                values[w0 - cp : w0] = spun[-cp:]
+            # negative indices pick the window's tail for the prefix
+            values[p0 : w0 + n] = spun[np.arange(p0 - w0, n)]
 
     step = imp.cfo_hz / (cfg.subcarrier_spacing * n)
-    for l, (lo, hi, _) in enumerate(spans):
+    for l, (lo, hi, _, _) in enumerate(spans):
         values[lo:hi] *= np.exp(-2j * np.pi * (l * step + imp.cpo))
     return values
 
@@ -363,7 +364,7 @@ def apply_clock_impairments(samples, cfg, imp):
 # packet-rate channel synthesis
 
 
-def synthesize_csi_series(geom, cfg, times, imp=None, snr_db=None, rng=None):
+def synthesize_csi_series(geom, cfg, times, snr_db=None, rng=None):
     """Per-packet channel matrices for a sequence of measurement times.
 
     Returns an (n_packets, n_antennas, n_used) complex array. Each path
@@ -371,10 +372,10 @@ def synthesize_csi_series(geom, cfg, times, imp=None, snr_db=None, rng=None):
     ``alpha(t) * a(aoa(t)) * exp(-2j*pi*(f_c + f_k) * tau(t))``, where ``a``
     is the array steering vector and ``tau(t)`` the exact two-hop delay at
     each packet time unless the path fixes it, so scatterer motion shows up
-    as carrier-phase rotation across packets. Clock impairments add the packet
-    rotation ``exp(-2j*pi*(cfo_hz*t + cpo))`` and a fixed phase ramp over the
-    FFT bin index. ``snr_db`` sets per-subcarrier noise relative to the
-    strongest path's power; it must be finite, and None adds no noise.
+    as carrier-phase rotation across packets. The series is free of clock
+    error (``apply_clock_impairments`` stamps that on waveforms). ``snr_db``
+    sets per-subcarrier noise relative to the strongest path's power; it
+    must be finite, and None adds no noise.
     """
     if snr_db is not None and not np.isfinite(snr_db):
         raise ValueError("snr_db must be finite (None means no noise)")
@@ -390,12 +391,6 @@ def synthesize_csi_series(geom, cfg, times, imp=None, snr_db=None, rng=None):
         core = np.exp(-2j * np.pi * d[:, None] * freqs[None, :])
         out += a[:, None, None] * steer[:, :, None] * core[:, None, :]
         strongest = max(strongest, float(np.mean(np.abs(a) ** 2)))
-
-    if imp is not None:
-        packet_phase = np.exp(-2j * np.pi * (imp.cfo_hz * times + imp.cpo))
-        skew = imp.sfo + imp.pdd_extra
-        ramp = np.exp(-2j * np.pi * cfg.used_bins * skew / cfg.fft_size)
-        out *= packet_phase[:, None, None] * ramp[None, None, :]
 
     if snr_db is not None:
         if strongest == 0.0:

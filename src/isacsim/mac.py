@@ -453,13 +453,15 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
                     push(heap, (t + SIFS_S, next(seq), "pkt-due",
                                 (rx_ctx, t + SIFS_S, "ACK")))
 
-    delays_ms = 1e3 * np.asarray(delays) if delays else np.zeros(1)
+    # a run that sent no DATA packet has no delay, loss or SNR to report
+    nan = float("nan")
+    delays_ms = 1e3 * np.asarray(delays)
     stats = {
         "n_data": len(successes),
-        "delay_ms_p50": float(np.percentile(delays_ms, 50)),
-        "delay_ms_p95": float(np.percentile(delays_ms, 95)),
-        "loss_rate": float(1.0 - np.mean(successes)) if successes else 0.0,
-        "mean_rx_snr_db": float(np.mean(rx_snrs)) if rx_snrs else float("nan"),
+        "delay_ms_p50": float(np.percentile(delays_ms, 50)) if delays else nan,
+        "delay_ms_p95": float(np.percentile(delays_ms, 95)) if delays else nan,
+        "loss_rate": float(1.0 - np.mean(successes)) if successes else nan,
+        "mean_rx_snr_db": float(np.mean(rx_snrs)) if rx_snrs else nan,
     }
     return ScenarioResult(entries,
                           _materialize_csi(captures, geometry, cfg, rng_sense),

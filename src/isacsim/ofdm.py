@@ -6,7 +6,9 @@ known symbols for per-subcarrier channel estimation, and cyclic-prefixed
 repeats of the long symbol. It is deliberately not a bit-exact standard
 implementation; CSI semantics only require the known long symbols. The
 used subcarriers follow from the FFT size: 26 per side of DC at 64 bins,
-scaled with the FFT size.
+scaled with the FFT size. The known content is built and measured in one
+place, and ``burst_symbol_spans`` is the one record of where each symbol's
+phase region, FFT window and cyclic prefix sit.
 """
 
 from dataclasses import dataclass, field
@@ -30,16 +32,18 @@ class RadioConfig:
     used_subcarriers: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.fft_size < 4:
-            raise ValueError("fft_size too small")
+        n = self.fft_size
+        n_side = min(int(round(26 * n / 64)), n // 2 - 1)
+        # short training rides on every 4th subcarrier: one must be in use
+        if n_side < 4:
+            raise ValueError(
+                f"fft_size {n} leaves no short-training subcarrier (need >= 10)")
         if not (0 < self.cyclic_prefix_len < self.fft_size):
             raise ValueError("cyclic prefix must be positive and shorter than a symbol")
         if not (0 < self.carrier_freq < np.inf
                 and 0 < self.sample_rate < np.inf):
             raise ValueError(
                 "carrier_freq and sample_rate must be positive and finite")
-        n = self.fft_size
-        n_side = min(int(round(26 * n / 64)), n // 2 - 1)
         bins = tuple(range(1, n_side + 1)) + tuple(range(n - n_side, n))
         object.__setattr__(self, "used_subcarriers", bins)
 
@@ -94,28 +98,8 @@ def packet_duration(n_symbols, cfg):
 
 
 # ---------------------------------------------------------------------------
-# Training sequences
+# Training burst and CSI extraction
 # ---------------------------------------------------------------------------
-
-
-def _training_values(cfg):
-    """Deterministic frequency-domain training values (stf_bins, stf_vals, ltf_vals)."""
-    rng = np.random.default_rng(_TRAINING_SEED)
-    signed = cfg.signed_index()
-    # short training occupies every 4th subcarrier -> 16-sample periodicity
-    stf_mask = (signed % 4 == 0)
-    stf_bins = cfg.used_bins[stf_mask]
-    stf_vals = (rng.integers(0, 2, len(stf_bins)) * 2 - 1) + 1j * (
-        rng.integers(0, 2, len(stf_bins)) * 2 - 1
-    )
-    stf_vals = stf_vals.astype(np.complex128) / np.sqrt(2.0)
-    ltf_vals = (rng.integers(0, 2, cfg.n_used) * 2 - 1).astype(np.complex128)
-    return stf_bins, stf_vals, ltf_vals
-
-
-def long_training_values(cfg):
-    """Known frequency-domain values of the long training symbol (used bins)."""
-    return _training_values(cfg)[2]
 
 
 def _symbol_from_bins(cfg, bins, vals):
@@ -124,37 +108,26 @@ def _symbol_from_bins(cfg, bins, vals):
     return np.fft.ifft(spec) * cfg.fft_size / np.sqrt(len(bins))
 
 
-def _raw_preamble(cfg):
-    """Short training section + cyclic-prefixed long symbol pair, unscaled."""
-    stf_bins, stf_vals, ltf_vals = _training_values(cfg)
+def _training(cfg):
+    """Known training content, built and measured once: the unit-power
+    preamble, the long symbol at the preamble's scale, and the per-bin CSI
+    reference (a clean long symbol's FFT at the used bins)."""
+    rng = np.random.default_rng(_TRAINING_SEED)
+    # short training occupies every 4th subcarrier -> 16-sample periodicity
+    stf_bins = cfg.used_bins[cfg.signed_index() % 4 == 0]
+    stf_vals = (rng.integers(0, 2, len(stf_bins)) * 2 - 1) + 1j * (
+        rng.integers(0, 2, len(stf_bins)) * 2 - 1
+    )
+    stf_vals = stf_vals.astype(np.complex128) / np.sqrt(2.0)
+    ltf_vals = (rng.integers(0, 2, cfg.n_used) * 2 - 1).astype(np.complex128)
     stf_sym = _symbol_from_bins(cfg, stf_bins, stf_vals)
     ltf_sym = _symbol_from_bins(cfg, cfg.used_bins, ltf_vals)
-    stf = np.tile(stf_sym, 3)[: cfg.stf_len]
-    ltf = np.concatenate([ltf_sym[-cfg.ltf_cp_len :], ltf_sym, ltf_sym])
-    return np.concatenate([stf, ltf])
-
-
-def generate_preamble(cfg):
-    """Deterministic unit-power preamble: repeated short section + two long symbols."""
-    samples = _raw_preamble(cfg)
-    return samples / np.sqrt(avg_power(samples))
-
-
-def _preamble_scale(cfg):
-    """Scale applied to training symbols inside generate_preamble."""
-    return 1.0 / np.sqrt(avg_power(_raw_preamble(cfg)))
-
-
-# ---------------------------------------------------------------------------
-# CSI extraction
-# ---------------------------------------------------------------------------
-
-
-def _csi_window(samples, offset, cfg):
-    n = cfg.fft_size
-    if offset < 0 or offset + n > len(samples):
-        raise ValueError("training window out of bounds")
-    return np.fft.fft(samples[offset : offset + n])
+    raw = np.concatenate([np.tile(stf_sym, 3)[: cfg.stf_len],
+                          ltf_sym[-cfg.ltf_cp_len :], ltf_sym, ltf_sym])
+    power = avg_power(raw)
+    scale = 1.0 / np.sqrt(power)
+    reference = ltf_vals * scale * (cfg.fft_size / np.sqrt(cfg.n_used))
+    return raw / np.sqrt(power), ltf_sym * scale, reference
 
 
 def extract_csi_symbols(samples, index, cfg, n_symbols=2):
@@ -164,58 +137,47 @@ def extract_csi_symbols(samples, index, cfg, n_symbols=2):
     l-th known training symbol, so per-symbol phase evolution is observable.
     """
     samples = np.asarray(samples)
-    ltf_vals = long_training_values(cfg) * _preamble_scale(cfg) * (
-        cfg.fft_size / np.sqrt(cfg.n_used)
-    )
+    n = cfg.fft_size
+    reference = _training(cfg)[2]
     out = np.empty((n_symbols, cfg.n_used), dtype=np.complex128)
-    for l, (_, _, window) in enumerate(burst_symbol_spans(cfg, n_symbols)):
-        spec = _csi_window(samples, index + window, cfg)
-        out[l] = spec[cfg.used_bins] / ltf_vals
+    for l, (_, _, window, _) in enumerate(burst_symbol_spans(cfg, n_symbols)):
+        w0 = index + window
+        if w0 < 0 or w0 + n > len(samples):
+            raise ValueError("training window out of bounds")
+        out[l] = np.fft.fft(samples[w0 : w0 + n])[cfg.used_bins] / reference
     return out
 
 
 def training_burst(cfg, n_extra=0):
-    """Preamble followed by n_extra cyclic-prefixed repeats of the long symbol."""
-    pre = generate_preamble(cfg)
-    ltf_scaled = (
-        _symbol_from_bins(cfg, cfg.used_bins, long_training_values(cfg))
-        * _preamble_scale(cfg)
-    )
-    cp = cfg.cyclic_prefix_len
-    chunks = [pre]
-    for _ in range(n_extra):
-        chunks.append(ltf_scaled[-cp:])
-        chunks.append(ltf_scaled)
-    return np.concatenate(chunks)
+    """Unit-power preamble (short section + two long symbols) followed by
+    n_extra cyclic-prefixed repeats of the long symbol at the same scale."""
+    pre, ltf_scaled, _ = _training(cfg)
+    repeat = [ltf_scaled[-cfg.cyclic_prefix_len :], ltf_scaled]
+    return np.concatenate([pre] + repeat * n_extra)
 
 
 def burst_symbol_spans(cfg, n_symbols):
-    """(region_start, region_end, window_start) per training symbol.
+    """(region_start, region_end, window_start, prefix_start) per training symbol.
 
     The region covers the samples sharing symbol l's carrier-phase step
     (cyclic prefix included; the short training field is folded into l=0).
+    Samples [prefix_start, window_start) repeat the window's tail; the
+    second long symbol has no prefix, so its two starts coincide.
     """
     n = cfg.fft_size
     cp = cfg.cyclic_prefix_len
-    spans = []
-    for l in range(n_symbols):
-        if l == 0:
-            spans.append((0, cfg.ltf_window_offset + n, cfg.ltf_window_offset))
-        elif l == 1:
-            start = cfg.ltf_window_offset + n
-            spans.append((start, start + n, start))
-        else:
-            start = cfg.preamble_len + (l - 2) * (n + cp)
-            spans.append((start, start + cp + n, start + cp))
-    return spans
+    w0 = cfg.ltf_window_offset
+    spans = [(0, w0 + n, w0, cfg.stf_len), (w0 + n, w0 + 2 * n, w0 + n, w0 + n)]
+    for l in range(2, n_symbols):
+        start = cfg.preamble_len + (l - 2) * (n + cp)
+        spans.append((start, start + cp + n, start + cp, start))
+    return spans[:n_symbols]
 
 
 __all__ = [
     "SPEED_OF_LIGHT",
     "RadioConfig",
     "packet_duration",
-    "generate_preamble",
-    "long_training_values",
     "extract_csi_symbols",
     "training_burst",
     "burst_symbol_spans",

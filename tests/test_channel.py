@@ -121,6 +121,13 @@ class TestImpairmentProfile:
         with pytest.raises(ValueError):
             ImpairmentProfile(sfo=2e-3)
 
+    @pytest.mark.parametrize("field", ["cfo_hz", "sfo", "pdd_extra"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_nonfinite_clock_terms_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ImpairmentProfile(**{field: value})
+
     def test_sampled_profiles_in_bounds(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -314,20 +321,23 @@ class TestClockImpairments:
         drift = np.angle(sym * np.conj(sym[0][None, :]))
         assert np.max(np.abs(drift)) < 1e-6
 
-    def test_prefixes_stay_cyclic(self):
-        burst = ofdm.training_burst(CFG, n_extra=3)
+    @pytest.mark.parametrize("fft_size", [16, 32, 64, 128])
+    def test_prefixes_stay_cyclic(self, fft_size):
+        cfg = RadioConfig(fft_size=fft_size, cyclic_prefix_len=fft_size // 4)
+        burst = ofdm.training_burst(cfg, n_extra=3)
         imp = ImpairmentProfile(sfo=5e-5, pdd_extra=0.5)
-        out = apply_clock_impairments(burst, CFG, imp)
-        n, cp = CFG.fft_size, CFG.cyclic_prefix_len
-        for start, _, win in ofdm.burst_symbol_spans(CFG, 5)[2:]:
+        out = apply_clock_impairments(burst, cfg, imp)
+        assert np.max(np.abs(out - burst)) > 1e-3
+        n, cp = fft_size, cfg.cyclic_prefix_len
+        for start, _, win, _ in ofdm.burst_symbol_spans(cfg, 5)[2:]:
             np.testing.assert_allclose(
                 out[start : start + cp],
                 out[win + n - cp : win + n],
                 atol=1e-12,
             )
         np.testing.assert_allclose(
-            out[CFG.stf_len : CFG.ltf_window_offset],
-            out[CFG.ltf_window_offset + n // 2 : CFG.ltf_window_offset + n],
+            out[cfg.stf_len : cfg.ltf_window_offset],
+            out[cfg.ltf_window_offset + n // 2 : cfg.ltf_window_offset + n],
             atol=1e-12,
         )
 
@@ -388,25 +398,6 @@ class TestCsiSeries:
         noise_power = avg_power(noisy - clean)
         assert db(avg_power(clean) / noise_power) == pytest.approx(20.0, abs=0.5)
 
-    def test_packet_rotation_from_cfo(self):
-        geom = one_path_geometry(position=(5.0, 0.0, 0.0))
-        times = np.array([0.0, 1e-3])
-        imp = ImpairmentProfile(cfo_hz=150.0)
-        series = synthesize_csi_series(geom, CFG, times, imp=imp)[:, 0, :]
-        z = np.mean(series[1] * np.conj(series[0]))
-        assert np.angle(z) == pytest.approx(-2 * np.pi * 150.0 * 1e-3, abs=1e-9)
-
-    def test_fixed_phase_when_colocated(self):
-        geom = one_path_geometry(position=(5.0, 0.0, 0.0))
-        times = np.array([0.0, 0.5])
-        plain = synthesize_csi_series(geom, CFG, times)
-        rotated = synthesize_csi_series(
-            geom, CFG, times, imp=ImpairmentProfile.monostatic(cpo=0.5)
-        )
-        np.testing.assert_allclose(
-            rotated, plain * np.exp(-2j * np.pi * 0.5), rtol=1e-12
-        )
-
     def test_empty_times_rejected(self):
         geom = one_path_geometry(position=(5.0, 0.0, 0.0))
         with pytest.raises(ValueError):
@@ -416,18 +407,6 @@ class TestCsiSeries:
 class TestPropagate:
     """Propagation through a ScenarioGeometry, as synthesize_csi_series
     computes it for each packet, antenna and subcarrier."""
-
-    def test_timing_offset_matches_equivalent_delay(self):
-        times = np.array([0.0, 0.01])
-        late = synthesize_csi_series(
-            one_path_geometry(delay=0.0, amplitude=1.0), CFG, times,
-            imp=ImpairmentProfile(pdd_extra=1.0),
-        )
-        # carrier rotation is a whole number of cycles for a one-sample delay
-        shifted = synthesize_csi_series(
-            one_path_geometry(delay=1.0 / CFG.sample_rate, amplitude=1.0), CFG, times
-        )
-        np.testing.assert_allclose(late, shifted, atol=1e-9)
 
     def test_fifteen_meter_echo_phase_slope(self):
         geom = one_path_geometry(position=(15.0, 0.0, 0.0))

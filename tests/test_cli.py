@@ -122,6 +122,16 @@ class TestValidate:
         assert main(["validate", cfg]) == 3
         assert "cyclic prefix" in capsys.readouterr().err
 
+    def test_fft_size_without_short_training_is_exit_three(self, capsys,
+                                                            tmp_path):
+        cfg = write(tmp_path / "n.cfg", "radio.fft_size = 8\nradio.cp_len = 2\n")
+        assert main(["validate", cfg]) == 3
+        assert "short-training subcarrier" in capsys.readouterr().err
+        out = tmp_path / "out"
+        rc = main(["run", "phase-offsets", "--config", cfg, "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+
     def test_clash_blocks_running_too(self, capsys, tmp_path):
         cfg = write(tmp_path / "h.cfg", "radio.fft_size = 16\n")
         out = tmp_path / "out"
@@ -194,6 +204,9 @@ class TestRun:
         assert rc == 1
         out = capsys.readouterr().out
         assert "FAIL: streaming: forced separator raises loss" in out
+        for name in ("streaming", "gaming"):
+            assert (f"FAIL: {name}: sensing on/off leaves delay and loss "
+                    f"untouched") in out
         assert out.endswith("experiment comms-impact: FAIL\n")
 
     def test_unwritable_output_is_exit_four(self, capsys, tmp_path):

@@ -223,6 +223,14 @@ class TestRunScenario:
             two_devices(), None, mac.TrafficModel.streaming(seed=1), 2.0, **args
         )
 
+    def test_run_without_data_reports_nan(self):
+        res = mac.run_scenario(two_devices(), None,
+                               mac.TrafficModel.streaming(seed=1), 0.001)
+        assert res.stats["n_data"] == 0
+        for key in ("delay_ms_p50", "delay_ms_p95", "loss_rate",
+                    "mean_rx_snr_db"):
+            assert np.isnan(res.stats[key])
+
     def test_nominal_run_has_no_violations(self):
         res = self.run()
         assert res.violations == []
@@ -308,6 +316,7 @@ class TestRunScenario:
         dev = [mac.MacDevice("solo", traffic=mac.TrafficModel.regular(50.0))]
         res = mac.run_scenario(dev, None, None, 1.0, seed=0)
         assert res.stats["n_data"] == 0  # nobody to receive
+        assert np.isnan(res.stats["loss_rate"])
         assert res.violations == []
         assert any(e.state_after == "M" for e in res.log)
         assert not any(e.state_after == "B" for e in res.log)
@@ -479,14 +488,16 @@ def reference_run_scenario(devices, geometry, traffic, duration, seed=0,
                     heapq.heappush(heap, (t + mac.SIFS_S, next(seq), "pkt-due",
                                           (rx_ctx, t + mac.SIFS_S, "ACK")))
 
-    delays_ms = 1e3 * np.asarray(delays) if delays else np.zeros(1)
+    nan = float("nan")
+    delays_ms = 1e3 * np.asarray(delays)
     stats = {
         "n_data": len(successes),
-        "delay_ms_p50": float(np.percentile(delays_ms, 50)),
-        "delay_ms_p95": float(np.percentile(delays_ms, 95)),
-        "loss_rate": float(1.0 - np.mean(successes)) if successes else 0.0,
-        "mean_rx_snr_db": (float(np.mean(rx_snrs)) if rx_snrs
-                           else float("nan")),
+        "delay_ms_p50": (float(np.percentile(delays_ms, 50)) if delays
+                         else nan),
+        "delay_ms_p95": (float(np.percentile(delays_ms, 95)) if delays
+                         else nan),
+        "loss_rate": float(1.0 - np.mean(successes)) if successes else nan,
+        "mean_rx_snr_db": float(np.mean(rx_snrs)) if rx_snrs else nan,
     }
     return mac.ScenarioResult(
         entries, mac._materialize_csi(captures, geometry, cfg, rng_sense),

@@ -5,7 +5,6 @@ from isacsim.ofdm import (
     RadioConfig,
     burst_symbol_spans,
     extract_csi_symbols,
-    generate_preamble,
     packet_duration,
     training_burst,
 )
@@ -46,20 +45,32 @@ class TestRadioConfig:
         small = RadioConfig(fft_size=32, cyclic_prefix_len=8)
         assert small.subcarrier_spacing == 20e6 / 32
 
+    @pytest.mark.parametrize("fft_size", [-4, 0, 3, 4, 8, 9])
+    def test_no_short_training_subcarrier_rejected(self, fft_size):
+        with pytest.raises(ValueError, match="short-training subcarrier"):
+            RadioConfig(fft_size=fft_size, cyclic_prefix_len=2)
+
+    def test_smallest_fft_size_builds_finite_burst(self):
+        cfg = RadioConfig(fft_size=10, cyclic_prefix_len=2)
+        burst = training_burst(cfg, n_extra=2)
+        assert np.all(np.isfinite(burst))
+        np.testing.assert_allclose(
+            extract_csi_symbols(burst, 0, cfg, n_symbols=4), 1.0, atol=1e-9)
+
 
 class TestPreamble:
     def test_fixed_length_and_unit_power(self):
-        pre = generate_preamble(CFG)
+        pre = training_burst(CFG)
         assert len(pre) == 5 * CFG.fft_size == 320
         assert abs(avg_power(pre) - 1.0) < 1e-9
 
     def test_deterministic(self):
-        a = generate_preamble(CFG)
-        b = generate_preamble(CFG)
+        a = training_burst(CFG)
+        b = training_burst(CFG)
         np.testing.assert_array_equal(a, b)
 
     def test_long_symbol_autocorrelation(self):
-        pre = generate_preamble(CFG)
+        pre = training_burst(CFG)
         n = CFG.fft_size
         first = pre[3 * n : 4 * n]
         second = pre[4 * n : 5 * n]
@@ -68,9 +79,27 @@ class TestPreamble:
         assert corr >= 0.99 * energy
 
     def test_short_section_periodicity(self):
-        pre = generate_preamble(CFG)
+        pre = training_burst(CFG)
         stf = pre[: CFG.stf_len]
         np.testing.assert_allclose(stf[16:], stf[:-16], atol=1e-12)
+
+
+class TestSymbolLayout:
+    @pytest.mark.parametrize("fft_size", [16, 32, 64, 128])
+    @pytest.mark.parametrize("n_extra", [0, 1, 2, 3])
+    def test_prefixes_repeat_window_tails(self, fft_size, n_extra):
+        cfg = RadioConfig(fft_size=fft_size, cyclic_prefix_len=fft_size // 4)
+        burst = training_burst(cfg, n_extra=n_extra)
+        spans = burst_symbol_spans(cfg, 2 + n_extra)
+        ends = [0] + [hi for _, hi, _, _ in spans]
+        assert ends[-1] == len(burst)
+        for (lo, hi, win, pre), start in zip(spans, ends):
+            assert lo == start and lo <= pre <= win and win + fft_size == hi
+            # the prefix repeats the window's last win - pre samples
+            np.testing.assert_array_equal(burst[pre:win],
+                                          burst[pre + fft_size : hi])
+        assert spans[0][2] - spans[0][3] == fft_size // 2
+        assert spans[1][2] == spans[1][3]
 
 
 class TestPackets:
@@ -112,7 +141,7 @@ class TestCsiExtraction:
         # gamma_c such that gamma_c/(df*N) = 1/4 -> phase steps of -pi/2 per symbol
         n_sym = 6
         samples = training_burst(CFG, n_extra=n_sym - 2)
-        for l, (lo, hi, _win) in enumerate(burst_symbol_spans(CFG, n_sym)):
+        for l, (lo, hi, _, _) in enumerate(burst_symbol_spans(CFG, n_sym)):
             samples[lo:hi] *= np.exp(-2j * np.pi * (l / 4.0))
         sym_csi = extract_csi_symbols(
             samples, 0, CFG, n_symbols=n_sym
