@@ -8,8 +8,9 @@ is modelled once, on waveforms: ``apply_clock_impairments`` stamps it onto a
 training burst, whose extracted CSI then carries it.
 
 ``resolve_paths`` turns a scene into per-packet (amplitude, delay, angle)
-rows, one per path, for fixed and moving scatterers alike; a path's explicit
-amplitude, delay or angle overrides the geometric value at every packet.
+rows, one per path, for fixed and moving scatterers alike; every value
+follows from the path's geometry, so a scatterer is described only by where
+it is (a ``position`` or a ``trajectory``) and how strongly it reflects.
 
 Conventions
 -----------
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ofdm import SPEED_OF_LIGHT, burst_symbol_spans
-from .sigcore import TWO_PI, complex_noise, db, from_db
+from .sigcore import TWO_PI, complex_noise, db, from_db, wrap_deg
 
 _MIN_RANGE = 1e-9
 # clock tolerance of a drawn device profile: carrier and sample-rate errors
@@ -150,33 +151,28 @@ def trajectory_positions(trajectory, times):
 class PropagationPath:
     """One scatterer's arrival at the receiver.
 
-    Geometry is a fixed ``position`` or a ``trajectory`` (callable t ->
-    position); the two-hop amplitude, delay and arrival angle follow from it
-    at every packet time. An explicit ``amplitude`` (linear field gain on
-    the transmit waveform), ``delay`` or ``aoa_deg`` overrides the geometric
-    value, for fixed and moving paths alike. A path with neither position
-    nor trajectory needs both ``delay`` and ``amplitude``; its angle defaults
-    to boresight. Every number given must be finite.
+    Geometry is exactly one of a fixed ``position`` or a ``trajectory``
+    (callable t -> position); the two-hop amplitude, delay and arrival angle
+    follow from it at every packet time. ``rcs`` scales the reflected power.
+    The position and rcs must be finite.
     """
 
     position: object = None
     trajectory: object = None
     rcs: float = 1.0
-    aoa_deg: float = None
-    amplitude: float = None
-    delay: float = None
 
     def __post_init__(self):
+        if (self.position is None) == (self.trajectory is None):
+            raise ValueError("path needs exactly one of a position or a "
+                             "trajectory")
         if self.position is not None:
             self.position = np.asarray(self.position, dtype=np.float64)
             if self.position.shape != (3,):
                 raise ValueError("position must be a 3-vector")
-        for name in ("position", "rcs", "aoa_deg", "amplitude", "delay"):
-            value = getattr(self, name)
-            if value is not None and not np.all(np.isfinite(value)):
-                raise ValueError(f"path {name} must be finite")
-        if self.delay is not None and self.delay < 0:
-            raise ValueError("path delay must be non-negative")
+            if not np.all(np.isfinite(self.position)):
+                raise ValueError("path position must be finite")
+        if not np.isfinite(self.rcs):
+            raise ValueError("path rcs must be finite")
         if self.rcs < 0:
             raise ValueError("rcs must be non-negative")
         if self.trajectory is not None and not callable(self.trajectory):
@@ -261,8 +257,8 @@ class ScenarioGeometry:
     def aoa_of(self, position):
         """Arrival angle (degrees) of a point, measured from array boresight."""
         d = np.asarray(position, dtype=np.float64) - self.rx_pos
-        ang = np.degrees(np.arctan2(d[..., 1], d[..., 0])) - self.boresight_deg
-        return (ang + 180.0) % 360.0 - 180.0
+        return wrap_deg(np.degrees(np.arctan2(d[..., 1], d[..., 0]))
+                        - self.boresight_deg)
 
 
 def steering_vector(aoa_deg, n_antennas, spacing_wl=0.5):
@@ -282,8 +278,7 @@ def resolve_paths(geom, cfg, times, tx_power=1.0):
     seconds and arrival angle in degrees. The direct tx->rx path comes first
     for bistatic layouts unless the geometry disables it (``include_los``).
     A fixed ``position`` is broadcast over ``times`` and a ``trajectory`` is
-    evaluated at each of them; a path's explicit amplitude, delay or angle
-    overrides the geometric value. ``tx_power`` defaults to 1.0 so
+    evaluated at each of them. ``tx_power`` defaults to 1.0 so
     amplitudes act as field gains on the actual transmit waveform; pass a
     linear power to bake it in.
     """
@@ -298,28 +293,19 @@ def resolve_paths(geom, cfg, times, tx_power=1.0):
         delay[0] = dist / SPEED_OF_LIGHT
         aoa[0] = geom.aoa_of(geom.tx_pos)
     for i, p in enumerate(geom.targets, start=los):
-        if p.trajectory is None and p.position is None:
-            if p.delay is None or p.amplitude is None:
-                raise ValueError("path needs a position, a trajectory, or both "
-                                 "an explicit delay and amplitude")
-            gain, tau, angle = p.amplitude, p.delay, 0.0
+        if p.trajectory is not None:
+            pos = trajectory_positions(p.trajectory, times)
+            if not np.all(np.isfinite(pos)):
+                raise ValueError("trajectory positions must be finite")
         else:
-            if p.trajectory is not None:
-                pos = trajectory_positions(p.trajectory, times)
-                if not np.all(np.isfinite(pos)):
-                    raise ValueError("trajectory positions must be finite")
-            else:
-                pos = np.broadcast_to(p.position, (times.size, 3))
-            r_tx = np.linalg.norm(pos - geom.tx_pos, axis=-1)
-            r_rx = np.linalg.norm(pos - geom.rx_pos, axis=-1)
-            if np.any(r_tx < _MIN_RANGE) or np.any(r_rx < _MIN_RANGE):
-                raise ValueError("scatterer position coincides with tx or rx")
-            gain = path_gain(r_tx, r_rx, p.rcs, cfg, tx_power)
-            tau = (r_tx + r_rx) / SPEED_OF_LIGHT
-            angle = geom.aoa_of(pos)
-        alpha[i] = gain if p.amplitude is None else p.amplitude
-        delay[i] = tau if p.delay is None else p.delay
-        aoa[i] = angle if p.aoa_deg is None else p.aoa_deg
+            pos = np.broadcast_to(p.position, (times.size, 3))
+        r_tx = np.linalg.norm(pos - geom.tx_pos, axis=-1)
+        r_rx = np.linalg.norm(pos - geom.rx_pos, axis=-1)
+        if np.any(r_tx < _MIN_RANGE) or np.any(r_rx < _MIN_RANGE):
+            raise ValueError("scatterer position coincides with tx or rx")
+        alpha[i] = path_gain(r_tx, r_rx, p.rcs, cfg, tx_power)
+        delay[i] = (r_tx + r_rx) / SPEED_OF_LIGHT
+        aoa[i] = geom.aoa_of(pos)
     return alpha, delay, aoa
 
 
@@ -371,7 +357,7 @@ def synthesize_csi_series(geom, cfg, times, snr_db=None, rng=None):
     that ``resolve_paths`` yields contributes
     ``alpha(t) * a(aoa(t)) * exp(-2j*pi*(f_c + f_k) * tau(t))``, where ``a``
     is the array steering vector and ``tau(t)`` the exact two-hop delay at
-    each packet time unless the path fixes it, so scatterer motion shows up
+    each packet time, so scatterer motion shows up
     as carrier-phase rotation across packets. The series is free of clock
     error (``apply_clock_impairments`` stamps that on waveforms). ``snr_db``
     sets per-subcarrier noise relative to the strongest path's power; it

@@ -1,8 +1,9 @@
 """``isac-bench``: run seeded benchmark experiments from the command line.
 
 Exit codes: 0 when every check passes, 1 when an experiment reports a
-failed check, 2 for usage mistakes, 3 for unreadable or invalid configs,
-4 when the output directory or CSV cannot be written.
+failed check, 2 for usage mistakes, 3 for unreadable or invalid configs
+and for configs an experiment cannot honour, 4 when the output directory
+or CSV cannot be written.
 """
 
 import argparse
@@ -86,6 +87,9 @@ def main(argv=None):
     try:
         report = run_experiment(args.experiment, seed=args.seed,
                                 values=values, out_dir=args.out)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"error: cannot write output under {args.out!r}: "
               f"{exc.strerror or exc}", file=sys.stderr)

@@ -95,29 +95,6 @@ class FeatureVector:
         )
 
 
-@dataclass
-class SensingEstimate:
-    """One device's view of one target."""
-
-    tof: float = None
-    range_m: float = None
-    aoa_deg: float = None
-    velocity: float = None
-    confidence: float = 1.0
-
-    def __post_init__(self):
-        if self.tof is not None and self.range_m is None:
-            self.range_m = SPEED_OF_LIGHT * self.tof / 2.0
-        elif self.range_m is not None and self.tof is None:
-            self.tof = 2.0 * self.range_m / SPEED_OF_LIGHT
-        elif self.tof is not None and self.range_m is not None:
-            if not np.isclose(self.range_m, SPEED_OF_LIGHT * self.tof / 2.0,
-                              rtol=1e-6):
-                raise ValueError("range and time-of-flight disagree")
-        if self.aoa_deg is not None and not -90.0 <= self.aoa_deg <= 90.0:
-            raise ValueError("arrival angle must lie in [-90, 90] degrees")
-
-
 def _csi_3d(csi):
     """``csi`` as a complex (packets, antennas, subcarriers) array."""
     arr = np.asarray(csi, dtype=np.complex128)
@@ -308,15 +285,6 @@ def estimate_features_sparse(csi_series, sched, cfg, delay_grid, doppler_grid,
     return FeatureVector(delay_grid, doppler_grid, coef, result.converged,
                          result.iterations, result.primal_residual,
                          result.dual_residual)
-
-
-def matched_filter_peak(csi_series, sched, cfg, delay_grid, doppler_grid):
-    """Dense correlation search over the same dictionary (baseline oracle)."""
-    h = _csi_3d(csi_series)[:, 0, :]
-    d_mat, g_mat = dictionary_matrices(sched, cfg, delay_grid, doppler_grid)
-    corr = np.abs(d_mat.conj().T @ h.T @ g_mat.conj())
-    i, j = np.unravel_index(np.argmax(corr), corr.shape)
-    return float(delay_grid[i]), float(doppler_grid[j])
 
 
 # ---------------------------------------------------------------------------
@@ -510,28 +478,13 @@ def velocity_sparse(csi_series, sched, cfg, doppler_grid, delay_grid=None,
     return abs(doppler) * cfg.wavelength / 2.0
 
 
-# ---------------------------------------------------------------------------
-# localization
-
-
-def localize_single(est, device_pos=(0.0, 0.0), heading_deg=0.0):
-    """Place the target from one device's range and arrival angle."""
-    if est.range_m is None or est.aoa_deg is None:
-        raise ValueError("localization needs both a range and an angle")
-    ang = np.radians(heading_deg + est.aoa_deg)
-    device_pos = np.asarray(device_pos, dtype=np.float64)
-    return device_pos + est.range_m * np.array([np.cos(ang), np.sin(ang)])
-
-
 __all__ = [
     "TxSchedule",
     "FeatureVector",
-    "SensingEstimate",
     "LassoResult",
     "admm_lasso",
     "dictionary_matrices",
     "estimate_features_sparse",
-    "matched_filter_peak",
     "ifft_range_profile",
     "range_ifft",
     "MusicResult",
@@ -540,5 +493,4 @@ __all__ = [
     "velocity_fft",
     "snap_to_uniform",
     "velocity_sparse",
-    "localize_single",
 ]

@@ -4,7 +4,8 @@ Each experiment is a deterministic function of (seed, config) that returns
 its table and its checks, ``(header, rows, checks)``, and finishes in well
 under a minute. ``run_experiment`` writes the table to one CSV named after
 the experiment, whose first line embeds ``experiment``, ``seed`` and the
-config hash, and judges the checks into one PASS/FAIL line each.
+config hash, and judges the checks into one PASS/FAIL line each. An
+experiment that cannot honour an accepted config raises ``ConfigError``.
 """
 
 import csv as _csv
@@ -374,17 +375,22 @@ def run_stft_irregular(ctx):
     window, hop = 128, 32
 
     t_reg = np.arange(0.0, duration, 0.01)
-    series = _doppler_series(ctx, t_reg, speed, snr_db, 3)
-    spec = stft(t_reg, series, window, hop)
-    frac_regular = spec.band_energy_fraction(9.0, 15.0)
-
     # Bursty schedule: runs of back-to-back packets separated by idle
     # pauses, the shape streaming/gaming traffic actually produces.  The
     # pauses inflate the mean interval, so an FFT that pretends the samples
     # are uniform rescales the tone out of band, while the in-run spacing
     # is regular enough for the nonuniform transform to stay coherent.
-    rng = ctx.rng(4)
-    t_irr = _bursty_times(rng, 1.5 * duration)
+    t_irr = _bursty_times(ctx.rng(4), 1.5 * duration)
+    for name, times in (("regular", t_reg), ("bursty", t_irr)):
+        if times.size < window:
+            raise ConfigError(
+                f"run.duration_s = {duration:g} gives the {name} series "
+                f"{times.size} samples, fewer than one {window}-sample window")
+
+    series = _doppler_series(ctx, t_reg, speed, snr_db, 3)
+    spec = stft(t_reg, series, window, hop)
+    frac_regular = spec.band_energy_fraction(9.0, 15.0)
+
     series_irr = _doppler_series(ctx, t_irr, speed, snr_db, 5)
     mean_dt = float(np.mean(np.diff(t_irr)))
 

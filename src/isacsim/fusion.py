@@ -2,10 +2,11 @@
 
 Each device reduces its CSI processing to a compact sensing message — where
 the device sits, when it looked, and the (range, angle) it measured with a
-confidence weight. A coordinator collects messages from any number of
-devices and fuses them on a common ground grid by summing per-observation
-Gaussian log-likelihoods, then picking the best cell with sub-cell quadratic
-refinement. One device gives the classic single-view fix; several devices
+confidence weight. ``SensingMessage`` is the one record of a device's view
+and ``fuse_ml`` the one localizer: it fuses messages from any number of
+devices on a common ground grid by summing per-observation Gaussian
+log-likelihoods, then picking the best cell with sub-cell quadratic
+refinement. A single device's fix is ``fuse_ml([msg])``; several devices
 shrink the error because their range/angle uncertainty ellipses intersect.
 """
 
@@ -13,10 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def wrap_deg(angle):
-    """Wrap degrees into [-180, 180)."""
-    return (np.asarray(angle) + 180.0) % 360.0 - 180.0
+from .sigcore import wrap_deg
 
 
 @dataclass
@@ -54,35 +52,16 @@ class SensingMessage:
 
 
 @dataclass
-class LikelihoodGrid:
-    """Log-likelihood surface over ground-plane cells."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-    loglik: np.ndarray  # shape (len(ys), len(xs))
-
-    def __post_init__(self):
-        self.xs = np.asarray(self.xs, dtype=np.float64)
-        self.ys = np.asarray(self.ys, dtype=np.float64)
-        self.loglik = np.asarray(self.loglik, dtype=np.float64)
-        if self.loglik.shape != (len(self.ys), len(self.xs)):
-            raise ValueError("loglik shape must be (len(ys), len(xs))")
-        if not np.all(np.isfinite(self.loglik)):
-            raise ValueError("loglik must be finite")
-
-    def argmax(self):
-        iy, ix = np.unravel_index(np.argmax(self.loglik), self.loglik.shape)
-        return int(ix), int(iy)
-
-
-@dataclass
 class FusionResult:
+    """The fused fix and the summed log-likelihood surface it was taken from,
+    ``loglik[iy, ix]`` at cell centre ``(xs[ix], ys[iy])``."""
+
     x_m: float
     y_m: float
-    grid: LikelihoodGrid
     n_messages: int
-    cell_x: float = 0.0
-    cell_y: float = 0.0
+    xs: np.ndarray
+    ys: np.ndarray
+    loglik: np.ndarray
 
 
 def message_loglik(message, x, y, sigma_range=0.5, sigma_aoa_deg=5.0):
@@ -136,19 +115,15 @@ def fuse_ml(messages, bounds, sigma_range=0.5, sigma_aoa_deg=5.0, cell_m=0.25):
     loglik = np.zeros_like(grid_x)
     for m in messages:
         loglik += message_loglik(m, grid_x, grid_y, sigma_range, sigma_aoa_deg)
-    grid = LikelihoodGrid(xs, ys, loglik)
-    ix, iy = grid.argmax()
+    iy, ix = np.unravel_index(np.argmax(loglik), loglik.shape)
     x = xs[ix] + _refine_axis(loglik[iy, :], ix, cell_m)
     y = ys[iy] + _refine_axis(loglik[:, ix], iy, cell_m)
-    return FusionResult(float(x), float(y), grid, len(messages),
-                        cell_x=float(xs[ix]), cell_y=float(ys[iy]))
+    return FusionResult(float(x), float(y), len(messages), xs, ys, loglik)
 
 
 __all__ = [
     "SensingMessage",
-    "LikelihoodGrid",
     "FusionResult",
     "fuse_ml",
     "message_loglik",
-    "wrap_deg",
 ]

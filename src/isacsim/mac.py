@@ -472,23 +472,6 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
                           separator_penalty_db=penalty_db)
 
 
-def m_episodes(entries):
-    """(enter_time, exit_time, last_tx_complete) for every M dwell in a log."""
-    episodes = []
-    current = {}
-    last_txc = {}
-    for e in entries:
-        if e.action == ENABLE_SEPARATOR:
-            current[e.device] = e.time
-            last_txc[e.device] = None
-        elif e.event == "TxComplete" and e.device in current:
-            last_txc[e.device] = e.time
-        elif e.action == DISABLE_SEPARATOR and e.device in current:
-            episodes.append((current.pop(e.device), e.time,
-                             last_txc.get(e.device)))
-    return episodes
-
-
 __all__ = [
     "MAC_STATES",
     "EVENT_KINDS",
@@ -501,7 +484,6 @@ __all__ = [
     "CsiRecord",
     "ScenarioResult",
     "run_scenario",
-    "m_episodes",
     "ENABLE_SEPARATOR",
     "DISABLE_SEPARATOR",
     "ARM_TIMER",

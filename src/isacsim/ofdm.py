@@ -80,7 +80,8 @@ class RadioConfig:
 
     @property
     def ltf_cp_len(self):
-        return self.fft_size // 2
+        # rounded up, so the preamble is 5 * fft_size samples at odd sizes too
+        return (self.fft_size + 1) // 2
 
     @property
     def preamble_len(self):

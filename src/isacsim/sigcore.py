@@ -1,4 +1,4 @@
-"""Complex baseband primitives: nonuniform DFT, STFT, noise, dB helpers.
+"""Complex baseband primitives: nonuniform DFT, STFT, noise, dB, angle wrap.
 
 A waveform is a plain complex ndarray sampled at ``cfg.sample_rate`` and
 starting at sample 0. Power convention used across the package: baseband
@@ -24,6 +24,11 @@ def db(ratio):
 def from_db(d):
     """dB (or dBm) -> power ratio (or power in mW)."""
     return 10.0 ** (np.asarray(d) / 10.0)
+
+
+def wrap_deg(angle):
+    """Wrap degrees into [-180, 180)."""
+    return (np.asarray(angle) + 180.0) % 360.0 - 180.0
 
 
 def avg_power(samples):
@@ -145,4 +150,5 @@ __all__ = [
     "db",
     "from_db",
     "avg_power",
+    "wrap_deg",
 ]

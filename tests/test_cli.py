@@ -209,6 +209,21 @@ class TestRun:
                     f"untouched") in out
         assert out.endswith("experiment comms-impact: FAIL\n")
 
+    def test_duration_shorter_than_a_window_is_exit_three(self, capsys,
+                                                          tmp_path):
+        # 0.5 s gives the regular series 50 samples, under one 128-sample
+        # STFT window
+        cfg = write(tmp_path / "short.cfg", "run.duration_s = 0.5\n")
+        rc = main(["run", "stft-irregular", "--config", cfg,
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: run.duration_s = 0.5 ")
+        assert "window" in err[0]
+
     def test_unwritable_output_is_exit_four(self, capsys, tmp_path):
         afile = write(tmp_path / "afile", "")
         rc = main(["run", "los-dominance", "--out", afile + "/x"])

@@ -13,15 +13,12 @@ from isacsim.channel import (
 from isacsim.estimate import (
     FeatureVector,
     LassoResult,
-    SensingEstimate,
     TxSchedule,
     admm_lasso,
     aoa_music,
     dictionary_matrices,
     estimate_features_sparse,
     ifft_range_profile,
-    localize_single,
-    matched_filter_peak,
     range_ifft,
     range_music,
     snap_to_uniform,
@@ -29,6 +26,7 @@ from isacsim.estimate import (
     velocity_sparse,
 )
 from isacsim.estimate import _kron_apply, _rotation, _soft_threshold
+from isacsim.fusion import SensingMessage, fuse_ml
 from isacsim.ofdm import SPEED_OF_LIGHT, RadioConfig
 from isacsim.sigcore import TWO_PI, from_db
 
@@ -48,6 +46,15 @@ def soft_threshold(x, kappa):
 def lasso_objective(a_mat, y, x, lam):
     r = a_mat @ x - y
     return 0.5 * np.vdot(r, r).real + lam * float(np.sum(np.abs(x)))
+
+
+def matched_filter_peak(csi_series, sched, cfg, delay_grid, doppler_grid):
+    """Dense correlation search over the sparse solver's dictionary."""
+    h = csi_series[:, 0, :]
+    d_mat, g_mat = dictionary_matrices(sched, cfg, delay_grid, doppler_grid)
+    corr = np.abs(d_mat.conj().T @ h.T @ g_mat.conj())
+    i, j = np.unravel_index(np.argmax(corr), corr.shape)
+    return float(delay_grid[i]), float(doppler_grid[j])
 
 
 def ista_lasso(a_mat, y, lam, n_iters=30000):
@@ -626,8 +633,7 @@ class TestAoaMusic:
         # end-to-end sign convention: scene synthesis and the estimator must
         # agree on which way the array phase tilts
         target = PropagationPath(position=(6.0 * np.cos(np.radians(30.0)),
-                                           6.0 * np.sin(np.radians(30.0)), 0.0),
-                                 amplitude=1.0)
+                                           6.0 * np.sin(np.radians(30.0)), 0.0))
         geom = ScenarioGeometry(targets=(target,), n_antennas=3)
         times = np.arange(20) / 40.0
         csi = synthesize_csi_series(geom, CFG, times, snr_db=20,
@@ -676,7 +682,6 @@ class TestVelocityFft:
     def test_channel_synthesis_round_trip(self):
         target = PropagationPath(
             trajectory=linear_trajectory((5.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
-            amplitude=1.0,
         )
         geom = ScenarioGeometry(targets=(target,))
         times = np.arange(64) / 40.0
@@ -746,39 +751,45 @@ class TestVelocitySparse:
 
 
 class TestLocalizeSingle:
+    """One device's fix: ``fuse_ml`` on that device's message alone, which
+    lands within half a 0.25 m grid cell of the closed form."""
+
+    @staticmethod
+    def fix(range_m, aoa_deg, device_pos=(0.0, 0.0), heading_deg=0.0):
+        x, y = device_pos
+        reach = range_m + 1.0
+        msg = SensingMessage("dev", 0.0, x, y, heading_deg, range_m, aoa_deg)
+        res = fuse_ml([msg], bounds=(x - reach, x + reach, y - reach, y + reach))
+        return np.array([res.x_m, res.y_m])
+
     def test_boresight(self):
-        est = SensingEstimate(range_m=5.0, aoa_deg=0.0)
-        pos = localize_single(est)
-        assert np.allclose(pos, [5.0, 0.0], atol=1e-12)
+        assert np.allclose(self.fix(5.0, 0.0), [5.0, 0.0], atol=0.125)
 
     def test_thirty_degrees(self):
-        est = SensingEstimate(range_m=5.0, aoa_deg=30.0)
-        pos = localize_single(est)
-        assert np.allclose(pos, [4.330127, 2.5], atol=1e-4)
+        assert np.allclose(self.fix(5.0, 30.0), [4.330127, 2.5], atol=0.125)
 
     def test_device_pose_offsets(self):
-        est = SensingEstimate(range_m=2.0, aoa_deg=0.0)
-        pos = localize_single(est, device_pos=(1.0, 1.0), heading_deg=90.0)
-        assert np.allclose(pos, [1.0, 3.0], atol=1e-12)
+        pos = self.fix(2.0, 0.0, device_pos=(1.0, 1.0), heading_deg=90.0)
+        assert np.allclose(pos, [1.0, 3.0], atol=0.125)
 
     def test_missing_inputs_raise(self):
-        with pytest.raises(ValueError):
-            localize_single(SensingEstimate(range_m=5.0))
-        with pytest.raises(ValueError):
-            localize_single(SensingEstimate(aoa_deg=10.0))
+        with pytest.raises(ValueError, match="range_m must be finite"):
+            SensingMessage("dev", 0.0, 0.0, 0.0, 0.0, float("nan"), 10.0)
+        # a missing angle is a range-only view: the fix lands on the ring
+        assert np.hypot(*self.fix(5.0, float("nan"))) == pytest.approx(
+            5.0, abs=0.125)
 
     def test_error_propagation_first_order(self):
         truth_r, truth_deg = 7.0, 20.0
         sigma_r, sigma_deg = 0.3, 2.0
         rng = np.random.default_rng(17)
-        truth = localize_single(SensingEstimate(range_m=truth_r, aoa_deg=truth_deg))
+        ang = np.radians(truth_deg)
+        truth = truth_r * np.array([np.cos(ang), np.sin(ang)])
         sq = []
         for _ in range(500):
-            est = SensingEstimate(
-                range_m=truth_r + rng.normal(0.0, sigma_r),
-                aoa_deg=truth_deg + rng.normal(0.0, sigma_deg),
-            )
-            sq.append(np.sum((localize_single(est) - truth) ** 2))
+            pos = self.fix(truth_r + rng.normal(0.0, sigma_r),
+                           truth_deg + rng.normal(0.0, sigma_deg))
+            sq.append(np.sum((pos - truth) ** 2))
         rmse = np.sqrt(np.mean(sq))
         predicted = np.sqrt(sigma_r**2 + (truth_r * np.radians(sigma_deg)) ** 2)
         assert abs(rmse - predicted) <= 0.2 * predicted
@@ -795,8 +806,6 @@ _SHAPE_CALLS = {
     "aoa_music": lambda h: aoa_music(h, 1),
     "velocity_fft": lambda h: velocity_fft(h, TxSchedule(_SHAPE_TIMES), CFG),
     "estimate_features_sparse": lambda h: estimate_features_sparse(
-        h, TxSchedule(_SHAPE_TIMES), CFG, SMALL_DELAYS, SMALL_DOPPLERS),
-    "matched_filter_peak": lambda h: matched_filter_peak(
         h, TxSchedule(_SHAPE_TIMES), CFG, SMALL_DELAYS, SMALL_DOPPLERS),
     "snap_to_uniform": lambda h: snap_to_uniform(h, TxSchedule(_SHAPE_TIMES)),
 }
@@ -858,18 +867,6 @@ class TestContainers:
         fv = FeatureVector(np.array([0.0, 1e-9, 2e-9]), np.array([-1.0, 1.0]), coef)
         delay, doppler, peak = fv.dominant()
         assert delay == 1e-9 and doppler == -1.0 and peak == 2.0
-
-    def test_sensing_estimate_fills_range(self):
-        est = SensingEstimate(tof=1e-7)
-        assert np.isclose(est.range_m, SPEED_OF_LIGHT * 5e-8)
-        est2 = SensingEstimate(range_m=7.5)
-        assert np.isclose(est2.tof, 15.0 / SPEED_OF_LIGHT)
-
-    def test_sensing_estimate_consistency(self):
-        with pytest.raises(ValueError):
-            SensingEstimate(tof=1e-7, range_m=99.0)
-        with pytest.raises(ValueError):
-            SensingEstimate(range_m=5.0, aoa_deg=120.0)
 
     def test_snap_to_uniform_is_identity_on_uniform(self):
         times = np.arange(16) / 40.0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from isacsim import fusion
-from isacsim.estimate import SensingEstimate, localize_single
-from isacsim.fusion import SensingMessage, fuse_ml, message_loglik, wrap_deg
+from isacsim.fusion import SensingMessage, fuse_ml, message_loglik
+from isacsim.sigcore import wrap_deg
 
 
 def message_for(device_id, pose, target, t_s=0.0, rng=None,
@@ -57,8 +57,9 @@ class TestFuseMl:
         m = message_for("dev-a", (0.0, 0.0, 0.0), (5.0, 0.0))
         res = fuse_ml([m], sigma_range=0.3, sigma_aoa_deg=3.0,
                       bounds=(-6.0, 6.0, -6.0, 6.0))
-        oracle = localize_single(SensingEstimate(range_m=m.range_m,
-                                                 aoa_deg=m.aoa_deg))
+        # closed form: device + range * (cos, sin)(heading + aoa)
+        ang = np.radians(m.heading_deg + m.aoa_deg)
+        oracle = (m.x_m + m.range_m * np.cos(ang), m.y_m + m.range_m * np.sin(ang))
         assert abs(res.x_m - oracle[0]) <= 0.125
         assert abs(res.y_m - oracle[1]) <= 0.125
 
@@ -78,23 +79,25 @@ class TestFuseMl:
     def test_argmax_matches_exhaustive_recomputation(self):
         msgs = [message_for(d, p, TARGET) for d, p in TWO_POSES.items()]
         res = fuse_ml(msgs, cell_m=0.5, bounds=(0.0, 10.0, -2.0, 6.0))
-        grid = res.grid
         best = None
-        for iy, y in enumerate(grid.ys):
-            for ix, x in enumerate(grid.xs):
+        for iy, y in enumerate(res.ys):
+            for ix, x in enumerate(res.xs):
                 ll = sum(
                     float(fusion.message_loglik(m, x, y)) for m in msgs
                 )
-                assert ll == pytest.approx(grid.loglik[iy, ix], abs=1e-9)
+                assert ll == pytest.approx(res.loglik[iy, ix], abs=1e-9)
                 if best is None or ll > best[0]:
                     best = (ll, ix, iy)
-        assert (best[1], best[2]) == grid.argmax()
+        # the fix is the best cell moved by at most half a cell per axis
+        assert abs(res.x_m - res.xs[best[1]]) <= 0.25
+        assert abs(res.y_m - res.ys[best[2]]) <= 0.25
 
     def test_duplicated_messages_keep_argmax(self):
         msgs = [message_for(d, p, TARGET) for d, p in TWO_POSES.items()]
         a = fuse_ml(msgs, bounds=TWO_POSE_BOUNDS)
         b = fuse_ml(msgs * 3, bounds=TWO_POSE_BOUNDS)
-        assert (a.cell_x, a.cell_y) == (b.cell_x, b.cell_y)
+        assert b.n_messages == 3 * a.n_messages
+        assert np.argmax(a.loglik) == np.argmax(b.loglik)
 
     def test_empty_messages_rejected(self):
         with pytest.raises(ValueError):
@@ -172,9 +175,11 @@ class TestFuseMl:
         assert fused_rmse <= single_rmse
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            fusion.LikelihoodGrid(np.arange(3), np.arange(2), np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            fusion.LikelihoodGrid(
-                np.arange(3), np.arange(2), np.full((2, 3), np.nan)
-            )
+        # cell centres tile the bounds, and every cell's log-likelihood is
+        # finite (a message or sigma that could make it otherwise is rejected)
+        msgs = [message_for(d, p, TARGET) for d, p in TWO_POSES.items()]
+        res = fuse_ml(msgs, cell_m=0.5, bounds=(0.0, 10.0, -2.0, 6.0))
+        np.testing.assert_allclose(res.xs, np.arange(0.25, 10.0, 0.5))
+        np.testing.assert_allclose(res.ys, np.arange(-1.75, 6.0, 0.5))
+        assert res.loglik.shape == (res.ys.size, res.xs.size)
+        assert np.all(np.isfinite(res.loglik))

@@ -31,6 +31,23 @@ def tx_spans(log):
     return sorted(spans)
 
 
+def m_episodes(entries):
+    """(enter_time, exit_time, last_tx_complete) for every M dwell in a log."""
+    episodes = []
+    current = {}
+    last_txc = {}
+    for e in entries:
+        if e.action == mac.ENABLE_SEPARATOR:
+            current[e.device] = e.time
+            last_txc[e.device] = None
+        elif e.event == "TxComplete" and e.device in current:
+            last_txc[e.device] = e.time
+        elif e.action == mac.DISABLE_SEPARATOR and e.device in current:
+            episodes.append((current.pop(e.device), e.time,
+                             last_txc.get(e.device)))
+    return episodes
+
+
 def two_devices(d=4.0):
     return [
         mac.MacDevice("dev-a", (0.0, 0.0, 0.0)),
@@ -278,7 +295,7 @@ class TestRunScenario:
     def test_m_episode_ends_one_timer_after_last_tx(self):
         timer = 1e-3
         res = self.run(timer_s=timer)
-        episodes = mac.m_episodes(res.log)
+        episodes = m_episodes(res.log)
         assert len(episodes) > 100
         for entered, exited, last_txc in episodes:
             assert last_txc is not None

@@ -64,6 +64,15 @@ class TestPreamble:
         assert len(pre) == 5 * CFG.fft_size == 320
         assert abs(avg_power(pre) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("fft_size", [33, 64])
+    @pytest.mark.parametrize("n_extra", [0, 1, 3])
+    def test_burst_length_at_odd_and_even_sizes(self, fft_size, n_extra):
+        cfg = RadioConfig(fft_size=fft_size, cyclic_prefix_len=fft_size // 4)
+        burst = training_burst(cfg, n_extra=n_extra)
+        assert cfg.preamble_len == 5 * fft_size
+        assert len(burst) == cfg.preamble_len + n_extra * (
+            fft_size + cfg.cyclic_prefix_len)
+
     def test_deterministic(self):
         a = training_burst(CFG)
         b = training_burst(CFG)
