@@ -680,11 +680,13 @@ def describe(name):
 
 
 def run_experiment(name, seed=0, values=None, out_dir="."):
-    """Run one experiment, write its CSV into ``out_dir``, judge its checks."""
+    """Run one experiment, write its CSV into ``out_dir``, judge its checks.
+    ``out_dir`` is created only once the experiment has run, so one that
+    raises leaves no directory behind."""
     experiment = EXPERIMENTS[name]
     ctx = ExperimentContext(seed=seed, values=dict(values or {}))
-    os.makedirs(out_dir, exist_ok=True)
     header, rows, checks = experiment(ctx)
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name.replace("-", "_") + ".csv")
     with open(path, "w", newline="") as fh:
         fh.write(f"# experiment={name} seed={seed} config_hash={ctx.cfg_hash}\n")

@@ -28,7 +28,12 @@ scheduled between them, so they are handled together.
 Randomness is split into two independent streams — one for everything that
 affects communications (backoff, loss draws), one for sensing-side noise —
 so that a run with sensing disabled consumes the communications stream
-identically and produces bit-identical delay/loss statistics.
+identically and produces bit-identical delay/loss statistics. The
+communications draws are decoded in plain Python from raw generator words
+read in blocks (``_comms_draws``). A run takes one loss draw per
+transmission and one backoff per deferral whether sensing is on or off,
+and each draw depends only on the words before it, so both read the same
+words in the same order.
 """
 
 import heapq
@@ -196,6 +201,45 @@ class MacDevice:
     peer_id: str = None
 
 
+# words the communications stream takes from its bit generator at a time
+_RAW_BLOCK = 1024
+
+
+def _comms_draws(seed):
+    """``(random, backoff)``: the loss draw and backoff of a run's
+    communications stream ``np.random.default_rng([seed, 17])``.
+
+    They follow numpy's ``Generator.random()`` and ``integers(0, 16)`` on
+    PCG64 call for call, in any interleaving (the tests pin this), without
+    numpy's per-call overhead: the words come from the bit generator's
+    ``random_raw`` in blocks of ``_RAW_BLOCK``. ``random`` is the top 53
+    bits of the next word over 2**53. ``backoff`` is the top 4 bits of the
+    next 32-bit half-word: Lemire's bounded draw never rejects for a range
+    of 16, since (2**32 - 16) mod 16 = 0. PCG64 hands out the low half of a
+    fresh word first and keeps the high half for the next 32-bit request;
+    64-bit draws neither read nor clear the kept half. Words drawn past the
+    last one used are dropped with the generator at the end of the run.
+    """
+    bitgen = np.random.default_rng([seed, 17]).bit_generator
+    words = itertools.chain.from_iterable(
+        iter(lambda: bitgen.random_raw(_RAW_BLOCK).tolist(), None))
+    kept = None
+
+    def random():
+        return (next(words) >> 11) * 2.0**-53
+
+    def backoff():
+        nonlocal kept
+        if kept is None:
+            word = next(words)
+            kept = word >> 32
+            return (word & 0xFFFFFFFF) >> 28
+        half, kept = kept, None
+        return half >> 28
+
+    return random, backoff
+
+
 LogEntry = namedtuple("LogEntry", "time device event state_before state_after action")
 CsiRecord = namedtuple("CsiRecord", "time kind device tx_device values")
 
@@ -302,7 +346,7 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
             raise ValueError(f"unknown peer {peer!r}")
         ctxs[d.device_id].peer = None if peer is None else ctxs[peer]
 
-    rng_comms = np.random.default_rng([seed, 17])
+    draw_loss, draw_backoff = _comms_draws(seed)
     rng_sense = np.random.default_rng([seed, 29])
 
     penalty_db = 0.0
@@ -403,7 +447,7 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
         if kind == "pkt-due":
             ctx, sched_t, ptype = payload
             if t < medium_free_at:
-                backoff = SLOT_S * int(rng_comms.integers(0, 16))
+                backoff = SLOT_S * draw_backoff()
                 push(heap, (medium_free_at + backoff, next(seq), kind, payload))
                 continue
             dur = data_duration if ptype == "DATA" else ack_duration
@@ -445,7 +489,7 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
             n_events += 1
             if sensing_enabled:
                 apply_step(t, rx_ctx, "RxComplete")
-            ok = rng_comms.random() < tx_ctx.link_success
+            ok = draw_loss() < tx_ctx.link_success
             if ptype == "DATA":
                 successes.append(ok)
                 rx_snrs.append(tx_ctx.link_snr)

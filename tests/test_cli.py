@@ -214,9 +214,11 @@ class TestRun:
         # 0.5 s gives the regular series 50 samples, under one 128-sample
         # STFT window
         cfg = write(tmp_path / "short.cfg", "run.duration_s = 0.5\n")
+        out = tmp_path / "out"
         rc = main(["run", "stft-irregular", "--config", cfg,
-                   "--out", str(tmp_path)])
+                   "--out", str(out)])
         assert rc == 3
+        assert not out.exists()
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.splitlines()

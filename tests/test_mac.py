@@ -232,6 +232,36 @@ class TestTraffic:
             mac.generate_traffic(mac.TrafficModel.regular(10.0), 0.0)
 
 
+class TestCommsDraws:
+    """``_comms_draws`` must give the draws numpy's ``Generator.random`` and
+    ``integers(0, 16)`` give on the same seed, call for call."""
+
+    @staticmethod
+    def assert_matches_generator(seed, calls):
+        random, backoff = mac._comms_draws(seed)
+        gen = np.random.default_rng([seed, 17])
+        gen_random, gen_integers = gen.random, gen.integers
+        got = [backoff() if is_backoff else random() for is_backoff in calls]
+        want = [gen_integers(0, 16) if is_backoff else gen_random()
+                for is_backoff in calls]
+        assert got == want
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**32 - 1])
+    def test_random_interleaving_matches_generator(self, seed):
+        # 102,000 calls over the three seeds, about a third of them backoffs
+        calls = (np.random.default_rng(seed).random(34_000) < 0.3).tolist()
+        self.assert_matches_generator(seed, calls)
+
+    def test_backoff_pair_straddles_a_block_refill(self):
+        # the low half of the first block's last word goes to a backoff, a
+        # loss draw refills, and the next backoff takes the kept high half;
+        # later a backoff splits the first word of the third block
+        block = mac._RAW_BLOCK
+        calls = ([False] * (block - 1) + [True, False, True, True, True]
+                 + [False] * (block - 2) + [True, True, False])
+        self.assert_matches_generator(0, calls)
+
+
 class TestRunScenario:
     def run(self, **kw):
         args = dict(seed=7)
@@ -667,6 +697,19 @@ class TestEventLoopOracle:
                       if e.event == "TxStart" and e.device == "dev-a"]
             assert len(starts) >= len(times)
             assert got.stats["delay_ms_p95"] > 0.0
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_long_run_crosses_several_draw_blocks(self, mode):
+        # every DATA packet takes a loss draw, so this run reads its
+        # communications stream over several blocks of raw words
+        devices = two_devices()
+        model = mac.TrafficModel.regular(400.0)
+        kw = MODES[mode]
+        geom = self.GEOM if kw.get("collect_csi") else None
+        got = mac.run_scenario(devices, geom, model, 3.0, seed=2, **kw)
+        want = reference_run_scenario(devices, geom, model, 3.0, seed=2, **kw)
+        assert got.stats["n_data"] > 2 * mac._RAW_BLOCK
+        assert_same_run(got, want)
 
     def test_timer_ties_with_the_next_scheduled_packet(self):
         # dev-b's M timer, armed at its packet's TxComplete, expires exactly
