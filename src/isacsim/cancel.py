@@ -4,9 +4,10 @@ A device that keeps its receiver open while transmitting sees its own signal
 leak in tens of dB above any echo of interest. The separator removes it in
 three stages: a fixed front-end isolation (circulator or hybrid coupler), a
 single complex analog tap fitted to the dominant internal coupling, and a
-short adaptive FIR canceller trained on the known preamble. Calibration runs
-with the antenna port switched to a dummy load so nothing from the air
-contaminates the fit; the frozen taps are then used live.
+short adaptive FIR canceller trained on the known preamble. Calibration
+fits a reception built from the coupling and noise alone, as with the
+antenna port on a dummy load, so nothing from the air contaminates it. The
+frozen taps are then used live; when they run is ``isacsim.mac``'s call.
 
 Every waveform is a plain complex array at ``cfg.sample_rate``. The stages
 are linear: the front end scales the coupling, and the analog and digital
@@ -15,7 +16,7 @@ Per-stage leakage figures therefore come from running the same stages on
 the coupling alone; no component streams are kept.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,13 +35,6 @@ DEFAULT_DIGITAL_TAPS = 16
 NLMS_STEP = 0.1
 NLMS_PASSES = 4
 
-PORT_ANTENNA = "antenna"
-PORT_DUMMY_LOAD = "dummy_load"
-
-
-class ProtocolViolation(RuntimeError):
-    """An operation was invoked in a state its protocol forbids."""
-
 
 # ---------------------------------------------------------------------------
 # the leakage path
@@ -52,7 +46,8 @@ class LeakageChannel:
 
     The coupling is the hardware path alone, so it is the same at the
     antenna and at the dummy load; that is what lets a dummy-load
-    calibration transfer to live use.
+    calibration transfer to live use. A coupling with no energy leaves
+    nothing to fit, so all-zero taps are rejected.
     """
 
     taps: np.ndarray
@@ -63,6 +58,8 @@ class LeakageChannel:
             raise ValueError("taps must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(self.taps)):
             raise ValueError("taps must be finite")
+        if not np.any(self.taps):
+            raise ValueError("taps must not all be zero")
 
 
 def make_leakage(rng):
@@ -88,27 +85,12 @@ def make_leakage(rng):
 
 @dataclass
 class CancellatorState:
-    """Fitted separator settings for one device."""
+    """Fitted separator settings for one device, as ``calibrate`` returns them."""
 
-    analog_tap: complex = 0.0
-    analog_delay: int = 0
-    digital_taps: np.ndarray = None
-    calibrated: bool = False
-    port: str = PORT_ANTENNA
-    log: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.digital_taps is None:
-            self.digital_taps = np.zeros(DEFAULT_DIGITAL_TAPS, dtype=np.complex128)
-        self.digital_taps = np.asarray(self.digital_taps, dtype=np.complex128)
-        if self.port not in (PORT_ANTENNA, PORT_DUMMY_LOAD):
-            raise ValueError("unknown port")
-
-    def to_dummy_load(self):
-        return replace(self, port=PORT_DUMMY_LOAD)
-
-    def to_antenna(self):
-        return replace(self, port=PORT_ANTENNA)
+    analog_tap: complex
+    analog_delay: int
+    digital_taps: np.ndarray
+    log: list
 
 
 def _delayed(samples, delay):
@@ -124,14 +106,14 @@ def _delayed(samples, delay):
 # stages
 
 
-def first_stage(leakage, isolation_db=DEFAULT_FIRST_STAGE_DB):
-    """Front-end isolation: the coupling array scaled by ``-isolation_db``.
+def first_stage(leakage):
+    """Front-end isolation: the coupling scaled by ``-DEFAULT_FIRST_STAGE_DB``.
 
     A circulator and a hybrid coupler give the same isolation figure.
     Over-the-air signals are not attenuated, so this stage takes the
     internal coupling alone; echoes and noise are added behind it.
     """
-    return leakage * np.sqrt(from_db(-isolation_db))
+    return leakage * np.sqrt(from_db(-DEFAULT_FIRST_STAGE_DB))
 
 
 def analog_cancel(rx, tx_ref, state):
@@ -139,75 +121,36 @@ def analog_cancel(rx, tx_ref, state):
     return rx + state.analog_tap * _delayed(np.asarray(tx_ref), state.analog_delay)
 
 
-def digital_cancel(rx, tx_ref, state, adapt=False, adapt_span=None):
-    """``rx`` minus the adaptive-FIR estimate of the remaining coupling.
+def digital_cancel(rx, tx_ref, state):
+    """``rx`` minus the frozen-FIR estimate of the remaining coupling."""
+    return rx - kernels.fir_apply(np.asarray(tx_ref), state.digital_taps)
 
-    The correction spans the whole reference; when ``adapt`` is set, taps are
-    first re-adapted by normalized LMS, starting from the state's taps and
-    using only the first ``adapt_span`` samples (the preamble) of ``rx``,
-    never the payload. The re-adapted taps serve this call only; ``state``
-    is left untouched.
+
+def calibrate(tx_ref, leak, rng):
+    """Fit the analog tap and digital FIR to the coupling on a dummy load.
+
+    The reception is the isolated coupling plus ``DEFAULT_NOISE_FLOOR_DBM``
+    noise from ``rng``, nothing from the air. The analog tap is the
+    least-squares single tap over a scanned alignment; the
+    ``DEFAULT_DIGITAL_TAPS``-tap FIR is then fitted to the post-analog
+    residual by ``NLMS_PASSES`` NLMS sweeps. The log gets one (0.0, stage,
+    residual_db re the raw coupling) row per stage; ``perfbench/tracing.py``
+    reads the rows by position.
     """
-    if not state.calibrated:
-        raise ProtocolViolation("digital cancellation before calibration")
     ref = np.asarray(tx_ref)
-    taps = state.digital_taps
-    if adapt:
-        span = len(ref) if adapt_span is None else min(adapt_span, len(ref))
-        taps = kernels.nlms_fir(
-            ref[:span], rx[:span], len(taps), mu=NLMS_STEP,
-            n_passes=NLMS_PASSES, taps_init=taps,
-        )
-    return rx - kernels.fir_apply(ref, taps)
-
-
-def calibrate(state, tx_ref, leak, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
-              rng=None, isolation_db=DEFAULT_FIRST_STAGE_DB,
-              n_passes=NLMS_PASSES):
-    """Fit the analog tap and digital FIR against the dummy-load coupling.
-
-    The port must already be on the dummy load so the fit sees coupling and
-    noise only. The analog tap is the least-squares single-tap optimum over
-    a scanned alignment; the digital FIR is then adapted on the post-analog
-    residual by ``n_passes`` sweeps of normalized LMS. Returns a new,
-    calibrated state whose log gains (time, stage, residual_db, port) rows:
-    the residual relative to the raw coupling power after each stage. The
-    time is always 0.0; the layout stays because ``perfbench/tracing.py``
-    reads the stage and residual by position.
-    """
-    if state.port != PORT_DUMMY_LOAD:
-        raise ProtocolViolation("calibration requires the dummy-load port")
-    rng = np.random.default_rng(rng)
-    ref = np.asarray(tx_ref)
-    if len(state.digital_taps) < len(leak.taps):
+    n_taps = DEFAULT_DIGITAL_TAPS
+    if n_taps < len(leak.taps):
         raise ValueError("digital FIR must be at least as long as the coupling")
 
     leakage = kernels.fir_apply(ref, leak.taps)
-    noise = np.zeros_like(leakage)
-    if noise_floor_dbm is not None:
-        noise = complex_noise(len(ref), noise_floor_dbm, rng)
+    noise = complex_noise(len(ref), DEFAULT_NOISE_FLOOR_DBM, rng)
     raw_power = avg_power(leakage)
-    if raw_power == 0.0:
-        # nothing to cancel; zero out the corrections
-        cleared = replace(
-            state,
-            analog_tap=0.0,
-            analog_delay=0,
-            digital_taps=np.zeros_like(state.digital_taps),
-            calibrated=True,
-        )
-        cleared.log = state.log + [(0.0, "digital", float("-inf"),
-                                    PORT_DUMMY_LOAD)]
-        return cleared
-
-    rx = first_stage(leakage, isolation_db=isolation_db) + noise
-    log = list(state.log)
-    log.append((0.0, "first_stage", db(avg_power(rx) / raw_power),
-                PORT_DUMMY_LOAD))
+    rx = first_stage(leakage) + noise
+    log = [(0.0, "first_stage", db(avg_power(rx) / raw_power))]
 
     # single complex degree of freedom, alignment scanned over the FIR span
     best = None
-    for delay in range(len(state.digital_taps)):
+    for delay in range(n_taps):
         shifted = _delayed(ref, delay)
         denom = np.vdot(shifted, shifted).real
         if denom == 0.0:
@@ -218,46 +161,19 @@ def calibrate(state, tx_ref, leak, noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
         if best is None or p < best[0]:
             best = (p, delay, tap, residual)
     _, analog_delay, analog_tap, post_analog = best
-    log.append((0.0, "analog", db(avg_power(post_analog) / raw_power),
-                PORT_DUMMY_LOAD))
+    log.append((0.0, "analog", db(avg_power(post_analog) / raw_power)))
 
     digital_taps = kernels.nlms_fir(
-        ref, post_analog, len(state.digital_taps), mu=NLMS_STEP,
-        n_passes=n_passes,
+        ref, post_analog, n_taps, mu=NLMS_STEP, n_passes=NLMS_PASSES,
     )
     post_digital = post_analog - kernels.fir_apply(ref, digital_taps)
-    log.append((0.0, "digital", db(avg_power(post_digital) / raw_power),
-                PORT_DUMMY_LOAD))
+    log.append((0.0, "digital", db(avg_power(post_digital) / raw_power)))
 
-    return replace(
-        state,
-        analog_tap=analog_tap,
-        analog_delay=analog_delay,
-        digital_taps=digital_taps,
-        calibrated=True,
-        log=log,
-    )
+    return CancellatorState(analog_tap, analog_delay, digital_taps, log)
 
 
-def separator_pipeline(rx, state, mode, tx_ref=None, force=False):
-    """Route the receive-port array behind the front end by MAC state.
-
-    Only the monitoring state ("M") cancels: the analog stage, then the
-    digital stage. The communicating ("C") and blocked ("B") states return
-    ``rx`` itself because filtering someone else's packet would wreck it.
-    Forcing cancellation in C/B is the protocol violation that experiment
-    reproduces deliberately.
-    """
-    if mode in ("C", "B"):
-        if force:
-            raise ProtocolViolation(f"cancellation forced in {mode}-state")
-        return rx
-    if mode != "M":
-        raise ValueError(f"unknown MAC state {mode!r}")
-    if not state.calibrated:
-        raise ProtocolViolation("separator used before calibration")
-    if tx_ref is None:
-        raise ValueError("M-state separation needs the transmit reference")
+def separator_pipeline(rx, tx_ref, state):
+    """The analog stage, then the digital stage, on the receive-port array."""
     return digital_cancel(analog_cancel(rx, tx_ref, state), tx_ref, state)
 
 
@@ -294,7 +210,7 @@ def measure_separator_harm(template, state, remote_gain, noise_floor_dbm, rng):
     ref = np.asarray(template)
     noise = complex_noise(len(ref), noise_floor_dbm, rng)
     clean = remote_gain * ref + noise
-    separated = separator_pipeline(clean, state, "M", tx_ref=ref)
+    separated = separator_pipeline(clean, ref, state)
     return template_snr_db(ref, clean), template_snr_db(ref, separated)
 
 
@@ -303,14 +219,12 @@ def calibrated_separator(cfg, rng):
 
     The burst runs at the default transmit power; the separator is fitted on
     the dummy load at the default noise floor against ``make_leakage(rng)``,
-    drawn before the calibration noise, and handed back switched to the
-    antenna. Returns (tx, leak, state).
+    drawn before the calibration noise. Returns (tx, leak, state).
     """
     tx = training_burst(cfg, n_extra=8)
     tx = tx * np.sqrt(from_db(DEFAULT_TX_POWER_DBM) / avg_power(tx))
     leak = make_leakage(rng)
-    state = calibrate(CancellatorState().to_dummy_load(), tx, leak,
-                      rng=rng).to_antenna()
+    state = calibrate(tx, leak, rng)
     return tx, leak, state
 
 
@@ -330,7 +244,6 @@ def forced_separator_harm(cfg, rng, clean_snr_db=15.0):
 
 
 __all__ = [
-    "ProtocolViolation",
     "LeakageChannel",
     "make_leakage",
     "CancellatorState",
@@ -347,6 +260,4 @@ __all__ = [
     "DEFAULT_LEAKAGE_DB",
     "DEFAULT_NOISE_FLOOR_DBM",
     "DEFAULT_FIRST_STAGE_DB",
-    "PORT_ANTENNA",
-    "PORT_DUMMY_LOAD",
 ]

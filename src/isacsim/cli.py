@@ -29,6 +29,14 @@ def load_config(path):
     return values
 
 
+def non_negative_int(text):
+    """argparse type for ``--seed``: numpy seeds cannot be negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="isac-bench",
@@ -38,7 +46,7 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="run one experiment and print its checks")
     p_run.add_argument("experiment", help="experiment name, see 'list'")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=non_negative_int, default=0)
     p_run.add_argument("--config", help="flat 'key = value' override file")
     p_run.add_argument("--out", default=".", help="directory for CSV output")
 

@@ -360,7 +360,7 @@ def _contiguous_runs(signed):
     return np.split(np.arange(signed.size), breaks + 1)
 
 
-def range_music(csi, n_paths, cfg, grid=None, subarray_len=16):
+def range_music(csi, n_paths, cfg, subarray_len=16):
     """Subspace delay pseudospectrum with frequency smoothing.
 
     CSI bins are grouped into contiguous equally spaced runs, and sliding
@@ -389,9 +389,7 @@ def range_music(csi, n_paths, cfg, grid=None, subarray_len=16):
     if not snapshots:
         raise ValueError("no contiguous bin run is as long as the subarray")
     stack = np.concatenate(snapshots, axis=0)  # (n_snapshots, subarray_len)
-    if grid is None:
-        grid = np.arange(0.0, 500e-9, 1e-9)
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = np.arange(0.0, 500e-9, 1e-9)
     steer = np.exp(
         -2j
         * np.pi
@@ -402,17 +400,15 @@ def range_music(csi, n_paths, cfg, grid=None, subarray_len=16):
     return MusicResult(SPEED_OF_LIGHT * delays / 2.0, degraded, grid, spectrum)
 
 
-def aoa_music(csi, n_sources, spacing_wl=0.5, grid=None):
-    """Subspace arrival-angle pseudospectrum over the antenna dimension."""
+def aoa_music(csi, n_sources):
+    """Subspace arrival-angle pseudospectrum of a half-wavelength linear array."""
     arr = _csi_3d(csi)
     n_ant = arr.shape[1]
     if not 1 <= n_sources < n_ant:
         raise ValueError("source count must be below the antenna count")
-    if grid is None:
-        grid = np.arange(-90.0, 90.0 + 1e-9, 0.5)
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = np.arange(-90.0, 90.0 + 1e-9, 0.5)
     snapshots = np.moveaxis(arr, 1, 2).reshape(-1, n_ant)
-    steer = steering_vector(grid, n_ant, spacing_wl).T
+    steer = steering_vector(grid, n_ant, 0.5).T
     angles, degraded, spectrum = _music(snapshots, n_sources, grid, steer)
     return MusicResult(angles, degraded, grid, spectrum)
 
@@ -463,16 +459,13 @@ def snap_to_uniform(csi_series, sched):
     return h[nearest], TxSchedule(grid)
 
 
-def velocity_sparse(csi_series, sched, cfg, doppler_grid, delay_grid=None,
-                    **solver_kwargs):
+def velocity_sparse(csi_series, sched, cfg, doppler_grid, **solver_kwargs):
     """Velocity magnitude from the dominant sparse Doppler atom."""
     if len(sched) < 8:
         raise ValueError("need at least 8 packets for the sparse estimator")
-    if delay_grid is None:
-        delay_grid = np.arange(0.0, 300e-9, 10e-9)
     feats = estimate_features_sparse(
-        csi_series, sched, cfg, delay_grid=delay_grid, doppler_grid=doppler_grid,
-        **solver_kwargs,
+        csi_series, sched, cfg, delay_grid=np.arange(0.0, 300e-9, 10e-9),
+        doppler_grid=doppler_grid, **solver_kwargs,
     )
     _, doppler, _ = feats.dominant()
     return abs(doppler) * cfg.wavelength / 2.0

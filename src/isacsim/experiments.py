@@ -439,8 +439,8 @@ def run_cancellation_budget(ctx):
         noise = complex_noise(len(tx), floor_dbm, rng)
         stage1 = cancel.first_stage(coupling)
         stage2 = cancel.analog_cancel(stage1, tx, state)
-        leak_out = cancel.separator_pipeline(stage1, state, "M", tx_ref=tx)
-        out = cancel.separator_pipeline(stage1 + noise, state, "M", tx_ref=tx)
+        leak_out = cancel.separator_pipeline(stage1, tx, state)
+        out = cancel.separator_pipeline(stage1 + noise, tx, state)
         g_first = db(avg_power(coupling) / avg_power(stage1))
         g_analog = db(avg_power(stage1) / avg_power(stage2))
         g_digital = db(avg_power(stage2) / avg_power(leak_out))
@@ -450,8 +450,7 @@ def run_cancellation_budget(ctx):
         gain = np.sqrt(from_db(-60.0) / avg_power(tx)) * np.exp(0.7j)
         refl = gain * np.concatenate([np.zeros(6, dtype=complex), tx[:-6]])
         noise2 = complex_noise(len(tx), floor_dbm, rng)
-        out_echo = cancel.separator_pipeline(stage1 + refl + noise2, state,
-                                             "M", tx_ref=tx)
+        out_echo = cancel.separator_pipeline(stage1 + refl + noise2, tx, state)
         g = np.vdot(refl, out_echo) / np.vdot(refl, refl).real
         echo_delta = db(np.abs(g) ** 2)
         rows.append([trial, f"{g_first:.2f}", f"{g_analog:.2f}",
@@ -484,8 +483,8 @@ def _irregular_times(rng, n, median_gap, sigma):
     return np.cumsum(gaps)
 
 
-def ranging_trial(cfg, rng, snr_db=15.0, n_packets=48):
-    """One moving target plus static clutter on an irregular schedule.
+def ranging_trial(cfg, rng, snr_db=15.0):
+    """One moving target plus static clutter on 48 irregularly timed packets.
 
     Returns (truth_range_m, csi, sched).  The clutter scatterer sits 6 dB
     below the target so delay-only estimators see a biased profile while
@@ -497,7 +496,7 @@ def ranging_trial(cfg, rng, snr_db=15.0, n_packets=48):
     while abs(r_clutter - truth) < 1.0:
         r_clutter = float(rng.uniform(1.0, 15.0))
     rcs_clutter = (r_clutter / truth) ** 4 * 10 ** (-0.6)
-    times = _irregular_times(rng, n_packets, 0.015, 0.9)
+    times = _irregular_times(rng, 48, 0.015, 0.9)
     geom = ScenarioGeometry(
         targets=(
             PropagationPath(trajectory=linear_trajectory(

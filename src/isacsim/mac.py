@@ -6,9 +6,10 @@ it owes a peer — and drops back to C a short timer after the transmission
 ends. Receiving a peer's packet from C opens a B (bistatic capture) episode
 that closes when the reception completes. The separator must be engaged
 exactly while in M: engaging it during a reception shreds the incoming
-packet, which is the whole point of the state machine. A state is one of
-the strings in ``MAC_STATES``, the same "C"/"M"/"B" that the event log and
-``cancel.separator_pipeline`` use.
+packet, which is the whole point of the state machine. This module alone
+decides when the separator runs; ``isacsim.cancel`` is signal processing
+only. A state is one of the strings in ``MAC_STATES``, the "C"/"M"/"B" of
+the event log.
 
 Channel access is a deliberately small CSMA abstraction: one shared medium,
 a device defers while the medium is busy and retries after a random number

@@ -41,9 +41,10 @@ class TestUsage:
         assert "ranging" in err  # suggests the known names
 
     def test_bad_seed_is_a_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "ranging", "--seed", "not-a-number"])
-        assert exc.value.code == 2
+        for seed in ("not-a-number", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "ranging", "--seed", seed])
+            assert exc.value.code == 2
 
 
 class TestValidate:
