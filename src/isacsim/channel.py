@@ -24,7 +24,7 @@ Conventions
   and a fractional timing offset ``pdd_extra`` appear as phase ramps over
   the FFT bin index within each symbol window.
 * Antenna 0 is the phase reference of a uniform linear array; element i sits
-  ``i * array_spacing_wl`` wavelengths along the array axis.
+  ``i * ARRAY_SPACING_WL`` wavelengths along the array axis.
 """
 
 from dataclasses import dataclass
@@ -38,6 +38,8 @@ _MIN_RANGE = 1e-9
 # clock tolerance of a drawn device profile: carrier and sample-rate errors
 # are uniform within +/- this many parts per million
 CLOCK_PPM = 20.0
+# receive-array element spacing in wavelengths
+ARRAY_SPACING_WL = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +230,6 @@ class ScenarioGeometry:
     targets: tuple = ()
     tx_power_dbm: float = 5.0
     n_antennas: int = 1
-    array_spacing_wl: float = 0.5
     boresight_deg: float = 0.0
     include_los: bool = True
 
@@ -243,8 +244,6 @@ class ScenarioGeometry:
         self.targets = tuple(self.targets)
         if self.n_antennas < 1:
             raise ValueError("need at least one receive antenna")
-        if not 0.0 < self.array_spacing_wl < np.inf:
-            raise ValueError("array_spacing_wl must be finite and positive")
 
     @property
     def los_distance(self):
@@ -261,14 +260,14 @@ class ScenarioGeometry:
                         - self.boresight_deg)
 
 
-def steering_vector(aoa_deg, n_antennas, spacing_wl=0.5):
+def steering_vector(aoa_deg, n_antennas):
     """Array response of a uniform linear array, element 0 as phase reference.
 
     ``aoa_deg`` may be an array of angles; the result is (..., n_antennas).
     """
     idx = np.arange(n_antennas)
     sin = np.sin(np.radians(np.asarray(aoa_deg, dtype=np.float64)))[..., None]
-    return np.exp(-2j * np.pi * idx * spacing_wl * sin)
+    return np.exp(-2j * np.pi * idx * ARRAY_SPACING_WL * sin)
 
 
 def resolve_paths(geom, cfg, times, tx_power=1.0):
@@ -373,7 +372,7 @@ def synthesize_csi_series(geom, cfg, times, snr_db=None, rng=None):
     out = np.zeros((times.size, geom.n_antennas, cfg.n_used), dtype=np.complex128)
     strongest = 0.0
     for a, d, ang in zip(alpha, tau, aoa):
-        steer = steering_vector(ang, geom.n_antennas, geom.array_spacing_wl)
+        steer = steering_vector(ang, geom.n_antennas)
         core = np.exp(-2j * np.pi * d[:, None] * freqs[None, :])
         out += a[:, None, None] * steer[:, :, None] * core[:, None, :]
         strongest = max(strongest, float(np.mean(np.abs(a) ** 2)))

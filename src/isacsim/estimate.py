@@ -121,94 +121,80 @@ def _soft_threshold(x, kappa):
     return x * scale
 
 
-def _kron_apply(mats, x):
-    """``(M_1 kron ... kron M_m) @ x``, x flattened row-major, one axis per M_k.
+def _apply(a, b, m):
+    """``a @ m @ b^T``, with the right-hand matrix applied first."""
+    return a @ (m @ b.T)
 
-    The last factor multiplies from the right and each earlier one on its
-    own axis, so every step's result is already row-major.
+
+def _rotation(g, d):
+    """Rotate the operator X -> G X D^T onto orthogonal rows.
+
+    An ``eigh`` of each matrix's row Gram, G G^H = U_G diag(e_G) U_G^H and
+    D D^H = U_D diag(e_D) U_D^H, gives W_G = U_G^H G and W_D = U_D^H D, so
+    G X D^T = U_G (W_G X W_D^T) U_D^T with U_G and U_D unitary, and the
+    rotated operator's row (i, j) has squared norm e[i, j] with
+    e = outer(e_G, e_D). Returns ``(w_g, w_d, uh_g, uh_d, e)``.
     """
-    *head, last = mats
-    x = x.reshape(-1, last.shape[1]) @ last.T
-    post = last.shape[0]
-    for m in reversed(head):
-        x = m @ x.reshape(-1, m.shape[1], post)
-        post *= m.shape[0]
-    return x.reshape(-1)
+    e_g, u_g = np.linalg.eigh(g @ g.conj().T)
+    e_d, u_d = np.linalg.eigh(d @ d.conj().T)
+    uh_g, uh_d = u_g.conj().T, u_d.conj().T
+    return uh_g @ g, uh_d @ d, uh_g, uh_d, np.multiply.outer(e_g, e_d)
 
 
-def _rotation(factors):
-    """Rotate A = F_1 kron ... kron F_m onto orthogonal rows.
+def admm_lasso(g, d, y, lam, max_iters=200, tol=1e-6):
+    """Solve min 0.5*||G X D^T - Y||_F^2 + lam*||X||_1 over the matrix X.
 
-    An ``eigh`` of each factor's row Gram matrix, F_k F_k^H =
-    U_k diag(e_k) U_k^H, gives W_k = U_k^H F_k. With U, W and e the
-    Kronecker products of the U_k, W_k and e_k, A = U W with U unitary and
-    W W^H = diag(e). Returns ``(ws, uhs, e)``, the W_k, the U_k^H and e.
-    """
-    ws, uhs, e = [], [], np.ones(1)
-    for f in factors:
-        ek, u = np.linalg.eigh(f @ f.conj().T)
-        uhs.append(u.conj().T)
-        ws.append(uhs[-1] @ f)
-        e = np.multiply.outer(e, ek).reshape(-1)
-    return ws, uhs, e
-
-
-def admm_lasso(factors, y, lam, rho=None, max_iters=200, tol=1e-6):
-    """Solve min 0.5*||A x - y||^2 + lam*||x||_1 for A = F_1 kron ... kron F_m.
-
-    ``factors`` are A's Kronecker factors (a dense A is ``(a,)``) and x is
-    flattened row-major, one axis per factor. The solve runs in the rotated
-    measurement space A = U W of ``_rotation``, taken once per call. With
-    v = z - u and y~ = U^H y, the exact x-update
-    (A^H A + rho I)^{-1} (A^H y + rho v) is, by the push-through identity,
-    ``x = v + W^H w`` with ``w = (y~ - W v) / (e + rho)``, and
-    ``W x = W v + e * w`` needs no product. Keeping W z and W u beside z
-    and u, an iteration costs two dense products, ``W^H w`` and ``W z``;
-    the objective's residual is ``W z - y~`` because U is unitary. A^H y is
-    never formed and rho enters the update only through ``1/(e + rho)``.
-    ``rho`` defaults to ||A||^2 = max(e), which damps the splitting enough
-    that the objective decreases essentially monotonically instead of
-    ringing toward the optimum. The returned LassoResult's ``converged`` is
-    False when the stopping criteria were not met within ``max_iters`` —
-    callers must check it rather than trust a silently truncated solve —
-    and it carries the final primal and dual residual norms. The solve
-    stops when the primal residual is small and either the dual residual is
-    small too or the objective has been stationary (relative change below
-    ``tol``) for five consecutive iterations; the latter matters for highly
+    The solve runs in the rotated space of ``_rotation``, taken once per
+    call, with Y~ = U_G^H Y conj(U_D) and W(X) = W_G X W_D^T. With Z the
+    split copy of X, U the scaled dual and V = Z - U, the exact x-update
+    (A^H A + rho I)^{-1} (A^H Y + rho V) of the operator A(X) = G X D^T
+    is, by the push-through identity,
+    ``X = V + W_G^H Q conj(W_D)`` with ``Q = (Y~ - W(V)) / (e + rho)``
+    elementwise, and ``W(X) = W(V) + e * Q`` needs no product. Keeping
+    W(Z) and W(U) beside Z and U, an iteration costs two pairs of matrix
+    products, the adjoint for X and W(Z); the objective's residual is
+    ``W(Z) - Y~`` because the rotations are unitary. A^H Y is never formed.
+    rho is ||A||^2 = max(e), which damps the splitting enough that the
+    objective decreases essentially monotonically instead of ringing
+    toward the optimum. The returned LassoResult's ``converged`` is False
+    when the stopping criteria were not met within ``max_iters`` — callers
+    must check it rather than trust a silently truncated solve — and it
+    carries the final primal and dual residual norms. The solve stops when
+    the primal residual is small and either the dual residual is small too
+    or the objective has been stationary (relative change below ``tol``)
+    for five consecutive iterations; the latter matters for highly
     coherent dictionaries, where near-identical neighboring atoms trade
     coefficient mass at a vanishing rate long after the objective settled.
     """
-    if lam <= 0 or (rho is not None and rho <= 0):
-        raise ValueError("lam and rho must be positive")
-    y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if y.size != np.prod([f.shape[0] for f in factors]):
-        raise ValueError("operator output size does not match y")
-    ws, uhs, e = _rotation(factors)
-    whs = [w.conj().T for w in ws]
-    if rho is None:
-        rho = max(float(e.max()), 1e-8)
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    y = np.asarray(y, dtype=np.complex128)
+    if y.shape != (g.shape[0], d.shape[0]):
+        raise ValueError("operator output shape does not match y")
+    w_g, w_d, uh_g, uh_d, e = _rotation(g, d)
+    wh_g, wh_d = w_g.conj().T, w_d.conj().T
+    rho = max(float(e.max()), 1e-8)
     gain = 1.0 / (e + rho)
-    y_rot = _kron_apply(uhs, y)
+    y_rot = _apply(uh_g, uh_d, y)
 
-    n = int(np.prod([f.shape[1] for f in factors]))
-    z = u = np.zeros(n, dtype=np.complex128)
+    z = u = np.zeros((g.shape[1], d.shape[1]), dtype=np.complex128)
     wz = wu = np.zeros_like(y_rot)
     objectives = []
     converged = False
     iterations = 0
     stalled = 0
     r_norm = s_norm = np.inf
-    sqrt_n = np.sqrt(n)
+    sqrt_n = np.sqrt(z.size)
     for it in range(max_iters):
         iterations = it + 1
         wv = wz - wu
         w_step = (y_rot - wv) * gain
-        x = z - u + _kron_apply(whs, w_step)
+        x = z - u + _apply(wh_g, wh_d, w_step)
         wx = wv + e * w_step
         z_old = z
         z = _soft_threshold(x + u, lam / rho)
         u = u + x - z
-        wz = _kron_apply(ws, z)
+        wz = _apply(w_g, w_d, z)
         wu = wu + wx - wz
 
         resid = wz - y_rot
@@ -248,19 +234,19 @@ def estimate_features_sparse(csi_series, sched, cfg, delay_grid, doppler_grid,
                              max_iters=80, tol=1e-3):
     """Sparse delay/Doppler atoms straight from irregular packet times.
 
-    Antenna 0's (packets x subcarriers) series is modeled as
+    Antenna 0's (packets x subcarriers) series H is modeled as
     ``G Gamma^T D^T``, with the Doppler part G evaluated at the actual
     transmit instants, so nothing assumes uniform sampling. ``admm_lasso``
-    solves it as the dictionary ``G kron D`` acting on Gamma^T, rotated by
-    one small ``eigh`` each of G G^H and D D^H per call onto orthogonal
-    rows: an iteration is an exact x-update with no inner iterative solve
-    and costs two products the size of one dictionary application. The l1
-    weight is 0.1 times the largest correlation with the data, the one
-    place A^H y is formed. The default tolerance is loose
-    because peak positions stabilize long before the coefficients between
-    near-identical neighboring atoms do; tighten it when the coefficient
-    values themselves matter. The result carries the solve's iteration
-    count and final primal and dual residuals.
+    solves for the (Doppler x delay) matrix Gamma^T on the two matrices
+    directly, rotated by one small ``eigh`` each of G G^H and D D^H per
+    call onto orthogonal rows: an iteration is an exact x-update with no
+    inner iterative solve and costs two products the size of one
+    dictionary application. The l1 weight is 0.1 times the largest
+    correlation with the data, the one place A^H y is formed. The default
+    tolerance is loose because peak positions stabilize long before the
+    coefficients between near-identical neighboring atoms do; tighten it
+    when the coefficient values themselves matter. The result carries the
+    solve's iteration count and final primal and dual residuals.
     """
     h = _csi_3d(csi_series)[:, 0, :]
     if h.shape[0] != len(sched):
@@ -270,21 +256,17 @@ def estimate_features_sparse(csi_series, sched, cfg, delay_grid, doppler_grid,
     delay_grid = np.asarray(delay_grid)
     doppler_grid = np.asarray(doppler_grid)
     d_mat, g_mat = dictionary_matrices(sched, cfg, delay_grid, doppler_grid)
-    n_l, n_k = h.shape
-    n_d, n_v = delay_grid.size, doppler_grid.size
-    # h = G' Gamma^T D^T with G' = G/sqrt(n_l*n_k): y = (G' kron D) vec(Gamma^T)
-    factors = (g_mat / np.sqrt(n_l * n_k), d_mat)
-    y = h.reshape(-1)
+    g_mat = g_mat / np.sqrt(h.size)
     lam = 0.1 * float(np.max(np.abs(
-        _kron_apply([f.conj().T for f in factors], y))))
+        _apply(g_mat.conj().T, d_mat.conj().T, h))))
     if lam == 0.0:
-        coef = np.zeros((n_d, n_v), dtype=np.complex128)
+        coef = np.zeros((delay_grid.size, doppler_grid.size),
+                        dtype=np.complex128)
         return FeatureVector(delay_grid, doppler_grid, coef, converged=True)
-    result = admm_lasso(factors, y, lam, max_iters=max_iters, tol=tol)
-    coef = result.coefficients.reshape(n_v, n_d).T
-    return FeatureVector(delay_grid, doppler_grid, coef, result.converged,
-                         result.iterations, result.primal_residual,
-                         result.dual_residual)
+    result = admm_lasso(g_mat, d_mat, h, lam, max_iters=max_iters, tol=tol)
+    return FeatureVector(delay_grid, doppler_grid, result.coefficients.T,
+                         result.converged, result.iterations,
+                         result.primal_residual, result.dual_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -360,27 +342,29 @@ def _contiguous_runs(signed):
     return np.split(np.arange(signed.size), breaks + 1)
 
 
-def range_music(csi, n_paths, cfg, subarray_len=16):
+def range_music(csi, n_paths, cfg, subarray_len=None):
     """Subspace delay pseudospectrum with frequency smoothing.
 
     CSI bins are grouped into contiguous equally spaced runs, and sliding
     subarrays of ``subarray_len`` bins inside each run (across all packets)
     supply the covariance snapshots; smoothing over start offsets is what
-    decorrelates same-scene static paths.
+    decorrelates same-scene static paths. ``subarray_len`` defaults to 16
+    bins, or to the longest run when narrow FFTs leave none that long.
     """
     if n_paths < 1:
         raise ValueError("need at least one path to look for")
-    if subarray_len <= n_paths:
-        raise ValueError("subarray too short for the requested model order")
     arr = _csi_3d(csi)[:, 0, :]
-
     signed = cfg.signed_index()
     order = np.argsort(signed)
-    signed_sorted = signed[order]
+    runs = _contiguous_runs(signed[order])
     arr = arr[:, order]
+    if subarray_len is None:
+        subarray_len = min(16, max(run.size for run in runs))
+    if subarray_len <= n_paths:
+        raise ValueError("subarray too short for the requested model order")
 
     snapshots = []
-    for run in _contiguous_runs(signed_sorted):
+    for run in runs:
         if run.size < subarray_len:
             continue
         block = arr[:, run]
@@ -408,7 +392,7 @@ def aoa_music(csi, n_sources):
         raise ValueError("source count must be below the antenna count")
     grid = np.arange(-90.0, 90.0 + 1e-9, 0.5)
     snapshots = np.moveaxis(arr, 1, 2).reshape(-1, n_ant)
-    steer = steering_vector(grid, n_ant, 0.5).T
+    steer = steering_vector(grid, n_ant).T
     angles, degraded, spectrum = _music(snapshots, n_sources, grid, steer)
     return MusicResult(angles, degraded, grid, spectrum)
 

@@ -515,13 +515,6 @@ def run_ranging(ctx):
     snr_db = float(ctx.param("run.snr_db", 15.0))
     delay_grid = np.arange(0.0, 500e-9, 2.5e-9)
     doppler_grid = np.arange(-17.0, 17.1, 0.25)
-    # Size the smoothing subarray to the configured band: narrow FFTs
-    # leave contiguous bin runs shorter than the usual 16 bins.
-    signed = np.sort(cfg.signed_index())
-    longest = max(
-        r.size for r in np.split(signed, np.where(np.diff(signed) != 1)[0] + 1)
-    )
-    subarray_len = min(16, int(longest))
     rows = []
     errs = {"sparse": [], "music": [], "ifft": []}
     for trial in range(n_trials):
@@ -535,7 +528,7 @@ def run_ranging(ctx):
         tau, _, _ = feats.dominant(min_doppler_hz=1.5)
         est_sparse = SPEED_OF_LIGHT * tau / 2.0
 
-        music = range_music(csi, 1, cfg, subarray_len=subarray_len)
+        music = range_music(csi, 1, cfg)
         est_music = float(music.values[0])
 
         est_ifft = range_ifft(csi, cfg)

@@ -195,9 +195,10 @@ def test_c7_mac_invariants_at_scale():
     )
     _criterion(
         7,
-        "protocol: separator state tracks the monitoring state exactly over "
-        ">= 1e6 events; sensing on/off leaves delay and loss untouched; "
-        "forcing the separator onto receptions costs >= 10 dB of rx SNR",
+        "protocol: separator state tracks the monostatic-capture state "
+        "exactly over >= 1e6 events; sensing on/off leaves delay and loss "
+        "untouched; forcing the separator onto receptions costs >= 10 dB "
+        "of rx SNR",
         ok,
         f"events {big.n_events}, checks {big.invariant_checks}, "
         f"mismatches {big.separator_mismatches}, "
@@ -233,12 +234,18 @@ def _ista_lasso(a, y, lam, n_iters=30000):
     return x
 
 
+def _dense_lasso(a, y, lam, **kwargs):
+    # a dense A is the pair G = [[1]], D = A, with y and x as one row
+    res = admm_lasso(np.ones((1, 1)), a, y[None, :], lam, **kwargs)
+    return res._replace(coefficients=res.coefficients[0])
+
+
 def test_c8_solver_and_transform_oracles():
     # identity operator: the lasso minimizer is the soft-threshold of y
     rng = np.random.default_rng(0)
     y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    res = admm_lasso((np.eye(y.size),), y, lam=0.8, max_iters=2000,
-                     tol=1e-10)
+    res = _dense_lasso(np.eye(y.size), y, lam=0.8, max_iters=2000,
+                       tol=1e-10)
     identity_ok = res.converged and np.allclose(
         res.coefficients, _soft_threshold(y, 0.8), atol=1e-8
     )
@@ -253,8 +260,7 @@ def test_c8_solver_and_transform_oracles():
         x0[support] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2))
         y = a @ x0
         lam = 0.1 * np.max(np.abs(a.conj().T @ y))
-        res = admm_lasso((a,), y, lam,
-                         max_iters=3000, tol=1e-11)
+        res = _dense_lasso(a, y, lam, max_iters=3000, tol=1e-11)
         gap = abs(
             _lasso_objective(a, y, res.coefficients, lam)
             - _lasso_objective(a, y, _ista_lasso(a, y, lam), lam)

@@ -3,6 +3,7 @@ import pytest
 
 from isacsim import ofdm
 from isacsim.channel import (
+    ARRAY_SPACING_WL,
     ImpairmentProfile,
     PropagationPath,
     ScenarioGeometry,
@@ -195,9 +196,6 @@ class TestResolvePaths:
         ("tx_power_dbm", float("nan")),
         ("tx_power_dbm", float("-inf")),
         ("boresight_deg", float("nan")),
-        ("array_spacing_wl", float("inf")),
-        ("array_spacing_wl", float("nan")),
-        ("array_spacing_wl", 0.0),
     ])
     def test_nonfinite_geometry_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -259,17 +257,18 @@ class TestSteering:
         assert steering_vector(0.0, 3) == pytest.approx(np.ones(3))
 
     def test_half_wave_thirty_degrees(self):
-        v = steering_vector(30.0, 3, spacing_wl=0.5)
+        assert ARRAY_SPACING_WL == 0.5
+        v = steering_vector(30.0, 3)
         assert v[1] == pytest.approx(np.exp(-1j * np.pi / 2), abs=1e-12)
         assert v[2] == pytest.approx(np.exp(-1j * np.pi), abs=1e-12)
 
     def test_angle_array_broadcasts(self):
         angles = np.array([[-40.0, 0.0], [12.5, 30.0]])
-        v = steering_vector(angles, 4, spacing_wl=0.7)
+        v = steering_vector(angles, 4)
         assert v.shape == (2, 2, 4)
         for idx in np.ndindex(angles.shape):
             np.testing.assert_array_equal(
-                v[idx], steering_vector(angles[idx], 4, spacing_wl=0.7)
+                v[idx], steering_vector(angles[idx], 4)
             )
 
 

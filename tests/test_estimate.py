@@ -25,7 +25,7 @@ from isacsim.estimate import (
     velocity_fft,
     velocity_sparse,
 )
-from isacsim.estimate import _kron_apply, _rotation, _soft_threshold
+from isacsim.estimate import _apply, _rotation, _soft_threshold
 from isacsim.fusion import SensingMessage, fuse_ml
 from isacsim.ofdm import SPEED_OF_LIGHT, RadioConfig
 from isacsim.sigcore import TWO_PI, from_db
@@ -80,22 +80,32 @@ def sparse_instance(seed, m=16, n=64, k=2):
     return a, a @ x0, x0, support
 
 
-# fat, tall and mixed Kronecker factor pairs
+def dense_lasso(a, y, lam, **kwargs):
+    """``admm_lasso`` on a dense A: G = [[1]] and D = A, vectors as one row."""
+    res = admm_lasso(np.ones((1, 1)), a, y[None, :], lam, **kwargs)
+    return res._replace(coefficients=res.coefficients[0])
+
+
+# fat, tall and mixed (G, D) shape pairs
 KRON_PAIRS = [((3, 7), (4, 9)), ((7, 3), (9, 4)), ((3, 7), (9, 4))]
 
 
-def random_factors(rng, shapes):
-    return [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+def random_matrix(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def rotated_x_update(factors, y, v, rho=None):
-    """``v + W^H((y~ - W v)/(e + rho))`` from ``_rotation``; rho defaults to max(e)."""
-    ws, uhs, e = _rotation(factors)
+def random_pair(rng, shapes):
+    return [random_matrix(rng, s) for s in shapes]
+
+
+def rotated_x_update(g, d, y, v, rho=None):
+    """``V + W^H((Y~ - W(V))/(e + rho))`` from ``_rotation``, rho default max(e)."""
+    w_g, w_d, uh_g, uh_d, e = _rotation(g, d)
     if rho is None:
         rho = float(e.max())
-    y_rot = _kron_apply(uhs, y)
-    w_step = (y_rot - _kron_apply(ws, v)) / (e + rho)
-    return rho, v + _kron_apply([w.conj().T for w in ws], w_step)
+    y_rot = _apply(uh_g, uh_d, y)
+    w_step = (y_rot - _apply(w_g, w_d, v)) / (e + rho)
+    return rho, v + _apply(w_g.conj().T, w_d.conj().T, w_step)
 
 
 def dense_admm(a, y, lam, rho, max_iters, tol):
@@ -185,8 +195,8 @@ class TestAdmmLasso:
     def test_identity_matches_soft_threshold(self):
         y = np.zeros(8, dtype=np.complex128)
         y[3] = 3.0
-        res = admm_lasso((np.eye(y.size),), y, lam=1.0, max_iters=2000,
-                         tol=1e-10)
+        res = dense_lasso(np.eye(y.size), y, lam=1.0, max_iters=2000,
+                          tol=1e-10)
         assert res.converged
         expected = np.zeros(8, dtype=np.complex128)
         expected[3] = 2.0
@@ -195,8 +205,8 @@ class TestAdmmLasso:
     def test_identity_complex_phase(self):
         y = np.zeros(4, dtype=np.complex128)
         y[1] = 3.0 * np.exp(1j * 0.7)
-        res = admm_lasso((np.eye(y.size),), y, lam=1.0, max_iters=2000,
-                         tol=1e-10)
+        res = dense_lasso(np.eye(y.size), y, lam=1.0, max_iters=2000,
+                          tol=1e-10)
         assert np.allclose(res.coefficients[1], 2.0 * np.exp(1j * 0.7), atol=1e-8)
         assert np.allclose(res.coefficients[[0, 2, 3]], 0.0)
 
@@ -206,8 +216,8 @@ class TestAdmmLasso:
             corr = np.max(np.abs(a.conj().T @ y))
             recovered = False
             for frac in (0.3, 0.1, 0.05, 0.02):
-                res = admm_lasso(
-                    (a,), y,
+                res = dense_lasso(
+                    a, y,
                     lam=frac * corr, max_iters=800, tol=1e-9,
                 )
                 found = set(np.flatnonzero(np.abs(res.coefficients) > 1e-6))
@@ -220,8 +230,8 @@ class TestAdmmLasso:
         for seed in range(5):
             a, y, _, _ = sparse_instance(seed)
             lam = 0.1 * np.max(np.abs(a.conj().T @ y))
-            res = admm_lasso(
-                (a,), y, lam,
+            res = dense_lasso(
+                a, y, lam,
                 max_iters=3000, tol=1e-11,
             )
             assert res.converged
@@ -233,16 +243,14 @@ class TestAdmmLasso:
     def test_objective_monotone_after_burn_in(self):
         a, y, _, _ = sparse_instance(12)
         lam = 0.1 * np.max(np.abs(a.conj().T @ y))
-        res = admm_lasso((a,), y, lam,
-                         max_iters=400, tol=1e-12)
+        res = dense_lasso(a, y, lam, max_iters=400, tol=1e-12)
         tail = res.objectives[5:]
         assert np.all(np.diff(tail) <= 1e-8)
 
     def test_non_convergence_is_flagged(self):
         a, y, _, _ = sparse_instance(3)
         lam = 0.1 * np.max(np.abs(a.conj().T @ y))
-        res = admm_lasso((a,), y, lam,
-                         max_iters=2, tol=1e-14)
+        res = dense_lasso(a, y, lam, max_iters=2, tol=1e-14)
         assert not res.converged
         assert res.iterations == 2
 
@@ -250,68 +258,73 @@ class TestAdmmLasso:
         a, _, _, _ = sparse_instance(0)
         bad_y = np.ones(5, dtype=np.complex128)
         with pytest.raises(ValueError):
-            admm_lasso((a,), bad_y, lam=0.1)
+            dense_lasso(a, bad_y, lam=0.1)
 
     @pytest.mark.parametrize("shapes", KRON_PAIRS)
     def test_kron_apply_and_adjoint_match_np_kron(self, shapes):
         rng = np.random.default_rng(5)
-        factors = random_factors(rng, shapes)
-        a = np.kron(*factors)
-        x = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
-        y = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
-        assert np.allclose(_kron_apply(factors, x), a @ x, rtol=0, atol=1e-12)
-        adjoint = _kron_apply([f.conj().T for f in factors], y)
-        assert np.allclose(adjoint, a.conj().T @ y, rtol=0, atol=1e-12)
+        g, d = random_pair(rng, shapes)
+        a = np.kron(g, d)
+        m = random_matrix(rng, (g.shape[1], d.shape[1]))
+        y = random_matrix(rng, (g.shape[0], d.shape[0]))
+        assert np.allclose(_apply(g, d, m).ravel(), a @ m.ravel(),
+                           rtol=0, atol=1e-12)
+        adjoint = _apply(g.conj().T, d.conj().T, y)
+        assert np.allclose(adjoint.ravel(), a.conj().T @ y.ravel(),
+                           rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("shapes", KRON_PAIRS)
     def test_rotation_has_orthogonal_rows(self, shapes):
-        factors = random_factors(np.random.default_rng(3), shapes)
-        ws, uhs, e = _rotation(factors)
-        w, uh = np.kron(*ws), np.kron(*uhs)
-        scale = np.linalg.norm(np.kron(*factors), 2) ** 2
+        g, d = random_pair(np.random.default_rng(3), shapes)
+        w_g, w_d, uh_g, uh_d, e = _rotation(g, d)
+        w, uh = np.kron(w_g, w_d), np.kron(uh_g, uh_d)
+        scale = np.linalg.norm(np.kron(g, d), 2) ** 2
+        assert e.shape == (g.shape[0], d.shape[0])
         assert np.allclose(uh @ uh.conj().T, np.eye(uh.shape[0]),
                            rtol=0, atol=1e-12)
-        assert np.allclose(uh.conj().T @ w, np.kron(*factors),
+        assert np.allclose(uh.conj().T @ w, np.kron(g, d),
                            rtol=0, atol=1e-12 * np.sqrt(scale))
-        assert np.allclose(w @ w.conj().T, np.diag(e), rtol=0,
+        assert np.allclose(w @ w.conj().T, np.diag(e.ravel()), rtol=0,
                            atol=1e-12 * scale)
 
     @pytest.mark.parametrize("shapes", KRON_PAIRS)
     @pytest.mark.parametrize("rho", [None, 0.05, 30.0])
     def test_exact_x_update_matches_dense_solve(self, shapes, rho):
         rng = np.random.default_rng(7)
-        factors = random_factors(rng, shapes)
-        a = np.kron(*factors)
-        y = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
-        v = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
-        rho_used, x = rotated_x_update(factors, y, v, rho)
+        g, d = random_pair(rng, shapes)
+        a = np.kron(g, d)
+        y = random_matrix(rng, (g.shape[0], d.shape[0]))
+        v = random_matrix(rng, (g.shape[1], d.shape[1]))
+        rho_used, x = rotated_x_update(g, d, y, v, rho)
         expected = np.linalg.solve(
             a.conj().T @ a + rho_used * np.eye(a.shape[1]),
-            a.conj().T @ y + rho_used * v)
-        err = np.linalg.norm(x - expected) / np.linalg.norm(expected)
+            a.conj().T @ y.ravel() + rho_used * v.ravel())
+        err = np.linalg.norm(x.ravel() - expected) / np.linalg.norm(expected)
         assert err <= 1e-10
 
     @pytest.mark.parametrize("shapes", KRON_PAIRS)
     def test_default_rho_is_squared_operator_norm(self, shapes):
-        factors = random_factors(np.random.default_rng(11), shapes)
-        _, _, e = _rotation(factors)
-        expected = np.linalg.norm(np.kron(*factors), 2) ** 2
+        g, d = random_pair(np.random.default_rng(11), shapes)
+        e = _rotation(g, d)[-1]
+        expected = np.linalg.norm(np.kron(g, d), 2) ** 2
         assert e.max() == pytest.approx(expected, rel=1e-10)
 
-    @pytest.mark.parametrize("shapes", KRON_PAIRS + [((24, 1), (52, 40))])
+    @pytest.mark.parametrize(
+        "shapes", KRON_PAIRS + [((24, 1), (52, 40)), ((6, 9), (52, 30))])
     @pytest.mark.parametrize("max_iters", [1, 5, 40])
     @pytest.mark.parametrize("tol", [1e-6, 1e-2])
     def test_matches_dense_admm_oracle(self, shapes, max_iters, tol):
         rng = np.random.default_rng(17)
-        factors = random_factors(rng, shapes)
-        a = np.kron(*factors)
-        y = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
-        lam = 0.1 * np.max(np.abs(a.conj().T @ y))
-        res = admm_lasso(factors, y, lam, max_iters=max_iters, tol=tol)
-        ref = dense_admm(a, y, lam, np.linalg.norm(a, 2) ** 2, max_iters, tol)
+        g, d = random_pair(rng, shapes)
+        a = np.kron(g, d)
+        y = random_matrix(rng, (g.shape[0], d.shape[0]))
+        lam = 0.1 * np.max(np.abs(a.conj().T @ y.ravel()))
+        res = admm_lasso(g, d, y, lam, max_iters=max_iters, tol=tol)
+        ref = dense_admm(a, y.ravel(), lam, np.linalg.norm(a, 2) ** 2,
+                         max_iters, tol)
         assert res.iterations == ref.iterations
         assert res.converged == ref.converged
-        err = np.linalg.norm(res.coefficients - ref.coefficients)
+        err = np.linalg.norm(res.coefficients.ravel() - ref.coefficients)
         assert err <= 1e-9 * np.linalg.norm(ref.coefficients)
         assert np.allclose(res.objectives, ref.objectives, rtol=1e-9, atol=0)
         assert res.primal_residual == pytest.approx(ref.primal_residual, rel=1e-9)
@@ -319,7 +332,7 @@ class TestAdmmLasso:
 
     def test_two_atom_size_products_per_iteration(self, monkeypatch):
         # lambda's A^H y once, then W^H and W z per iteration; no other
-        # product may touch an atom-size vector
+        # product may touch an atom-size matrix
         times = gaming_times(48, seed=21, median_gap=0.015, sigma=0.9)
         delays = np.arange(0.0, 500e-9, 2.5e-9)
         dopplers = np.arange(-17.0, 17.1, 0.25)
@@ -328,12 +341,12 @@ class TestAdmmLasso:
                       snr_db=15, rng=21)
         calls = []
 
-        def counting_apply(mats, x):
-            out = _kron_apply(mats, x)
-            calls.append(n_atoms in (x.size, out.size))
+        def counting_apply(a, b, m):
+            out = _apply(a, b, m)
+            calls.append(n_atoms in (m.size, out.size))
             return out
 
-        monkeypatch.setattr("isacsim.estimate._kron_apply", counting_apply)
+        monkeypatch.setattr("isacsim.estimate._apply", counting_apply)
         for max_iters, tol in [(60, 1e-3), (4, 1e-14)]:
             calls.clear()
             fv = estimate_features_sparse(h, TxSchedule(times), CFG, delays,
@@ -345,7 +358,7 @@ class TestAdmmLasso:
     def test_final_residuals_reported(self):
         a, y, _, _ = sparse_instance(4)
         lam = 0.1 * np.max(np.abs(a.conj().T @ y))
-        res = admm_lasso((a,), y, lam, max_iters=3, tol=1e-14)
+        res = dense_lasso(a, y, lam, max_iters=3, tol=1e-14)
         assert isinstance(res, LassoResult)
         assert np.isfinite(res.primal_residual) and res.primal_residual > 0
         assert np.isfinite(res.dual_residual) and res.dual_residual > 0
@@ -362,9 +375,7 @@ class TestAdmmLasso:
     def test_bad_penalty_raises(self):
         y = np.ones(4, dtype=np.complex128)
         with pytest.raises(ValueError):
-            admm_lasso((np.eye(y.size),), y, lam=0.0)
-        with pytest.raises(ValueError):
-            admm_lasso((np.eye(y.size),), y, lam=1.0, rho=-1.0)
+            dense_lasso(np.eye(y.size), y, lam=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +415,7 @@ class TestSparseFeatures:
         a = np.kron(g_mat, d_mat) / np.sqrt(h.size)
         y = h.reshape(-1)
         lam = 0.1 * np.max(np.abs(a.conj().T @ y))
-        res = admm_lasso((a,), y, lam, max_iters=80, tol=1e-3)
+        res = dense_lasso(a, y, lam, max_iters=80, tol=1e-3)
         expected = res.coefficients.reshape(dopplers.size, delays.size).T
         assert fv.iterations == res.iterations
         assert fv.converged == res.converged
@@ -575,6 +586,16 @@ class TestRangeMusic:
         h = np.ones((1, 1, CFG.n_used), dtype=np.complex128)
         with pytest.raises(ValueError):
             range_music(h, 1, CFG, subarray_len=27)
+
+    def test_default_subarray_fits_narrow_band(self):
+        # a 32-point FFT leaves runs of 13 bins, shorter than the usual 16
+        cfg = RadioConfig(fft_size=32, cyclic_prefix_len=8)
+        h = model_csi(cfg, np.arange(20) / 40.0, [(1.0, 100e-9, 0.0)],
+                      snr_db=20, rng=4)
+        res = range_music(h, 1, cfg)
+        ref = range_music(h, 1, cfg, subarray_len=13)
+        np.testing.assert_array_equal(res.values, ref.values)
+        np.testing.assert_array_equal(res.spectrum, ref.spectrum)
 
     def test_rank_deficient_covariance_is_flagged(self):
         h = model_csi(CFG, [0.0], [(1.0, 100e-9, 0.0)], snr_db=30, rng=1)

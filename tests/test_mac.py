@@ -588,9 +588,9 @@ class TestEventLoop:
         assert times == sorted(times)
 
     def test_csi_capture_is_batched_per_link(self):
-        # default array, then a tilted sub-half-wave pair the links must keep
+        # default array, then a tilted pair at another power the links must keep
         for array in ({}, {"n_antennas": 2, "boresight_deg": 60.0,
-                           "array_spacing_wl": 0.25}):
+                           "tx_power_dbm": 11.0}):
             self.check_csi_capture_is_batched_per_link(array)
 
     def check_csi_capture_is_batched_per_link(self, array):
