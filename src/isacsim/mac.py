@@ -24,7 +24,14 @@ each device's next scheduled packet, pushed when the one before it pops, so
 the heap stays a few entries deep however long the run. A transmission
 pushes one completion entry: the sender's TxComplete and, when it has a
 peer, the peer's RxComplete fall at the same instant with nothing
-scheduled between them, so they are handled together.
+scheduled between them, so they are handled together. Each of the five
+event sites (TxStart, RxStart, TxComplete, RxComplete, TimerExpiry) makes
+its transition inline: it reads its kind's row of ``_STEP_TABLE``, which is
+keyed by event kind and then by state and read off ``step``, and handles
+only the actions that kind can produce: enabling the separator or
+continuing a burst at TxStart, arming the timer at TxComplete, disabling the
+separator at TimerExpiry, none at either reception. A LogEntry is built
+only when the run keeps a log or the transition is a protocol violation.
 
 Randomness is split into two independent streams — one for everything that
 affects communications (backoff, loss draws), one for sensing-side noise —
@@ -34,7 +41,8 @@ communications draws are decoded in plain Python from raw generator words
 read in blocks (``_comms_draws``). A run takes one loss draw per
 transmission and one backoff per deferral whether sensing is on or off,
 and each draw depends only on the words before it, so both read the same
-words in the same order.
+words in the same order. Streaming schedules are decoded from raw words
+the same way (``generate_traffic``).
 """
 
 import heapq
@@ -151,42 +159,63 @@ class TrafficModel:
         return cls("gaming", seed=seed)
 
 
+def _check_duration(duration):
+    if not (np.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be positive and finite, "
+                         f"got {duration!r}")
+
+
 def generate_traffic(model, duration, seed=None):
     """Seeded packet times of one device in [0, duration), strictly
-    increasing; empty when no packet falls before ``duration``.
+    increasing; empty when no packet falls before ``duration``, which must
+    be positive and finite.
 
     regular: exact constant spacing at ``rate_hz``. streaming: burst anchors
     at ``STREAM_BURSTS_PER_S`` with jitter, 1-8 packets per burst a couple of
     milliseconds apart. gaming: short bursts separated by heavy-tailed
     lognormal pauses (gap coefficient of variation > 1).
+
+    A streaming schedule is the one numpy's per-burst
+    ``uniform(0, STREAM_JITTER_S)`` and ``integers(1, 9)`` would draw, decoded
+    from raw PCG64 words in one ``random_raw`` call the way ``_comms_draws``
+    reads them (the tests pin this against the scalar loop). Burst k's
+    jitter is ``STREAM_JITTER_S`` times the top 53 bits of the next word over
+    2**53. Its size is one plus the top 3 bits of the next 32-bit half-word:
+    a range of 8 never rejects in Lemire's bounded draw. Even bursts take the
+    low half of a fresh word and odd bursts the high half that word kept, so
+    bursts 2j and 2j + 1 read words 3j, 3j + 1 and 3j + 2. Gaming draws stay
+    scalar: ``lognormal`` is not decodable exactly from raw words.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    _check_duration(duration)
     rng = np.random.default_rng(model.seed if seed is None else seed)
-    times = []
     if model.kind == "regular":
         n = int(np.floor(duration * model.rate_hz - 1e-9)) + 1
         return np.arange(n) / model.rate_hz
     if model.kind == "streaming":
         n_bursts = int(np.ceil(duration * STREAM_BURSTS_PER_S))
-        for k in range(n_bursts):
-            anchor = (k / STREAM_BURSTS_PER_S
-                      + rng.uniform(0.0, STREAM_JITTER_S))
-            size = int(rng.integers(STREAM_BURST_LOW, STREAM_BURST_HIGH + 1))
-            for i in range(size):
-                t = anchor + i * STREAM_INTRA_GAP_S
-                if t < duration:
-                    times.append(t)
-    else:  # gaming
-        log_median = np.log(GAMING_MEDIAN_GAP_S)
-        t = rng.lognormal(log_median, GAMING_GAP_SIGMA)
-        while t < duration:
-            size = int(rng.integers(1, GAMING_BURST_HIGH + 1))
-            for i in range(size):
-                tt = t + i * GAMING_INTRA_GAP_S
-                if tt < duration:
-                    times.append(tt)
-            t = times[-1] + rng.lognormal(log_median, GAMING_GAP_SIGMA)
+        words = rng.bit_generator.random_raw(3 * ((n_bursts + 1) // 2))
+        jitter_words = words.reshape(-1, 3)[:, ::2].ravel()[:n_bursts]
+        size_words = words[1::3]
+        halves = np.column_stack((size_words & 0xFFFFFFFF,
+                                  size_words >> 32)).ravel()[:n_bursts]
+        anchors = (np.arange(n_bursts) / STREAM_BURSTS_PER_S
+                   + STREAM_JITTER_S * ((jitter_words >> 11) * 2.0**-53))
+        sizes = STREAM_BURST_LOW + (halves >> 29).astype(int)
+        firsts = np.cumsum(sizes) - sizes
+        index = np.arange(sizes.sum()) - np.repeat(firsts, sizes)
+        times = np.repeat(anchors, sizes) + index * STREAM_INTRA_GAP_S
+        return times[times < duration]
+    # gaming
+    times = []
+    log_median = np.log(GAMING_MEDIAN_GAP_S)
+    t = rng.lognormal(log_median, GAMING_GAP_SIGMA)
+    while t < duration:
+        size = int(rng.integers(1, GAMING_BURST_HIGH + 1))
+        for i in range(size):
+            tt = t + i * GAMING_INTRA_GAP_S
+            if tt < duration:
+                times.append(tt)
+        t = times[-1] + rng.lognormal(log_median, GAMING_GAP_SIGMA)
     return np.asarray(times, dtype=float)
 
 
@@ -271,10 +300,10 @@ class _DeviceCtx:
         self.peer = None
 
 
-# (state, event kind) -> (state after, action) for every pair, read off
+# event kind -> state -> (state after, action) for every pair, read off
 # ``step`` so the event loop never builds a default
-_STEP_TABLE = {(s, kind): step(s, kind)
-               for s in MAC_STATES for kind in EVENT_KINDS}
+_STEP_TABLE = {kind: {s: step(s, kind) for s in MAC_STATES}
+               for kind in EVENT_KINDS}
 
 
 def _materialize_csi(captures, geometry, cfg, rng):
@@ -327,10 +356,13 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     events handled: every packet that comes due (a deferral counts again
     when it retries), every TxComplete, every RxComplete and every timer
     expiry, including timers a later transmission superseded. A device with
-    no packet before ``duration`` sends nothing.
+    no packet before ``duration`` sends nothing. ``duration`` must be
+    positive and finite, ``timer_s`` finite and non-negative.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    _check_duration(duration)
+    if not (np.isfinite(timer_s) and timer_s >= 0):
+        raise ValueError(f"timer_s must be finite and non-negative, "
+                         f"got {timer_s!r}")
     if not devices:
         raise ValueError("need at least one device")
     ids = [d.device_id for d in devices]
@@ -409,28 +441,22 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     invariant_checks = 0
     separator_mismatches = 0
 
-    def apply_step(t, ctx, event_kind):
-        nonlocal separator_mismatches, invariant_checks
-        before = ctx.state
-        after, action = _STEP_TABLE[before, event_kind]
-        ctx.state = after
-        if action == ENABLE_SEPARATOR or action == DISABLE_SEPARATOR:
-            ctx.separator_on = action == ENABLE_SEPARATOR
-            ctx.m_timer_deadline = None
-        elif action == CONTINUE_BURST:
-            ctx.m_timer_deadline = None  # re-armed at this burst's TxComplete
-        elif action == ARM_TIMER:
-            deadline = ctx.m_timer_deadline = t + timer_s
-            push(heap, (deadline, next(seq), "timer", (ctx, deadline)))
-        elif action == VIOLATION:
-            violations.append(LogEntry(t, ctx.dev.device_id, event_kind,
-                                       before, after, action))
+    # each event site reads its kind's row of the table and handles only the
+    # actions that kind can produce; a LogEntry is built only for the log or
+    # a violation
+    tx_start = _STEP_TABLE["TxStart"]
+    tx_complete = _STEP_TABLE["TxComplete"]
+    rx_start = _STEP_TABLE["RxStart"]
+    rx_complete = _STEP_TABLE["RxComplete"]
+    timer_expiry = _STEP_TABLE["TimerExpiry"]
+
+    def record(t, ctx, event_kind, before, after, action):
+        entry = LogEntry(t, ctx.dev.device_id, event_kind, before, after,
+                         action)
         if log:
-            entries.append(LogEntry(t, ctx.dev.device_id, event_kind, before,
-                                    after, action))
-        invariant_checks += 1
-        if ctx.separator_on != (after == "M"):
-            separator_mismatches += 1
+            entries.append(entry)
+        if action == VIOLATION:
+            violations.append(entry)
 
     while heap:
         t, _, kind, payload = pop(heap)
@@ -453,20 +479,39 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
                 continue
             dur = data_duration if ptype == "DATA" else ack_duration
             medium_free_at = t + dur
-            if sensing_enabled:
-                apply_step(t, ctx, "TxStart")
-                if (collect_csi and ctx.state == "M"
-                        and len(captures) < max_csi):
-                    captures.append((t, "mono", ctx, ctx))
             if ptype == "DATA":
                 delays.append(t - sched_t)
-            rx_ctx = ctx.peer
-            if rx_ctx is not None and sensing_enabled:
-                was_c = rx_ctx.state == "C"
-                apply_step(t, rx_ctx, "RxStart")
-                if (was_c and collect_csi and rx_ctx.state == "B"
+            if sensing_enabled:
+                before = ctx.state
+                after, action = tx_start[before]
+                ctx.state = after
+                if action == ENABLE_SEPARATOR:
+                    ctx.separator_on = True
+                    ctx.m_timer_deadline = None
+                elif action == CONTINUE_BURST:
+                    # re-armed at this burst's TxComplete
+                    ctx.m_timer_deadline = None
+                if log or action == VIOLATION:
+                    record(t, ctx, "TxStart", before, after, action)
+                invariant_checks += 1
+                if ctx.separator_on != (after == "M"):
+                    separator_mismatches += 1
+                if (collect_csi and after == "M"
                         and len(captures) < max_csi):
-                    captures.append((t, "bi", rx_ctx, ctx))
+                    captures.append((t, "mono", ctx, ctx))
+                rx_ctx = ctx.peer
+                if rx_ctx is not None:
+                    before = rx_ctx.state
+                    after, action = rx_start[before]
+                    rx_ctx.state = after
+                    if log or action == VIOLATION:
+                        record(t, rx_ctx, "RxStart", before, after, action)
+                    invariant_checks += 1
+                    if rx_ctx.separator_on != (after == "M"):
+                        separator_mismatches += 1
+                    if (before == "C" and after == "B" and collect_csi
+                            and len(captures) < max_csi):
+                        captures.append((t, "bi", rx_ctx, ctx))
             push(heap, (t + dur, next(seq), "tx-done", (ctx, ptype)))
 
         elif kind == "timer":
@@ -474,7 +519,17 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
             if ctx.m_timer_deadline != deadline:
                 continue  # superseded by a later transmission
             if sensing_enabled:
-                apply_step(t, ctx, "TimerExpiry")
+                before = ctx.state
+                after, action = timer_expiry[before]
+                ctx.state = after
+                if action == DISABLE_SEPARATOR:
+                    ctx.separator_on = False
+                    ctx.m_timer_deadline = None
+                if log or action == VIOLATION:
+                    record(t, ctx, "TimerExpiry", before, after, action)
+                invariant_checks += 1
+                if ctx.separator_on != (after == "M"):
+                    separator_mismatches += 1
 
         elif kind == "tx-done":
             # the sender's TxComplete, then the peer's RxComplete: both fall
@@ -483,13 +538,31 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
             # after both
             tx_ctx, ptype = payload
             if sensing_enabled:
-                apply_step(t, tx_ctx, "TxComplete")
+                before = tx_ctx.state
+                after, action = tx_complete[before]
+                tx_ctx.state = after
+                if action == ARM_TIMER:
+                    deadline = tx_ctx.m_timer_deadline = t + timer_s
+                    push(heap, (deadline, next(seq), "timer",
+                                (tx_ctx, deadline)))
+                if log or action == VIOLATION:
+                    record(t, tx_ctx, "TxComplete", before, after, action)
+                invariant_checks += 1
+                if tx_ctx.separator_on != (after == "M"):
+                    separator_mismatches += 1
             rx_ctx = tx_ctx.peer
             if rx_ctx is None:
                 continue
             n_events += 1
             if sensing_enabled:
-                apply_step(t, rx_ctx, "RxComplete")
+                before = rx_ctx.state
+                after, action = rx_complete[before]
+                rx_ctx.state = after
+                if log or action == VIOLATION:
+                    record(t, rx_ctx, "RxComplete", before, after, action)
+                invariant_checks += 1
+                if rx_ctx.separator_on != (after == "M"):
+                    separator_mismatches += 1
             ok = draw_loss() < tx_ctx.link_success
             if ptype == "DATA":
                 successes.append(ok)

@@ -128,9 +128,10 @@ class TestStep:
                 expected = mac._TRANSITIONS.get((state, kind),
                                                 (state, mac.VIOLATION))
                 assert step(state, kind) == expected
-                assert mac._STEP_TABLE[state, kind] == expected
-        assert len(mac._STEP_TABLE) == (len(mac.MAC_STATES)
-                                        * len(mac.EVENT_KINDS))
+                assert mac._STEP_TABLE[kind][state] == expected
+        assert list(mac._STEP_TABLE) == list(mac.EVENT_KINDS)
+        for row in mac._STEP_TABLE.values():
+            assert list(row) == list(mac.MAC_STATES)
 
 
 class TestSuccessProbability:
@@ -230,6 +231,39 @@ class TestTraffic:
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ValueError):
             mac.generate_traffic(mac.TrafficModel.regular(10.0), 0.0)
+
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("kind", ["regular", "streaming", "gaming"])
+    def test_nonfinite_duration_rejected(self, kind, duration):
+        # gaming never returned on inf and gave an empty schedule on nan
+        with pytest.raises(ValueError, match="duration"):
+            mac.generate_traffic(mac.TrafficModel(kind), duration)
+
+    def test_streaming_matches_scalar_draws(self):
+        model = mac.TrafficModel.streaming()
+        for seed in range(60):
+            for duration in (0.001, 0.01, 0.05, 1.0, 3.3, 8.0):
+                got = mac.generate_traffic(model, duration, seed=seed)
+                want = reference_streaming(duration, seed)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+def reference_streaming(duration, seed):
+    """The scalar per-burst draws that ``generate_traffic`` decodes from raw
+    generator words for a streaming schedule."""
+    rng = np.random.default_rng(seed)
+    times = []
+    for k in range(int(np.ceil(duration * mac.STREAM_BURSTS_PER_S))):
+        anchor = (k / mac.STREAM_BURSTS_PER_S
+                  + rng.uniform(0.0, mac.STREAM_JITTER_S))
+        size = int(rng.integers(mac.STREAM_BURST_LOW,
+                                mac.STREAM_BURST_HIGH + 1))
+        for i in range(size):
+            t = anchor + i * mac.STREAM_INTRA_GAP_S
+            if t < duration:
+                times.append(t)
+    return np.asarray(times, dtype=float)
 
 
 class TestCommsDraws:
@@ -377,6 +411,19 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             mac.run_scenario([mac.MacDevice("x")], None, None, 1.0)
 
+    @pytest.mark.parametrize("duration", [0.0, float("inf"), float("nan")])
+    def test_bad_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            mac.run_scenario(two_devices(), None,
+                             mac.TrafficModel.regular(10.0), duration)
+
+    @pytest.mark.parametrize("timer_s", [-1.0, float("inf"), float("nan")])
+    def test_bad_timer_rejected(self, timer_s):
+        # a NaN timer never expired (NaN != NaN) and a negative one popped
+        # before the event that armed it
+        with pytest.raises(ValueError, match="timer_s"):
+            self.run(timer_s=timer_s)
+
     def test_unknown_peer_rejected(self):
         devs = [mac.MacDevice("x", peer_id="ghost")]
         with pytest.raises(ValueError):
@@ -464,9 +511,9 @@ def reference_run_scenario(devices, geometry, traffic, duration, seed=0,
     medium_free_at = 0.0
     counts = {"events": 0, "checks": 0, "mismatches": 0}
 
-    def apply_step(t, ctx, event_kind):
+    def take_step(t, ctx, event_kind):
         before = ctx.state
-        after, action = mac._STEP_TABLE[before, event_kind]
+        after, action = mac._STEP_TABLE[event_kind][before]
         ctx.state = after
         if action in (mac.ENABLE_SEPARATOR, mac.DISABLE_SEPARATOR):
             ctx.separator_on = action == mac.ENABLE_SEPARATOR
@@ -498,7 +545,7 @@ def reference_run_scenario(devices, geometry, traffic, duration, seed=0,
             dur = data_duration if ptype == "DATA" else ack_duration
             medium_free_at = t + dur
             if sensing_enabled:
-                apply_step(t, ctx, "TxStart")
+                take_step(t, ctx, "TxStart")
                 if (collect_csi and ctx.state == "M"
                         and len(captures) < max_csi):
                     captures.append((t, "mono", ctx, ctx))
@@ -509,7 +556,7 @@ def reference_run_scenario(devices, geometry, traffic, duration, seed=0,
             if rx_ctx is not None:
                 if sensing_enabled:
                     was_c = rx_ctx.state == "C"
-                    apply_step(t, rx_ctx, "RxStart")
+                    take_step(t, rx_ctx, "RxStart")
                     if (was_c and collect_csi and rx_ctx.state == "B"
                             and len(captures) < max_csi):
                         captures.append((t, "bi", rx_ctx, ctx))
@@ -517,16 +564,16 @@ def reference_run_scenario(devices, geometry, traffic, duration, seed=0,
                                       (ctx, ptype)))
         elif kind == "tx-complete":
             if sensing_enabled:
-                apply_step(t, payload, "TxComplete")
+                take_step(t, payload, "TxComplete")
         elif kind == "timer":
             ctx, deadline = payload
             if ctx.m_timer_deadline == deadline and sensing_enabled:
-                apply_step(t, ctx, "TimerExpiry")
+                take_step(t, ctx, "TimerExpiry")
         else:
             tx_ctx, ptype = payload
             rx_ctx = tx_ctx.peer
             if sensing_enabled:
-                apply_step(t, rx_ctx, "RxComplete")
+                take_step(t, rx_ctx, "RxComplete")
             ok = rng_comms.random() < tx_ctx.link_success
             if ptype == "DATA":
                 successes.append(ok)
@@ -633,8 +680,9 @@ class TestEventLoop:
                 np.testing.assert_array_equal(r.values, v)
 
 
-def assert_same_run(got, want):
-    assert got.log == want.log
+def assert_same_run(got, want, log=True):
+    """``got`` reproduces ``want``; a run without a log keeps none."""
+    assert got.log == (want.log if log else [])
     # repr, so that a NaN mean SNR compares equal to itself
     assert repr(got.stats) == repr(want.stats)
     assert got.violations == want.violations
@@ -655,10 +703,22 @@ MODES = {
 }
 
 
+def assert_matches_reference(devices, geometry, traffic, duration, **kw):
+    """``run_scenario`` with the log on and off reproduces the reference
+    loop; returns the logged run."""
+    want = reference_run_scenario(devices, geometry, traffic, duration, **kw)
+    for log in (False, True):
+        got = mac.run_scenario(devices, geometry, traffic, duration, log=log,
+                               **kw)
+        assert_same_run(got, want, log=log)
+    return got
+
+
 class TestEventLoopOracle:
     """``run_scenario`` keeps one pending packet per device and one
     completion entry per transmission; it must handle exactly the events
-    of the loop that pushes everything up front."""
+    of the loop that pushes everything up front, whether it keeps a log or
+    not."""
 
     GEOM = ScenarioGeometry(targets=(PropagationPath(position=(3.0, 2.0,
                                                                0.0)),))
@@ -674,11 +734,9 @@ class TestEventLoopOracle:
                        for i in range(n_devices)]
             kw = MODES[mode]
             geom = self.GEOM if kw.get("collect_csi") else None
-            got = mac.run_scenario(devices, geom, model, 0.6, seed=seed, **kw)
-            want = reference_run_scenario(devices, geom, model, 0.6,
-                                          seed=seed, **kw)
+            got = assert_matches_reference(devices, geom, model, 0.6,
+                                           seed=seed, **kw)
             assert got.n_events > 0
-            assert_same_run(got, want)
 
     def test_regular_devices_tie_at_every_packet(self):
         # identical regular schedules: every packet ties with the other
@@ -687,12 +745,9 @@ class TestEventLoopOracle:
         model = mac.TrafficModel.regular(400.0)
         times = mac.generate_traffic(model, 1.0)
         for seed in (0, 3):
-            got = mac.run_scenario(devices, self.GEOM, model, 1.0, seed=seed,
-                                   collect_csi=True, max_csi=200)
-            want = reference_run_scenario(devices, self.GEOM, model, 1.0,
-                                          seed=seed, collect_csi=True,
-                                          max_csi=200)
-            assert_same_run(got, want)
+            got = assert_matches_reference(devices, self.GEOM, model, 1.0,
+                                           seed=seed, collect_csi=True,
+                                           max_csi=200)
             starts = [e.time for e in got.log
                       if e.event == "TxStart" and e.device == "dev-a"]
             assert len(starts) >= len(times)
@@ -706,10 +761,9 @@ class TestEventLoopOracle:
         model = mac.TrafficModel.regular(400.0)
         kw = MODES[mode]
         geom = self.GEOM if kw.get("collect_csi") else None
-        got = mac.run_scenario(devices, geom, model, 3.0, seed=2, **kw)
-        want = reference_run_scenario(devices, geom, model, 3.0, seed=2, **kw)
+        got = assert_matches_reference(devices, geom, model, 3.0, seed=2,
+                                       **kw)
         assert got.stats["n_data"] > 2 * mac._RAW_BLOCK
-        assert_same_run(got, want)
 
     def test_timer_ties_with_the_next_scheduled_packet(self):
         # dev-b's M timer, armed at its packet's TxComplete, expires exactly
@@ -722,11 +776,8 @@ class TestEventLoopOracle:
         devices[0].traffic = mac.TrafficModel.regular(100.0)
         devices[1].traffic = mac.TrafficModel.regular(400.0)
         for seed in (0, 1):
-            got = mac.run_scenario(devices, None, None, 0.3, seed=seed,
-                                   timer_s=timer_s)
-            want = reference_run_scenario(devices, None, None, 0.3,
-                                          seed=seed, timer_s=timer_s)
-            assert_same_run(got, want)
+            got = assert_matches_reference(devices, None, None, 0.3,
+                                           seed=seed, timer_s=timer_s)
             tie = [(e.device, e.event, e.action) for e in got.log
                    if e.time == 2.0 / 400.0]
             assert tie == [("dev-b", "TxStart", mac.CONTINUE_BURST),
@@ -738,16 +789,46 @@ class TestEventLoopOracle:
             res = mac.run_scenario(two_devices(), None, model, 0.002, seed=0)
             assert res.n_events == 0 and res.log == []
             assert res.stats["n_data"] == 0
-            assert_same_run(res, reference_run_scenario(
-                two_devices(), None, model, 0.002, seed=0))
+            assert_matches_reference(two_devices(), None, model, 0.002,
+                                     seed=0)
         # one idle device beside a busy one
         devices = two_devices()
         devices[0].traffic = mac.TrafficModel.regular(100.0)
         devices[1].traffic = mac.TrafficModel.gaming()
-        res = mac.run_scenario(devices, None, None, 0.002, seed=0)
+        res = assert_matches_reference(devices, None, None, 0.002, seed=0)
         assert res.stats["n_data"] == 1  # dev-a's packet at t = 0
-        assert_same_run(res, reference_run_scenario(devices, None, None,
-                                                    0.002, seed=0))
+
+    def test_each_event_kind_has_a_pinned_action_set(self):
+        # each event site of run_scenario handles only its kind's actions;
+        # a new action in _TRANSITIONS must come with a site that handles it
+        actions = {kind: {action for _, action in row.values()}
+                   for kind, row in mac._STEP_TABLE.items()}
+        assert actions == {
+            "TxStart": {mac.ENABLE_SEPARATOR, mac.CONTINUE_BURST,
+                        mac.VIOLATION},
+            "TxComplete": {mac.ARM_TIMER, mac.VIOLATION},
+            "RxStart": {mac.BISTATIC_CAPTURE, mac.DEFER_BISTATIC,
+                        mac.VIOLATION},
+            "RxComplete": {mac.END_CAPTURE, mac.DEFER_BISTATIC},
+            "TimerExpiry": {mac.DISABLE_SEPARATOR, mac.VIOLATION},
+        }
+
+    @pytest.mark.parametrize("kind,state,broken,report", [
+        # a burst that starts without engaging the separator
+        ("TxStart", "C", ("M", mac.CONTINUE_BURST), "separator_mismatches"),
+        # a timer that can never close the M window
+        ("TimerExpiry", "M", ("M", mac.VIOLATION), "violations"),
+    ])
+    def test_broken_table_is_reported(self, monkeypatch, kind, state, broken,
+                                      report):
+        monkeypatch.setitem(mac._STEP_TABLE[kind], state, broken)
+        for mode in ("on-csi", "forced"):
+            kw = MODES[mode]
+            geom = self.GEOM if kw.get("collect_csi") else None
+            got = assert_matches_reference(
+                two_devices(), geom, mac.TrafficModel.streaming(), 0.5,
+                seed=3, **kw)
+            assert getattr(got, report)
 
 
 class TestSeparatorPenalty:
