@@ -14,6 +14,7 @@ raises ValueError on any other. All but the arrival-angle estimator read
 antenna 0, the array's phase reference.
 """
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -122,38 +123,72 @@ def _soft_threshold(x, kappa):
 
 
 def _apply(a, b, m):
-    """``a @ m @ b^T``, with the right-hand matrix applied first."""
+    """``a @ m @ b^T``, associated in whichever order needs fewer products.
+
+    Applying ``b`` first costs ``q*s*(p + r)`` multiply-adds for a (p, q)
+    ``a``, (q, r) ``m`` and (s, r) ``b``; applying ``a`` first costs
+    ``p*r*(q + s)``. A tie applies ``b`` first.
+    """
+    (p, q), (s, r) = a.shape, b.shape
+    if p * r * (q + s) < q * s * (p + r):
+        return (a @ m) @ b.T
     return a @ (m @ b.T)
 
 
-def _rotation(g, d):
-    """Rotate the operator X -> G X D^T onto orthogonal rows.
+# eigenpairs of a row Gram at or below this fraction of its largest
+# eigenvalue are dropped: the Gram resolves nothing finer
+_RANK_EPS = np.finfo(float).eps
 
-    An ``eigh`` of each matrix's row Gram, G G^H = U_G diag(e_G) U_G^H and
-    D D^H = U_D diag(e_D) U_D^H, gives W_G = U_G^H G and W_D = U_D^H D, so
-    G X D^T = U_G (W_G X W_D^T) U_D^T with U_G and U_D unitary, and the
-    rotated operator's row (i, j) has squared norm e[i, j] with
-    e = outer(e_G, e_D). Returns ``(w_g, w_d, uh_g, uh_d, e)``.
+# one dictionary matrix M rotated onto its kept rows: W = U^H M and
+# e = diag(W W^H), with the columns of U orthonormal
+_Half = namedtuple("_Half", "w uh e")
+
+
+def _rotate(m):
+    """``m`` rotated onto its kept rows, as a ``_Half``.
+
+    One ``eigh`` of the row Gram, M M^H = U diag(e) U^H, keeps the
+    eigenpairs with e > eps * max(e), eps the float64 machine epsilon, so
+    a tall matrix drops its null rows and a band-limited one keeps about
+    its numerical rank. Then W = U^H M has orthogonal rows of squared
+    norms e, and M = U W up to the dropped directions, whose singular
+    values are at most about sqrt(eps) times the largest.
     """
-    e_g, u_g = np.linalg.eigh(g @ g.conj().T)
-    e_d, u_d = np.linalg.eigh(d @ d.conj().T)
-    uh_g, uh_d = u_g.conj().T, u_d.conj().T
-    return uh_g @ g, uh_d @ d, uh_g, uh_d, np.multiply.outer(e_g, e_d)
+    e, u = np.linalg.eigh(m @ m.conj().T)
+    keep = e > _RANK_EPS * e[-1]
+    uh = u[:, keep].conj().T
+    return _Half(uh @ m, uh, e[keep])
+
+
+def _rotation(g, d):
+    """Rotate the operator X -> G X D^T onto its kept rows.
+
+    ``g`` and ``d`` are each a raw matrix, rotated here by ``_rotate``, or
+    a ``_Half`` already rotated. With W_G = U_G^H G and W_D = U_D^H D,
+    G X D^T = U_G (W_G X W_D^T) U_D^T, and the rotated operator's row
+    (i, j) has squared norm e[i, j] with e = outer(e_G, e_D). Returns
+    ``(w_g, w_d, uh_g, uh_d, e)``.
+    """
+    g, d = (m if isinstance(m, _Half) else _rotate(m) for m in (g, d))
+    return g.w, d.w, g.uh, d.uh, np.multiply.outer(g.e, d.e)
 
 
 def admm_lasso(g, d, y, lam, max_iters=200, tol=1e-6):
     """Solve min 0.5*||G X D^T - Y||_F^2 + lam*||X||_1 over the matrix X.
 
-    The solve runs in the rotated space of ``_rotation``, taken once per
-    call, with Y~ = U_G^H Y conj(U_D) and W(X) = W_G X W_D^T. With Z the
-    split copy of X, U the scaled dual and V = Z - U, the exact x-update
-    (A^H A + rho I)^{-1} (A^H Y + rho V) of the operator A(X) = G X D^T
-    is, by the push-through identity,
+    ``g`` and ``d`` are raw matrices or halves that ``_rotate`` already
+    cut to their kept rows. The solve runs in the rotated space of
+    ``_rotation``, with Y~ = U_G^H Y conj(U_D) and W(X) = W_G X W_D^T.
+    With Z the split copy of X, U the scaled dual and V = Z - U, the exact
+    x-update (A^H A + rho I)^{-1} (A^H Y + rho V) of the operator
+    A(X) = G X D^T is, by the push-through identity,
     ``X = V + W_G^H Q conj(W_D)`` with ``Q = (Y~ - W(V)) / (e + rho)``
     elementwise, and ``W(X) = W(V) + e * Q`` needs no product. Keeping
     W(Z) and W(U) beside Z and U, an iteration costs two pairs of matrix
-    products, the adjoint for X and W(Z); the objective's residual is
-    ``W(Z) - Y~`` because the rotations are unitary. A^H Y is never formed.
+    products, the adjoint for X and W(Z). The part of Y outside the kept
+    rows, 0.5*(||Y||^2 - ||Y~||^2), is a constant of the residual, so the
+    objective is ``0.5*||W(Z) - Y~||^2`` plus that constant plus the
+    penalty. A^H Y is never formed.
     rho is ||A||^2 = max(e), which damps the splitting enough that the
     objective decreases essentially monotonically instead of ringing
     toward the optimum. The returned LassoResult's ``converged`` is False
@@ -169,15 +204,16 @@ def admm_lasso(g, d, y, lam, max_iters=200, tol=1e-6):
     if lam <= 0:
         raise ValueError("lam must be positive")
     y = np.asarray(y, dtype=np.complex128)
-    if y.shape != (g.shape[0], d.shape[0]):
-        raise ValueError("operator output shape does not match y")
     w_g, w_d, uh_g, uh_d, e = _rotation(g, d)
+    if y.shape != (uh_g.shape[1], uh_d.shape[1]):
+        raise ValueError("operator output shape does not match y")
     wh_g, wh_d = w_g.conj().T, w_d.conj().T
-    rho = max(float(e.max()), 1e-8)
+    rho = max(float(e.max(initial=0.0)), 1e-8)
     gain = 1.0 / (e + rho)
     y_rot = _apply(uh_g, uh_d, y)
+    dropped = 0.5 * (np.vdot(y, y).real - np.vdot(y_rot, y_rot).real)
 
-    z = u = np.zeros((g.shape[1], d.shape[1]), dtype=np.complex128)
+    z = u = np.zeros((w_g.shape[1], w_d.shape[1]), dtype=np.complex128)
     wz = wu = np.zeros_like(y_rot)
     objectives = []
     converged = False
@@ -198,7 +234,7 @@ def admm_lasso(g, d, y, lam, max_iters=200, tol=1e-6):
         wu = wu + wx - wz
 
         resid = wz - y_rot
-        objectives.append(0.5 * np.vdot(resid, resid).real
+        objectives.append(0.5 * np.vdot(resid, resid).real + dropped
                           + lam * np.sum(np.abs(z)))
         if len(objectives) >= 2 and abs(objectives[-1] - objectives[-2]) <= (
             tol * max(1.0, abs(objectives[-2]))
@@ -222,12 +258,35 @@ def admm_lasso(g, d, y, lam, max_iters=200, tol=1e-6):
 # sparse delay/Doppler estimation
 
 
+def _atoms(x, grid):
+    """``exp(-2j*pi*outer(x, grid))``: one dictionary factor."""
+    return np.exp(-2j * np.pi * np.outer(x, grid))
+
+
 def dictionary_matrices(sched, cfg, delay_grid, doppler_grid):
     """The separable nonuniform dictionary: per-subcarrier and per-packet parts."""
     freqs = cfg.carrier_freq + cfg.subcarrier_freqs()
-    d_mat = np.exp(-2j * np.pi * np.outer(freqs, delay_grid))
-    g_mat = np.exp(-2j * np.pi * np.outer(sched.times, doppler_grid))
-    return d_mat, g_mat
+    return _atoms(freqs, delay_grid), _atoms(sched.times, doppler_grid)
+
+
+@functools.lru_cache(maxsize=8)
+def _delay_half_of(freqs, delays):
+    half = _rotate(_atoms(np.frombuffer(freqs), np.frombuffer(delays)))
+    for arr in half:
+        arr.flags.writeable = False
+    return half
+
+
+def _delay_half(cfg, delay_grid):
+    """The delay matrix D of ``cfg`` and ``delay_grid``, rotated and cut.
+
+    D depends only on the absolute subcarrier frequencies and the delay
+    grid, so its ``_Half`` is built once per pair of them and shared, read
+    only, by every solve on that pair; a few pairs are kept.
+    """
+    freqs = cfg.carrier_freq + cfg.subcarrier_freqs()
+    return _delay_half_of(freqs.tobytes(),
+                          np.asarray(delay_grid, dtype=np.float64).tobytes())
 
 
 def estimate_features_sparse(csi_series, sched, cfg, delay_grid, doppler_grid,
@@ -237,16 +296,19 @@ def estimate_features_sparse(csi_series, sched, cfg, delay_grid, doppler_grid,
     Antenna 0's (packets x subcarriers) series H is modeled as
     ``G Gamma^T D^T``, with the Doppler part G evaluated at the actual
     transmit instants, so nothing assumes uniform sampling. ``admm_lasso``
-    solves for the (Doppler x delay) matrix Gamma^T on the two matrices
-    directly, rotated by one small ``eigh`` each of G G^H and D D^H per
-    call onto orthogonal rows: an iteration is an exact x-update with no
-    inner iterative solve and costs two products the size of one
-    dictionary application. The l1 weight is 0.1 times the largest
-    correlation with the data, the one place A^H y is formed. The default
-    tolerance is loose because peak positions stabilize long before the
-    coefficients between near-identical neighboring atoms do; tighten it
-    when the coefficient values themselves matter. The result carries the
-    solve's iteration count and final primal and dual residuals.
+    solves for the (Doppler x delay) matrix Gamma^T on the two halves,
+    each rotated by one small ``eigh`` onto orthogonal rows and cut to its
+    numerical rank: the delay half once per configuration and delay grid
+    (``_delay_half``), the Doppler half once per call. An iteration is an
+    exact x-update with no inner iterative solve and costs two products
+    the size of one dictionary application. The l1 weight is 0.1 times
+    the largest correlation with the data, W_G^H Y~ conj(W_D) on the
+    rotated data Y~, the one place an atom-size correlation is formed. The
+    default tolerance is loose because peak positions stabilize long
+    before the coefficients between near-identical neighboring atoms do;
+    tighten it when the coefficient values themselves matter. The result
+    carries the solve's iteration count and final primal and dual
+    residuals.
     """
     h = _csi_3d(csi_series)[:, 0, :]
     if h.shape[0] != len(sched):
@@ -255,15 +317,16 @@ def estimate_features_sparse(csi_series, sched, cfg, delay_grid, doppler_grid,
         raise ValueError("empty CSI series")
     delay_grid = np.asarray(delay_grid)
     doppler_grid = np.asarray(doppler_grid)
-    d_mat, g_mat = dictionary_matrices(sched, cfg, delay_grid, doppler_grid)
-    g_mat = g_mat / np.sqrt(h.size)
+    delay = _delay_half(cfg, delay_grid)
+    doppler = _rotate(_atoms(sched.times, doppler_grid) / np.sqrt(h.size))
+    y_rot = _apply(doppler.uh, delay.uh, h)
     lam = 0.1 * float(np.max(np.abs(
-        _apply(g_mat.conj().T, d_mat.conj().T, h))))
+        _apply(doppler.w.conj().T, delay.w.conj().T, y_rot))))
     if lam == 0.0:
         coef = np.zeros((delay_grid.size, doppler_grid.size),
                         dtype=np.complex128)
         return FeatureVector(delay_grid, doppler_grid, coef, converged=True)
-    result = admm_lasso(g_mat, d_mat, h, lam, max_iters=max_iters, tol=tol)
+    result = admm_lasso(doppler, delay, h, lam, max_iters=max_iters, tol=tol)
     return FeatureVector(delay_grid, doppler_grid, result.coefficients.T,
                          result.converged, result.iterations,
                          result.primal_residual, result.dual_residual)

@@ -340,14 +340,14 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     so their noise level is set relative to the strongest path over that
     link's series. ``traffic`` is the default TrafficModel for devices that
     don't carry their own; devices without a ``peer_id`` send to the next
-    device in the list (the caller's devices are not modified). Each
-    device's schedule is drawn from ``(seed, device index)``, so a
-    TrafficModel's own ``seed`` does not affect it. Paired runs that differ
-    only in ``sensing_enabled`` produce identical delay/loss numbers;
-    ``force_separator`` models the incompatible always-on separator: a
-    separator calibrated on fresh leakage is run over a clean remote packet
-    15 dB above the noise floor, and the SNR it costs is charged to every
-    reception.
+    device in the list (the caller's devices are not modified), and no
+    device may name itself. Each device's schedule is drawn from
+    ``(seed, device index)``, so a TrafficModel's own ``seed`` does not
+    affect it. Paired runs that differ only in ``sensing_enabled``
+    produce identical delay/loss numbers; ``force_separator`` models the
+    incompatible always-on separator: a separator calibrated on fresh
+    leakage is run over a clean remote packet 15 dB above the noise floor,
+    and the SNR it costs is charged to every reception.
 
     The heap holds one pending packet per device (its next scheduled DATA
     packet, in schedule order) plus deferred retries, ACKs, timers and one
@@ -377,6 +377,8 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
             peer = ids[(i + 1) % len(ids)]
         if peer is not None and peer not in ctxs:
             raise ValueError(f"unknown peer {peer!r}")
+        if peer == d.device_id:
+            raise ValueError(f"device {peer!r} names itself as its peer")
         ctxs[d.device_id].peer = None if peer is None else ctxs[peer]
 
     draw_loss, draw_backoff = _comms_draws(seed)

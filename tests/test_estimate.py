@@ -25,7 +25,15 @@ from isacsim.estimate import (
     velocity_fft,
     velocity_sparse,
 )
-from isacsim.estimate import _apply, _rotation, _soft_threshold
+from isacsim.estimate import (
+    _Half,
+    _apply,
+    _delay_half,
+    _delay_half_of,
+    _rotate,
+    _rotation,
+    _soft_threshold,
+)
 from isacsim.fusion import SensingMessage, fuse_ml
 from isacsim.ofdm import SPEED_OF_LIGHT, RadioConfig
 from isacsim.sigcore import TWO_PI, from_db
@@ -279,7 +287,7 @@ class TestAdmmLasso:
         w_g, w_d, uh_g, uh_d, e = _rotation(g, d)
         w, uh = np.kron(w_g, w_d), np.kron(uh_g, uh_d)
         scale = np.linalg.norm(np.kron(g, d), 2) ** 2
-        assert e.shape == (g.shape[0], d.shape[0])
+        assert e.shape == (min(g.shape), min(d.shape))
         assert np.allclose(uh @ uh.conj().T, np.eye(uh.shape[0]),
                            rtol=0, atol=1e-12)
         assert np.allclose(uh.conj().T @ w, np.kron(g, d),
@@ -376,6 +384,129 @@ class TestAdmmLasso:
         y = np.ones(4, dtype=np.complex128)
         with pytest.raises(ValueError):
             dense_lasso(np.eye(y.size), y, lam=0.0)
+
+
+# ---------------------------------------------------------------------------
+# rank cut and the delay-half memo
+
+
+EPS = np.finfo(float).eps
+RANGING_DELAYS = np.arange(0.0, 500e-9, 2.5e-9)
+RANGING_DOPPLERS = np.arange(-17.0, 17.1, 0.25)
+
+
+def rank_deficient(rng, shape, rank):
+    return random_matrix(rng, (shape[0], rank)) @ random_matrix(
+        rng, (rank, shape[1]))
+
+
+def full_half(m):
+    """``_rotate`` without the cut: every eigenpair of M M^H kept."""
+    e, u = np.linalg.eigh(m @ m.conj().T)
+    uh = u.conj().T
+    return _Half(uh @ m, uh, e)
+
+
+def ranging_dictionary(seed):
+    """(G, D) shaped like the ranging workload's: 48 x 137 and 52 x 200."""
+    times = gaming_times(48, seed=seed, median_gap=0.015, sigma=0.9)
+    d, g = dictionary_matrices(TxSchedule(times), CFG, RANGING_DELAYS,
+                               RANGING_DOPPLERS)
+    return g / np.sqrt(g.shape[0] * d.shape[0]), d
+
+
+def cut_test_matrices():
+    rng = np.random.default_rng(31)
+    g, d = ranging_dictionary(31)
+    velocity_d = dictionary_matrices(TxSchedule([0.0]), CFG,
+                                     np.arange(0.0, 300e-9, 10e-9), [0.0])[0]
+    return {
+        "random fat": random_matrix(rng, (7, 40)),
+        "random tall": random_matrix(rng, (40, 7)),
+        "rank-deficient tall": rank_deficient(rng, (40, 12), 5),
+        "ranging D": d,
+        "ranging G": g,
+        "velocity D": velocity_d,
+        "localization G": np.exp(-2j * np.pi * np.arange(24) * 0.01 * 3.0
+                                 )[:, None],
+    }
+
+
+class TestRankCut:
+    @pytest.mark.parametrize("name", sorted(cut_test_matrices()))
+    def test_kept_eigenvalues_exceed_eps_times_max(self, name):
+        m = cut_test_matrices()[name]
+        half = _rotate(m)
+        e = np.linalg.eigh(m @ m.conj().T)[0]  # ascending
+        k = half.e.size
+        assert k >= 1
+        assert np.all(half.e > EPS * e[-1])
+        assert np.all(e[: e.size - k] <= EPS * e[-1])
+        np.testing.assert_array_equal(half.e, e[e.size - k:])
+        assert half.uh.shape == (k, m.shape[0])
+        assert np.allclose(half.uh @ half.uh.conj().T, np.eye(k),
+                           rtol=0, atol=1e-12)
+        # a dropped direction carries a singular value of about
+        # sqrt(eps) * ||M|| at most, the finest the row Gram resolves, so
+        # the kept rows rebuild M to a few times that in the 2-norm
+        rebuilt = half.uh.conj().T @ half.w
+        assert np.linalg.norm(m - rebuilt, 2) <= 4 * np.sqrt(EPS * e[-1])
+
+    def test_delay_halves_drop_their_null_rows(self):
+        # a full rotation keeps all 52 rows of either
+        mats = cut_test_matrices()
+        assert _rotate(mats["velocity D"]).e.size < 30
+        assert _rotate(mats["ranging D"]).e.size < 52 // 2
+
+    @pytest.mark.parametrize("case", ["rank-deficient tall", "ranging"])
+    def test_cut_solve_matches_full_rotation(self, case):
+        rng = np.random.default_rng(37)
+        if case == "ranging":
+            g, d = ranging_dictionary(37)
+        else:
+            g, d = random_matrix(rng, (6, 9)), rank_deficient(rng, (40, 12), 5)
+        y = random_matrix(rng, (g.shape[0], d.shape[0]))
+        lam = 0.1 * np.max(np.abs(g.conj().T @ y @ d.conj()))
+        cut = admm_lasso(g, d, y, lam, max_iters=40, tol=1e-14)
+        full = admm_lasso(full_half(g), full_half(d), y, lam, max_iters=40,
+                          tol=1e-14)
+        assert cut.iterations == full.iterations == 40
+        # the cut drops directions whose singular values are at most about
+        # sqrt(eps) ~ 1.5e-8 of each factor's largest, so the coefficients
+        # agree to well within 1e-6 and the objectives, which add the
+        # dropped data energy back, to 1e-9
+        err = np.linalg.norm(cut.coefficients - full.coefficients)
+        assert err <= 1e-6 * np.linalg.norm(full.coefficients)
+        assert np.allclose(cut.objectives, full.objectives, rtol=1e-9, atol=0)
+        assert cut.primal_residual == pytest.approx(full.primal_residual,
+                                                    rel=1e-5)
+        assert cut.dual_residual == pytest.approx(full.dual_residual,
+                                                  rel=1e-5)
+
+    def test_delay_half_is_built_once_per_frequencies_and_grid(self):
+        # a 3 ns step, so the 3.4 GHz carrier change is no whole number of
+        # turns per delay step and changes D
+        grid = np.arange(0.0, 150e-9, 3e-9)
+
+        def built(cfg, delays):
+            d = dictionary_matrices(TxSchedule([0.0]), cfg, delays, [0.0])[0]
+            return _rotate(d)
+
+        half = _delay_half(CFG, grid)
+        assert _delay_half(RadioConfig(), grid.copy()) is half
+        assert not any(arr.flags.writeable for arr in half)
+        for cached, fresh in zip(half, built(CFG, grid)):
+            np.testing.assert_array_equal(cached, fresh)
+        for cfg, other_grid in [(RadioConfig(carrier_freq=5.8e9), grid),
+                                (RadioConfig(fft_size=128), grid),
+                                (CFG, grid + 1e-9)]:
+            other = _delay_half(cfg, other_grid)
+            assert other is not half
+            assert (other.w.shape != half.w.shape
+                    or not np.allclose(other.w, half.w))
+            for cached, fresh in zip(other, built(cfg, other_grid)):
+                np.testing.assert_array_equal(cached, fresh)
+        assert _delay_half_of.cache_info().maxsize is not None
 
 
 # ---------------------------------------------------------------------------

@@ -429,6 +429,13 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             mac.run_scenario(devs, None, mac.TrafficModel.regular(10.0), 1.0)
 
+    def test_self_peer_rejected(self):
+        # it would receive and ACK its own DATA at the distance floor
+        devs = [mac.MacDevice("x", peer_id="x"),
+                mac.MacDevice("y", (1.0, 0.0, 0.0))]
+        with pytest.raises(ValueError, match="itself"):
+            mac.run_scenario(devs, None, mac.TrafficModel.regular(10.0), 1.0)
+
     def test_loss_rate_near_logistic_prediction(self):
         # pin the link right at the qpsk-1/2 midpoint: expect ~50% loss
         res = mac.run_scenario(
