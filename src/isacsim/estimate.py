@@ -10,8 +10,9 @@ irregular sampling are exactly what the sparse path fixes.
 
 Every estimator takes CSI in one shape, the (packets, antennas,
 subcarriers) array that ``channel.synthesize_csi_series`` returns, and
-raises ValueError on any other. All but the arrival-angle estimator read
-antenna 0, the array's phase reference.
+raises ValueError on any other, on an empty axis and on a non-finite
+value. All but the arrival-angle estimator read antenna 0, the array's
+phase reference.
 """
 
 import functools
@@ -82,12 +83,13 @@ class FeatureVector:
         that fast; that is how a caller pulls a moving target out of static
         clutter sharing the capture, which delay-only estimators cannot do.
         """
-        mags = np.abs(self.coefficients)
+        # C order, so argmax reads it without a copy
+        mags = np.abs(self.coefficients, order="C")
         if min_doppler_hz is not None:
             moving = np.abs(self.doppler_grid) >= min_doppler_hz
             if not np.any(moving):
                 raise ValueError("no atoms beyond the Doppler cutoff")
-            mags = np.where(moving[None, :], mags, 0.0)
+            mags[:, ~moving] = 0.0
         i, j = np.unravel_index(np.argmax(mags), mags.shape)
         return (
             float(self.delay_grid[i]),
@@ -97,11 +99,13 @@ class FeatureVector:
 
 
 def _csi_3d(csi):
-    """``csi`` as a complex (packets, antennas, subcarriers) array."""
+    """``csi`` as a finite complex (packets, antennas, subcarriers) array."""
     arr = np.asarray(csi, dtype=np.complex128)
-    if arr.ndim != 3:
+    if arr.ndim != 3 or arr.size == 0:
         raise ValueError("CSI must be a (packets, antennas, subcarriers) "
-                         f"array, got shape {arr.shape}")
+                         f"array with no empty axis, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("CSI must be finite")
     return arr
 
 
@@ -113,26 +117,26 @@ LassoResult = namedtuple("LassoResult", "coefficients converged iterations "
                          "objectives primal_residual dual_residual")
 
 
-def _soft_threshold(x, kappa):
+def _soft_threshold(x, kappa, scale=None, out=None):
     # scale = 1 - kappa/max(|x|, kappa): exactly 0 where |x| <= kappa
-    scale = np.abs(x)
+    scale = np.abs(x, out=scale)
     np.maximum(scale, kappa, out=scale)
     np.divide(kappa, scale, out=scale)
     np.subtract(1.0, scale, out=scale)
-    return x * scale
+    return np.multiply(x, scale, out=out)
 
 
-def _apply(a, b, m):
+def _apply(a, b, m, out=None):
     """``a @ m @ b^T``, associated in whichever order needs fewer products.
 
     Applying ``b`` first costs ``q*s*(p + r)`` multiply-adds for a (p, q)
     ``a``, (q, r) ``m`` and (s, r) ``b``; applying ``a`` first costs
-    ``p*r*(q + s)``. A tie applies ``b`` first.
+    ``p*r*(q + s)``. A tie applies ``b`` first; ``out`` takes the result.
     """
     (p, q), (s, r) = a.shape, b.shape
     if p * r * (q + s) < q * s * (p + r):
-        return (a @ m) @ b.T
-    return a @ (m @ b.T)
+        return np.matmul(a @ m, b.T, out=out)
+    return np.matmul(a, m @ b.T, out=out)
 
 
 # eigenpairs of a row Gram at or below this fraction of its largest
@@ -173,6 +177,22 @@ def _rotation(g, d):
     return g.w, d.w, g.uh, d.uh, np.multiply.outer(g.e, d.e)
 
 
+# a solve's atom-size buffers: complex Z, Z_old, U and X, real magnitudes
+_Workspace = namedtuple("_Workspace", "z z_old u x mag")
+
+
+@functools.lru_cache(maxsize=4)
+def _workspace(shape):
+    """The ``_Workspace`` of every solve on a ``shape`` atom grid.
+
+    Built once per (n_dopplers, n_delays) shape, a few shapes kept, and
+    overwritten by every solve on that shape. So solves are not reentrant
+    across threads: run concurrent ones in separate processes.
+    """
+    return _Workspace(*(np.empty(shape, dtype=np.complex128)
+                        for _ in range(4)), np.empty(shape))
+
+
 def admm_lasso(g, d, y, lam, max_iters=200, tol=1e-6):
     """Solve min 0.5*||G X D^T - Y||_F^2 + lam*||X||_1 over the matrix X.
 
@@ -200,6 +220,9 @@ def admm_lasso(g, d, y, lam, max_iters=200, tol=1e-6):
     for five consecutive iterations; the latter matters for highly
     coherent dictionaries, where near-identical neighboring atoms trade
     coefficient mass at a vanishing rate long after the objective settled.
+    Every atom-size step runs in place in the shape's ``_workspace``, which
+    outlives the call and is not reentrant across threads; the returned
+    coefficients are a copy of Z, the one atom-size array a solve allocates.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -213,7 +236,9 @@ def admm_lasso(g, d, y, lam, max_iters=200, tol=1e-6):
     y_rot = _apply(uh_g, uh_d, y)
     dropped = 0.5 * (np.vdot(y, y).real - np.vdot(y_rot, y_rot).real)
 
-    z = u = np.zeros((w_g.shape[1], w_d.shape[1]), dtype=np.complex128)
+    z, z_old, u, x, mag = _workspace((w_g.shape[1], w_d.shape[1]))
+    z.fill(0.0)
+    u.fill(0.0)
     wz = wu = np.zeros_like(y_rot)
     objectives = []
     converged = False
@@ -225,17 +250,21 @@ def admm_lasso(g, d, y, lam, max_iters=200, tol=1e-6):
         iterations = it + 1
         wv = wz - wu
         w_step = (y_rot - wv) * gain
-        x = z - u + _apply(wh_g, wh_d, w_step)
+        # Z_old is free until the swap, and U's old value is needed only
+        # for V = X + U, so V takes U's buffer: U = (U + X) - Z bit for bit
+        np.subtract(z, u, out=x)
+        x += _apply(wh_g, wh_d, w_step, out=z_old)
         wx = wv + e * w_step
-        z_old = z
-        z = _soft_threshold(x + u, lam / rho)
-        u = u + x - z
+        u += x
+        z, z_old = z_old, z
+        _soft_threshold(u, lam / rho, mag, out=z)
+        u -= z
         wz = _apply(w_g, w_d, z)
         wu = wu + wx - wz
 
         resid = wz - y_rot
         objectives.append(0.5 * np.vdot(resid, resid).real + dropped
-                          + lam * np.sum(np.abs(z)))
+                          + lam * np.sum(np.abs(z, out=mag)))
         if len(objectives) >= 2 and abs(objectives[-1] - objectives[-2]) <= (
             tol * max(1.0, abs(objectives[-2]))
         ):
@@ -243,14 +272,16 @@ def admm_lasso(g, d, y, lam, max_iters=200, tol=1e-6):
         else:
             stalled = 0
 
-        r_norm = np.linalg.norm(x - z)
-        s_norm = rho * np.linalg.norm(z - z_old)
         eps_pri = sqrt_n * tol + tol * max(np.linalg.norm(x), np.linalg.norm(z))
         eps_dual = sqrt_n * tol + tol * rho * np.linalg.norm(u)
+        # X and Z_old are not read again, so they take the differences
+        r_norm = np.linalg.norm(np.subtract(x, z, out=x))
+        s_norm = rho * np.linalg.norm(np.subtract(z, z_old, out=z_old))
         if r_norm <= eps_pri and (s_norm <= eps_dual or stalled >= 5):
             converged = True
             break
-    return LassoResult(z, converged, iterations, np.asarray(objectives),
+    del wh_g, wh_d  # dead now, so the copy of Z is the solve's peak
+    return LassoResult(z.copy(), converged, iterations, np.asarray(objectives),
                        float(r_norm), float(s_norm))
 
 
@@ -303,25 +334,25 @@ def estimate_features_sparse(csi_series, sched, cfg, delay_grid, doppler_grid,
     exact x-update with no inner iterative solve and costs two products
     the size of one dictionary application. The l1 weight is 0.1 times
     the largest correlation with the data, W_G^H Y~ conj(W_D) on the
-    rotated data Y~, the one place an atom-size correlation is formed. The
-    default tolerance is loose because peak positions stabilize long
-    before the coefficients between near-identical neighboring atoms do;
-    tighten it when the coefficient values themselves matter. The result
-    carries the solve's iteration count and final primal and dual
-    residuals.
+    rotated data Y~, the one place an atom-size correlation is formed. It
+    and its magnitude go into the shape's ``_workspace``, which the solve
+    then reuses, so neither call is reentrant across threads. The default
+    tolerance is loose because peak positions stabilize long before the
+    coefficients between near-identical neighboring atoms do; tighten it
+    when the coefficient values themselves matter. The result carries the
+    solve's iteration count and final primal and dual residuals.
     """
     h = _csi_3d(csi_series)[:, 0, :]
     if h.shape[0] != len(sched):
         raise ValueError("need one CSI row per scheduled packet")
-    if h.size == 0:
-        raise ValueError("empty CSI series")
     delay_grid = np.asarray(delay_grid)
     doppler_grid = np.asarray(doppler_grid)
     delay = _delay_half(cfg, delay_grid)
     doppler = _rotate(_atoms(sched.times, doppler_grid) / np.sqrt(h.size))
     y_rot = _apply(doppler.uh, delay.uh, h)
-    lam = 0.1 * float(np.max(np.abs(
-        _apply(doppler.w.conj().T, delay.w.conj().T, y_rot))))
+    ws = _workspace((doppler.w.shape[1], delay.w.shape[1]))
+    corr = _apply(doppler.w.conj().T, delay.w.conj().T, y_rot, out=ws.x)
+    lam = 0.1 * float(np.max(np.abs(corr, out=ws.mag)))
     if lam == 0.0:
         coef = np.zeros((delay_grid.size, doppler_grid.size),
                         dtype=np.complex128)
@@ -405,6 +436,20 @@ def _contiguous_runs(signed):
     return np.split(np.arange(signed.size), breaks + 1)
 
 
+@functools.lru_cache(maxsize=8)
+def _delay_steering(spacing, subarray_len):
+    """``range_music``'s 1 ns delay grid and its steering matrix.
+
+    Both depend only on the subcarrier spacing and the subarray length, so
+    they are built once per pair and shared, read only; a few are kept.
+    """
+    grid = np.arange(0.0, 500e-9, 1e-9)
+    steer = np.exp(-2j * np.pi * spacing
+                   * np.outer(np.arange(subarray_len), grid))
+    grid.flags.writeable = steer.flags.writeable = False
+    return grid, steer
+
+
 def range_music(csi, n_paths, cfg, subarray_len=None):
     """Subspace delay pseudospectrum with frequency smoothing.
 
@@ -436,13 +481,7 @@ def range_music(csi, n_paths, cfg, subarray_len=None):
     if not snapshots:
         raise ValueError("no contiguous bin run is as long as the subarray")
     stack = np.concatenate(snapshots, axis=0)  # (n_snapshots, subarray_len)
-    grid = np.arange(0.0, 500e-9, 1e-9)
-    steer = np.exp(
-        -2j
-        * np.pi
-        * cfg.subcarrier_spacing
-        * np.outer(np.arange(subarray_len), grid)
-    )
+    grid, steer = _delay_steering(cfg.subcarrier_spacing, subarray_len)
     delays, degraded, spectrum = _music(stack, n_paths, grid, steer)
     return MusicResult(SPEED_OF_LIGHT * delays / 2.0, degraded, grid, spectrum)
 

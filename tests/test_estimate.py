@@ -1,5 +1,7 @@
 """Tests for the sparse delay/Doppler estimator and the classical baselines."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,9 +32,11 @@ from isacsim.estimate import (
     _apply,
     _delay_half,
     _delay_half_of,
+    _delay_steering,
     _rotate,
     _rotation,
     _soft_threshold,
+    _workspace,
 )
 from isacsim.fusion import SensingMessage, fuse_ml
 from isacsim.ofdm import SPEED_OF_LIGHT, RadioConfig
@@ -349,8 +353,8 @@ class TestAdmmLasso:
                       snr_db=15, rng=21)
         calls = []
 
-        def counting_apply(a, b, m):
-            out = _apply(a, b, m)
+        def counting_apply(a, b, m, out=None):
+            out = _apply(a, b, m, out=out)
             calls.append(n_atoms in (m.size, out.size))
             return out
 
@@ -507,6 +511,149 @@ class TestRankCut:
             for cached, fresh in zip(other, built(cfg, other_grid)):
                 np.testing.assert_array_equal(cached, fresh)
         assert _delay_half_of.cache_info().maxsize is not None
+
+
+# ---------------------------------------------------------------------------
+# the per-shape workspace
+
+
+def reference_admm(g, d, y, lam, max_iters, tol):
+    """``admm_lasso`` written plainly: every step of the loop builds fresh
+    arrays. Same arithmetic, in the same order, so the results must match
+    bit for bit."""
+    w_g, w_d, uh_g, uh_d, e = _rotation(g, d)
+    wh_g, wh_d = w_g.conj().T, w_d.conj().T
+    rho = max(float(e.max(initial=0.0)), 1e-8)
+    gain = 1.0 / (e + rho)
+    y_rot = _apply(uh_g, uh_d, y)
+    dropped = 0.5 * (np.vdot(y, y).real - np.vdot(y_rot, y_rot).real)
+
+    def threshold(x, kappa):
+        scale = np.abs(x)
+        np.maximum(scale, kappa, out=scale)
+        np.divide(kappa, scale, out=scale)
+        np.subtract(1.0, scale, out=scale)
+        return x * scale
+
+    z = u = np.zeros((w_g.shape[1], w_d.shape[1]), dtype=np.complex128)
+    wz = wu = np.zeros_like(y_rot)
+    objectives, converged, iterations, stalled = [], False, 0, 0
+    r_norm = s_norm = np.inf
+    sqrt_n = np.sqrt(z.size)
+    for it in range(max_iters):
+        iterations = it + 1
+        wv = wz - wu
+        w_step = (y_rot - wv) * gain
+        x = z - u + _apply(wh_g, wh_d, w_step)
+        wx = wv + e * w_step
+        z_old = z
+        z = threshold(x + u, lam / rho)
+        u = u + x - z
+        wz = _apply(w_g, w_d, z)
+        wu = wu + wx - wz
+        resid = wz - y_rot
+        objectives.append(0.5 * np.vdot(resid, resid).real + dropped
+                          + lam * np.sum(np.abs(z)))
+        if len(objectives) >= 2 and abs(objectives[-1] - objectives[-2]) <= (
+            tol * max(1.0, abs(objectives[-2]))
+        ):
+            stalled += 1
+        else:
+            stalled = 0
+        r_norm = np.linalg.norm(x - z)
+        s_norm = rho * np.linalg.norm(z - z_old)
+        eps_pri = sqrt_n * tol + tol * max(np.linalg.norm(x), np.linalg.norm(z))
+        eps_dual = sqrt_n * tol + tol * rho * np.linalg.norm(u)
+        if r_norm <= eps_pri and (s_norm <= eps_dual or stalled >= 5):
+            converged = True
+            break
+    return LassoResult(z, converged, iterations, np.asarray(objectives),
+                       float(r_norm), float(s_norm))
+
+
+# (packets, delay grid, Doppler grid) of the ranging and velocity solves
+SOLVE_SHAPES = {
+    "ranging": (48, RANGING_DELAYS, RANGING_DOPPLERS),
+    "velocity": (64, np.arange(0.0, 300e-9, 10e-9),
+                 np.arange(-60.0, 60.0 + 1e-9, 0.5)),
+}
+
+
+def sparse_problem(shape, cfg, scale):
+    """One capture of ``shape`` at ``cfg``'s carrier, times ``scale``, and
+    the halves, data and lambda ``estimate_features_sparse`` solves with."""
+    n_packets, delays, dopplers = SOLVE_SHAPES[shape]
+    sched = TxSchedule(gaming_times(n_packets, seed=43, median_gap=0.015,
+                                    sigma=0.9))
+    h = scale * model_csi(cfg, sched.times, [(1e-4, 40e-9, 6.0),
+                                             (5e-5, 90e-9, 0.0)],
+                          snr_db=15, rng=43)
+    y = h[:, 0, :]
+    d, g = dictionary_matrices(sched, cfg, delays, dopplers)
+    doppler, delay = _rotate(g / np.sqrt(y.size)), _delay_half(cfg, delays)
+    corr = _apply(doppler.w.conj().T, delay.w.conj().T,
+                  _apply(doppler.uh, delay.uh, y))
+    lam = 0.1 * float(np.max(np.abs(corr)))
+    return (h, sched, cfg, delays, dopplers), (doppler, delay, y, lam)
+
+
+def assert_same_bits(res, ref):
+    assert res.coefficients.tobytes() == ref.coefficients.tobytes()
+    assert res.objectives.tobytes() == ref.objectives.tobytes()
+    assert (res.converged, res.iterations) == (ref.converged, ref.iterations)
+    assert res.primal_residual == ref.primal_residual
+    assert res.dual_residual == ref.dual_residual
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("carrier_hz", [2.4e9, 5.8e9])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6])
+    def test_matches_allocating_loop_bit_for_bit(self, carrier_hz, scale):
+        # shapes interleaved, so each solve follows one on another shape
+        cfg = RadioConfig(carrier_freq=carrier_hz)
+        for shape in ["ranging", "velocity", "ranging"]:
+            capture, problem = sparse_problem(shape, cfg, scale)
+            for max_iters in (1, 2, 40):
+                ref = reference_admm(*problem, max_iters, 1e-3)
+                assert_same_bits(admm_lasso(*problem, max_iters=max_iters,
+                                            tol=1e-3), ref)
+                fv = estimate_features_sparse(*capture, max_iters=max_iters,
+                                              tol=1e-3)
+                assert (fv.coefficients.tobytes()
+                        == ref.coefficients.T.tobytes())
+                assert (fv.converged, fv.iterations) == (ref.converged,
+                                                         ref.iterations)
+
+    def test_result_owns_its_coefficients(self):
+        capture, (doppler, delay, y, lam) = sparse_problem("ranging", CFG, 1.0)
+        first = admm_lasso(doppler, delay, y, lam, max_iters=3, tol=1e-14)
+        kept = first.coefficients.copy()
+        buffers = _workspace(first.coefficients.shape)
+        assert _workspace(first.coefficients.shape) is buffers
+        assert not any(np.shares_memory(first.coefficients, b)
+                       for b in buffers)
+        second = admm_lasso(doppler, delay, 2.0 * y, lam, max_iters=3,
+                            tol=1e-14)
+        assert not np.shares_memory(first.coefficients, second.coefficients)
+        assert first.coefficients.tobytes() == kept.tobytes()
+        assert second.coefficients.tobytes() != kept.tobytes()
+        fv = estimate_features_sparse(*capture)
+        assert not any(np.shares_memory(fv.coefficients, b) for b in buffers)
+
+    def test_ranging_solve_allocates_one_atom_array(self):
+        # tracemalloc sees every numpy data buffer, whatever the allocator
+        # does with it; a warm-up builds the memos and the workspace
+        capture, _ = sparse_problem("ranging", CFG, 1.0)
+        estimate_features_sparse(*capture)
+        atom_bytes = RANGING_DELAYS.size * RANGING_DOPPLERS.size * 16
+        tracemalloc.start()
+        try:
+            fv = estimate_features_sparse(*capture, max_iters=5, tol=1e-14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fv.iterations == 5
+        assert peak < 2 * atom_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +874,19 @@ class TestRangeMusic:
         ref = range_music(h, 1, cfg, subarray_len=13)
         np.testing.assert_array_equal(res.values, ref.values)
         np.testing.assert_array_equal(res.spectrum, ref.spectrum)
+
+    def test_steering_is_built_once_per_spacing_and_subarray(self):
+        h = model_csi(CFG, [0.0, 0.1], [(1.0, 60e-9, 0.0)])
+        first, second = range_music(h, 1, CFG), range_music(h.copy(), 1, CFG)
+        assert second.grid is first.grid
+        grid, steer = _delay_steering(CFG.subcarrier_spacing, 16)
+        assert grid is first.grid
+        assert not grid.flags.writeable and not steer.flags.writeable
+        np.testing.assert_array_equal(steer, np.exp(
+            -2j * np.pi * CFG.subcarrier_spacing
+            * np.outer(np.arange(16), np.arange(0.0, 500e-9, 1e-9))))
+        assert _delay_steering(CFG.subcarrier_spacing, 8)[1].shape == (8, 500)
+        assert _delay_steering.cache_info().maxsize is not None
 
     def test_rank_deficient_covariance_is_flagged(self):
         h = model_csi(CFG, [0.0], [(1.0, 100e-9, 0.0)], snr_db=30, rng=1)
@@ -972,6 +1132,23 @@ class TestCsiShape:
         with pytest.raises(ValueError, match="packets, antennas, subcarriers"):
             _SHAPE_CALLS[name](h)
 
+    @pytest.mark.parametrize("name", sorted(_SHAPE_CALLS))
+    @pytest.mark.parametrize("shape", [(0, 2, 52), (8, 0, 52), (8, 2, 0)],
+                             ids=["packets", "antennas", "subcarriers"])
+    def test_empty_axis_raises(self, name, shape):
+        h = np.ones(shape, dtype=np.complex128)
+        with pytest.raises(ValueError, match="no empty axis"):
+            _SHAPE_CALLS[name](h)
+
+    @pytest.mark.parametrize("name", sorted(_SHAPE_CALLS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                             ids=["nan", "inf", "-inf-imag"])
+    def test_non_finite_csi_raises(self, name, bad):
+        h = np.ones((8, 2, 52), dtype=np.complex128)
+        h[3, 0, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _SHAPE_CALLS[name](h)
+
     def test_snap_to_uniform_keeps_antennas(self):
         times = gaming_times(8, seed=4)
         h = np.arange(8 * 2 * 3).reshape(8, 2, 3).astype(np.complex128)
@@ -1019,6 +1196,18 @@ class TestContainers:
         fv = FeatureVector(np.array([0.0, 1e-9, 2e-9]), np.array([-1.0, 1.0]), coef)
         delay, doppler, peak = fv.dominant()
         assert delay == 1e-9 and doppler == -1.0 and peak == 2.0
+
+    def test_dominant_skips_slow_atoms(self):
+        coef = np.zeros((3, 2), dtype=np.complex128)
+        coef[1, 0] = 2.0
+        coef[2, 1] = 0.5
+        kept = coef.copy()
+        fv = FeatureVector(np.array([0.0, 1e-9, 2e-9]), np.array([0.0, 2.0]),
+                           coef)
+        assert fv.dominant(min_doppler_hz=1.0) == (2e-9, 2.0, 0.5)
+        np.testing.assert_array_equal(fv.coefficients, kept)
+        with pytest.raises(ValueError, match="cutoff"):
+            fv.dominant(min_doppler_hz=3.0)
 
     def test_snap_to_uniform_is_identity_on_uniform(self):
         times = np.arange(16) / 40.0
