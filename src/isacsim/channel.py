@@ -27,6 +27,7 @@ Conventions
   ``i * ARRAY_SPACING_WL`` wavelengths along the array axis.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,7 +232,6 @@ class ScenarioGeometry:
     tx_power_dbm: float = 5.0
     n_antennas: int = 1
     boresight_deg: float = 0.0
-    include_los: bool = True
 
     def __post_init__(self):
         self.tx_pos = np.asarray(self.tx_pos, dtype=np.float64)
@@ -242,8 +242,9 @@ class ScenarioGeometry:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         self.targets = tuple(self.targets)
-        if self.n_antennas < 1:
-            raise ValueError("need at least one receive antenna")
+        n = self.n_antennas
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"n_antennas must be a positive integer, got {n!r}")
 
     @property
     def los_distance(self):
@@ -275,7 +276,7 @@ def resolve_paths(geom, cfg, times, tx_power=1.0):
 
     Returns three (n_paths, n_times) arrays: field amplitude, delay in
     seconds and arrival angle in degrees. The direct tx->rx path comes first
-    for bistatic layouts unless the geometry disables it (``include_los``).
+    exactly when the layout is bistatic; a monostatic one has none.
     A fixed ``position`` is broadcast over ``times`` and a ``trajectory`` is
     evaluated at each of them. ``tx_power`` defaults to 1.0 so
     amplitudes act as field gains on the actual transmit waveform; pass a
@@ -284,7 +285,7 @@ def resolve_paths(geom, cfg, times, tx_power=1.0):
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-D array")
-    los = int(geom.include_los and not geom.monostatic)
+    los = int(not geom.monostatic)
     alpha, delay, aoa = np.empty((3, los + len(geom.targets), times.size))
     if los:
         dist = geom.los_distance

@@ -1,10 +1,11 @@
-"""Flat dotted-key config files: reading, key checking, hashing.
+"""Flat dotted-key config files: reading and hashing.
 
 Format: one ``key = value`` pair per line, ``#`` comments, blank lines
 ignored. Keys are dotted paths (``radio.fft_size``). Values are parsed as
 JSON when possible (numbers, booleans, quoted strings, lists) and fall back
 to bare strings. The accepted keys and their types are listed once, in
-``experiments.KNOWN_KEYS``.
+``experiments.KNOWN_KEYS``, and ``experiments.check_config`` is the one
+validator of a parsed mapping.
 """
 
 import hashlib
@@ -52,30 +53,6 @@ def read_flat_config(path):
     return out, lines
 
 
-def check_keys(values, known, lines=None):
-    """Reject unknown dotted keys; `known` is an iterable of exact keys.
-
-    When `lines` maps keys to source line numbers, the error names the line
-    each unknown key came from."""
-    known = set(known)
-    unknown = [k for k in values if k not in known]
-    if unknown:
-        if lines:
-            described = ", ".join(
-                f"{k!r} (line {lines[k]})" if k in lines else repr(k)
-                for k in sorted(unknown)
-            )
-        else:
-            described = ", ".join(repr(k) for k in sorted(unknown))
-        err = ConfigError(
-            f"unknown config key(s): {described}; "
-            f"run the validate command to list accepted keys"
-        )
-        if lines:
-            err.line_no = lines.get(sorted(unknown)[0])
-        raise err
-
-
 def config_hash(values):
     """Short stable hash of a normalized key/value mapping."""
     canon = json.dumps(
@@ -88,6 +65,5 @@ __all__ = [
     "ConfigError",
     "parse_value",
     "read_flat_config",
-    "check_keys",
     "config_hash",
 ]

@@ -117,7 +117,7 @@ LassoResult = namedtuple("LassoResult", "coefficients converged iterations "
                          "objectives primal_residual dual_residual")
 
 
-def _soft_threshold(x, kappa, scale=None, out=None):
+def _soft_threshold(x, kappa, scale, out):
     # scale = 1 - kappa/max(|x|, kappa): exactly 0 where |x| <= kappa
     scale = np.abs(x, out=scale)
     np.maximum(scale, kappa, out=scale)
@@ -143,9 +143,9 @@ def _apply(a, b, m, out=None):
 # eigenvalue are dropped: the Gram resolves nothing finer
 _RANK_EPS = np.finfo(float).eps
 
-# one dictionary matrix M rotated onto its kept rows: W = U^H M and
+# one dictionary matrix M rotated onto its kept rows: W = U^H M, W^H and
 # e = diag(W W^H), with the columns of U orthonormal
-_Half = namedtuple("_Half", "w uh e")
+_Half = namedtuple("_Half", "w wh uh e")
 
 
 def _rotate(m):
@@ -156,25 +156,14 @@ def _rotate(m):
     a tall matrix drops its null rows and a band-limited one keeps about
     its numerical rank. Then W = U^H M has orthogonal rows of squared
     norms e, and M = U W up to the dropped directions, whose singular
-    values are at most about sqrt(eps) times the largest.
+    values are at most about sqrt(eps) times the largest; W^H is formed
+    once, here.
     """
     e, u = np.linalg.eigh(m @ m.conj().T)
     keep = e > _RANK_EPS * e[-1]
     uh = u[:, keep].conj().T
-    return _Half(uh @ m, uh, e[keep])
-
-
-def _rotation(g, d):
-    """Rotate the operator X -> G X D^T onto its kept rows.
-
-    ``g`` and ``d`` are each a raw matrix, rotated here by ``_rotate``, or
-    a ``_Half`` already rotated. With W_G = U_G^H G and W_D = U_D^H D,
-    G X D^T = U_G (W_G X W_D^T) U_D^T, and the rotated operator's row
-    (i, j) has squared norm e[i, j] with e = outer(e_G, e_D). Returns
-    ``(w_g, w_d, uh_g, uh_d, e)``.
-    """
-    g, d = (m if isinstance(m, _Half) else _rotate(m) for m in (g, d))
-    return g.w, d.w, g.uh, d.uh, np.multiply.outer(g.e, d.e)
+    w = uh @ m
+    return _Half(w, w.conj().T, uh, e[keep])
 
 
 # a solve's atom-size buffers: complex Z, Z_old, U and X, real magnitudes
@@ -196,9 +185,12 @@ def _workspace(shape):
 def admm_lasso(g, d, y, lam, max_iters=200, tol=1e-6):
     """Solve min 0.5*||G X D^T - Y||_F^2 + lam*||X||_1 over the matrix X.
 
-    ``g`` and ``d`` are raw matrices or halves that ``_rotate`` already
-    cut to their kept rows. The solve runs in the rotated space of
-    ``_rotation``, with Y~ = U_G^H Y conj(U_D) and W(X) = W_G X W_D^T.
+    ``g`` and ``d`` are raw matrices, rotated here by ``_rotate``, or
+    halves it already cut to their kept rows, W^H included, so a solve
+    conjugates neither. With W_G = U_G^H G and W_D = U_D^H D,
+    G X D^T = U_G (W_G X W_D^T) U_D^T, so the solve runs in the rotated
+    space, with Y~ = U_G^H Y conj(U_D) and W(X) = W_G X W_D^T, whose row
+    (i, j) has squared norm e[i, j], e = outer(e_G, e_D).
     With Z the split copy of X, U the scaled dual and V = Z - U, the exact
     x-update (A^H A + rho I)^{-1} (A^H Y + rho V) of the operator
     A(X) = G X D^T is, by the push-through identity,
@@ -227,16 +219,16 @@ def admm_lasso(g, d, y, lam, max_iters=200, tol=1e-6):
     if lam <= 0:
         raise ValueError("lam must be positive")
     y = np.asarray(y, dtype=np.complex128)
-    w_g, w_d, uh_g, uh_d, e = _rotation(g, d)
-    if y.shape != (uh_g.shape[1], uh_d.shape[1]):
+    g, d = (m if isinstance(m, _Half) else _rotate(m) for m in (g, d))
+    if y.shape != (g.uh.shape[1], d.uh.shape[1]):
         raise ValueError("operator output shape does not match y")
-    wh_g, wh_d = w_g.conj().T, w_d.conj().T
+    e = np.multiply.outer(g.e, d.e)
     rho = max(float(e.max(initial=0.0)), 1e-8)
     gain = 1.0 / (e + rho)
-    y_rot = _apply(uh_g, uh_d, y)
+    y_rot = _apply(g.uh, d.uh, y)
     dropped = 0.5 * (np.vdot(y, y).real - np.vdot(y_rot, y_rot).real)
 
-    z, z_old, u, x, mag = _workspace((w_g.shape[1], w_d.shape[1]))
+    z, z_old, u, x, mag = _workspace((g.w.shape[1], d.w.shape[1]))
     z.fill(0.0)
     u.fill(0.0)
     wz = wu = np.zeros_like(y_rot)
@@ -253,13 +245,13 @@ def admm_lasso(g, d, y, lam, max_iters=200, tol=1e-6):
         # Z_old is free until the swap, and U's old value is needed only
         # for V = X + U, so V takes U's buffer: U = (U + X) - Z bit for bit
         np.subtract(z, u, out=x)
-        x += _apply(wh_g, wh_d, w_step, out=z_old)
+        x += _apply(g.wh, d.wh, w_step, out=z_old)
         wx = wv + e * w_step
         u += x
         z, z_old = z_old, z
         _soft_threshold(u, lam / rho, mag, out=z)
         u -= z
-        wz = _apply(w_g, w_d, z)
+        wz = _apply(g.w, d.w, z)
         wu = wu + wx - wz
 
         resid = wz - y_rot
@@ -280,7 +272,6 @@ def admm_lasso(g, d, y, lam, max_iters=200, tol=1e-6):
         if r_norm <= eps_pri and (s_norm <= eps_dual or stalled >= 5):
             converged = True
             break
-    del wh_g, wh_d  # dead now, so the copy of Z is the solve's peak
     return LassoResult(z.copy(), converged, iterations, np.asarray(objectives),
                        float(r_norm), float(s_norm))
 
@@ -312,8 +303,8 @@ def _delay_half(cfg, delay_grid):
     """The delay matrix D of ``cfg`` and ``delay_grid``, rotated and cut.
 
     D depends only on the absolute subcarrier frequencies and the delay
-    grid, so its ``_Half`` is built once per pair of them and shared, read
-    only, by every solve on that pair; a few pairs are kept.
+    grid, so its ``_Half`` (W^H too) is built once per pair of them and
+    shared, read only, by every solve on that pair; a few pairs are kept.
     """
     freqs = cfg.carrier_freq + cfg.subcarrier_freqs()
     return _delay_half_of(freqs.tobytes(),
@@ -351,7 +342,7 @@ def estimate_features_sparse(csi_series, sched, cfg, delay_grid, doppler_grid,
     doppler = _rotate(_atoms(sched.times, doppler_grid) / np.sqrt(h.size))
     y_rot = _apply(doppler.uh, delay.uh, h)
     ws = _workspace((doppler.w.shape[1], delay.w.shape[1]))
-    corr = _apply(doppler.w.conj().T, delay.w.conj().T, y_rot, out=ws.x)
+    corr = _apply(doppler.wh, delay.wh, y_rot, out=ws.x)
     lam = 0.1 * float(np.max(np.abs(corr, out=ws.mag)))
     if lam == 0.0:
         coef = np.zeros((delay_grid.size, doppler_grid.size),

@@ -28,7 +28,7 @@ from .channel import (
     power_ratio,
     synthesize_csi_series,
 )
-from .config import ConfigError, check_keys, config_hash
+from .config import ConfigError, config_hash
 from .estimate import (
     TxSchedule,
     aoa_music,
@@ -56,25 +56,24 @@ KNOWN_KEYS = {
 }
 
 
-def radio_config_from(values):
-    """RadioConfig with any radio.* overrides applied (defaults otherwise)."""
-    return RadioConfig(**{
-        name: want(values[key]) for key, (name, want) in KNOWN_KEYS.items()
-        if name is not None and key in values
-    })
-
-
 def check_config(values, lines=None):
     """The RadioConfig of fully validated values; ConfigError if invalid.
 
-    Rejects unknown keys, values of the wrong type, non-finite numbers
-    (JSON parsing turns ``NaN`` and ``Infinity`` into floats), a trial count
-    or duration that is not positive, and radio keys that are individually
-    fine yet clash. When ``lines`` maps keys to source line numbers, the
-    error names the offending line.
+    The one config validator: rejects unknown keys, values of the wrong
+    type, non-finite numbers (JSON parsing turns ``NaN`` and ``Infinity``
+    into floats), a trial count or duration that is not positive, and radio
+    keys that are individually fine yet clash. When ``lines`` maps keys to
+    source line numbers, the error names the offending line.
     """
     lines = lines or {}
-    check_keys(values, KNOWN_KEYS, lines=lines)
+    unknown = sorted(k for k in values if k not in KNOWN_KEYS)
+    if unknown:
+        described = ", ".join(f"{k!r} (line {lines[k]})" if k in lines
+                              else repr(k) for k in unknown)
+        err = ConfigError(f"unknown config key(s): {described}; "
+                          f"run the validate command to list accepted keys")
+        err.line_no = lines.get(unknown[0])
+        raise err
     for key, (_, want) in KNOWN_KEYS.items():
         if key not in values:
             continue
@@ -91,7 +90,10 @@ def check_config(values, lines=None):
             raise ConfigError(f"{key} must be positive, got {val!r}",
                               lines.get(key))
     try:
-        return radio_config_from(values)
+        return RadioConfig(**{
+            name: want(values[key]) for key, (name, want) in KNOWN_KEYS.items()
+            if name is not None and key in values
+        })
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -104,9 +106,6 @@ class ExperimentContext:
     def __post_init__(self):
         self.cfg = check_config(self.values)
         self.cfg_hash = config_hash(self.values)
-
-    def param(self, key, default):
-        return self.values.get(key, default)
 
     def rng(self, salt):
         return np.random.default_rng([self.seed, salt])
@@ -166,7 +165,7 @@ def run_phase_offsets(ctx):
     """Clock-impairment phase model: blockwise application vs analytic form."""
     cfg = ctx.cfg
     rng = ctx.rng(1)
-    n_trials = int(ctx.param("run.n_trials", 12))
+    n_trials = int(ctx.values.get("run.n_trials", 12))
     rows = []
     trial_errs = []
     for trial in range(n_trials):
@@ -272,8 +271,8 @@ def run_motion_ambiguity(ctx):
 
 def run_separator_harm(ctx):
     """SNR cost of forcing the transmit separator onto incoming packets."""
-    n_trials = int(ctx.param("run.n_trials", 4))
-    clean_target = float(ctx.param("run.snr_db", 15.0))
+    n_trials = int(ctx.values.get("run.n_trials", 4))
+    clean_target = float(ctx.values.get("run.snr_db", 15.0))
     rows = []
     penalties = []
     for trial in range(n_trials):
@@ -295,8 +294,8 @@ def run_separator_harm(ctx):
 
 def run_comms_impact(ctx):
     """Delay/loss with sensing off, on, and with an always-on separator."""
-    duration = float(ctx.param("run.duration_s", 4.0))
-    link_snr = float(ctx.param("run.snr_db", 18.0))
+    duration = float(ctx.values.get("run.duration_s", 4.0))
+    link_snr = float(ctx.values.get("run.snr_db", 18.0))
     traffics = {
         "regular": mac.TrafficModel.regular(100.0),
         "streaming": mac.TrafficModel.streaming(seed=0),
@@ -368,8 +367,8 @@ def _doppler_series(ctx, times, speed_mps, snr_db, salt):
 def run_stft_irregular(ctx):
     """Doppler band concentration: uniform FFT vs naive and nonuniform DFT."""
     cfg = ctx.cfg
-    snr_db = float(ctx.param("run.snr_db", 20.0))
-    duration = float(ctx.param("run.duration_s", 8.0))
+    snr_db = float(ctx.values.get("run.snr_db", 20.0))
+    duration = float(ctx.values.get("run.duration_s", 8.0))
     speed = 0.75  # puts the line mid-band at 2 * v / wavelength = 12 Hz
     f_doppler = 2.0 * speed / cfg.wavelength
     window, hop = 128, 32
@@ -422,7 +421,7 @@ def run_stft_irregular(ctx):
 def run_cancellation_budget(ctx):
     """Stage-by-stage leakage suppression and echo preservation."""
     cfg = ctx.cfg
-    n_trials = int(ctx.param("run.n_trials", 3))
+    n_trials = int(ctx.values.get("run.n_trials", 3))
     rows = []
     figures = []
     floor_dbm = cancel.DEFAULT_NOISE_FLOOR_DBM
@@ -511,8 +510,8 @@ def ranging_trial(cfg, rng, snr_db=15.0):
 def run_ranging(ctx):
     """Monostatic range error: sparse recovery vs subspace vs plain IFFT."""
     cfg = ctx.cfg
-    n_trials = int(ctx.param("run.n_trials", 60))
-    snr_db = float(ctx.param("run.snr_db", 15.0))
+    n_trials = int(ctx.values.get("run.n_trials", 60))
+    snr_db = float(ctx.values.get("run.snr_db", 15.0))
     delay_grid = np.arange(0.0, 500e-9, 2.5e-9)
     doppler_grid = np.arange(-17.0, 17.1, 0.25)
     rows = []
@@ -555,8 +554,8 @@ def run_ranging(ctx):
 def run_velocity(ctx):
     """Velocity error on bursty schedules: sparse vs snap-to-uniform FFT."""
     cfg = ctx.cfg
-    n_trials = int(ctx.param("run.n_trials", 24))
-    snr_db = float(ctx.param("run.snr_db", 15.0))
+    n_trials = int(ctx.values.get("run.n_trials", 24))
+    snr_db = float(ctx.values.get("run.snr_db", 15.0))
     doppler_grid = np.arange(-60.0, 60.0 + 0.25, 0.5)
     rows = []
     errs = {"sparse": [], "fft-snap": []}
@@ -612,8 +611,8 @@ def _device_observation(ctx, device_pos, heading_deg, target, snr_db, salt):
 
 def run_localization(ctx):
     """Ground-plane target fixes: one device vs two fused devices."""
-    n_trials = int(ctx.param("run.n_trials", 20))
-    snr_db = float(ctx.param("run.snr_db", 15.0))
+    n_trials = int(ctx.values.get("run.n_trials", 20))
+    snr_db = float(ctx.values.get("run.snr_db", 15.0))
     poses = {"dev-a": (0.0, 0.0, 45.0), "dev-b": (10.0, 10.0, 225.0)}
     rows = []
     errs = {"single": [], "fused": []}
@@ -697,6 +696,5 @@ __all__ = [
     "experiment_names",
     "describe",
     "run_experiment",
-    "radio_config_from",
     "check_config",
 ]

@@ -100,17 +100,20 @@ def fuse_ml(messages, bounds, sigma_range=0.5, sigma_aoa_deg=5.0, cell_m=0.25):
     ``bounds`` = (x_lo, x_hi, y_lo, y_hi) spans in ``cell_m`` cells (range
     always; angle when the message carries one), takes the best cell, and
     refines each axis with a three-point parabola. Raises on an empty
-    message list and, through ``message_loglik``, on a bad sigma."""
+    message list, on non-finite bounds or bounds that leave an axis no cell
+    centre, and, through ``message_loglik``, on a bad sigma."""
     messages = list(messages)
     if not messages:
         raise ValueError("need at least one sensing message")
     if cell_m <= 0:
         raise ValueError("cell size must be positive")
+    if not np.all(np.isfinite(bounds)):
+        raise ValueError(f"bounds must be finite, got {bounds!r}")
     x_lo, x_hi, y_lo, y_hi = bounds
-    if not (x_hi > x_lo and y_hi > y_lo):
-        raise ValueError("bounds must span a nonzero area")
     xs = np.arange(x_lo + cell_m / 2, x_hi, cell_m)
     ys = np.arange(y_lo + cell_m / 2, y_hi, cell_m)
+    if not (xs.size and ys.size):
+        raise ValueError(f"bounds {bounds!r} leave an axis no cell centre")
     grid_x, grid_y = np.meshgrid(xs, ys)
     loglik = np.zeros_like(grid_x)
     for m in messages:

@@ -314,8 +314,7 @@ def _materialize_csi(captures, geometry, cfg, rng):
         for i, (_, _, rx, tx) in enumerate(captures):
             links.setdefault((rx, tx), []).append(i)
         for (rx, tx), idx in links.items():
-            g = replace(geometry, tx_pos=tx.dev.pos, rx_pos=rx.dev.pos,
-                        include_los=rx is not tx)
+            g = replace(geometry, tx_pos=tx.dev.pos, rx_pos=rx.dev.pos)
             series = channel.synthesize_csi_series(
                 g, cfg, np.array([captures[i][0] for i in idx]), snr_db=30.0,
                 rng=rng)

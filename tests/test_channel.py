@@ -201,6 +201,13 @@ class TestResolvePaths:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ScenarioGeometry(**{field: value})
 
+    @pytest.mark.parametrize("value", [2.5, True, 0])
+    def test_bad_antenna_count_rejected(self, value):
+        with pytest.raises(ValueError,
+                           match="n_antennas must be a positive integer"):
+            ScenarioGeometry(n_antennas=value)
+        assert ScenarioGeometry(n_antennas=np.int64(4)).n_antennas == 4
+
     @pytest.mark.parametrize("snr_db,velocity", [
         (float("nan"), (1.0, 0.0, 0.0)),
         (float("-inf"), (1.0, 0.0, 0.0)),
@@ -224,11 +231,10 @@ class TestResolvePaths:
         with pytest.raises(ValueError):
             resolve_paths(geom, CFG, [0.0, 0.5, 1.0])
 
-    # scene settings over a bistatic three-antenna layout: as is, without
-    # the direct path, and monostatic
+    # scene settings over a bistatic three-antenna layout: as is, and
+    # monostatic, which has no direct path
     @pytest.mark.parametrize("overrides", [
         {},
-        {"include_los": False},
         {"rx_pos": (0, 0, 0)},
     ])
     def test_stationary_trajectory_matches_position(self, overrides):
@@ -368,11 +374,13 @@ class TestCsiSeries:
             tx_pos=tx,
             rx_pos=rx,
             targets=(PropagationPath(position=target),),
-            include_los=False,
         )
         times = np.zeros(1)
-        p_los = avg_power(synthesize_csi_series(geom_los, CFG, times))
-        p_ref = avg_power(synthesize_csi_series(geom_target, CFG, times))
+        los = synthesize_csi_series(geom_los, CFG, times)
+        # the reflected term: the bistatic scene less its direct path
+        reflected = synthesize_csi_series(geom_target, CFG, times) - los
+        p_los = avg_power(los)
+        p_ref = avg_power(reflected)
         expected = power_ratio(2.0, np.sqrt(5.0), np.sqrt(5.0), 1.0)
         assert db(p_ref / p_los) == pytest.approx(expected, abs=0.5)
 

@@ -33,8 +33,8 @@ from isacsim.estimate import (
     _delay_half,
     _delay_half_of,
     _delay_steering,
+    _music,
     _rotate,
-    _rotation,
     _soft_threshold,
     _workspace,
 )
@@ -110,14 +110,22 @@ def random_pair(rng, shapes):
     return [random_matrix(rng, s) for s in shapes]
 
 
+def rotated(g, d):
+    """Both matrices ``_rotate``d, and e = outer(e_G, e_D), the squared row
+    norms of the rotated operator X -> W_G X W_D^T."""
+    g, d = _rotate(g), _rotate(d)
+    return g, d, np.multiply.outer(g.e, d.e)
+
+
 def rotated_x_update(g, d, y, v, rho=None):
-    """``V + W^H((Y~ - W(V))/(e + rho))`` from ``_rotation``, rho default max(e)."""
-    w_g, w_d, uh_g, uh_d, e = _rotation(g, d)
+    """``V + W^H((Y~ - W(V))/(e + rho))`` on ``rotated`` halves, rho default
+    max(e)."""
+    g, d, e = rotated(g, d)
     if rho is None:
         rho = float(e.max())
-    y_rot = _apply(uh_g, uh_d, y)
-    w_step = (y_rot - _apply(w_g, w_d, v)) / (e + rho)
-    return rho, v + _apply(w_g.conj().T, w_d.conj().T, w_step)
+    y_rot = _apply(g.uh, d.uh, y)
+    w_step = (y_rot - _apply(g.w, d.w, v)) / (e + rho)
+    return rho, v + _apply(g.wh, d.wh, w_step)
 
 
 def dense_admm(a, y, lam, rho, max_iters, tol):
@@ -288,8 +296,8 @@ class TestAdmmLasso:
     @pytest.mark.parametrize("shapes", KRON_PAIRS)
     def test_rotation_has_orthogonal_rows(self, shapes):
         g, d = random_pair(np.random.default_rng(3), shapes)
-        w_g, w_d, uh_g, uh_d, e = _rotation(g, d)
-        w, uh = np.kron(w_g, w_d), np.kron(uh_g, uh_d)
+        g_half, d_half, e = rotated(g, d)
+        w, uh = np.kron(g_half.w, d_half.w), np.kron(g_half.uh, d_half.uh)
         scale = np.linalg.norm(np.kron(g, d), 2) ** 2
         assert e.shape == (min(g.shape), min(d.shape))
         assert np.allclose(uh @ uh.conj().T, np.eye(uh.shape[0]),
@@ -317,7 +325,7 @@ class TestAdmmLasso:
     @pytest.mark.parametrize("shapes", KRON_PAIRS)
     def test_default_rho_is_squared_operator_norm(self, shapes):
         g, d = random_pair(np.random.default_rng(11), shapes)
-        e = _rotation(g, d)[-1]
+        e = rotated(g, d)[-1]
         expected = np.linalg.norm(np.kron(g, d), 2) ** 2
         assert e.max() == pytest.approx(expected, rel=1e-10)
 
@@ -381,8 +389,8 @@ class TestAdmmLasso:
         x = rng.standard_normal(400) + 1j * rng.standard_normal(400)
         x[:40] = 0.0
         x[40:80] = kappa * np.exp(1j * rng.uniform(0.0, TWO_PI, 40))
-        np.testing.assert_array_equal(_soft_threshold(x, kappa),
-                                      soft_threshold(x, kappa))
+        got = _soft_threshold(x, kappa, np.empty(x.shape), np.empty_like(x))
+        np.testing.assert_array_equal(got, soft_threshold(x, kappa))
 
     def test_bad_penalty_raises(self):
         y = np.ones(4, dtype=np.complex128)
@@ -408,7 +416,8 @@ def full_half(m):
     """``_rotate`` without the cut: every eigenpair of M M^H kept."""
     e, u = np.linalg.eigh(m @ m.conj().T)
     uh = u.conj().T
-    return _Half(uh @ m, uh, e)
+    w = uh @ m
+    return _Half(w, w.conj().T, uh, e)
 
 
 def ranging_dictionary(seed):
@@ -447,6 +456,7 @@ class TestRankCut:
         assert np.all(half.e > EPS * e[-1])
         assert np.all(e[: e.size - k] <= EPS * e[-1])
         np.testing.assert_array_equal(half.e, e[e.size - k:])
+        np.testing.assert_array_equal(half.wh, half.w.conj().T)
         assert half.uh.shape == (k, m.shape[0])
         assert np.allclose(half.uh @ half.uh.conj().T, np.eye(k),
                            rtol=0, atol=1e-12)
@@ -512,6 +522,15 @@ class TestRankCut:
                 np.testing.assert_array_equal(cached, fresh)
         assert _delay_half_of.cache_info().maxsize is not None
 
+    def test_delay_half_carries_its_conjugate_once(self):
+        half = _delay_half(CFG, RANGING_DELAYS)
+        np.testing.assert_array_equal(half.wh, half.w.conj().T)
+        assert not half.wh.flags.writeable
+        # a second call returns the memoized half, W^H and all, so no call
+        # conjugates W again
+        again = _delay_half(CFG, RANGING_DELAYS.copy())
+        assert again is half and again.wh is half.wh
+
 
 # ---------------------------------------------------------------------------
 # the per-shape workspace
@@ -520,8 +539,10 @@ class TestRankCut:
 def reference_admm(g, d, y, lam, max_iters, tol):
     """``admm_lasso`` written plainly: every step of the loop builds fresh
     arrays. Same arithmetic, in the same order, so the results must match
-    bit for bit."""
-    w_g, w_d, uh_g, uh_d, e = _rotation(g, d)
+    bit for bit. ``g`` and ``d`` are ``_rotate``d halves; W^H is formed
+    here rather than read from them."""
+    w_g, w_d, uh_g, uh_d = g.w, d.w, g.uh, d.uh
+    e = np.multiply.outer(g.e, d.e)
     wh_g, wh_d = w_g.conj().T, w_d.conj().T
     rho = max(float(e.max(initial=0.0)), 1e-8)
     gain = 1.0 / (e + rho)
@@ -623,6 +644,22 @@ class TestWorkspace:
                         == ref.coefficients.T.tobytes())
                 assert (fv.converged, fv.iterations) == (ref.converged,
                                                          ref.iterations)
+
+    @pytest.mark.parametrize("case", ["random", "ranging"])
+    def test_raw_matrices_match_rotated_halves(self, case):
+        rng = np.random.default_rng(41)
+        if case == "ranging":
+            g, d = ranging_dictionary(41)
+        else:
+            g, d = random_pair(rng, ((6, 9), (52, 30)))
+        y = random_matrix(rng, (g.shape[0], d.shape[0]))
+        lam = 0.1 * np.max(np.abs(g.conj().T @ y @ d.conj()))
+        for max_iters in (1, 40):
+            raw = admm_lasso(g, d, y, lam, max_iters=max_iters, tol=1e-14)
+            assert_same_bits(admm_lasso(_rotate(g), _rotate(d), y, lam,
+                                        max_iters=max_iters, tol=1e-14), raw)
+            assert_same_bits(admm_lasso(g, _rotate(d), y, lam,
+                                        max_iters=max_iters, tol=1e-14), raw)
 
     def test_result_owns_its_coefficients(self):
         capture, (doppler, delay, y, lam) = sparse_problem("ranging", CFG, 1.0)
@@ -828,6 +865,27 @@ class TestRangeIfft:
 # subspace range estimator
 
 
+def music_stack_loop(csi, cfg, subarray_len):
+    """``range_music``'s snapshot stack built one window start at a time:
+    every contiguous run of sorted bins, then every start in the run, then
+    every packet. ``subarray_len`` None takes ``range_music``'s default."""
+    signed = cfg.signed_index()
+    order = np.argsort(signed)
+    arr = csi[:, 0, order]
+    runs = np.split(np.arange(signed.size),
+                    np.flatnonzero(np.diff(signed[order]) != 1) + 1)
+    if subarray_len is None:
+        subarray_len = min(16, max(run.size for run in runs))
+    snapshots = []
+    for run in runs:
+        if run.size < subarray_len:
+            continue
+        block = arr[:, run]
+        for start in range(run.size - subarray_len + 1):
+            snapshots.append(block[:, start : start + subarray_len])
+    return np.concatenate(snapshots, axis=0)
+
+
 class TestRangeMusic:
     def test_single_path_snr20(self):
         times = np.arange(20) / 40.0
@@ -887,6 +945,29 @@ class TestRangeMusic:
             * np.outer(np.arange(16), np.arange(0.0, 500e-9, 1e-9))))
         assert _delay_steering(CFG.subcarrier_spacing, 8)[1].shape == (8, 500)
         assert _delay_steering.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("fft_size,cp_len",
+                             [(16, 4), (33, 8), (64, 16), (128, 16)])
+    @pytest.mark.parametrize("subarray_len", [None, 5])
+    def test_snapshot_stack_matches_per_start_loop(self, fft_size, cp_len,
+                                                   subarray_len, monkeypatch):
+        cfg = RadioConfig(fft_size=fft_size, cyclic_prefix_len=cp_len)
+        h = model_csi(cfg, gaming_times(12, seed=47),
+                      [(1.0, 100e-9, 3.0), (0.6, 220e-9, 0.0)], snr_db=20,
+                      rng=47)
+        stacks = []
+
+        def recording_music(snapshots, *args):
+            stacks.append(snapshots)
+            return _music(snapshots, *args)
+
+        monkeypatch.setattr("isacsim.estimate._music", recording_music)
+        res = range_music(h, 2, cfg, subarray_len=subarray_len)
+        ref = music_stack_loop(h, cfg, subarray_len)
+        assert stacks[0].shape == ref.shape
+        assert stacks[0].tobytes() == ref.tobytes()
+        grid, steer = _delay_steering(cfg.subcarrier_spacing, ref.shape[1])
+        assert res.spectrum.tobytes() == _music(ref, 2, grid, steer)[2].tobytes()
 
     def test_rank_deficient_covariance_is_flagged(self):
         h = model_csi(CFG, [0.0], [(1.0, 100e-9, 0.0)], snr_db=30, rng=1)

@@ -12,9 +12,9 @@ from isacsim.experiments import (
     EXPERIMENTS,
     Check,
     ExperimentContext,
+    check_config,
     describe,
     experiment_names,
-    radio_config_from,
     run_experiment,
 )
 
@@ -35,11 +35,6 @@ class TestContext:
         ctx = ExperimentContext(values={"radio.fft_size": 32})
         assert ctx.cfg.subcarrier_spacing == pytest.approx(625e3)
 
-    def test_param_precedence(self):
-        ctx = ExperimentContext(values={"run.snr_db": 7.0})
-        assert ctx.param("run.snr_db", 15.0) == 7.0
-        assert ctx.param("run.n_trials", 4) == 4
-
     def test_rng_streams_are_salted_and_repeatable(self):
         ctx = ExperimentContext(seed=5)
         a1 = ctx.rng(1).standard_normal(4)
@@ -56,7 +51,7 @@ class TestContext:
                 != ExperimentContext(values={}).cfg_hash)
 
     def test_radio_config_from_all_keys(self):
-        cfg = radio_config_from({
+        cfg = check_config({
             "radio.fft_size": 32,
             "radio.cp_len": 8,
             "radio.sample_rate_hz": 10e6,

@@ -128,6 +128,19 @@ class TestFuseMl:
         with pytest.raises(ValueError):
             fuse_ml([m], bounds=(1.0, 1.0, 0.0, 2.0))
 
+    def test_bounds_without_a_cell_centre_rejected(self):
+        # 0.1 m spans hold no centre of a 0.25 m cell
+        m = message_for("dev-a", (0.0, 0.0, 0.0), (5.0, 0.0))
+        with pytest.raises(ValueError, match=r"bounds \(0, 0\.1, 0, 0\.1\)"):
+            fuse_ml([m], bounds=(0, 0.1, 0, 0.1), cell_m=0.25)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"),
+                                     float("nan")])
+    def test_non_finite_bounds_rejected(self, bad):
+        m = message_for("dev-a", (0.0, 0.0, 0.0), (5.0, 0.0))
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            fuse_ml([m], bounds=(-1.0, bad, -1.0, 11.0))
+
     def test_range_only_messages_fuse_with_bounds(self):
         msgs = []
         for d, p in TWO_POSES.items():

@@ -678,8 +678,7 @@ class TestEventLoop:
         assert len(links) == 6
         for (rx, tx), records in links.items():
             g = ScenarioGeometry(tx_pos=pos[tx], rx_pos=pos[rx],
-                                 targets=geom.targets, include_los=rx != tx,
-                                 **array)
+                                 targets=geom.targets, **array)
             values = synthesize_csi_series(
                 g, RadioConfig(), np.array([r.time for r in records]),
                 snr_db=30.0, rng=rng)
