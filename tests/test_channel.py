@@ -231,10 +231,11 @@ class TestResolvePaths:
         with pytest.raises(ValueError):
             resolve_paths(geom, CFG, [0.0, 0.5, 1.0])
 
-    # scene settings over a bistatic three-antenna layout: as is, and
-    # monostatic, which has no direct path
+    # scene settings over a bistatic three-antenna layout: as is, with the
+    # array turned off the baseline, and monostatic, which has no direct path
     @pytest.mark.parametrize("overrides", [
         {},
+        {"boresight_deg": 30.0},
         {"rx_pos": (0, 0, 0)},
     ])
     def test_stationary_trajectory_matches_position(self, overrides):
