@@ -100,13 +100,14 @@ def fuse_ml(messages, bounds, sigma_range=0.5, sigma_aoa_deg=5.0, cell_m=0.25):
     ``bounds`` = (x_lo, x_hi, y_lo, y_hi) spans in ``cell_m`` cells (range
     always; angle when the message carries one), takes the best cell, and
     refines each axis with a three-point parabola. Raises on an empty
-    message list, on non-finite bounds or bounds that leave an axis no cell
-    centre, and, through ``message_loglik``, on a bad sigma."""
+    message list, on a ``cell_m`` that is not positive and finite, on
+    non-finite bounds or bounds that leave an axis no cell centre, and,
+    through ``message_loglik``, on a bad sigma."""
     messages = list(messages)
     if not messages:
         raise ValueError("need at least one sensing message")
-    if cell_m <= 0:
-        raise ValueError("cell size must be positive")
+    if not (np.isfinite(cell_m) and cell_m > 0):
+        raise ValueError(f"cell_m must be positive and finite, got {cell_m!r}")
     if not np.all(np.isfinite(bounds)):
         raise ValueError(f"bounds must be finite, got {bounds!r}")
     x_lo, x_hi, y_lo, y_hi = bounds

@@ -24,7 +24,11 @@ each device's next scheduled packet, pushed when the one before it pops, so
 the heap stays a few entries deep however long the run. A transmission
 pushes one completion entry: the sender's TxComplete and, when it has a
 peer, the peer's RxComplete fall at the same instant with nothing
-scheduled between them, so they are handled together. Each of the five
+scheduled between them, so they are handled together. The heap holds no
+timers: an M timer changes only its own device, which keeps the (deadline,
+sequence number) key of its one pending timer and expires it when the first
+event after that key touches it or the run ends; log rows out of key order
+are sorted back. Each of the five
 event sites (TxStart, RxStart, TxComplete, RxComplete, TimerExpiry) makes
 its transition inline: it reads its kind's row of ``_STEP_TABLE``, which is
 keyed by event kind and then by state and read off ``step``, and handles
@@ -38,7 +42,8 @@ affects communications (backoff, loss draws), one for sensing-side noise —
 so that a run with sensing disabled consumes the communications stream
 identically and produces bit-identical delay/loss statistics. The
 communications draws are decoded in plain Python from raw generator words
-read in blocks (``_comms_draws``). A run takes one loss draw per
+read in blocks (``_comms_draws``); a loss is decided on the raw word. A
+run takes one loss draw per
 transmission and one backoff per deferral whether sensing is on or off,
 and each draw depends only on the words before it, so both read the same
 words in the same order. Streaming schedules are decoded from raw words
@@ -236,15 +241,17 @@ _RAW_BLOCK = 1024
 
 
 def _comms_draws(seed):
-    """``(random, backoff)``: the loss draw and backoff of a run's
+    """``(words, backoff)``: the raw words and the backoff draw of a run's
     communications stream ``np.random.default_rng([seed, 17])``.
 
-    They follow numpy's ``Generator.random()`` and ``integers(0, 16)`` on
-    PCG64 call for call, in any interleaving (the tests pin this), without
-    numpy's per-call overhead: the words come from the bit generator's
-    ``random_raw`` in blocks of ``_RAW_BLOCK``. ``random`` is the top 53
-    bits of the next word over 2**53. ``backoff`` is the top 4 bits of the
-    next 32-bit half-word: Lemire's bounded draw never rejects for a range
+    A loss draw is the top 53 bits of the next word; over 2**53 it is
+    numpy's ``Generator.random()``, so ``word < p * 2**53`` decides exactly
+    as ``random() < p``. Loss draws and ``backoff`` follow numpy's
+    ``random()`` and ``integers(0, 16)`` on PCG64 call for call, in any
+    interleaving (the tests pin this), without numpy's per-call overhead:
+    the words come from the bit generator's ``random_raw`` in blocks of
+    ``_RAW_BLOCK``. ``backoff`` is the top 4 bits of the next 32-bit
+    half-word: Lemire's bounded draw never rejects for a range
     of 16, since (2**32 - 16) mod 16 = 0. PCG64 hands out the low half of a
     fresh word first and keeps the high half for the next 32-bit request;
     64-bit draws neither read nor clear the kept half. Words drawn past the
@@ -255,9 +262,6 @@ def _comms_draws(seed):
         iter(lambda: bitgen.random_raw(_RAW_BLOCK).tolist(), None))
     kept = None
 
-    def random():
-        return (next(words) >> 11) * 2.0**-53
-
     def backoff():
         nonlocal kept
         if kept is None:
@@ -267,7 +271,7 @@ def _comms_draws(seed):
         half, kept = kept, None
         return half >> 28
 
-    return random, backoff
+    return words, backoff
 
 
 LogEntry = namedtuple("LogEntry", "time device event state_before state_after action")
@@ -286,17 +290,23 @@ class ScenarioResult:
     separator_penalty_db: float = 0.0
 
 
-class _DeviceCtx:
-    """Per-run state of one device; ``link_*`` describe its packets at the peer."""
+_NO_TIMER = float("inf")  # the deadline of a device with no pending M timer
 
-    __slots__ = ("dev", "state", "separator_on", "m_timer_deadline",
-                 "peer", "link_snr", "link_success")
+
+class _DeviceCtx:
+    """Per-run state of one device: ``(deadline, timer_seq)`` keys its
+    pending M timer; ``link_*`` and ``success_words`` (the success
+    probability times 2**53) describe its packets at the peer."""
+
+    __slots__ = ("dev", "state", "separator_on", "deadline", "timer_seq",
+                 "peer", "link_snr", "success_words")
 
     def __init__(self, dev):
         self.dev = dev
         self.state = "C"
         self.separator_on = False
-        self.m_timer_deadline = None
+        self.deadline = _NO_TIMER
+        self.timer_seq = 0
         self.peer = None
 
 
@@ -349,12 +359,13 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     and the SNR it costs is charged to every reception.
 
     The heap holds one pending packet per device (its next scheduled DATA
-    packet, in schedule order) plus deferred retries, ACKs, timers and one
+    packet, in schedule order) plus deferred retries, ACKs and one
     completion entry per transmission, which runs the sender's TxComplete
-    and then the peer's RxComplete and loss draw. ``n_events`` counts the
-    events handled: every packet that comes due (a deferral counts again
-    when it retries), every TxComplete, every RxComplete and every timer
-    expiry, including timers a later transmission superseded. A device with
+    and then the peer's RxComplete and loss draw; it holds no timers, whose
+    expiries wait on their device. ``n_events`` counts the events handled:
+    every packet that comes due (a deferral counts again when it retries),
+    every TxComplete, every RxComplete and every armed M timer, superseded
+    ones included, though a superseded timer costs no work. A device with
     no packet before ``duration`` sends nothing. ``duration`` must be
     positive and finite, ``timer_s`` finite and non-negative.
     """
@@ -380,7 +391,7 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
             raise ValueError(f"device {peer!r} names itself as its peer")
         ctxs[d.device_id].peer = None if peer is None else ctxs[peer]
 
-    draw_loss, draw_backoff = _comms_draws(seed)
+    words, draw_backoff = _comms_draws(seed)
     rng_sense = np.random.default_rng([seed, 29])
 
     penalty_db = 0.0
@@ -401,7 +412,7 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
                                    tx_power=from_db(TX_POWER_DBM))
             snr = db(abs(amp) ** 2) - cancel.DEFAULT_NOISE_FLOOR_DBM
         ctx.link_snr = float(snr) - penalty_db
-        ctx.link_success = success_probability(ctx.link_snr)
+        ctx.success_words = float(success_probability(ctx.link_snr)) * 2.0**53
 
     data_duration = packet_duration(DATA_SYMBOLS, cfg)
     ack_duration = packet_duration(ACK_SYMBOLS, cfg)
@@ -413,8 +424,9 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     # each scheduled packet keeps the sequence number it would have with
     # every schedule pushed up front, its offset in the concatenated
     # schedules, so ties break as they would; dynamic entries number on
-    # from there. The schedules live in the heap entries, not on the
-    # contexts, whose peer links form reference cycles.
+    # from there. Schedules yield ready-made heap entries whose payload names
+    # the schedule by device index: no reference cycle holds a schedule.
+    schedules = []
     n_scheduled = 0
     for i, d in enumerate(devices):
         model = d.traffic if d.traffic is not None else traffic
@@ -424,10 +436,13 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
             model, duration,
             seed=np.random.default_rng([seed, i, 5]).integers(0, 2**32),
         ).tolist()
-        packets = zip(times, itertools.count(n_scheduled))
+        payload = (ctxs[d.device_id], i, "DATA")
+        packets = zip(times, itertools.count(n_scheduled),
+                      itertools.repeat("pkt-sched"), itertools.repeat(payload))
+        schedules.append(packets)
         first = next(packets, None)
         if first is not None:
-            push(heap, (*first, "pkt-sched", (ctxs[d.device_id], packets)))
+            push(heap, first)
         n_scheduled += len(times)
     seq = itertools.count(n_scheduled)
 
@@ -451,103 +466,55 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     rx_complete = _STEP_TABLE["RxComplete"]
     timer_expiry = _STEP_TABLE["TimerExpiry"]
 
-    def record(t, ctx, event_kind, before, after, action):
-        entry = LogEntry(t, ctx.dev.device_id, event_kind, before, after,
-                         action)
+    def record(key, ctx, event_kind, before, after, action):
+        # a row carries the (time, sequence number) key of its event: the
+        # popped heap entry, or a timer's key
+        row = (key, LogEntry(key[0], ctx.dev.device_id, event_kind, before,
+                             after, action))
         if log:
-            entries.append(entry)
+            entries.append(row)
         if action == VIOLATION:
-            violations.append(entry)
+            violations.append(row)
+
+    def expire(ctx, entry):
+        # an M timer due by ``entry``'s time changes only its own device, so
+        # it expires when the first event after its key touches the device
+        nonlocal invariant_checks, separator_mismatches
+        key = (ctx.deadline, ctx.timer_seq)
+        if key > entry:
+            return
+        ctx.deadline = _NO_TIMER
+        before = ctx.state
+        after, action = timer_expiry[before]
+        ctx.state = after
+        if action == DISABLE_SEPARATOR:
+            ctx.separator_on = False
+        if log or action == VIOLATION:
+            record(key, ctx, "TimerExpiry", before, after, action)
+        invariant_checks += 1
+        if ctx.separator_on != (after == "M"):
+            separator_mismatches += 1
 
     while heap:
-        t, _, kind, payload = pop(heap)
+        t, _, kind, payload = entry = pop(heap)
         n_events += 1
 
-        if kind == "pkt-sched":
-            # schedules are strictly increasing: the device's next packet
-            # cannot be due before this one
-            ctx, packets = payload
-            following = next(packets, None)
-            if following is not None:
-                push(heap, (*following, kind, payload))
-            kind, payload = "pkt-due", (ctx, t, "DATA")
-
-        if kind == "pkt-due":
-            ctx, sched_t, ptype = payload
-            if t < medium_free_at:
-                backoff = SLOT_S * draw_backoff()
-                push(heap, (medium_free_at + backoff, next(seq), kind, payload))
-                continue
-            dur = data_duration if ptype == "DATA" else ack_duration
-            medium_free_at = t + dur
-            if ptype == "DATA":
-                delays.append(t - sched_t)
-            if sensing_enabled:
-                before = ctx.state
-                after, action = tx_start[before]
-                ctx.state = after
-                if action == ENABLE_SEPARATOR:
-                    ctx.separator_on = True
-                    ctx.m_timer_deadline = None
-                elif action == CONTINUE_BURST:
-                    # re-armed at this burst's TxComplete
-                    ctx.m_timer_deadline = None
-                if log or action == VIOLATION:
-                    record(t, ctx, "TxStart", before, after, action)
-                invariant_checks += 1
-                if ctx.separator_on != (after == "M"):
-                    separator_mismatches += 1
-                if (collect_csi and after == "M"
-                        and len(captures) < max_csi):
-                    captures.append((t, "mono", ctx, ctx))
-                rx_ctx = ctx.peer
-                if rx_ctx is not None:
-                    before = rx_ctx.state
-                    after, action = rx_start[before]
-                    rx_ctx.state = after
-                    if log or action == VIOLATION:
-                        record(t, rx_ctx, "RxStart", before, after, action)
-                    invariant_checks += 1
-                    if rx_ctx.separator_on != (after == "M"):
-                        separator_mismatches += 1
-                    if (before == "C" and after == "B" and collect_csi
-                            and len(captures) < max_csi):
-                        captures.append((t, "bi", rx_ctx, ctx))
-            push(heap, (t + dur, next(seq), "tx-done", (ctx, ptype)))
-
-        elif kind == "timer":
-            ctx, deadline = payload
-            if ctx.m_timer_deadline != deadline:
-                continue  # superseded by a later transmission
-            if sensing_enabled:
-                before = ctx.state
-                after, action = timer_expiry[before]
-                ctx.state = after
-                if action == DISABLE_SEPARATOR:
-                    ctx.separator_on = False
-                    ctx.m_timer_deadline = None
-                if log or action == VIOLATION:
-                    record(t, ctx, "TimerExpiry", before, after, action)
-                invariant_checks += 1
-                if ctx.separator_on != (after == "M"):
-                    separator_mismatches += 1
-
-        elif kind == "tx-done":
+        if kind == "tx-done":
             # the sender's TxComplete, then the peer's RxComplete: both fall
-            # at t, and no entry can come between them, since the only push
-            # in between is TxComplete's timer, due at or after t and pushed
-            # after both
-            tx_ctx, ptype = payload
+            # at t, so they share the entry's key
+            tx_ctx, _, ptype = payload
             if sensing_enabled:
+                if tx_ctx.deadline <= t:
+                    expire(tx_ctx, entry)
                 before = tx_ctx.state
                 after, action = tx_complete[before]
                 tx_ctx.state = after
                 if action == ARM_TIMER:
-                    deadline = tx_ctx.m_timer_deadline = t + timer_s
-                    push(heap, (deadline, next(seq), "timer",
-                                (tx_ctx, deadline)))
+                    tx_ctx.deadline = t + timer_s
+                    tx_ctx.timer_seq = next(seq)
+                    n_events += 1
                 if log or action == VIOLATION:
-                    record(t, tx_ctx, "TxComplete", before, after, action)
+                    record(entry, tx_ctx, "TxComplete", before, after, action)
                 invariant_checks += 1
                 if tx_ctx.separator_on != (after == "M"):
                     separator_mismatches += 1
@@ -556,21 +523,92 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
                 continue
             n_events += 1
             if sensing_enabled:
+                if rx_ctx.deadline <= t:
+                    expire(rx_ctx, entry)
                 before = rx_ctx.state
                 after, action = rx_complete[before]
                 rx_ctx.state = after
                 if log or action == VIOLATION:
-                    record(t, rx_ctx, "RxComplete", before, after, action)
+                    record(entry, rx_ctx, "RxComplete", before, after, action)
                 invariant_checks += 1
                 if rx_ctx.separator_on != (after == "M"):
                     separator_mismatches += 1
-            ok = draw_loss() < tx_ctx.link_success
+            ok = next(words) >> 11 < tx_ctx.success_words
             if ptype == "DATA":
                 successes.append(ok)
                 rx_snrs.append(tx_ctx.link_snr)
                 if ok:
                     push(heap, (t + SIFS_S, next(seq), "pkt-due",
                                 (rx_ctx, t + SIFS_S, "ACK")))
+            continue
+
+        if kind == "pkt-sched":
+            # schedules are strictly increasing: the device's next packet
+            # cannot be due before this one
+            ctx, i, ptype = payload
+            following = next(schedules[i], None)
+            if following is not None:
+                push(heap, following)
+            sched_t = t
+        else:
+            ctx, sched_t, ptype = payload
+        if t < medium_free_at:
+            push(heap, (medium_free_at + SLOT_S * draw_backoff(), next(seq),
+                        "pkt-due", (ctx, sched_t, ptype)))
+            continue
+        dur = data_duration if ptype == "DATA" else ack_duration
+        medium_free_at = t + dur
+        if ptype == "DATA":
+            delays.append(t - sched_t)
+        if sensing_enabled:
+            if ctx.deadline <= t:
+                expire(ctx, entry)
+            before = ctx.state
+            after, action = tx_start[before]
+            ctx.state = after
+            if action == ENABLE_SEPARATOR:
+                ctx.separator_on = True
+                ctx.deadline = _NO_TIMER
+            elif action == CONTINUE_BURST:
+                # re-armed at this burst's TxComplete
+                ctx.deadline = _NO_TIMER
+            if log or action == VIOLATION:
+                record(entry, ctx, "TxStart", before, after, action)
+            invariant_checks += 1
+            if ctx.separator_on != (after == "M"):
+                separator_mismatches += 1
+            if (collect_csi and after == "M"
+                    and len(captures) < max_csi):
+                captures.append((t, "mono", ctx, ctx))
+            rx_ctx = ctx.peer
+            if rx_ctx is not None:
+                if rx_ctx.deadline <= t:
+                    expire(rx_ctx, entry)
+                before = rx_ctx.state
+                after, action = rx_start[before]
+                rx_ctx.state = after
+                if log or action == VIOLATION:
+                    record(entry, rx_ctx, "RxStart", before, after, action)
+                invariant_checks += 1
+                if rx_ctx.separator_on != (after == "M"):
+                    separator_mismatches += 1
+                if (before == "C" and after == "B" and collect_csi
+                        and len(captures) < max_csi):
+                    captures.append((t, "bi", rx_ctx, ctx))
+        # the payload names the sender and the packet type, all tx-done needs
+        push(heap, (t + dur, next(seq), "tx-done", payload))
+
+    # expiries still pending when the heap drains, in key order; a device
+    # with none has the key (inf, n), above (inf,), so none expires
+    for ctx in sorted(ctxs.values(), key=lambda c: (c.deadline, c.timer_seq)):
+        expire(ctx, (_NO_TIMER,))
+    # only an expiry can be recorded after a row with a later key
+    rows = entries or violations
+    if any(a[0] > b[0] for a, b in itertools.pairwise(rows)):
+        entries.sort(key=lambda row: row[0])
+        violations.sort(key=lambda row: row[0])
+    entries = [e for _, e in entries]
+    violations = [e for _, e in violations]
 
     # a run that sent no DATA packet has no delay, loss or SNR to report
     nan = float("nan")

@@ -108,6 +108,14 @@ class TestFuseMl:
         with pytest.raises(ValueError):
             fuse_ml([m], bounds=TWO_POSE_BOUNDS, cell_m=0.0)
 
+    @pytest.mark.parametrize("cell_m", [float("nan"), float("inf"),
+                                        float("-inf")])
+    def test_non_finite_cell_size_rejected(self, cell_m):
+        # a NaN cell passed the old positivity check and failed in np.arange
+        m = message_for("dev-a", (0.0, 0.0, 0.0), (5.0, 0.0))
+        with pytest.raises(ValueError, match="cell_m"):
+            fuse_ml([m], bounds=TWO_POSE_BOUNDS, cell_m=cell_m)
+
     @pytest.mark.parametrize("sigmas", [
         {"sigma_range": 0.0},
         {"sigma_range": -0.5},

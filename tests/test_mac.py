@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from isacsim import cancel, channel, mac
+from isacsim import cancel, channel, experiments, mac
 from isacsim.channel import (
     PropagationPath,
     ScenarioGeometry,
@@ -268,14 +268,17 @@ def reference_streaming(duration, seed):
 
 class TestCommsDraws:
     """``_comms_draws`` must give the draws numpy's ``Generator.random`` and
-    ``integers(0, 16)`` give on the same seed, call for call."""
+    ``integers(0, 16)`` give on the same seed, call for call: a loss draw's
+    53-bit word over 2**53 is ``random()``, and deciding a loss on the word
+    against the success probability times 2**53 is ``random() < p``."""
 
     @staticmethod
     def assert_matches_generator(seed, calls):
-        random, backoff = mac._comms_draws(seed)
+        words, backoff = mac._comms_draws(seed)
         gen = np.random.default_rng([seed, 17])
         gen_random, gen_integers = gen.random, gen.integers
-        got = [backoff() if is_backoff else random() for is_backoff in calls]
+        got = [backoff() if is_backoff else (next(words) >> 11) * 2.0**-53
+               for is_backoff in calls]
         want = [gen_integers(0, 16) if is_backoff else gen_random()
                 for is_backoff in calls]
         assert got == want
@@ -294,6 +297,42 @@ class TestCommsDraws:
         calls = ([False] * (block - 1) + [True, False, True, True, True]
                  + [False] * (block - 2) + [True, True, False])
         self.assert_matches_generator(0, calls)
+
+    @staticmethod
+    def experiment_success_probabilities(monkeypatch):
+        """Every link success probability comms-impact computes at the
+        seeds CI runs, its forced-separator penalties included."""
+        seen = set()
+        real = mac.success_probability
+
+        def recording(snr_db):
+            p = real(snr_db)
+            seen.add(float(p))
+            return p
+
+        monkeypatch.setattr(mac, "success_probability", recording)
+        for seed in (0, 1, 2, 3, 7):
+            experiments.run_comms_impact(experiments.ExperimentContext(
+                seed=seed, values={"run.duration_s": 0.05}))
+        return seen
+
+    def test_word_threshold_decides_like_random(self, monkeypatch):
+        used = self.experiment_success_probabilities(monkeypatch)
+        assert len(used) > 5
+        multiples = [k * 2.0**-53 for k in (1, 2, 3, 2**26 + 1, 2**52,
+                                             2**53 - 1)]
+        probabilities = {0.0, 1.0, *used, *multiples}
+        for p in list(probabilities):
+            probabilities.update((np.nextafter(p, 0.0), np.nextafter(p, 2.0)))
+        words = (np.random.default_rng(0).bit_generator.random_raw(200)
+                 >> 11).tolist()
+        for p in probabilities:
+            threshold = float(p) * 2.0**53
+            edge = int(threshold)
+            for x in {0, 1, 2**53 - 1, *words,
+                      *(w for w in (edge - 1, edge, edge + 1)
+                        if 0 <= w < 2**53)}:
+                assert (x < threshold) == (x * 2.0**-53 < p), (p, x)
 
 
 class TestRunScenario:
@@ -465,16 +504,30 @@ class TestRunScenario:
         assert res.stats["n_data"] > 0
 
 
+class ReferenceDevice:
+    """The reference loop's own per-run state of one device: the M timer
+    that may fire is the one whose deadline ``m_timer_deadline`` still
+    names."""
+
+    def __init__(self, dev):
+        self.dev = dev
+        self.state = "C"
+        self.separator_on = False
+        self.m_timer_deadline = None
+        self.peer = None
+
+
 def reference_run_scenario(devices, geometry, traffic, duration, seed=0,
                            timer_s=1e-3, link_snr_db=None,
                            sensing_enabled=True, force_separator=False,
                            collect_csi=False, max_csi=256):
     """The straightforward event loop ``run_scenario`` must reproduce: every
     scheduled packet pushed up front, and separate tx-complete and
-    rx-complete entries for each transmission."""
+    rx-complete entries for each transmission, and every M timer pushed on
+    the heap and skipped when it pops superseded."""
     cfg = RadioConfig()
     ids = [d.device_id for d in devices]
-    ctxs = {d.device_id: mac._DeviceCtx(d) for d in devices}
+    ctxs = {d.device_id: ReferenceDevice(d) for d in devices}
     for i, d in enumerate(devices):
         peer = d.peer_id
         if peer is None and len(devices) > 1:
@@ -711,12 +764,29 @@ MODES = {
 
 def assert_matches_reference(devices, geometry, traffic, duration, **kw):
     """``run_scenario`` with the log on and off reproduces the reference
-    loop; returns the logged run."""
+    loop and never pushes an M timer onto its heap; returns the logged
+    run."""
     want = reference_run_scenario(devices, geometry, traffic, duration, **kw)
+    real_push = heapq.heappush
     for log in (False, True):
-        got = mac.run_scenario(devices, geometry, traffic, duration, log=log,
-                               **kw)
+        pushed = []
+
+        def counting_push(heap, entry):
+            pushed.append(entry[2])
+            real_push(heap, entry)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mac.heapq, "heappush", counting_push)
+            got = mac.run_scenario(devices, geometry, traffic, duration,
+                                   log=log, **kw)
+        assert set(pushed) <= {"pkt-sched", "pkt-due", "tx-done"}
         assert_same_run(got, want, log=log)
+    if kw.get("sensing_enabled", True):
+        # an event is a popped entry, the RxComplete that shares its
+        # tx-done entry, or an armed M timer, superseded or not
+        assert got.n_events == (
+            len(pushed) + sum(e.event == "RxComplete" for e in got.log)
+            + sum(e.action == mac.ARM_TIMER for e in got.log))
     return got
 
 
@@ -724,10 +794,20 @@ class TestEventLoopOracle:
     """``run_scenario`` keeps one pending packet per device and one
     completion entry per transmission; it must handle exactly the events
     of the loop that pushes everything up front, whether it keeps a log or
-    not."""
+    not, at every M-window length in ``TIMERS``: a 20 ms window defers
+    expiries past many of the other devices' events."""
 
     GEOM = ScenarioGeometry(targets=(PropagationPath(position=(3.0, 2.0,
                                                                0.0)),))
+    TIMERS = (0.0, 1e-3, 0.02)
+
+    def assert_matches(self, *args, **kw):
+        """``assert_matches_reference`` at each of ``TIMERS``; returns the
+        logged run at the default 1 ms window."""
+        runs = {timer_s: assert_matches_reference(*args, timer_s=timer_s,
+                                                  **kw)
+                for timer_s in self.TIMERS}
+        return runs[1e-3]
 
     @pytest.mark.parametrize("mode", list(MODES))
     @pytest.mark.parametrize("n_devices", [1, 2, 3])
@@ -740,8 +820,8 @@ class TestEventLoopOracle:
                        for i in range(n_devices)]
             kw = MODES[mode]
             geom = self.GEOM if kw.get("collect_csi") else None
-            got = assert_matches_reference(devices, geom, model, 0.6,
-                                           seed=seed, **kw)
+            got = self.assert_matches(devices, geom, model, 0.6,
+                                      seed=seed, **kw)
             assert got.n_events > 0
 
     def test_regular_devices_tie_at_every_packet(self):
@@ -751,9 +831,9 @@ class TestEventLoopOracle:
         model = mac.TrafficModel.regular(400.0)
         times = mac.generate_traffic(model, 1.0)
         for seed in (0, 3):
-            got = assert_matches_reference(devices, self.GEOM, model, 1.0,
-                                           seed=seed, collect_csi=True,
-                                           max_csi=200)
+            got = self.assert_matches(devices, self.GEOM, model, 1.0,
+                                      seed=seed, collect_csi=True,
+                                      max_csi=200)
             starts = [e.time for e in got.log
                       if e.event == "TxStart" and e.device == "dev-a"]
             assert len(starts) >= len(times)
@@ -767,8 +847,7 @@ class TestEventLoopOracle:
         model = mac.TrafficModel.regular(400.0)
         kw = MODES[mode]
         geom = self.GEOM if kw.get("collect_csi") else None
-        got = assert_matches_reference(devices, geom, model, 3.0, seed=2,
-                                       **kw)
+        got = self.assert_matches(devices, geom, model, 3.0, seed=2, **kw)
         assert got.stats["n_data"] > 2 * mac._RAW_BLOCK
 
     def test_timer_ties_with_the_next_scheduled_packet(self):
@@ -795,13 +874,12 @@ class TestEventLoopOracle:
             res = mac.run_scenario(two_devices(), None, model, 0.002, seed=0)
             assert res.n_events == 0 and res.log == []
             assert res.stats["n_data"] == 0
-            assert_matches_reference(two_devices(), None, model, 0.002,
-                                     seed=0)
+            self.assert_matches(two_devices(), None, model, 0.002, seed=0)
         # one idle device beside a busy one
         devices = two_devices()
         devices[0].traffic = mac.TrafficModel.regular(100.0)
         devices[1].traffic = mac.TrafficModel.gaming()
-        res = assert_matches_reference(devices, None, None, 0.002, seed=0)
+        res = self.assert_matches(devices, None, None, 0.002, seed=0)
         assert res.stats["n_data"] == 1  # dev-a's packet at t = 0
 
     def test_each_event_kind_has_a_pinned_action_set(self):
@@ -831,7 +909,7 @@ class TestEventLoopOracle:
         for mode in ("on-csi", "forced"):
             kw = MODES[mode]
             geom = self.GEOM if kw.get("collect_csi") else None
-            got = assert_matches_reference(
+            got = self.assert_matches(
                 two_devices(), geom, mac.TrafficModel.streaming(), 0.5,
                 seed=3, **kw)
             assert getattr(got, report)
