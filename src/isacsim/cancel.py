@@ -16,6 +16,7 @@ Per-stage leakage figures therefore come from running the same stages on
 the coupling alone; no component streams are kept.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,18 +127,51 @@ def digital_cancel(rx, tx_ref, state):
     return rx - kernels.fir_apply(np.asarray(tx_ref), state.digital_taps)
 
 
+@functools.lru_cache(maxsize=8)
+def _alignments_of(ref, n_taps):
+    """The analog scan's fixed half for the complex reference bytes ``ref``.
+
+    Returns, read only, the delays below ``n_taps`` whose delayed reference
+    has energy, the conjugated delayed references as rows (so one product
+    with a reception gives every delay's correlation) and their energies.
+    """
+    ref = np.frombuffer(ref, dtype=np.complex128)
+    shifted = np.array([_delayed(ref, delay) for delay in range(n_taps)])
+    energy = np.array([np.vdot(row, row).real for row in shifted])
+    delays = np.flatnonzero(energy)
+    rows = np.conj(shifted[delays])
+    energy = energy[delays]
+    for arr in (delays, rows, energy):
+        arr.flags.writeable = False
+    return delays, rows, energy
+
+
 def calibrate(tx_ref, leak, rng):
     """Fit the analog tap and digital FIR to the coupling on a dummy load.
 
     The reception is the isolated coupling plus ``DEFAULT_NOISE_FLOOR_DBM``
     noise from ``rng``, nothing from the air. The analog tap is the
-    least-squares single tap over a scanned alignment; the
-    ``DEFAULT_DIGITAL_TAPS``-tap FIR is then fitted to the post-analog
-    residual by ``NLMS_PASSES`` NLMS sweeps. The log gets one (0.0, stage,
+    least-squares single tap at the alignment that leaves the least
+    residual: with c_d the reception's correlation with the reference
+    delayed by d < ``DEFAULT_DIGITAL_TAPS`` samples and e_d that delayed
+    reference's energy, the scan takes the d that minimises
+    ``|rx|^2 - |c_d|^2 / e_d`` (the first on a tie; a delay with no energy
+    is skipped). The correlations come from one product with the
+    reference's delayed rows, built once per reference; the chosen tap and
+    its residual are then computed from the delayed reference itself. The
+    ``DEFAULT_DIGITAL_TAPS``-tap FIR is fitted to the post-analog residual
+    by ``NLMS_PASSES`` NLMS sweeps. The log gets one (0.0, stage,
     residual_db re the raw coupling) row per stage; ``perfbench/tracing.py``
-    reads the rows by position.
+    reads the rows by position. An empty, non-finite or all-zero
+    ``tx_ref`` leaves nothing to fit and raises ``ValueError``.
     """
     ref = np.asarray(tx_ref)
+    if ref.ndim != 1 or ref.size == 0:
+        raise ValueError("tx_ref must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(ref)):
+        raise ValueError("tx_ref must be finite")
+    if not np.any(ref):
+        raise ValueError("tx_ref must not all be zero")
     n_taps = DEFAULT_DIGITAL_TAPS
     if n_taps < len(leak.taps):
         raise ValueError("digital FIR must be at least as long as the coupling")
@@ -149,18 +183,14 @@ def calibrate(tx_ref, leak, rng):
     log = [(0.0, "first_stage", db(avg_power(rx) / raw_power))]
 
     # single complex degree of freedom, alignment scanned over the FIR span
-    best = None
-    for delay in range(n_taps):
-        shifted = _delayed(ref, delay)
-        denom = np.vdot(shifted, shifted).real
-        if denom == 0.0:
-            continue
-        tap = -np.vdot(shifted, rx) / denom
-        residual = rx + tap * shifted
-        p = avg_power(residual)
-        if best is None or p < best[0]:
-            best = (p, delay, tap, residual)
-    _, analog_delay, analog_tap, post_analog = best
+    delays, rows, energy = _alignments_of(
+        np.ascontiguousarray(ref, dtype=np.complex128).tobytes(), n_taps)
+    corr = rows @ rx
+    left = np.vdot(rx, rx).real - (corr.real ** 2 + corr.imag ** 2) / energy
+    analog_delay = int(delays[np.argmin(left)])
+    shifted = _delayed(ref, analog_delay)
+    analog_tap = -np.vdot(shifted, rx) / np.vdot(shifted, shifted).real
+    post_analog = rx + analog_tap * shifted
     log.append((0.0, "analog", db(avg_power(post_analog) / raw_power)))
 
     digital_taps = kernels.nlms_fir(

@@ -16,6 +16,10 @@ import numpy as np
 
 from .sigcore import wrap_deg
 
+# most grid cells fuse_ml builds: far above a 0.05 m grid over a 12 m box
+# (57,600 cells), far below one whose float arrays would not fit in memory
+MAX_GRID_CELLS = 1_000_000
+
 
 @dataclass
 class SensingMessage:
@@ -101,8 +105,9 @@ def fuse_ml(messages, bounds, sigma_range=0.5, sigma_aoa_deg=5.0, cell_m=0.25):
     always; angle when the message carries one), takes the best cell, and
     refines each axis with a three-point parabola. Raises on an empty
     message list, on a ``cell_m`` that is not positive and finite, on
-    non-finite bounds or bounds that leave an axis no cell centre, and,
-    through ``message_loglik``, on a bad sigma."""
+    non-finite bounds, on bounds that leave an axis no cell centre or that
+    ``cell_m`` cuts into more than ``MAX_GRID_CELLS`` cells, and, through
+    ``message_loglik``, on a bad sigma."""
     messages = list(messages)
     if not messages:
         raise ValueError("need at least one sensing message")
@@ -111,10 +116,17 @@ def fuse_ml(messages, bounds, sigma_range=0.5, sigma_aoa_deg=5.0, cell_m=0.25):
     if not np.all(np.isfinite(bounds)):
         raise ValueError(f"bounds must be finite, got {bounds!r}")
     x_lo, x_hi, y_lo, y_hi = bounds
+    # np.arange's own length rule, applied before any array is built
+    counts = [np.ceil((hi - (lo + cell_m / 2)) / cell_m)
+              for lo, hi in ((x_lo, x_hi), (y_lo, y_hi))]
+    if min(counts) < 1:
+        raise ValueError(f"bounds {bounds!r} leave an axis no cell centre")
+    if counts[0] * counts[1] > MAX_GRID_CELLS:
+        raise ValueError(f"cell_m {cell_m!r} cuts bounds {bounds!r} into "
+                         f"{counts[0] * counts[1]:.0f} cells, more than "
+                         f"MAX_GRID_CELLS = {MAX_GRID_CELLS}")
     xs = np.arange(x_lo + cell_m / 2, x_hi, cell_m)
     ys = np.arange(y_lo + cell_m / 2, y_hi, cell_m)
-    if not (xs.size and ys.size):
-        raise ValueError(f"bounds {bounds!r} leave an axis no cell centre")
     grid_x, grid_y = np.meshgrid(xs, ys)
     loglik = np.zeros_like(grid_x)
     for m in messages:

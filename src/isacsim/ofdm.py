@@ -11,6 +11,7 @@ place, and ``burst_symbol_spans`` is the one record of where each symbol's
 phase region, FFT window and cyclic prefix sit.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,10 +110,12 @@ def _symbol_from_bins(cfg, bins, vals):
     return np.fft.ifft(spec) * cfg.fft_size / np.sqrt(len(bins))
 
 
+@functools.lru_cache(maxsize=8)
 def _training(cfg):
-    """Known training content, built and measured once: the unit-power
-    preamble, the long symbol at the preamble's scale, and the per-bin CSI
-    reference (a clean long symbol's FFT at the used bins)."""
+    """Known training content, built and measured once per config and
+    shared read only: the unit-power preamble, the long symbol at the
+    preamble's scale, and the per-bin CSI reference (a clean long symbol's
+    FFT at the used bins); a few configs are kept."""
     rng = np.random.default_rng(_TRAINING_SEED)
     # short training occupies every 4th subcarrier -> 16-sample periodicity
     stf_bins = cfg.used_bins[cfg.signed_index() % 4 == 0]
@@ -128,7 +131,10 @@ def _training(cfg):
     power = avg_power(raw)
     scale = 1.0 / np.sqrt(power)
     reference = ltf_vals * scale * (cfg.fft_size / np.sqrt(cfg.n_used))
-    return raw / np.sqrt(power), ltf_sym * scale, reference
+    content = (raw / np.sqrt(power), ltf_sym * scale, reference)
+    for arr in content:
+        arr.flags.writeable = False
+    return content
 
 
 def extract_csi_symbols(samples, index, cfg, n_symbols=2):

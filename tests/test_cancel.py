@@ -125,6 +125,70 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate(tx_burst(), leak, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad, problem", [
+        (np.zeros(0, dtype=complex), "non-empty"),
+        (np.zeros(960, dtype=complex), "all be zero"),
+        (np.where(np.arange(960) == 5, np.nan, 1.0 + 0.5j), "finite"),
+    ])
+    def test_degenerate_reference_rejected(self, bad, problem):
+        leak = make_leakage(np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"tx_ref must .*{problem}"):
+            calibrate(bad, leak, np.random.default_rng(0))
+
+
+def scanned_analog_stage(ref, rx, n_taps):
+    """The alignment scan as a plain loop over every delay: the oracle for
+    ``calibrate``'s analog stage. Returns (delay, tap, residual)."""
+    best = None
+    for delay in range(n_taps):
+        shifted = cancel._delayed(ref, delay)
+        denom = np.vdot(shifted, shifted).real
+        if denom == 0.0:
+            continue
+        tap = -np.vdot(shifted, rx) / denom
+        residual = rx + tap * shifted
+        p = avg_power(residual)
+        if best is None or p < best[0]:
+            best = (p, delay, tap, residual)
+    return best[1:]
+
+
+class TestAnalogScan:
+    @staticmethod
+    def check_against_scan(tx, seed):
+        # calibrate's first draw from its rng is the reception noise, so
+        # the same seed rebuilds its reception here
+        leak = make_leakage(np.random.default_rng([seed, 1]))
+        state = calibrate(tx, leak, np.random.default_rng([seed, 2]))
+        rx = first_stage(kernels.fir_apply(tx, leak.taps)) + complex_noise(
+            len(tx), cancel.DEFAULT_NOISE_FLOOR_DBM,
+            np.random.default_rng([seed, 2]))
+        delay, tap, residual = scanned_analog_stage(
+            tx, rx, cancel.DEFAULT_DIGITAL_TAPS)
+        assert state.analog_delay == delay
+        assert state.analog_tap == tap
+        assert state.log[1][2] == db(avg_power(residual)
+                                     / avg_power(kernels.fir_apply(tx, leak.taps)))
+        np.testing.assert_array_equal(state.digital_taps, kernels.nlms_fir(
+            tx, residual, cancel.DEFAULT_DIGITAL_TAPS, mu=NLMS_STEP,
+            n_passes=NLMS_PASSES))
+        return delay
+
+    def test_matches_plain_scan_bit_for_bit(self):
+        tx = tx_burst()
+        delays = {self.check_against_scan(tx, seed) for seed in range(50)}
+        assert delays == {1}
+
+    def test_leading_zero_run(self):
+        # a reference whose first 20 samples are silent
+        tx = np.concatenate([np.zeros(20, dtype=complex), tx_burst()[:-20]])
+        assert self.check_against_scan(tx, 3) == 1
+
+    def test_short_reference_skips_empty_delays(self):
+        # a 6-sample reference leaves delays 6..15 with no energy
+        tx = tx_burst()[100:106]
+        self.check_against_scan(tx, 4)
+
 
 class TestDigitalCancel:
     def test_exact_model_match(self):

@@ -142,6 +142,18 @@ class TestFuseMl:
         with pytest.raises(ValueError, match=r"bounds \(0, 0\.1, 0, 0\.1\)"):
             fuse_ml([m], bounds=(0, 0.1, 0, 0.1), cell_m=0.25)
 
+    def test_oversized_grid_rejected(self):
+        # 1 um cells over a 12 m box would ask for 1.44e14 cells
+        m = message_for("dev-a", (0.0, 0.0, 0.0), (5.0, 0.0))
+        box = (0.0, 12.0, 0.0, 12.0)
+        with pytest.raises(ValueError,
+                           match=r"cell_m 1e-06 .* 144000000000000 cells"):
+            fuse_ml([m], bounds=box, cell_m=1e-6)
+        # the planned 0.05 m grid over that box sits far below the cap
+        res = fuse_ml([m], bounds=box, cell_m=0.05)
+        assert res.loglik.size == 57_600
+        assert 10 * res.loglik.size < fusion.MAX_GRID_CELLS
+
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"),
                                      float("nan")])
     def test_non_finite_bounds_rejected(self, bad):

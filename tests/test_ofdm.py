@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from isacsim import ofdm
 from isacsim.ofdm import (
     RadioConfig,
     burst_symbol_spans,
@@ -91,6 +92,19 @@ class TestPreamble:
         pre = training_burst(CFG)
         stf = pre[: CFG.stf_len]
         np.testing.assert_allclose(stf[16:], stf[:-16], atol=1e-12)
+
+    @pytest.mark.parametrize("fft_size", [33, 64])
+    def test_training_content_shared_read_only(self, fft_size):
+        cfg = RadioConfig(fft_size=fft_size, cyclic_prefix_len=fft_size // 4)
+        content = ofdm._training(cfg)
+        assert ofdm._training(
+            RadioConfig(fft_size=fft_size, cyclic_prefix_len=fft_size // 4)
+        ) is content
+        for got, fresh in zip(content, ofdm._training.__wrapped__(cfg)):
+            assert not got.flags.writeable
+            np.testing.assert_array_equal(got, fresh)
+        # callers get arrays of their own
+        assert training_burst(cfg).flags.writeable
 
 
 class TestSymbolLayout:

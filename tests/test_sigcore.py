@@ -229,6 +229,35 @@ class TestKernelPaths:
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
 
+    def test_nlms_reuses_one_reference(self):
+        # fits in sequence against one reference share its operators; each
+        # must still be the per-sample recursion's own
+        rng = np.random.default_rng(8)
+        ref = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+        kw = {"mu": 0.1, "n_passes": 3}
+        kernels.nlms_fir(ref, np.zeros(500), 16, **kw)
+        hits = kernels._sweep_of.cache_info().hits
+        fits = [{}] * 4 + [{"taps_init": rng.standard_normal(16) + 0.5j}]
+        for extra in fits:
+            desired = np.convolve(ref, rng.standard_normal(4) + 1j)[:500]
+            desired += 1e-3 * rng.standard_normal(500)
+            got = kernels.nlms_fir(ref, desired, 16, **kw, **extra)
+            want = nlms_fir_loop(ref, desired, 16, **kw, **extra)
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+            assert got.flags.owndata and got.flags.writeable
+        assert kernels._sweep_of.cache_info().hits == hits + len(fits)
+
+    def test_nlms_operators_read_only(self):
+        ref = np.exp(0.3j * np.arange(100))
+        kernels.nlms_fir(ref, ref, 8, mu=0.2, n_passes=2)
+        power, m = kernels._sweep_of(ref.tobytes(), 8, 0.2, 1e-12, 2)
+        assert power.shape == (8, 8) and m.shape == (8, 100)
+        for arr in (power, m):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
     def test_nlms_empty_input_returns_initial_taps(self):
         init = np.array([1.0, 2.0 - 1.0j, 0.5j])
         got = kernels.nlms_fir([], [], 3, taps_init=init)
