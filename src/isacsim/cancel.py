@@ -216,11 +216,16 @@ def template_snr_db(template, received):
 
     Fits a single complex gain of the template by least squares; everything
     the scaled template fails to explain counts as noise-plus-distortion.
+    A template that is empty or all zero over the samples it shares with
+    ``received`` leaves no gain to fit and raises ``ValueError``.
     """
     p = np.asarray(template)
     y = np.asarray(received)
     n = min(len(p), len(y))
     p, y = p[:n], y[:n]
+    if not np.any(p):
+        raise ValueError("template must not be empty or all zero over the "
+                         "received samples")
     gain = np.vdot(p, y) / np.vdot(p, p).real
     err = y - gain * p
     denom = avg_power(err)

@@ -20,22 +20,24 @@ canceller's noise floor. Traffic comes in three fixed shapes, regular,
 streaming and gaming; only the regular rate and the seed are settable.
 
 The event loop is a heap of (time, sequence number) entries. It holds only
-each device's next scheduled packet, pushed when the one before it pops, so
-the heap stays a few entries deep however long the run. A transmission
-pushes one completion entry: the sender's TxComplete and, when it has a
-peer, the peer's RxComplete fall at the same instant with nothing
-scheduled between them, so they are handled together. The heap holds no
-timers: an M timer changes only its own device, which keeps the (deadline,
-sequence number) key of its one pending timer and expires it when the first
-event after that key touches it or the run ends; log rows out of key order
-are sorted back. Each of the five
-event sites (TxStart, RxStart, TxComplete, RxComplete, TimerExpiry) makes
-its transition inline: it reads its kind's row of ``_STEP_TABLE``, which is
-keyed by event kind and then by state and read off ``step``, and handles
-only the actions that kind can produce: enabling the separator or
+each device's next scheduled packet, pushed when the one before it comes
+due, so the heap stays a few entries deep however long the run. An event
+site hands the entry it pushes last on with ``heapq.heappushpop``, so an
+entry due before everything in the heap is handled directly and never enters
+it; a site that pushes nothing pops. A transmission pushes one completion
+entry: the sender's TxComplete and, when it has a peer, the peer's
+RxComplete fall at the same instant with nothing scheduled between them, so
+they are handled together. The heap holds no timers: an M timer changes only
+its own device, which keeps the (deadline, sequence number) key of its one
+pending timer and expires it when the first event after that key touches it
+or the run ends; log rows out of key order are sorted back. Each of the five
+event sites (one per kind in ``EVENT_KINDS``) makes its transition inline
+from its kind's fused row, built per run from ``_STEP_TABLE`` (read off
+``step``): the state after, the action, whether to build a LogEntry (for the
+log or a protocol violation) and whether the separator belongs on. It
+handles only the actions its kind can produce: enabling the separator or
 continuing a burst at TxStart, arming the timer at TxComplete, disabling the
-separator at TimerExpiry, none at either reception. A LogEntry is built
-only when the run keeps a log or the transition is a protocol violation.
+separator at TimerExpiry, none at either reception.
 
 Randomness is split into two independent streams — one for everything that
 affects communications (backoff, loss draws), one for sensing-side noise —
@@ -43,11 +45,10 @@ so that a run with sensing disabled consumes the communications stream
 identically and produces bit-identical delay/loss statistics. The
 communications draws are decoded in plain Python from raw generator words
 read in blocks (``_comms_draws``); a loss is decided on the raw word. A
-run takes one loss draw per
-transmission and one backoff per deferral whether sensing is on or off,
-and each draw depends only on the words before it, so both read the same
-words in the same order. Streaming schedules are decoded from raw words
-the same way (``generate_traffic``).
+run takes one loss draw per transmission and one backoff per deferral
+whether sensing is on or off, and each draw depends only on the words
+before it, so both read the same words in the same order. Streaming
+schedules are decoded from raw words the same way (``generate_traffic``).
 """
 
 import heapq
@@ -362,12 +363,14 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     packet, in schedule order) plus deferred retries, ACKs and one
     completion entry per transmission, which runs the sender's TxComplete
     and then the peer's RxComplete and loss draw; it holds no timers, whose
-    expiries wait on their device. ``n_events`` counts the events handled:
-    every packet that comes due (a deferral counts again when it retries),
-    every TxComplete, every RxComplete and every armed M timer, superseded
-    ones included, though a superseded timer costs no work. A device with
-    no packet before ``duration`` sends nothing. ``duration`` must be
-    positive and finite, ``timer_s`` finite and non-negative.
+    expiries wait on their device. An event hands its last new entry on
+    through ``heapq.heappushpop``: one due before everything in the heap is
+    handled next without entering it. ``n_events`` counts the events
+    handled: every packet that comes due (a deferral counts again when it
+    retries), every TxComplete, every RxComplete and every armed M timer,
+    superseded ones included, though a superseded timer costs no work. A
+    device with no packet before ``duration`` sends nothing. ``duration``
+    must be positive and finite, ``timer_s`` finite and non-negative.
     """
     _check_duration(duration)
     if not (np.isfinite(timer_s) and timer_s >= 0):
@@ -419,6 +422,7 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
 
     heap = []
     push = heapq.heappush
+    pushpop = heapq.heappushpop
     pop = heapq.heappop
 
     # each scheduled packet keeps the sequence number it would have with
@@ -457,18 +461,16 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     invariant_checks = 0
     separator_mismatches = 0
 
-    # each event site reads its kind's row of the table and handles only the
-    # actions that kind can produce; a LogEntry is built only for the log or
-    # a violation
-    tx_start = _STEP_TABLE["TxStart"]
-    tx_complete = _STEP_TABLE["TxComplete"]
-    rx_start = _STEP_TABLE["RxStart"]
-    rx_complete = _STEP_TABLE["RxComplete"]
-    timer_expiry = _STEP_TABLE["TimerExpiry"]
+    # each kind's fused row: state -> (state after, action, build a LogEntry,
+    # separator belongs on)
+    tx_start, tx_complete, rx_start, rx_complete, timer_expiry = (
+        {s: (after, action, log or action == VIOLATION, after == "M")
+         for s, (after, action) in _STEP_TABLE[kind].items()}
+        for kind in EVENT_KINDS)
 
     def record(key, ctx, event_kind, before, after, action):
         # a row carries the (time, sequence number) key of its event: the
-        # popped heap entry, or a timer's key
+        # handled entry, or a timer's key
         row = (key, LogEntry(key[0], ctx.dev.device_id, event_kind, before,
                              after, action))
         if log:
@@ -485,18 +487,20 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
             return
         ctx.deadline = _NO_TIMER
         before = ctx.state
-        after, action = timer_expiry[before]
+        after, action, rec, in_m = timer_expiry[before]
         ctx.state = after
         if action == DISABLE_SEPARATOR:
             ctx.separator_on = False
-        if log or action == VIOLATION:
+        if rec:
             record(key, ctx, "TimerExpiry", before, after, action)
         invariant_checks += 1
-        if ctx.separator_on != (after == "M"):
+        if ctx.separator_on != in_m:
             separator_mismatches += 1
 
-    while heap:
-        t, _, kind, payload = entry = pop(heap)
+    # a site hands the entry it pushes last on; a site that pushes none pops
+    entry = pop(heap) if heap else None
+    while entry is not None:
+        t, _, kind, payload = entry
         n_events += 1
 
         if kind == "tx-done":
@@ -507,39 +511,42 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
                 if tx_ctx.deadline <= t:
                     expire(tx_ctx, entry)
                 before = tx_ctx.state
-                after, action = tx_complete[before]
+                after, action, rec, in_m = tx_complete[before]
                 tx_ctx.state = after
                 if action == ARM_TIMER:
                     tx_ctx.deadline = t + timer_s
                     tx_ctx.timer_seq = next(seq)
                     n_events += 1
-                if log or action == VIOLATION:
+                if rec:
                     record(entry, tx_ctx, "TxComplete", before, after, action)
                 invariant_checks += 1
-                if tx_ctx.separator_on != (after == "M"):
+                if tx_ctx.separator_on != in_m:
                     separator_mismatches += 1
             rx_ctx = tx_ctx.peer
             if rx_ctx is None:
+                entry = pop(heap) if heap else None
                 continue
             n_events += 1
             if sensing_enabled:
                 if rx_ctx.deadline <= t:
                     expire(rx_ctx, entry)
                 before = rx_ctx.state
-                after, action = rx_complete[before]
+                after, action, rec, in_m = rx_complete[before]
                 rx_ctx.state = after
-                if log or action == VIOLATION:
+                if rec:
                     record(entry, rx_ctx, "RxComplete", before, after, action)
                 invariant_checks += 1
-                if rx_ctx.separator_on != (after == "M"):
+                if rx_ctx.separator_on != in_m:
                     separator_mismatches += 1
             ok = next(words) >> 11 < tx_ctx.success_words
             if ptype == "DATA":
                 successes.append(ok)
                 rx_snrs.append(tx_ctx.link_snr)
                 if ok:
-                    push(heap, (t + SIFS_S, next(seq), "pkt-due",
-                                (rx_ctx, t + SIFS_S, "ACK")))
+                    entry = pushpop(heap, (t + SIFS_S, next(seq), "pkt-due",
+                                           (rx_ctx, t + SIFS_S, "ACK")))
+                    continue
+            entry = pop(heap) if heap else None
             continue
 
         if kind == "pkt-sched":
@@ -553,8 +560,9 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
         else:
             ctx, sched_t, ptype = payload
         if t < medium_free_at:
-            push(heap, (medium_free_at + SLOT_S * draw_backoff(), next(seq),
-                        "pkt-due", (ctx, sched_t, ptype)))
+            entry = pushpop(heap, (medium_free_at + SLOT_S * draw_backoff(),
+                                   next(seq), "pkt-due",
+                                   (ctx, sched_t, ptype)))
             continue
         dur = data_duration if ptype == "DATA" else ack_duration
         medium_free_at = t + dur
@@ -564,7 +572,7 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
             if ctx.deadline <= t:
                 expire(ctx, entry)
             before = ctx.state
-            after, action = tx_start[before]
+            after, action, rec, in_m = tx_start[before]
             ctx.state = after
             if action == ENABLE_SEPARATOR:
                 ctx.separator_on = True
@@ -572,31 +580,30 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
             elif action == CONTINUE_BURST:
                 # re-armed at this burst's TxComplete
                 ctx.deadline = _NO_TIMER
-            if log or action == VIOLATION:
+            if rec:
                 record(entry, ctx, "TxStart", before, after, action)
             invariant_checks += 1
-            if ctx.separator_on != (after == "M"):
+            if ctx.separator_on != in_m:
                 separator_mismatches += 1
-            if (collect_csi and after == "M"
-                    and len(captures) < max_csi):
+            if collect_csi and in_m and len(captures) < max_csi:
                 captures.append((t, "mono", ctx, ctx))
             rx_ctx = ctx.peer
             if rx_ctx is not None:
                 if rx_ctx.deadline <= t:
                     expire(rx_ctx, entry)
                 before = rx_ctx.state
-                after, action = rx_start[before]
+                after, action, rec, in_m = rx_start[before]
                 rx_ctx.state = after
-                if log or action == VIOLATION:
+                if rec:
                     record(entry, rx_ctx, "RxStart", before, after, action)
                 invariant_checks += 1
-                if rx_ctx.separator_on != (after == "M"):
+                if rx_ctx.separator_on != in_m:
                     separator_mismatches += 1
                 if (before == "C" and after == "B" and collect_csi
                         and len(captures) < max_csi):
                     captures.append((t, "bi", rx_ctx, ctx))
         # the payload names the sender and the packet type, all tx-done needs
-        push(heap, (t + dur, next(seq), "tx-done", payload))
+        entry = pushpop(heap, (t + dur, next(seq), "tx-done", payload))
 
     # expiries still pending when the heap drains, in key order; a device
     # with none has the key (inf, n), above (inf,), so none expires
@@ -612,12 +619,15 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
 
     # a run that sent no DATA packet has no delay, loss or SNR to report
     nan = float("nan")
-    delays_ms = 1e3 * np.asarray(delays)
+    p50, p95 = (np.percentile(1e3 * np.asarray(delays), (50, 95)).tolist()
+                if delays else (nan, nan))
     stats = {
         "n_data": len(successes),
-        "delay_ms_p50": float(np.percentile(delays_ms, 50)) if delays else nan,
-        "delay_ms_p95": float(np.percentile(delays_ms, 95)) if delays else nan,
-        "loss_rate": float(1.0 - np.mean(successes)) if successes else nan,
+        "delay_ms_p50": p50,
+        "delay_ms_p95": p95,
+        # one integer sum and one division: the bits of np.mean
+        "loss_rate": (1.0 - sum(successes) / len(successes)
+                      if successes else nan),
         "mean_rx_snr_db": float(np.mean(rx_snrs)) if rx_snrs else nan,
     }
     return ScenarioResult(entries,

@@ -306,6 +306,19 @@ class TestHarm:
         snr = template_snr_db(tx, gain * tx + noise)
         assert snr == pytest.approx(15.0, abs=1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("template,received", [
+        (np.zeros(8, complex), np.ones(8, complex)),
+        (np.zeros(0, complex), np.ones(8, complex)),
+        (np.ones(8, complex), np.zeros(0, complex)),
+        # the template's nonzero samples lie past the end of the reception
+        (np.r_[np.zeros(4), np.ones(4)].astype(complex), np.ones(4, complex)),
+    ], ids=["all-zero", "empty", "empty-reception", "zero-overlap"])
+    def test_degenerate_template_rejected(self, template, received):
+        with pytest.raises(ValueError, match="template must not be empty or "
+                                             "all zero"):
+            template_snr_db(template, received)
+
     def test_separator_wrecks_remote_packets(self):
         tx, _, state, _, _ = calibrated_scene(seed=4)
         gain = np.sqrt(from_db(-70.0) / avg_power(tx))

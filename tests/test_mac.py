@@ -764,10 +764,11 @@ MODES = {
 
 def assert_matches_reference(devices, geometry, traffic, duration, **kw):
     """``run_scenario`` with the log on and off reproduces the reference
-    loop and never pushes an M timer onto its heap; returns the logged
-    run."""
+    loop and never hands an M timer to its heap, by push or by push-pop;
+    returns the logged run."""
     want = reference_run_scenario(devices, geometry, traffic, duration, **kw)
     real_push = heapq.heappush
+    real_pushpop = heapq.heappushpop
     for log in (False, True):
         pushed = []
 
@@ -775,15 +776,21 @@ def assert_matches_reference(devices, geometry, traffic, duration, **kw):
             pushed.append(entry[2])
             real_push(heap, entry)
 
+        def counting_pushpop(heap, entry):
+            pushed.append(entry[2])
+            return real_pushpop(heap, entry)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mac.heapq, "heappush", counting_push)
+            mp.setattr(mac.heapq, "heappushpop", counting_pushpop)
             got = mac.run_scenario(devices, geometry, traffic, duration,
                                    log=log, **kw)
         assert set(pushed) <= {"pkt-sched", "pkt-due", "tx-done"}
         assert_same_run(got, want, log=log)
     if kw.get("sensing_enabled", True):
-        # an event is a popped entry, the RxComplete that shares its
-        # tx-done entry, or an armed M timer, superseded or not
+        # an event is an entry handed to the heap (popped later or handed
+        # straight back), the RxComplete that shares its tx-done entry, or
+        # an armed M timer, superseded or not
         assert got.n_events == (
             len(pushed) + sum(e.event == "RxComplete" for e in got.log)
             + sum(e.action == mac.ARM_TIMER for e in got.log))
@@ -849,6 +856,22 @@ class TestEventLoopOracle:
         geom = self.GEOM if kw.get("collect_csi") else None
         got = self.assert_matches(devices, geom, model, 3.0, seed=2, **kw)
         assert got.stats["n_data"] > 2 * mac._RAW_BLOCK
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_coexist_benchmark_shape(self, mode):
+        # the coexist benchmark's regular scene: two 100 Hz devices tie on
+        # every packet, so each tie defers one of them behind the other, and
+        # the forced separator's penalty loses packets that then take no ACK
+        model = mac.TrafficModel.regular(100.0)
+        kw = MODES[mode]
+        geom = self.GEOM if kw.get("collect_csi") else None
+        for seed in (0, 5):
+            got = self.assert_matches(two_devices(), geom, model, 2.0,
+                                      seed=seed, link_snr_db=18.0, **kw)
+            assert got.stats["n_data"] == 400
+            assert got.stats["delay_ms_p95"] > 0.0
+            if mode == "forced":
+                assert got.stats["loss_rate"] > 0.0
 
     def test_timer_ties_with_the_next_scheduled_packet(self):
         # dev-b's M timer, armed at its packet's TxComplete, expires exactly
