@@ -32,8 +32,11 @@ def parse_value(text):
 
 def read_flat_config(path):
     """Parse a dotted-key file; returns (values, {key: line_no})."""
-    with open(path, "r") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path!r} is not UTF-8 text: {exc}")
     out = {}
     lines = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):

@@ -82,6 +82,19 @@ class TestValidate:
         assert main(["validate", str(tmp_path / "nope.cfg")]) == 3
         assert "nope.cfg" in capsys.readouterr().err
 
+    def test_file_that_is_not_utf8_is_exit_three(self, capsys, tmp_path):
+        cfg = tmp_path / "bin.cfg"
+        cfg.write_bytes(b"run.n_trials = 2\n\xff\n")
+        assert main(["validate", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bin.cfg" in err
+        out = tmp_path / "out"
+        rc = main(["run", "phase-offsets", "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 3
+        assert "bin.cfg" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wrong_type(self, capsys, tmp_path):
         cfg = write(tmp_path / "d.cfg", "radio.fft_size = sixty-four\n")
         assert main(["validate", cfg]) == 3

@@ -190,15 +190,14 @@ class TestKernelPaths:
         taps = kernels.nlms_fir(ref, desired, 3, mu=0.5, n_passes=20)
         np.testing.assert_allclose(taps, true_taps, rtol=1e-5, atol=1e-7)
 
-    # (n samples, n taps, keywords); the block size is B and a batch holds
-    # BATCH * B samples
-    B = kernels._BLOCK
-    BATCH = kernels._BLOCKS_PER_BATCH
+    # (n samples, n taps, keywords); "calibrate" and "calibrate-fft16" are
+    # the bursts calibrate fits at the default config and at fft_size = 16
     NLMS_CASES = {
         "calibrate": (960, 16, {"mu": 0.1, "n_passes": 4}),
-        "partial-block": (3 * B + 5, 16, {"mu": 0.1, "n_passes": 3}),
-        "partial-batch": (BATCH * B + 2 * B + 7, 16, {"mu": 0.1}),
-        "shorter-than-block": (B - 3, 16, {"mu": 0.3, "n_passes": 2}),
+        "calibrate-fft16": (240, 16, {"mu": 0.1, "n_passes": 4}),
+        "partial-block": (53, 16, {"mu": 0.1, "n_passes": 3}),
+        "partial-batch": (167, 16, {"mu": 0.1}),
+        "shorter-than-block": (13, 16, {"mu": 0.3, "n_passes": 2}),
         "taps-exceed-length": (5, 9, {"mu": 0.3, "n_passes": 2}),
         "no-passes": (40, 4, {"n_passes": 0, "taps_init": "random"}),
         "taps-init": (300, 16, {"mu": 0.1, "n_passes": 2,
@@ -248,10 +247,27 @@ class TestKernelPaths:
             assert got.flags.owndata and got.flags.writeable
         assert kernels._sweep_of.cache_info().hits == hits + len(fits)
 
+    def test_nlms_memo_keyed_on_step_and_passes(self):
+        # one reference fitted at two step sizes and two pass counts builds
+        # one operator pair per setting, each the per-sample recursion's own
+        rng = np.random.default_rng(9)
+        ref = rng.standard_normal(400) + 1j * rng.standard_normal(400)
+        desired = np.convolve(ref, [0.5 - 0.2j, 0.1j, -0.05])[:400]
+        desired += 1e-3 * rng.standard_normal(400)
+        settings = [{"mu": mu, "n_passes": k} for mu in (0.1, 0.3)
+                    for k in (1, 4)]
+        misses = kernels._sweep_of.cache_info().misses
+        for kw in settings:
+            got = kernels.nlms_fir(ref, desired, 16, **kw)
+            want = nlms_fir_loop(ref, desired, 16, **kw)
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+        assert kernels._sweep_of.cache_info().misses == misses + len(settings)
+
     def test_nlms_operators_read_only(self):
         ref = np.exp(0.3j * np.arange(100))
         kernels.nlms_fir(ref, ref, 8, mu=0.2, n_passes=2)
-        power, m = kernels._sweep_of(ref.tobytes(), 8, 0.2, 1e-12, 2)
+        power, m = kernels._sweep_of(ref.tobytes(), 8, 0.2, 2)
         assert power.shape == (8, 8) and m.shape == (8, 100)
         for arr in (power, m):
             assert not arr.flags.writeable
