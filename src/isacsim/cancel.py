@@ -234,16 +234,17 @@ def template_snr_db(template, received):
     return db(np.abs(gain) ** 2 * avg_power(p) / denom)
 
 
-def measure_separator_harm(template, state, remote_gain, noise_floor_dbm, rng):
+def measure_separator_harm(template, state, remote_gain, rng):
     """SNR cost of running the separator over someone else's packet.
 
     The remote packet shares the standard preamble, so the frozen corrections
     (built from the local transmit reference) land right on top of it; the
     front-end isolation is not involved because it only touches the internal
-    coupling. Returns (clean_snr_db, separated_snr_db).
+    coupling. The packet arrives over noise at the default noise floor;
+    returns (clean_snr_db, separated_snr_db).
     """
     ref = np.asarray(template)
-    noise = complex_noise(len(ref), noise_floor_dbm, rng)
+    noise = complex_noise(len(ref), DEFAULT_NOISE_FLOOR_DBM, rng)
     clean = remote_gain * ref + noise
     separated = separator_pipeline(clean, ref, state)
     return template_snr_db(ref, clean), template_snr_db(ref, separated)
@@ -274,8 +275,7 @@ def forced_separator_harm(cfg, rng, clean_snr_db=15.0):
     tx, _, state = calibrated_separator(cfg, rng)
     remote_gain = np.sqrt(from_db(DEFAULT_NOISE_FLOOR_DBM)
                           * from_db(clean_snr_db) / avg_power(tx))
-    return measure_separator_harm(tx, state, remote_gain,
-                                  DEFAULT_NOISE_FLOOR_DBM, rng)
+    return measure_separator_harm(tx, state, remote_gain, rng)
 
 
 __all__ = [

@@ -2,7 +2,7 @@
 
 A device idles in C (communication), hops to M (monostatic capture, transmit
 separator enabled) whenever it starts transmitting anything — DATA or the ACK
-it owes a peer — and drops back to C a short timer after the transmission
+it owes a peer — and drops back to C ``M_TIMER_S`` after the transmission
 ends. Receiving a peer's packet from C opens a B (bistatic capture) episode
 that closes when the reception completes. The separator must be engaged
 exactly while in M: engaging it during a reception shreds the incoming
@@ -13,11 +13,13 @@ the event log.
 
 Channel access is a deliberately small CSMA abstraction: one shared medium,
 a device defers while the medium is busy and retries after a random number
-of 9 us backoff slots. Every link runs qpsk-1/2, so packet success is one
-logistic function of link SNR (``success_probability``); a link without a
-given SNR gets its line-of-sight power at ``TX_POWER_DBM`` over the
-canceller's noise floor. Traffic comes in three fixed shapes, regular,
-streaming and gaming; only the regular rate and the seed are settable.
+of ``SLOT_S`` backoff slots; an ACK follows its DATA by ``SIFS_S``. Every
+link runs qpsk-1/2, so packet success is one logistic function of link SNR
+(``success_probability``); a link without a given SNR gets its
+line-of-sight power at ``TX_POWER_DBM`` over the canceller's noise floor.
+A run notes at most ``MAX_CSI`` CSI captures. Traffic comes in three fixed
+shapes, regular, streaming and gaming; only the regular rate and the seed
+are settable.
 
 The event loop is a heap of (time, sequence number) entries. It holds only
 each device's next scheduled packet, pushed when the one before it comes
@@ -30,14 +32,14 @@ RxComplete fall at the same instant with nothing scheduled between them, so
 they are handled together. The heap holds no timers: an M timer changes only
 its own device, which keeps the (deadline, sequence number) key of its one
 pending timer and expires it when the first event after that key touches it
-or the run ends; log rows out of key order are sorted back. Each of the five
+or the run ends; log rows are sorted by key at the end. Each of the five
 event sites (one per kind in ``EVENT_KINDS``) makes its transition inline
-from its kind's fused row, built per run from ``_STEP_TABLE`` (read off
-``step``): the state after, the action, whether to build a LogEntry (for the
-log or a protocol violation) and whether the separator belongs on. It
-handles only the actions its kind can produce: enabling the separator or
-continuing a burst at TxStart, arming the timer at TxComplete, disabling the
-separator at TimerExpiry, none at either reception.
+from its kind's fused row, built per run from ``step``: the state after,
+the action, whether to build a LogEntry (for the log or a protocol
+violation) and whether the separator belongs on. It handles only the
+actions its kind can produce: enabling the separator or continuing a burst
+at TxStart, arming the timer at TxComplete, disabling the separator at
+TimerExpiry, none at either reception.
 
 Randomness is split into two independent streams — one for everything that
 affects communications (backoff, loss draws), one for sensing-side noise —
@@ -75,15 +77,17 @@ END_CAPTURE = "end-capture"
 DEFER_BISTATIC = "defer-bistatic"
 VIOLATION = "protocol-violation"
 
-# air-interface timing: short interframe space before an ACK, CSMA backoff
-# slot, and DATA/ACK lengths in cyclic-prefixed training symbols
+# air-interface timing: interframe space before an ACK, CSMA backoff slot,
+# M window after a transmission, DATA/ACK lengths in training symbols
 SIFS_S = 16e-6
 SLOT_S = 9e-6
+M_TIMER_S = 1e-3
 DATA_SYMBOLS = 20
 ACK_SYMBOLS = 2
 # transmit power that, against the canceller's noise floor, sets the link
-# SNR when a run gives none
+# SNR when a run gives none; CSI captures a run notes at most
 TX_POWER_DBM = 15.0
+MAX_CSI = 256
 
 # streaming: burst anchors at a fixed rate with jitter, a few packets per
 # burst a couple of milliseconds apart
@@ -139,7 +143,9 @@ def success_probability(snr_db):
 
 @dataclass
 class TrafficModel:
-    """Seeded packet-arrival process of one of three shapes."""
+    """Packet-arrival process of one of three shapes. ``seed`` seeds only
+    ``generate_traffic`` calls made without one: ``run_scenario`` draws each
+    device's schedule from the run's ``(seed, device index)``."""
 
     kind: str
     rate_hz: float = 40.0
@@ -311,12 +317,6 @@ class _DeviceCtx:
         self.peer = None
 
 
-# event kind -> state -> (state after, action) for every pair, read off
-# ``step`` so the event loop never builds a default
-_STEP_TABLE = {kind: {s: step(s, kind) for s in MAC_STATES}
-               for kind in EVENT_KINDS}
-
-
 def _materialize_csi(captures, geometry, cfg, rng):
     """CsiRecords in capture order, one channel call per (rx, tx) link."""
     values = [None] * len(captures)
@@ -336,16 +336,15 @@ def _materialize_csi(captures, geometry, cfg, rng):
 
 
 def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
-                 timer_s=1e-3, link_snr_db=None, sensing_enabled=True,
-                 force_separator=False, collect_csi=False, max_csi=256,
-                 log=True):
+                 link_snr_db=None, sensing_enabled=True,
+                 force_separator=False, collect_csi=False, log=True):
     """Event-driven run of the full scenario.
 
     ``geometry`` may be None (no CSI materialization) or a
     channel.ScenarioGeometry used to synthesize actual CSI values when
     ``collect_csi`` is on; each link keeps its targets, power and array and
     takes its tx/rx positions from the devices. The event loop only notes when each
-    of the first ``max_csi`` captures happened; after it, every (rx, tx)
+    of the first ``MAX_CSI`` captures happened; after it, every (rx, tx)
     link's captures are synthesized in one ``synthesize_csi_series`` call,
     so their noise level is set relative to the strongest path over that
     link's series. ``traffic`` is the default TrafficModel for devices that
@@ -370,12 +369,9 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     retries), every TxComplete, every RxComplete and every armed M timer,
     superseded ones included, though a superseded timer costs no work. A
     device with no packet before ``duration`` sends nothing. ``duration``
-    must be positive and finite, ``timer_s`` finite and non-negative.
+    must be positive and finite.
     """
     _check_duration(duration)
-    if not (np.isfinite(timer_s) and timer_s >= 0):
-        raise ValueError(f"timer_s must be finite and non-negative, "
-                         f"got {timer_s!r}")
     if not devices:
         raise ValueError("need at least one device")
     ids = [d.device_id for d in devices]
@@ -465,7 +461,7 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     # separator belongs on)
     tx_start, tx_complete, rx_start, rx_complete, timer_expiry = (
         {s: (after, action, log or action == VIOLATION, after == "M")
-         for s, (after, action) in _STEP_TABLE[kind].items()}
+         for s in MAC_STATES for after, action in [step(s, kind)]}
         for kind in EVENT_KINDS)
 
     def record(key, ctx, event_kind, before, after, action):
@@ -514,7 +510,7 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
                 after, action, rec, in_m = tx_complete[before]
                 tx_ctx.state = after
                 if action == ARM_TIMER:
-                    tx_ctx.deadline = t + timer_s
+                    tx_ctx.deadline = t + M_TIMER_S
                     tx_ctx.timer_seq = next(seq)
                     n_events += 1
                 if rec:
@@ -585,7 +581,7 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
             invariant_checks += 1
             if ctx.separator_on != in_m:
                 separator_mismatches += 1
-            if collect_csi and in_m and len(captures) < max_csi:
+            if collect_csi and in_m and len(captures) < MAX_CSI:
                 captures.append((t, "mono", ctx, ctx))
             rx_ctx = ctx.peer
             if rx_ctx is not None:
@@ -600,20 +596,18 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
                 if rx_ctx.separator_on != in_m:
                     separator_mismatches += 1
                 if (before == "C" and after == "B" and collect_csi
-                        and len(captures) < max_csi):
+                        and len(captures) < MAX_CSI):
                     captures.append((t, "bi", rx_ctx, ctx))
         # the payload names the sender and the packet type, all tx-done needs
         entry = pushpop(heap, (t + dur, next(seq), "tx-done", payload))
 
-    # expiries still pending when the heap drains, in key order; a device
-    # with none has the key (inf, n), above (inf,), so none expires
-    for ctx in sorted(ctxs.values(), key=lambda c: (c.deadline, c.timer_seq)):
+    # expiries still pending when the heap drains; a device with none has
+    # the key (inf, n), above (inf,), so none expires
+    for ctx in ctxs.values():
         expire(ctx, (_NO_TIMER,))
-    # only an expiry can be recorded after a row with a later key
-    rows = entries or violations
-    if any(a[0] > b[0] for a, b in itertools.pairwise(rows)):
-        entries.sort(key=lambda row: row[0])
-        violations.sort(key=lambda row: row[0])
+    # expiries land after later rows; only one event's rows share a key
+    entries.sort(key=lambda row: row[0])
+    violations.sort(key=lambda row: row[0])
     entries = [e for _, e in entries]
     violations = [e for _, e in violations]
 

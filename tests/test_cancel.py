@@ -323,7 +323,7 @@ class TestHarm:
         tx, _, state, _, _ = calibrated_scene(seed=4)
         gain = np.sqrt(from_db(-70.0) / avg_power(tx))
         clean, separated = measure_separator_harm(
-            tx, state, gain, -85.0, np.random.default_rng(10)
+            tx, state, gain, np.random.default_rng(10)
         )
         assert clean == pytest.approx(15.0, abs=1.0)
         assert clean - separated >= 10.0
