@@ -9,24 +9,14 @@ or CSV cannot be written.
 import argparse
 import sys
 
-from .config import ConfigError, read_flat_config
 from .experiments import (
     KNOWN_KEYS,
-    check_config,
+    ConfigError,
     describe,
     experiment_names,
+    load_config,
     run_experiment,
 )
-
-
-def load_config(path):
-    """Values from a flat config file, fully validated; ConfigError if not."""
-    try:
-        values, lines = read_flat_config(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path!r}: {exc.strerror or exc}")
-    check_config(values, lines)
-    return values
 
 
 def non_negative_int(text):

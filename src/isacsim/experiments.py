@@ -6,9 +6,18 @@ under a minute. ``run_experiment`` writes the table to one CSV named after
 the experiment, whose first line embeds ``experiment``, ``seed`` and the
 config hash, and judges the checks into one PASS/FAIL line each. An
 experiment that cannot honour an accepted config raises ``ConfigError``.
+
+Configs are flat files: one ``key = value`` pair per line, ``#`` comments,
+blank lines ignored. Keys are dotted paths (``radio.fft_size``) listed once,
+in ``KNOWN_KEYS``. A value is parsed as JSON when it can be (numbers,
+booleans, quoted strings, lists) and is otherwise kept as a bare string.
+``load_config`` reads a file and ``check_config`` is the one validator of a
+parsed mapping.
 """
 
 import csv as _csv
+import hashlib
+import json
 import math
 import numbers
 import operator
@@ -28,7 +37,6 @@ from .channel import (
     power_ratio,
     synthesize_csi_series,
 )
-from .config import ConfigError, config_hash
 from .estimate import (
     TxSchedule,
     aoa_music,
@@ -56,6 +64,48 @@ KNOWN_KEYS = {
 }
 
 
+class ConfigError(Exception):
+    """Raised for malformed or unknown configuration input, and for a config
+    an experiment cannot honour; given a line number, the message names it."""
+
+    def __init__(self, message, line_no=None):
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        super().__init__(message)
+
+
+def load_config(path):
+    """Values of a flat config file, fully validated; ConfigError if not."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path!r} is not UTF-8 text: {exc}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc.strerror or exc}")
+    values = {}
+    lines = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError("expected 'key = value'", line_no)
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not key:
+            raise ConfigError("empty key", line_no)
+        if key in values:
+            raise ConfigError(f"duplicate key {key!r}", line_no)
+        try:
+            values[key] = json.loads(value)
+        except ValueError:
+            values[key] = value
+        lines[key] = line_no
+    check_config(values, lines)
+    return values
+
+
 def check_config(values, lines=None):
     """The RadioConfig of fully validated values; ConfigError if invalid.
 
@@ -70,10 +120,8 @@ def check_config(values, lines=None):
     if unknown:
         described = ", ".join(f"{k!r} (line {lines[k]})" if k in lines
                               else repr(k) for k in unknown)
-        err = ConfigError(f"unknown config key(s): {described}; "
+        raise ConfigError(f"unknown config key(s): {described}; "
                           f"run the validate command to list accepted keys")
-        err.line_no = lines.get(unknown[0])
-        raise err
     for key, (_, want) in KNOWN_KEYS.items():
         if key not in values:
             continue
@@ -105,10 +153,14 @@ class ExperimentContext:
 
     def __post_init__(self):
         self.cfg = check_config(self.values)
-        self.cfg_hash = config_hash(self.values)
+        # each value is hashed as the type the run reads, so that 10 and
+        # 10.0, or 5 and np.int64(5), name one config
+        typed = {k: KNOWN_KEYS[k][1](v) for k, v in self.values.items()}
+        canon = json.dumps(typed, sort_keys=True)
+        self.cfg_hash = hashlib.sha256(canon.encode()).hexdigest()[:12]
 
-    def rng(self, salt):
-        return np.random.default_rng([self.seed, salt])
+    def rng(self, *salt):
+        return np.random.default_rng([self.seed, *salt])
 
 
 _RELATIONS = {"<": operator.lt, "<=": operator.le,
@@ -277,9 +329,7 @@ def run_separator_harm(ctx):
     penalties = []
     for trial in range(n_trials):
         clean, separated = cancel.forced_separator_harm(
-            ctx.cfg, np.random.default_rng([ctx.seed, trial, 91]),
-            clean_target,
-        )
+            ctx.cfg, ctx.rng(trial, 91), clean_target)
         penalty = float(clean - separated)
         penalties.append(penalty)
         rows.append([trial, f"{clean:.2f}", f"{separated:.2f}",
@@ -427,7 +477,7 @@ def run_cancellation_budget(ctx):
     floor_dbm = cancel.DEFAULT_NOISE_FLOOR_DBM
     first_db = cancel.DEFAULT_FIRST_STAGE_DB
     for trial in range(n_trials):
-        rng = np.random.default_rng([ctx.seed, trial])
+        rng = ctx.rng(trial)
         tx, leak, state = cancel.calibrated_separator(cfg, rng)
         # Budget is measured on a leakage-plus-noise reception so the
         # residual reflects what the separator leaves behind. The stages
@@ -517,7 +567,7 @@ def run_ranging(ctx):
     rows = []
     errs = {"sparse": [], "music": [], "ifft": []}
     for trial in range(n_trials):
-        rng = np.random.default_rng([ctx.seed, trial, 7])
+        rng = ctx.rng(trial, 7)
         truth, csi, sched = ranging_trial(cfg, rng, snr_db)
 
         feats = estimate_features_sparse(
@@ -560,7 +610,7 @@ def run_velocity(ctx):
     rows = []
     errs = {"sparse": [], "fft-snap": []}
     for trial in range(n_trials):
-        rng = np.random.default_rng([ctx.seed, trial, 13])
+        rng = ctx.rng(trial, 13)
         truth = float(rng.uniform(0.4, 3.0))
         times = _irregular_times(rng, 64, 0.012, 1.2)
         sched = TxSchedule(times)
@@ -689,6 +739,8 @@ def run_experiment(name, seed=0, values=None, out_dir="."):
 
 __all__ = [
     "KNOWN_KEYS",
+    "ConfigError",
+    "load_config",
     "Check",
     "ExperimentContext",
     "ExperimentReport",

@@ -2,9 +2,8 @@ import os
 
 import pytest
 
-from isacsim.cli import load_config, main
-from isacsim.config import ConfigError
-from isacsim.experiments import experiment_names
+from isacsim.cli import main
+from isacsim.experiments import ConfigError, experiment_names, load_config
 
 
 def write(path, text):
@@ -77,6 +76,29 @@ class TestValidate:
         cfg = write(tmp_path / "dup.cfg", "run.n_trials = 1\nrun.n_trials = 2\n")
         with pytest.raises(ConfigError, match="line 2"):
             load_config(cfg)
+
+    def test_empty_key_names_the_line(self, capsys, tmp_path):
+        cfg = write(tmp_path / "k.cfg", " = 3\n")
+        assert main(["validate", cfg]) == 3
+        assert capsys.readouterr().err == "error: line 1: empty key\n"
+        out = tmp_path / "out"
+        rc = main(["run", "stft-irregular", "--config", cfg, "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: line 1: empty key\n"
+        assert not out.exists()
+
+    def test_directory_is_exit_three(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.d"
+        cfg.mkdir()
+        want = f"error: cannot read {str(cfg)!r}: Is a directory\n"
+        assert main(["validate", str(cfg)]) == 3
+        assert capsys.readouterr().err == want
+        out = tmp_path / "out"
+        rc = main(["run", "stft-irregular", "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == want
+        assert not out.exists()
 
     def test_missing_file(self, capsys, tmp_path):
         assert main(["validate", str(tmp_path / "nope.cfg")]) == 3

@@ -7,10 +7,10 @@ import pytest
 
 from isacsim import experiments
 from isacsim.cancel import DEFAULT_FIRST_STAGE_DB, DEFAULT_NOISE_FLOOR_DBM
-from isacsim.config import ConfigError
 from isacsim.experiments import (
     EXPERIMENTS,
     Check,
+    ConfigError,
     ExperimentContext,
     check_config,
     describe,
@@ -49,6 +49,15 @@ class TestContext:
                 == ExperimentContext(seed=77, values=v).cfg_hash)
         assert (ExperimentContext(values=v).cfg_hash
                 != ExperimentContext(values={}).cfg_hash)
+
+    def test_hash_is_taken_over_typed_values(self):
+        def cfg_hash(key, value):
+            return ExperimentContext(values={key: value}).cfg_hash
+
+        assert cfg_hash("run.snr_db", 10) == cfg_hash("run.snr_db", 10.0)
+        assert cfg_hash("run.n_trials", 5) == cfg_hash("run.n_trials",
+                                                       np.int64(5))
+        assert cfg_hash("run.snr_db", 10) != cfg_hash("run.snr_db", 10.5)
 
     def test_radio_config_from_all_keys(self):
         cfg = check_config({
