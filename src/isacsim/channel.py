@@ -374,7 +374,10 @@ def synthesize_csi_series(geom, cfg, times, snr_db=None, rng=None):
     strongest = 0.0
     for a, d, ang in zip(alpha, tau, aoa):
         steer = steering_vector(ang, geom.n_antennas)
-        core = np.exp(-2j * np.pi * d[:, None] * freqs[None, :])
+        # a path whose delay is the same at every packet (every bistatic
+        # LOS path, a fixed scatterer) needs one phase row, broadcast
+        fixed = d[:1] if np.all(d == d[0]) else d
+        core = np.exp(-2j * np.pi * fixed[:, None] * freqs[None, :])
         out += a[:, None, None] * steer[:, :, None] * core[:, None, :]
         strongest = max(strongest, float(np.mean(np.abs(a) ** 2)))
 

@@ -18,10 +18,10 @@ parsed mapping.
 import csv as _csv
 import hashlib
 import json
-import math
 import numbers
 import operator
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +101,8 @@ def load_config(path):
             values[key] = json.loads(value)
         except ValueError:
             values[key] = value
+        except RecursionError:
+            raise ConfigError(f"{key} is nested too deeply", line_no) from None
         lines[key] = line_no
     check_config(values, lines)
     return values
@@ -131,7 +133,9 @@ def check_config(values, lines=None):
         if not ok:
             raise ConfigError(f"{key} expects {want.__name__}, got {val!r}",
                               lines.get(key))
-        if want is float and not math.isfinite(val):
+        # compared exactly: an integer too large for a float fails, as do
+        # NaN and the infinities
+        if want is float and not abs(val) <= sys.float_info.max:
             raise ConfigError(f"{key} must be finite, got {val!r}",
                               lines.get(key))
         if key in ("run.n_trials", "run.duration_s") and val <= 0:

@@ -32,14 +32,18 @@ RxComplete fall at the same instant with nothing scheduled between them, so
 they are handled together. The heap holds no timers: an M timer changes only
 its own device, which keeps the (deadline, sequence number) key of its one
 pending timer and expires it when the first event after that key touches it
-or the run ends; log rows are sorted by key at the end. Each of the five
-event sites (one per kind in ``EVENT_KINDS``) makes its transition inline
-from its kind's fused row, built per run from ``step``: the state after,
-the action, whether to build a LogEntry (for the log or a protocol
-violation) and whether the separator belongs on. It handles only the
-actions its kind can produce: enabling the separator or continuing a burst
-at TxStart, arming the timer at TxComplete, disabling the separator at
-TimerExpiry, none at either reception.
+or the run ends; log rows are sorted by key at the end.
+
+A device's sensing state is one small code, ``2 * state index + separator
+on``. Each of the two sites that touch two devices makes both transitions
+with one lookup of a joint row, indexed by the sender's code and its
+peer's (or a "no peer" code): TxStart with the peer's RxStart, TxComplete
+with the peer's RxComplete. The row gives both codes after, whether the
+sender's timer is cleared or armed, the invariant checks and separator
+mismatches it adds, the LogEntry fields to record (only for the log or a
+protocol violation) and the mono and bistatic capture flags. A TimerExpiry
+has one row per code. The rows are built from ``step`` and memoized per
+transition table (``_site_rows``); both devices' due expiries run first.
 
 Randomness is split into two independent streams — one for everything that
 affects communications (backoff, loss draws), one for sensing-side noise —
@@ -53,6 +57,7 @@ before it, so both read the same words in the same order. Streaming
 schedules are decoded from raw words the same way (``generate_traffic``).
 """
 
+import functools
 import heapq
 import itertools
 from collections import namedtuple
@@ -130,6 +135,53 @@ def step(state, kind):
     if kind not in EVENT_KINDS:
         raise ValueError(f"unknown MAC event kind {kind!r}")
     return _TRANSITIONS.get((state, kind), (state, VIOLATION))
+
+
+# a device's sensing code is 2 * its state's index in MAC_STATES, plus 1
+# while its separator is on; _NO_PEER is the peer code of a device with none
+_NO_PEER = 2 * len(MAC_STATES)
+
+
+@functools.lru_cache(maxsize=8)
+def _site_rows(log, table):
+    """``(tx_start, tx_done, expiry)``: a run's rows, built from ``step`` and
+    memoized on ``table``, the items of ``_TRANSITIONS``.
+
+    ``tx_start[code][peer code]`` and ``tx_done[code][peer code]`` hold
+    ``(code, peer code, timer, checks, mismatches, fields, peer fields, mono,
+    bi)``: ``timer`` clears the sender's timer at TxStart and arms it at
+    TxComplete, ``fields`` are a LogEntry's event, states and action, or
+    None. ``expiry[code]`` holds ``(code, fields, mismatches)``.
+    """
+    def side(code, kind):
+        before = MAC_STATES[code >> 1]
+        after, action = step(before, kind)
+        on = {ENABLE_SEPARATOR: 1, DISABLE_SEPARATOR: 0}.get(action, code & 1)
+        return (2 * MAC_STATES.index(after) + on, (kind, before, after, action),
+                on != (after == "M"))
+
+    def fields(move):
+        return move if move and (log or move[3] == VIOLATION) else None
+
+    def joint(kind, peer_kind, timer_actions):
+        capture = kind == "TxStart"
+        peers = ([side(code, peer_kind) for code in range(_NO_PEER)]
+                 + [(_NO_PEER, None, False)])
+        rows = []
+        for code in range(_NO_PEER):
+            after, move, bad = side(code, kind)
+            rows.append([
+                (after, p_after, move[3] in timer_actions,
+                 1 + (p_move is not None), bad + p_bad, fields(move),
+                 fields(p_move), capture and move[2] == "M",
+                 capture and p_move is not None and p_move[1:3] == ("C", "B"))
+                for p_after, p_move, p_bad in peers])
+        return rows
+
+    return (joint("TxStart", "RxStart", (ENABLE_SEPARATOR, CONTINUE_BURST)),
+            joint("TxComplete", "RxComplete", (ARM_TIMER,)),
+            [(after, fields(move), bad) for after, move, bad in
+             (side(code, "TimerExpiry") for code in range(_NO_PEER))])
 
 
 def success_probability(snr_db):
@@ -301,17 +353,17 @@ _NO_TIMER = float("inf")  # the deadline of a device with no pending M timer
 
 
 class _DeviceCtx:
-    """Per-run state of one device: ``(deadline, timer_seq)`` keys its
-    pending M timer; ``link_*`` and ``success_words`` (the success
-    probability times 2**53) describe its packets at the peer."""
+    """Per-run state of one device: ``code`` is its sensing code,
+    ``(deadline, timer_seq)`` keys its pending M timer; ``link_*`` and
+    ``success_words`` (the success probability times 2**53) describe its
+    packets at the peer."""
 
-    __slots__ = ("dev", "state", "separator_on", "deadline", "timer_seq",
-                 "peer", "link_snr", "success_words")
+    __slots__ = ("dev", "code", "deadline", "timer_seq", "peer", "link_snr",
+                 "success_words")
 
-    def __init__(self, dev):
+    def __init__(self, dev, code=0):
         self.dev = dev
-        self.state = "C"
-        self.separator_on = False
+        self.code = code
         self.deadline = _NO_TIMER
         self.timer_seq = 0
         self.peer = None
@@ -358,18 +410,11 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     leakage is run over a clean remote packet 15 dB above the noise floor,
     and the SNR it costs is charged to every reception.
 
-    The heap holds one pending packet per device (its next scheduled DATA
-    packet, in schedule order) plus deferred retries, ACKs and one
-    completion entry per transmission, which runs the sender's TxComplete
-    and then the peer's RxComplete and loss draw; it holds no timers, whose
-    expiries wait on their device. An event hands its last new entry on
-    through ``heapq.heappushpop``: one due before everything in the heap is
-    handled next without entering it. ``n_events`` counts the events
-    handled: every packet that comes due (a deferral counts again when it
-    retries), every TxComplete, every RxComplete and every armed M timer,
-    superseded ones included, though a superseded timer costs no work. A
-    device with no packet before ``duration`` sends nothing. ``duration``
-    must be positive and finite.
+    ``n_events`` counts the events handled: every packet that comes due (a
+    deferral counts again when it retries), every TxComplete, every
+    RxComplete and every armed M timer, superseded ones included, though a
+    superseded timer costs no work. A device with no packet before
+    ``duration`` sends nothing. ``duration`` must be positive and finite.
     """
     _check_duration(duration)
     if not devices:
@@ -457,21 +502,20 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     invariant_checks = 0
     separator_mismatches = 0
 
-    # each kind's fused row: state -> (state after, action, build a LogEntry,
-    # separator belongs on)
-    tx_start, tx_complete, rx_start, rx_complete, timer_expiry = (
-        {s: (after, action, log or action == VIOLATION, after == "M")
-         for s in MAC_STATES for after, action in [step(s, kind)]}
-        for kind in EVENT_KINDS)
+    start_rows, done_rows, expiry_rows = _site_rows(
+        log, tuple(_TRANSITIONS.items()))
+    capturing = collect_csi and MAX_CSI > 0
+    # the peer of a device without one: its code stays _NO_PEER and it has
+    # no timer
+    nobody = _DeviceCtx(None, _NO_PEER)
 
-    def record(key, ctx, event_kind, before, after, action):
+    def record(key, ctx, fields):
         # a row carries the (time, sequence number) key of its event: the
         # handled entry, or a timer's key
-        row = (key, LogEntry(key[0], ctx.dev.device_id, event_kind, before,
-                             after, action))
+        row = (key, LogEntry(key[0], ctx.dev.device_id, *fields))
         if log:
             entries.append(row)
-        if action == VIOLATION:
+        if fields[3] == VIOLATION:
             violations.append(row)
 
     def expire(ctx, entry):
@@ -482,16 +526,11 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
         if key > entry:
             return
         ctx.deadline = _NO_TIMER
-        before = ctx.state
-        after, action, rec, in_m = timer_expiry[before]
-        ctx.state = after
-        if action == DISABLE_SEPARATOR:
-            ctx.separator_on = False
-        if rec:
-            record(key, ctx, "TimerExpiry", before, after, action)
+        ctx.code, fields, bad = expiry_rows[ctx.code]
+        if fields is not None:
+            record(key, ctx, fields)
         invariant_checks += 1
-        if ctx.separator_on != in_m:
-            separator_mismatches += 1
+        separator_mismatches += bad
 
     # a site hands the entry it pushes last on; a site that pushes none pops
     entry = pop(heap) if heap else None
@@ -501,39 +540,32 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
 
         if kind == "tx-done":
             # the sender's TxComplete, then the peer's RxComplete: both fall
-            # at t, so they share the entry's key
+            # at t, so they share the entry's key. An expiry changes only its
+            # own device, so both devices' due expiries can run first
             tx_ctx, _, ptype = payload
+            rx_ctx = tx_ctx.peer
             if sensing_enabled:
+                peer = rx_ctx or nobody
                 if tx_ctx.deadline <= t:
                     expire(tx_ctx, entry)
-                before = tx_ctx.state
-                after, action, rec, in_m = tx_complete[before]
-                tx_ctx.state = after
-                if action == ARM_TIMER:
+                if peer.deadline <= t:
+                    expire(peer, entry)
+                (tx_ctx.code, peer.code, arm, checks, bad, fields, peer_fields,
+                 _, _) = done_rows[tx_ctx.code][peer.code]
+                if arm:
                     tx_ctx.deadline = t + M_TIMER_S
                     tx_ctx.timer_seq = next(seq)
                     n_events += 1
-                if rec:
-                    record(entry, tx_ctx, "TxComplete", before, after, action)
-                invariant_checks += 1
-                if tx_ctx.separator_on != in_m:
-                    separator_mismatches += 1
-            rx_ctx = tx_ctx.peer
+                if fields is not None:
+                    record(entry, tx_ctx, fields)
+                if peer_fields is not None:
+                    record(entry, peer, peer_fields)
+                invariant_checks += checks
+                separator_mismatches += bad
             if rx_ctx is None:
                 entry = pop(heap) if heap else None
                 continue
             n_events += 1
-            if sensing_enabled:
-                if rx_ctx.deadline <= t:
-                    expire(rx_ctx, entry)
-                before = rx_ctx.state
-                after, action, rec, in_m = rx_complete[before]
-                rx_ctx.state = after
-                if rec:
-                    record(entry, rx_ctx, "RxComplete", before, after, action)
-                invariant_checks += 1
-                if rx_ctx.separator_on != in_m:
-                    separator_mismatches += 1
             ok = next(words) >> 11 < tx_ctx.success_words
             if ptype == "DATA":
                 successes.append(ok)
@@ -565,39 +597,30 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
         if ptype == "DATA":
             delays.append(t - sched_t)
         if sensing_enabled:
+            peer = ctx.peer or nobody
             if ctx.deadline <= t:
                 expire(ctx, entry)
-            before = ctx.state
-            after, action, rec, in_m = tx_start[before]
-            ctx.state = after
-            if action == ENABLE_SEPARATOR:
-                ctx.separator_on = True
+            if peer.deadline <= t:
+                expire(peer, entry)
+            (ctx.code, peer.code, clear, checks, bad, fields, peer_fields,
+             mono, bi) = start_rows[ctx.code][peer.code]
+            if clear:
                 ctx.deadline = _NO_TIMER
-            elif action == CONTINUE_BURST:
-                # re-armed at this burst's TxComplete
-                ctx.deadline = _NO_TIMER
-            if rec:
-                record(entry, ctx, "TxStart", before, after, action)
-            invariant_checks += 1
-            if ctx.separator_on != in_m:
-                separator_mismatches += 1
-            if collect_csi and in_m and len(captures) < MAX_CSI:
-                captures.append((t, "mono", ctx, ctx))
-            rx_ctx = ctx.peer
-            if rx_ctx is not None:
-                if rx_ctx.deadline <= t:
-                    expire(rx_ctx, entry)
-                before = rx_ctx.state
-                after, action, rec, in_m = rx_start[before]
-                rx_ctx.state = after
-                if rec:
-                    record(entry, rx_ctx, "RxStart", before, after, action)
-                invariant_checks += 1
-                if rx_ctx.separator_on != in_m:
-                    separator_mismatches += 1
-                if (before == "C" and after == "B" and collect_csi
-                        and len(captures) < MAX_CSI):
-                    captures.append((t, "bi", rx_ctx, ctx))
+            if fields is not None:
+                record(entry, ctx, fields)
+            if peer_fields is not None:
+                record(entry, peer, peer_fields)
+            invariant_checks += checks
+            separator_mismatches += bad
+            if capturing and (mono or bi):
+                # both are noted, then cut back to the cap
+                if mono:
+                    captures.append((t, "mono", ctx, ctx))
+                if bi:
+                    captures.append((t, "bi", peer, ctx))
+                if len(captures) >= MAX_CSI:
+                    del captures[MAX_CSI:]
+                    capturing = False
         # the payload names the sender and the packet type, all tx-done needs
         entry = pushpop(heap, (t + dur, next(seq), "tx-done", payload))
 

@@ -136,9 +136,11 @@ def stft(times, values, window_len, hop, freqs=None):
 
 def complex_noise(n, power_dbm, rng):
     """Circular complex Gaussian noise with the given total power in dBm."""
-    p = from_db(power_dbm)
-    scale = np.sqrt(p / 2.0)
-    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    out = np.empty(n, dtype=np.complex128)
+    out.real = rng.standard_normal(n)
+    out.imag = rng.standard_normal(n)
+    out *= np.sqrt(from_db(power_dbm) / 2.0)
+    return out
 
 
 __all__ = [

@@ -18,7 +18,7 @@ from isacsim.channel import (
     synthesize_csi_series,
 )
 from isacsim.ofdm import SPEED_OF_LIGHT, RadioConfig, extract_csi_symbols
-from isacsim.sigcore import avg_power, db
+from isacsim.sigcore import avg_power, db, from_db
 
 
 def quarter_wave_cfg():
@@ -397,6 +397,28 @@ class TestCsiSeries:
         geom = one_path_geometry(position=(5.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             synthesize_csi_series(geom, CFG, [])
+
+    def test_fixed_paths_match_per_packet_phases(self):
+        # the LOS path and a fixed scatterer keep one delay at every packet
+        # and take one phase row; the walker's changes. The series must be
+        # the sum with every path's phase evaluated at every packet
+        geom = ScenarioGeometry(
+            tx_pos=(0.0, 0.0, 0.0), rx_pos=(3.0, 1.0, 0.0), n_antennas=3,
+            targets=(PropagationPath(position=(2.0, 4.0, 0.0)),
+                     PropagationPath(trajectory=linear_trajectory(
+                         (5.0, -2.0, 0.0), (0.7, 0.4, 0.0)))))
+        times = np.linspace(0.0, 0.5, 7)
+        alpha, tau, aoa = resolve_paths(geom, CFG, times,
+                                        from_db(geom.tx_power_dbm))
+        assert [bool(np.all(d == d[0])) for d in tau] == [True, True, False]
+        freqs = CFG.carrier_freq + CFG.subcarrier_freqs()
+        expected = np.zeros((times.size, 3, CFG.n_used), dtype=np.complex128)
+        for a, d, ang in zip(alpha, tau, aoa):
+            core = np.exp(-2j * np.pi * d[:, None] * freqs[None, :])
+            expected += (a[:, None, None] * steering_vector(ang, 3)[:, :, None]
+                         * core[:, None, :])
+        np.testing.assert_array_equal(
+            synthesize_csi_series(geom, CFG, times), expected)
 
 
 class TestPropagate:

@@ -143,6 +143,22 @@ class TestValidate:
         assert "line 2" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "ranging.csv")
 
+    @pytest.mark.parametrize("text,message", [
+        ("radio.carrier_hz = 1" + "0" * 400, "must be finite"),
+        ("run.snr_db = " + "[" * 100_000, "nested too deeply"),
+    ], ids=["integer-past-largest-float", "deeply-nested-value"])
+    def test_value_python_cannot_convert_names_the_line(self, capsys,
+                                                         tmp_path, text,
+                                                         message):
+        cfg = write(tmp_path / "bad.cfg", f"# header\n{text}\n")
+        assert main(["validate", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "line 2" in err and message in err
+        rc = main(["run", "ranging", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 3
+        assert "line 2" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "ranging.csv")
+
     def test_float_key_accepts_integer_literal(self, tmp_path):
         cfg = write(tmp_path / "e.cfg", "run.snr_db = 10\n")
         assert load_config(cfg) == {"run.snr_db": 10}

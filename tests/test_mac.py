@@ -936,6 +936,19 @@ class TestEventLoopOracle:
             assert getattr(got, report)
 
 
+    def test_rows_follow_the_table_in_one_process(self):
+        # the site rows are memoized per transition table: a run, a broken
+        # table's run and a run on the restored table each match the
+        # reference loop, so no run reads another table's rows
+        kw = dict(seed=3, **MODES["on-csi"])
+        args = (two_devices(), self.GEOM, mac.TrafficModel.streaming(), 0.5)
+        assert not self.assert_matches(*args, **kw).violations
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(mac._TRANSITIONS, ("M", "TimerExpiry"),
+                       ("M", mac.VIOLATION))
+            assert self.assert_matches(*args, **kw).violations
+        assert not self.assert_matches(*args, **kw).violations
+
 class TestSeparatorPenalty:
     def test_penalty_is_large_and_deterministic(self):
         a, b = (mac.run_scenario(two_devices(), None,

@@ -172,6 +172,14 @@ class TestNoise:
         x = complex_noise(200_000, -10.0, np.random.default_rng(5))
         assert abs(sigcore.db(sigcore.avg_power(x)) - (-10.0)) < 0.1
 
+    def test_matches_scaled_sum_of_draws(self):
+        # built in place, it keeps the bits of scale * (re + 1j * im)
+        rng = np.random.default_rng(11)
+        re, im = rng.standard_normal(1000), rng.standard_normal(1000)
+        want = np.sqrt(sigcore.from_db(-37.0) / 2.0) * (re + 1j * im)
+        got = complex_noise(1000, -37.0, np.random.default_rng(11))
+        assert got.tobytes() == want.tobytes()
+
 
 class TestBufferInvariants:
     def test_spectrogram_shape_check(self):
