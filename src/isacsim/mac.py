@@ -29,21 +29,13 @@ entry due before everything in the heap is handled directly and never enters
 it; a site that pushes nothing pops. A transmission pushes one completion
 entry: the sender's TxComplete and, when it has a peer, the peer's
 RxComplete fall at the same instant with nothing scheduled between them, so
-they are handled together. The heap holds no timers: an M timer changes only
-its own device, which keeps the (deadline, sequence number) key of its one
-pending timer and expires it when the first event after that key touches it
-or the run ends; log rows are sorted by key at the end.
-
-A device's sensing state is one small code, ``2 * state index + separator
-on``. Each of the two sites that touch two devices makes both transitions
-with one lookup of a joint row, indexed by the sender's code and its
-peer's (or a "no peer" code): TxStart with the peer's RxStart, TxComplete
-with the peer's RxComplete. The row gives both codes after, whether the
-sender's timer is cleared or armed, the invariant checks and separator
-mismatches it adds, the LogEntry fields to record (only for the log or a
-protocol violation) and the mono and bistatic capture flags. A TimerExpiry
-has one row per code. The rows are built from ``step`` and memoized per
-transition table (``_site_rows``); both devices' due expiries run first.
+they are handled together. The heap holds no timers, and the loop keeps no
+sensing state, which the comms half never reads. With sensing on, it records
+each transmission's start and end keys and sender, and each tx-done reserves
+the sequence number of the M timer its sender may arm, so ties break as with
+timers on the heap. Every state, capture and count follows from that trace:
+one numpy pass (``_pass``) on the protocol's table without a log or an
+overlap, else one walk with ``step`` (``_walk``).
 
 Randomness is split into two independent streams — one for everything that
 affects communications (backoff, loss draws), one for sensing-side noise —
@@ -57,7 +49,6 @@ before it, so both read the same words in the same order. Streaming
 schedules are decoded from raw words the same way (``generate_traffic``).
 """
 
-import functools
 import heapq
 import itertools
 from collections import namedtuple
@@ -123,6 +114,7 @@ _TRANSITIONS = {
     ("M", "RxComplete"): ("M", DEFER_BISTATIC),
     ("C", "RxComplete"): ("C", DEFER_BISTATIC),
 }
+_PROTOCOL = dict(_TRANSITIONS)  # the table ``_pass`` is written for
 
 
 def step(state, kind):
@@ -135,53 +127,6 @@ def step(state, kind):
     if kind not in EVENT_KINDS:
         raise ValueError(f"unknown MAC event kind {kind!r}")
     return _TRANSITIONS.get((state, kind), (state, VIOLATION))
-
-
-# a device's sensing code is 2 * its state's index in MAC_STATES, plus 1
-# while its separator is on; _NO_PEER is the peer code of a device with none
-_NO_PEER = 2 * len(MAC_STATES)
-
-
-@functools.lru_cache(maxsize=8)
-def _site_rows(log, table):
-    """``(tx_start, tx_done, expiry)``: a run's rows, built from ``step`` and
-    memoized on ``table``, the items of ``_TRANSITIONS``.
-
-    ``tx_start[code][peer code]`` and ``tx_done[code][peer code]`` hold
-    ``(code, peer code, timer, checks, mismatches, fields, peer fields, mono,
-    bi)``: ``timer`` clears the sender's timer at TxStart and arms it at
-    TxComplete, ``fields`` are a LogEntry's event, states and action, or
-    None. ``expiry[code]`` holds ``(code, fields, mismatches)``.
-    """
-    def side(code, kind):
-        before = MAC_STATES[code >> 1]
-        after, action = step(before, kind)
-        on = {ENABLE_SEPARATOR: 1, DISABLE_SEPARATOR: 0}.get(action, code & 1)
-        return (2 * MAC_STATES.index(after) + on, (kind, before, after, action),
-                on != (after == "M"))
-
-    def fields(move):
-        return move if move and (log or move[3] == VIOLATION) else None
-
-    def joint(kind, peer_kind, timer_actions):
-        capture = kind == "TxStart"
-        peers = ([side(code, peer_kind) for code in range(_NO_PEER)]
-                 + [(_NO_PEER, None, False)])
-        rows = []
-        for code in range(_NO_PEER):
-            after, move, bad = side(code, kind)
-            rows.append([
-                (after, p_after, move[3] in timer_actions,
-                 1 + (p_move is not None), bad + p_bad, fields(move),
-                 fields(p_move), capture and move[2] == "M",
-                 capture and p_move is not None and p_move[1:3] == ("C", "B"))
-                for p_after, p_move, p_bad in peers])
-        return rows
-
-    return (joint("TxStart", "RxStart", (ENABLE_SEPARATOR, CONTINUE_BURST)),
-            joint("TxComplete", "RxComplete", (ARM_TIMER,)),
-            [(after, fields(move), bad) for after, move, bad in
-             (side(code, "TimerExpiry") for code in range(_NO_PEER))])
 
 
 def success_probability(snr_db):
@@ -349,24 +294,145 @@ class ScenarioResult:
     separator_penalty_db: float = 0.0
 
 
-_NO_TIMER = float("inf")  # the deadline of a device with no pending M timer
-
-
 class _DeviceCtx:
-    """Per-run state of one device: ``code`` is its sensing code,
-    ``(deadline, timer_seq)`` keys its pending M timer; ``link_*`` and
-    ``success_words`` (the success probability times 2**53) describe its
-    packets at the peer."""
+    """Per-run state of one device: ``index`` is its place in the run's
+    device list; ``link_snr`` and ``success_words`` (the success probability
+    times 2**53) describe its packets at the peer."""
 
-    __slots__ = ("dev", "code", "deadline", "timer_seq", "peer", "link_snr",
-                 "success_words")
+    __slots__ = ("dev", "index", "peer", "link_snr", "success_words")
 
-    def __init__(self, dev, code=0):
+    def __init__(self, dev, index):
         self.dev = dev
-        self.code = code
-        self.deadline = _NO_TIMER
-        self.timer_seq = 0
+        self.index = index
         self.peer = None
+
+
+def _pass(trace, ctxs, cap):
+    """``(log rows, violations, captures, armed timers, invariant checks,
+    separator mismatches)`` of a run's ``trace`` on the protocol's table, at
+    most ``cap`` captures; None on an overlap: a start at the instant the
+    transmission before it ends, with a key below that one's tx-done.
+
+    Otherwise every TxStart puts its sender in M, separator on, and clears
+    its timer, and every TxComplete arms one. A device is in M until that
+    timer expires, in B only while it receives from C, and no transition is
+    a violation or a mismatch. A timer expires unless its sender's next
+    TxStart comes first; a RxStart is a bistatic capture unless the
+    receiver's last transmission left a timer pending past it. Keys compare
+    by time, and by sequence number only at ties."""
+    start_t, start_seq, end_t, end_seq, senders, timer_seqs = trace
+    n = len(start_t)
+    ts, te = (np.fromiter(times, float, n) for times in (start_t, end_t))
+    for k in np.flatnonzero(ts[1:] == te[:-1]).tolist():
+        if start_seq[k + 1] < end_seq[k]:
+            return None
+    snd = np.fromiter(senders, np.int64, n)
+    timer_t = te + M_TIMER_S
+
+    def timer_first(tj, tk, j, k):
+        # whether transmissions j's M timers, due at tj, precede k's starts
+        first = tj < tk
+        for i in np.flatnonzero(tj == tk).tolist():
+            first[i] = timer_seqs[j[i]] < start_seq[k[i]]
+        return first
+
+    owns = [(own, ts[own], timer_t[own])
+            for own in (np.flatnonzero(snd == d) for d in range(len(ctxs)))]
+    bi = np.zeros(n, dtype=bool)
+    checks = 2 * n
+    for ctx, (own, starts, deadlines) in zip(ctxs, owns):
+        if own.size:
+            # the last timer always expires
+            checks += 1 + int(np.count_nonzero(timer_first(
+                deadlines[:-1], starts[1:], own[:-1], own[1:])))
+        if ctx.peer is None:
+            continue
+        checks += 2 * own.size
+        rx, _, rx_deadlines = owns[ctx.peer.index]
+        # the receiver's last transmission before each of this device's
+        pos = np.searchsorted(rx, own) - 1
+        bi[own] = pos < 0
+        if rx.size:
+            bi[own] |= timer_first(rx_deadlines[pos], starts, rx[pos], own)
+
+    captures = []
+    if cap:
+        # every TxStart notes a mono capture, then maybe a bistatic one
+        stop = int(np.searchsorted(np.cumsum(1 + bi), cap)) + 1
+        for k, is_bi in enumerate(bi[:stop].tolist()):
+            tx = ctxs[senders[k]]
+            captures.append((start_t[k], "mono", tx, tx))
+            if is_bi:
+                captures.append((start_t[k], "bi", tx.peer, tx))
+        del captures[cap:]
+    return [], [], captures, n, checks, 0
+
+
+def _walk(trace, ctxs, cap, log):
+    """``_pass`` by one walk with ``step`` over the TxStart sites (TxStart,
+    then the peer's RxStart) and tx-done sites (TxComplete, RxComplete) in
+    key order, for any table, overlaps and the log. A TxStart that engages
+    the separator or continues a burst clears the sender's M timer. A timer
+    changes only its own device: it expires when the first site after its
+    key touches the device, or at the end, and rows are sorted by key.
+    """
+    start_t, start_seq, end_t, end_seq, senders, timer_seqs = trace
+    state, separator, timer = (["C"] * len(ctxs), [False] * len(ctxs),
+                               [None] * len(ctxs))
+    rows, captures = [], []
+    armed = checks = mismatches = 0
+
+    def take(ctx, key, kind):
+        nonlocal checks, mismatches
+        d = ctx.index
+        if timer[d] is not None and timer[d] < key:
+            due, timer[d] = timer[d], None
+            take(ctx, due, "TimerExpiry")
+        before = state[d]
+        after, action = step(before, kind)
+        state[d] = after
+        if action in (ENABLE_SEPARATOR, DISABLE_SEPARATOR):
+            separator[d] = action == ENABLE_SEPARATOR
+        checks += 1
+        mismatches += separator[d] != (after == "M")
+        if log or action == VIOLATION:
+            # a row carries the (time, sequence number) key of its event
+            rows.append((key, LogEntry(key[0], ctx.dev.device_id, kind,
+                                       before, after, action)))
+        return before, after, action
+
+    sites = sorted(
+        [(key, k, True) for k, key in enumerate(zip(start_t, start_seq))]
+        + [(key, k, False) for k, key in enumerate(zip(end_t, end_seq))])
+    for key, k, starts in sites:
+        tx = ctxs[senders[k]]
+        rx = tx.peer
+        if not starts:
+            if take(tx, key, "TxComplete")[2] == ARM_TIMER:
+                timer[tx.index] = (end_t[k] + M_TIMER_S, timer_seqs[k])
+                armed += 1
+            if rx is not None:
+                take(rx, key, "RxComplete")
+            continue
+        _, after, action = take(tx, key, "TxStart")
+        if action in (ENABLE_SEPARATOR, CONTINUE_BURST):
+            timer[tx.index] = None
+        bi = rx is not None and take(rx, key, "RxStart")[:2] == ("C", "B")
+        if len(captures) < cap:
+            # both are noted, then cut back to the cap
+            if after == "M":
+                captures.append((key[0], "mono", tx, tx))
+            if bi:
+                captures.append((key[0], "bi", rx, tx))
+    del captures[cap:]
+    for ctx, due in zip(ctxs, timer):
+        if due is not None:
+            take(ctx, due, "TimerExpiry")
+    rows.sort(key=lambda row: row[0])
+    entries = [e for _, e in rows]
+    return ((entries if log else []),
+            [e for e in entries if e.action == VIOLATION], captures, armed,
+            checks, mismatches)
 
 
 def _materialize_csi(captures, geometry, cfg, rng):
@@ -395,8 +461,8 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     ``geometry`` may be None (no CSI materialization) or a
     channel.ScenarioGeometry used to synthesize actual CSI values when
     ``collect_csi`` is on; each link keeps its targets, power and array and
-    takes its tx/rx positions from the devices. The event loop only notes when each
-    of the first ``MAX_CSI`` captures happened; after it, every (rx, tx)
+    takes its tx/rx positions from the devices. The sensing pass notes when
+    each of the first ``MAX_CSI`` captures happened; then every (rx, tx)
     link's captures are synthesized in one ``synthesize_csi_series`` call,
     so their noise level is set relative to the strongest path over that
     link's series. ``traffic`` is the default TrafficModel for devices that
@@ -424,7 +490,7 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
         raise ValueError("duplicate device ids")
     cfg = cfg or RadioConfig()
 
-    ctxs = {d.device_id: _DeviceCtx(d) for d in devices}
+    ctxs = {d.device_id: _DeviceCtx(d, i) for i, d in enumerate(devices)}
     for i, d in enumerate(devices):
         peer = d.peer_id
         if peer is None and len(devices) > 1:
@@ -491,81 +557,32 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
         n_scheduled += len(times)
     seq = itertools.count(n_scheduled)
 
-    entries = []
-    violations = []
-    captures = []
     delays = []
     successes = []
     rx_snrs = []
     medium_free_at = 0.0
-    n_events = 0
-    invariant_checks = 0
-    separator_mismatches = 0
-
-    start_rows, done_rows, expiry_rows = _site_rows(
-        log, tuple(_TRANSITIONS.items()))
-    capturing = collect_csi and MAX_CSI > 0
-    # the peer of a device without one: its code stays _NO_PEER and it has
-    # no timer
-    nobody = _DeviceCtx(None, _NO_PEER)
-
-    def record(key, ctx, fields):
-        # a row carries the (time, sequence number) key of its event: the
-        # handled entry, or a timer's key
-        row = (key, LogEntry(key[0], ctx.dev.device_id, *fields))
-        if log:
-            entries.append(row)
-        if fields[3] == VIOLATION:
-            violations.append(row)
-
-    def expire(ctx, entry):
-        # an M timer due by ``entry``'s time changes only its own device, so
-        # it expires when the first event after its key touches the device
-        nonlocal invariant_checks, separator_mismatches
-        key = (ctx.deadline, ctx.timer_seq)
-        if key > entry:
-            return
-        ctx.deadline = _NO_TIMER
-        ctx.code, fields, bad = expiry_rows[ctx.code]
-        if fields is not None:
-            record(key, ctx, fields)
-        invariant_checks += 1
-        separator_mismatches += bad
+    n_received = 0
+    # the trace: one value per transmission in each, kept with sensing on
+    trace = start_t, start_seq, end_t, end_seq, senders, timer_seqs = (
+        [], [], [], [], [], [])
 
     # a site hands the entry it pushes last on; a site that pushes none pops
     entry = pop(heap) if heap else None
     while entry is not None:
-        t, _, kind, payload = entry
-        n_events += 1
+        t, s, kind, payload = entry
 
         if kind == "tx-done":
             # the sender's TxComplete, then the peer's RxComplete: both fall
-            # at t, so they share the entry's key. An expiry changes only its
-            # own device, so both devices' due expiries can run first
+            # at t, so they share the entry's key
             tx_ctx, _, ptype = payload
             rx_ctx = tx_ctx.peer
             if sensing_enabled:
-                peer = rx_ctx or nobody
-                if tx_ctx.deadline <= t:
-                    expire(tx_ctx, entry)
-                if peer.deadline <= t:
-                    expire(peer, entry)
-                (tx_ctx.code, peer.code, arm, checks, bad, fields, peer_fields,
-                 _, _) = done_rows[tx_ctx.code][peer.code]
-                if arm:
-                    tx_ctx.deadline = t + M_TIMER_S
-                    tx_ctx.timer_seq = next(seq)
-                    n_events += 1
-                if fields is not None:
-                    record(entry, tx_ctx, fields)
-                if peer_fields is not None:
-                    record(entry, peer, peer_fields)
-                invariant_checks += checks
-                separator_mismatches += bad
+                # the sequence number of the M timer the sender may arm
+                timer_seqs.append(next(seq))
             if rx_ctx is None:
                 entry = pop(heap) if heap else None
                 continue
-            n_events += 1
+            n_received += 1
             ok = next(words) >> 11 < tx_ctx.success_words
             if ptype == "DATA":
                 successes.append(ok)
@@ -596,44 +613,26 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
         medium_free_at = t + dur
         if ptype == "DATA":
             delays.append(t - sched_t)
+        done = next(seq)
         if sensing_enabled:
-            peer = ctx.peer or nobody
-            if ctx.deadline <= t:
-                expire(ctx, entry)
-            if peer.deadline <= t:
-                expire(peer, entry)
-            (ctx.code, peer.code, clear, checks, bad, fields, peer_fields,
-             mono, bi) = start_rows[ctx.code][peer.code]
-            if clear:
-                ctx.deadline = _NO_TIMER
-            if fields is not None:
-                record(entry, ctx, fields)
-            if peer_fields is not None:
-                record(entry, peer, peer_fields)
-            invariant_checks += checks
-            separator_mismatches += bad
-            if capturing and (mono or bi):
-                # both are noted, then cut back to the cap
-                if mono:
-                    captures.append((t, "mono", ctx, ctx))
-                if bi:
-                    captures.append((t, "bi", peer, ctx))
-                if len(captures) >= MAX_CSI:
-                    del captures[MAX_CSI:]
-                    capturing = False
+            start_t.append(t)
+            start_seq.append(s)
+            end_t.append(medium_free_at)
+            end_seq.append(done)
+            senders.append(ctx.index)
         # the payload names the sender and the packet type, all tx-done needs
-        entry = pushpop(heap, (t + dur, next(seq), "tx-done", payload))
+        entry = pushpop(heap, (medium_free_at, done, "tx-done", payload))
 
-    # expiries still pending when the heap drains; a device with none has
-    # the key (inf, n), above (inf,), so none expires
-    for ctx in ctxs.values():
-        expire(ctx, (_NO_TIMER,))
-    # expiries land after later rows; only one event's rows share a key
-    entries.sort(key=lambda row: row[0])
-    violations.sort(key=lambda row: row[0])
-    entries = [e for _, e in entries]
-    violations = [e for _, e in violations]
+    # the pass gives None on an overlap; without sensing the trace is empty
+    # and the walk reports nothing
+    args = (trace, list(ctxs.values()), MAX_CSI if collect_csi else 0)
+    entries, violations, captures, armed, checks, mismatches = (
+        sensing_enabled and not log and _TRANSITIONS == _PROTOCOL
+        and _pass(*args)) or _walk(*args, log)
 
+    # each handled entry holds one sequence number (a scheduled packet its
+    # offset below n_scheduled); a reserved timer number is no entry
+    n_events = next(seq) - len(timer_seqs) + n_received + armed
     # a run that sent no DATA packet has no delay, loss or SNR to report
     nan = float("nan")
     p50, p95 = (np.percentile(1e3 * np.asarray(delays), (50, 95)).tolist()
@@ -651,8 +650,8 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
                           _materialize_csi(captures, geometry, cfg, rng_sense),
                           stats, violations,
                           n_events=n_events,
-                          invariant_checks=invariant_checks,
-                          separator_mismatches=separator_mismatches,
+                          invariant_checks=checks,
+                          separator_mismatches=mismatches,
                           separator_penalty_db=penalty_db)
 
 

@@ -22,6 +22,8 @@ SPEED_OF_LIGHT = 299792458.0
 
 # fixed seed for the deterministic training-sequence values
 _TRAINING_SEED = 0x2400
+# the largest FFT an 802.11 PHY uses (802.11be, 320 MHz)
+MAX_FFT_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -34,11 +36,16 @@ class RadioConfig:
 
     def __post_init__(self):
         n = self.fft_size
-        n_side = min(int(round(26 * n / 64)), n // 2 - 1)
-        # short training rides on every 4th subcarrier: one must be in use
-        if n_side < 4:
+        # bounded before any arithmetic: a huge size overflows a float, and
+        # a large one builds a tuple of that many bins. Short training rides
+        # on every 4th subcarrier, and below 10 bins none is in use
+        if n < 10:
             raise ValueError(
                 f"fft_size {n} leaves no short-training subcarrier (need >= 10)")
+        if n > MAX_FFT_SIZE:
+            raise ValueError(
+                f"fft_size {n} is above {MAX_FFT_SIZE}, the largest 802.11 FFT")
+        n_side = min(int(round(26 * n / 64)), n // 2 - 1)
         if not (0 < self.cyclic_prefix_len < self.fft_size):
             raise ValueError("cyclic prefix must be positive and shorter than a symbol")
         if not (0 < self.carrier_freq < np.inf
@@ -183,6 +190,7 @@ def burst_symbol_spans(cfg, n_symbols):
 
 __all__ = [
     "SPEED_OF_LIGHT",
+    "MAX_FFT_SIZE",
     "RadioConfig",
     "packet_duration",
     "extract_csi_symbols",

@@ -188,6 +188,9 @@ def test_c7_mac_invariants_at_scale():
     ok = (
         big.n_events >= 1_000_000
         and big.invariant_checks >= 1_000_000
+        # the exact counts, which the sensing pass computes by formula
+        and big.n_events == 1_040_381
+        and big.invariant_checks == 1_201_310
         and big.separator_mismatches == 0
         and not big.violations
         and on.stats == off.stats

@@ -184,6 +184,20 @@ class TestValidate:
         assert rc == 3
         assert not out.exists()
 
+    def test_fft_size_too_large_for_a_float_is_exit_three(self, capsys,
+                                                           tmp_path):
+        # an integer size the bins arithmetic cannot turn into a float
+        cfg = write(tmp_path / "huge-fft.cfg",
+                    "radio.fft_size = 1" + "0" * 400 + "\n")
+        assert main(["validate", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "largest 802.11 FFT" in err
+        out = tmp_path / "out"
+        rc = main(["run", "phase-offsets", "--config", cfg, "--out", str(out)])
+        assert rc == 3
+        assert "largest 802.11 FFT" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_clash_blocks_running_too(self, capsys, tmp_path):
         cfg = write(tmp_path / "h.cfg", "radio.fft_size = 16\n")
         out = tmp_path / "out"

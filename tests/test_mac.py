@@ -871,6 +871,22 @@ class TestEventLoopOracle:
             if mode == "forced":
                 assert got.stats["loss_rate"] > 0.0
 
+    def test_start_at_the_instant_the_last_transmission_ends(self):
+        # three regular 100 Hz devices: at these seeds some transmission
+        # starts at the instant the one before it ends, with a key below that
+        # one's tx-done, so a device meets a RxStart before its own
+        # TxComplete (an overlap); at a 0 s window some are violations
+        model = mac.TrafficModel.regular(100.0)
+        for seed in (0, 1, 2, 5):
+            devices = [mac.MacDevice(f"dev-{i}", (4.0 * i, 1.5 * (i == 2),
+                                                  0.0))
+                       for i in range(3)]
+            got = self.assert_matches(devices, self.GEOM, model, 2.0,
+                                      seed=seed, **MODES["on-csi"])
+            assert any(a.time == b.time and a.event.endswith("Start")
+                       and b.event.endswith("Complete")
+                       for a, b in zip(got.log, got.log[1:]))
+
     def test_timer_ties_with_the_next_scheduled_packet(self):
         # dev-b's M timer, armed at its packet's TxComplete, expires exactly
         # when its next packet comes due; that packet was scheduled before

@@ -51,6 +51,14 @@ class TestRadioConfig:
         with pytest.raises(ValueError, match="short-training subcarrier"):
             RadioConfig(fft_size=fft_size, cyclic_prefix_len=2)
 
+    def test_fft_size_above_the_largest_802_11_fft_rejected(self):
+        assert RadioConfig(fft_size=ofdm.MAX_FFT_SIZE).n_used == 2 * 1664
+        # the bound comes before any arithmetic: a size too large for a
+        # float is a ValueError, not an OverflowError
+        for fft_size in (ofdm.MAX_FFT_SIZE + 1, 10**7, 10**400):
+            with pytest.raises(ValueError, match="largest 802.11 FFT"):
+                RadioConfig(fft_size=fft_size)
+
     def test_smallest_fft_size_builds_finite_burst(self):
         cfg = RadioConfig(fft_size=10, cyclic_prefix_len=2)
         burst = training_burst(cfg, n_extra=2)
