@@ -4,8 +4,8 @@ Everything the receiver sees is built here, as packet-rate CSI: each
 propagation path contributes an amplitude-scaled, delay-rotated term per
 subcarrier, moving scatterers rotate the carrier phase as their two-hop path
 length changes, and complex Gaussian noise floors the result. Clock error
-is modelled once, on waveforms: ``apply_clock_impairments`` stamps it onto a
-training burst, whose extracted CSI then carries it.
+is modelled once, by ``ImpairmentProfile.phase``; ``apply_clock_impairments``
+stamps it onto a training burst, whose extracted CSI then carries it.
 
 ``resolve_paths`` turns a scene into per-packet (amplitude, delay, angle)
 rows, one per path, for fixed and moving scatterers alike; every value
@@ -19,10 +19,13 @@ Conventions
   ``alpha**2 = P * g_tx * g_rx * lam**2 * rcs / ((4*pi)**3 * (r_tx*r_rx)**2)``.
 * The direct tx->rx amplitude is normalized so the reflected-to-direct power
   ratio equals ``rcs * L / (4*pi * (r_tx*r_rx)**2)`` (see ``power_ratio``).
-* Receiver clock terms rotate training symbol l by
-  ``exp(-2j*pi*(l*cfo_hz/(df*n_fft) + cpo))``; a sampling-rate skew ``sfo``
-  and a fractional timing offset ``pdd_extra`` appear as phase ramps over
-  the FFT bin index within each symbol window.
+* A delay ``tau`` puts ``delay_phase(tau, f) = exp(-2j*pi*tau*f)`` on
+  frequency ``f``, over signed frequency: CSI synthesis and the clock model
+  share this one map.
+* Receiver clock terms live in ``ImpairmentProfile``: they rotate training
+  symbol l by ``exp(-2j*pi*(l*cfo_hz/(df*n_fft) + cpo))``, and a
+  sampling-rate skew ``sfo`` plus a fractional timing offset ``pdd_extra``
+  (in samples) act as that many samples of delay within each symbol window.
 * Antenna 0 is the phase reference of a uniform linear array; element i sits
   ``i * ARRAY_SPACING_WL`` wavelengths along the array axis.
 """
@@ -221,6 +224,16 @@ class ImpairmentProfile:
         eps = rng.uniform(0.0, 1.0)
         return cls(cfo_hz=cfo, cpo=cpo, sfo=sfo, pdd_extra=eps)
 
+    def phase(self, cfg, n_symbols, freqs):
+        """(n_symbols, n_freqs) phase this clock puts on each training
+        symbol at baseband frequencies ``freqs`` (Hz, signed): symbol l's
+        CFO/CPO rotation times ``delay_phase`` of the ``sfo + pdd_extra``
+        sample offset."""
+        step = self.cfo_hz / (cfg.subcarrier_spacing * cfg.fft_size)
+        rotation = np.exp(-2j * np.pi * (np.arange(n_symbols) * step + self.cpo))
+        offset = (self.sfo + self.pdd_extra) / cfg.sample_rate
+        return rotation[:, None] * delay_phase(offset, freqs)
+
 
 @dataclass
 class ScenarioGeometry:
@@ -259,6 +272,13 @@ class ScenarioGeometry:
         d = np.asarray(position, dtype=np.float64) - self.rx_pos
         return wrap_deg(np.degrees(np.arctan2(d[..., 1], d[..., 0]))
                         - self.boresight_deg)
+
+
+def delay_phase(delays, freqs):
+    """Phase ``exp(-2j*pi*tau*f)`` a delay ``tau`` (s) puts on frequency
+    ``f`` (Hz): (..., n_freqs) for delays of shape (...), over the signed
+    frequencies given."""
+    return np.exp(-2j * np.pi * np.asarray(delays)[..., None] * freqs)
 
 
 def steering_vector(aoa_deg, n_antennas):
@@ -317,32 +337,25 @@ def apply_clock_impairments(samples, cfg, imp):
     """Stamp clock error onto a training burst at symbol granularity.
 
     Returns a new array. The burst starts at sample 0, and every whole
-    training symbol in it is stamped. Symbol l's samples (cyclic prefix
-    included; the short training field rides with l=0) get the block rotation
-    ``exp(-2j*pi*(l*cfo_hz/(df*n_fft) + cpo))``, and each analysis window is
-    re-spun in the frequency domain by ``exp(-2j*pi*k*(sfo+pdd_extra)/n_fft)``
-    over the raw FFT bin index k, with cyclic prefixes rebuilt to match. The
-    measured subcarrier phases then follow the clock-error model exactly,
-    which is what makes phase-accuracy checks meaningful.
+    training symbol in it is stamped. Each symbol's analysis window is
+    re-spun in the frequency domain by its row of ``imp.phase`` over the
+    signed frequency of every FFT bin, and its cyclic prefix is rebuilt from
+    the window; the short training field rides with symbol 0 and takes its
+    rotation. The measured subcarrier phases then follow the clock-error
+    model exactly, which is what makes phase-accuracy checks meaningful.
     """
     values = np.array(samples, dtype=np.complex128)
     n = cfg.fft_size
     if len(values) < cfg.preamble_len:
         raise ValueError("buffer too short for a training burst")
     n_symbols = 2 + (len(values) - cfg.preamble_len) // (n + cfg.cyclic_prefix_len)
-    spans = burst_symbol_spans(cfg, n_symbols)
-
-    skew = imp.sfo + imp.pdd_extra
-    if skew != 0.0:
-        ramp = np.exp(-2j * np.pi * np.arange(n) * skew / n)
-        for _, _, w0, p0 in spans:
-            spun = np.fft.ifft(np.fft.fft(values[w0 : w0 + n]) * ramp)
-            # negative indices pick the window's tail for the prefix
-            values[p0 : w0 + n] = spun[np.arange(p0 - w0, n)]
-
-    step = imp.cfo_hz / (cfg.subcarrier_spacing * n)
-    for l, (lo, hi, _, _) in enumerate(spans):
-        values[lo:hi] *= np.exp(-2j * np.pi * (l * step + imp.cpo))
+    phase = imp.phase(cfg, n_symbols, np.fft.fftfreq(n, 1.0 / cfg.sample_rate))
+    for row, (_, _, w0, p0) in zip(phase, burst_symbol_spans(cfg, n_symbols)):
+        spun = np.fft.ifft(np.fft.fft(values[w0 : w0 + n]) * row)
+        # negative indices pick the window's tail for the prefix
+        values[p0 : w0 + n] = spun[np.arange(p0 - w0, n)]
+    # bin 0 is DC, where the row is symbol 0's rotation alone
+    values[: cfg.stf_len] *= phase[0, 0]
     return values
 
 
@@ -355,7 +368,7 @@ def synthesize_csi_series(geom, cfg, times, snr_db=None, rng=None):
 
     Returns an (n_packets, n_antennas, n_used) complex array. Each path
     that ``resolve_paths`` yields contributes
-    ``alpha(t) * a(aoa(t)) * exp(-2j*pi*(f_c + f_k) * tau(t))``, where ``a``
+    ``alpha(t) * a(aoa(t)) * delay_phase(tau(t), f_c + f_k)``, where ``a``
     is the array steering vector and ``tau(t)`` the exact two-hop delay at
     each packet time, so scatterer motion shows up
     as carrier-phase rotation across packets. The series is free of clock
@@ -377,7 +390,7 @@ def synthesize_csi_series(geom, cfg, times, snr_db=None, rng=None):
         # a path whose delay is the same at every packet (every bistatic
         # LOS path, a fixed scatterer) needs one phase row, broadcast
         fixed = d[:1] if np.all(d == d[0]) else d
-        core = np.exp(-2j * np.pi * fixed[:, None] * freqs[None, :])
+        core = delay_phase(fixed, freqs)
         out += a[:, None, None] * steer[:, :, None] * core[:, None, :]
         strongest = max(strongest, float(np.mean(np.abs(a) ** 2)))
 
@@ -400,6 +413,7 @@ __all__ = [
     "PropagationPath",
     "ImpairmentProfile",
     "ScenarioGeometry",
+    "delay_phase",
     "steering_vector",
     "resolve_paths",
     "apply_clock_impairments",

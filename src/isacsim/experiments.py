@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cancel, kernels, mac
+from . import cancel, kernels, mac, ofdm
 from .channel import (
     ImpairmentProfile,
     PropagationPath,
@@ -141,6 +141,11 @@ def check_config(values, lines=None):
         if key in ("run.n_trials", "run.duration_s") and val <= 0:
             raise ConfigError(f"{key} must be positive, got {val!r}",
                               lines.get(key))
+        # judged here, where the key and line are known, and without echoing
+        # a value that may run to hundreds of digits
+        if key == "radio.fft_size" and val > ofdm.MAX_FFT_SIZE:
+            raise ConfigError(f"{key} is above {ofdm.MAX_FFT_SIZE}, the "
+                              f"largest 802.11 FFT", lines.get(key))
     try:
         return RadioConfig(**{
             name: want(values[key]) for key, (name, want) in KNOWN_KEYS.items()
@@ -229,16 +234,8 @@ def run_phase_offsets(ctx):
         burst = training_burst(cfg, n_extra=6)
         out = apply_clock_impairments(burst, cfg, imp)
         sym = extract_csi_symbols(out, 0, cfg, n_symbols=8)
-        n = cfg.fft_size
-        step = imp.cfo_hz / (cfg.subcarrier_spacing * n)
-        k = cfg.used_bins
-        errs = []
-        for ell in range(sym.shape[0]):
-            predicted = np.exp(-2j * np.pi * (ell * step + imp.cpo)) * np.exp(
-                -2j * np.pi * k * (imp.sfo + imp.pdd_extra) / n
-            )
-            errs.append(np.max(np.abs(np.angle(sym[ell] * np.conj(predicted)))))
-        err = float(np.max(errs))
+        predicted = imp.phase(cfg, 8, cfg.subcarrier_freqs())
+        err = float(np.max(np.abs(np.angle(sym * np.conj(predicted)))))
         trial_errs.append(err)
         rows.append(["bistatic", trial, f"{imp.cfo_hz:.1f}", f"{err:.3e}"])
 
@@ -434,11 +431,18 @@ def run_stft_irregular(ctx):
     # are uniform rescales the tone out of band, while the in-run spacing
     # is regular enough for the nonuniform transform to stay coherent.
     t_irr = _bursty_times(ctx.rng(4), 1.5 * duration)
+    # The claim needs 4 windows of each series, 224 samples at hop 32: more
+    # than two of the longest (109-sample) bursty runs, so the bursty series
+    # crosses at least two idle pauses. The naive transform sees the line at
+    # f * 12 ms / (mean spacing); one pause leaves it near 9.7 Hz, in band,
+    # and two bring it to the 9 Hz edge, so on fewer the naive check would
+    # judge the schedule rather than the transform
     for name, times in (("regular", t_reg), ("bursty", t_irr)):
-        if times.size < window:
+        if times.size < window + 3 * hop:
             raise ConfigError(
                 f"run.duration_s = {duration:g} gives the {name} series "
-                f"{times.size} samples, fewer than one {window}-sample window")
+                f"{times.size} samples, under the {window + 3 * hop} of 4 "
+                f"windows that the claim needs to span two idle pauses")
 
     series = _doppler_series(ctx, t_reg, speed, snr_db, 3)
     spec = stft(t_reg, series, window, hop)

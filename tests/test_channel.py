@@ -299,13 +299,31 @@ class TestClockImpairments:
         sym = extract_csi_symbols(out, 0, CFG, n_symbols=8)
         n = CFG.fft_size
         step = imp.cfo_hz / (CFG.subcarrier_spacing * n)
-        k = CFG.used_bins
+        k = CFG.signed_index()
         for l in range(8):
             predicted = np.exp(
                 -2j * np.pi * (l * step + imp.cpo)
             ) * np.exp(-2j * np.pi * k * (imp.sfo + imp.pdd_extra) / n)
             err = np.angle(sym[l] * np.conj(predicted))
             assert np.max(np.abs(err)) < 1e-6
+
+    @pytest.mark.parametrize("fft_size, cp_len", [(64, 16), (33, 8)])
+    @pytest.mark.parametrize("d", [0.25, 0.5])
+    def test_timing_offset_matches_a_true_fractional_delay(self, fft_size,
+                                                           cp_len, d):
+        # a band-limited delay of the whole burst by d samples: a zero-padded
+        # FFT, a linear phase over signed frequency, and the inverse
+        cfg = RadioConfig(fft_size=fft_size, cyclic_prefix_len=cp_len)
+        burst = ofdm.training_burst(cfg, n_extra=6)
+        m = 2 * burst.size
+        spec = np.fft.fft(burst, m) * np.exp(-2j * np.pi * np.fft.fftfreq(m) * d)
+        delayed = np.fft.ifft(spec)[: burst.size]
+        out = apply_clock_impairments(burst, cfg, ImpairmentProfile(pdd_extra=d))
+        # the repeats from symbol 2 on are cyclic, so the delay is a pure
+        # phase there, on negative-frequency subcarriers as on positive ones
+        want = extract_csi_symbols(delayed, 0, cfg, n_symbols=8)[2:]
+        got = extract_csi_symbols(out, 0, cfg, n_symbols=8)[2:]
+        assert np.max(np.abs(np.angle(got * np.conj(want)))) < 0.1
 
     def test_colocated_clock_has_no_drift(self):
         burst = ofdm.training_burst(CFG, n_extra=98)

@@ -191,7 +191,8 @@ class TestValidate:
                     "radio.fft_size = 1" + "0" * 400 + "\n")
         assert main(["validate", cfg]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "largest 802.11 FFT" in err
+        assert err == ("error: line 1: radio.fft_size is above 4096, the "
+                       "largest 802.11 FFT\n")
         out = tmp_path / "out"
         rc = main(["run", "phase-offsets", "--config", cfg, "--out", str(out)])
         assert rc == 3
@@ -291,6 +292,23 @@ class TestRun:
         assert len(err) == 1
         assert err[0].startswith("error: run.duration_s = 0.5 ")
         assert "window" in err[0]
+
+    def test_duration_too_short_for_the_claim_is_exit_three(self, capsys,
+                                                             tmp_path):
+        # 1.3 s gives the regular series 130 samples: one 128-sample window,
+        # where the claim needs 4 (224 samples at hop 32)
+        cfg = write(tmp_path / "short.cfg", "run.duration_s = 1.3\n")
+        out = tmp_path / "out"
+        rc = main(["run", "stft-irregular", "--config", cfg,
+                   "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: run.duration_s = 1.3 gives the regular series 130 "
+            "samples, under the 224 of 4 windows that the claim needs to "
+            "span two idle pauses\n")
 
     def test_unwritable_output_is_exit_four(self, capsys, tmp_path):
         afile = write(tmp_path / "afile", "")
