@@ -16,7 +16,6 @@ Per-stage leakage figures therefore come from running the same stages on
 the coupling alone; no component streams are kept.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,25 +126,6 @@ def digital_cancel(rx, tx_ref, state):
     return rx - kernels.fir_apply(np.asarray(tx_ref), state.digital_taps)
 
 
-@functools.lru_cache(maxsize=8)
-def _alignments_of(ref, n_taps):
-    """The analog scan's fixed half for the complex reference bytes ``ref``.
-
-    Returns, read only, the delays below ``n_taps`` whose delayed reference
-    has energy, the conjugated delayed references as rows (so one product
-    with a reception gives every delay's correlation) and their energies.
-    """
-    ref = np.frombuffer(ref, dtype=np.complex128)
-    shifted = np.array([_delayed(ref, delay) for delay in range(n_taps)])
-    energy = np.array([np.vdot(row, row).real for row in shifted])
-    delays = np.flatnonzero(energy)
-    rows = np.conj(shifted[delays])
-    energy = energy[delays]
-    for arr in (delays, rows, energy):
-        arr.flags.writeable = False
-    return delays, rows, energy
-
-
 def calibrate(tx_ref, leak, rng):
     """Fit the analog tap and digital FIR to the coupling on a dummy load.
 
@@ -156,14 +136,13 @@ def calibrate(tx_ref, leak, rng):
     delayed by d < ``DEFAULT_DIGITAL_TAPS`` samples and e_d that delayed
     reference's energy, the scan takes the d that minimises
     ``|rx|^2 - |c_d|^2 / e_d`` (the first on a tie; a delay with no energy
-    is skipped). The correlations come from one product with the
-    reference's delayed rows, built once per reference; the chosen tap and
-    its residual are then computed from the delayed reference itself. The
-    ``DEFAULT_DIGITAL_TAPS``-tap FIR is fitted to the post-analog residual
-    by ``NLMS_PASSES`` NLMS sweeps. The log gets one (0.0, stage,
-    residual_db re the raw coupling) row per stage; ``perfbench/tracing.py``
-    reads the rows by position. An empty, non-finite or all-zero
-    ``tx_ref`` leaves nothing to fit and raises ``ValueError``.
+    is skipped). The chosen tap and its residual are computed from the
+    delayed reference itself. The ``DEFAULT_DIGITAL_TAPS``-tap FIR is fitted
+    to the post-analog residual by ``NLMS_PASSES`` NLMS sweeps. The log gets
+    one (0.0, stage, residual_db re the raw coupling) row per stage;
+    ``perfbench/tracing.py`` reads the rows by position. An empty,
+    non-finite or all-zero ``tx_ref`` leaves nothing to fit and raises
+    ``ValueError``.
     """
     ref = np.asarray(tx_ref)
     if ref.ndim != 1 or ref.size == 0:
@@ -183,10 +162,14 @@ def calibrate(tx_ref, leak, rng):
     log = [(0.0, "first_stage", db(avg_power(rx) / raw_power))]
 
     # single complex degree of freedom, alignment scanned over the FIR span
-    delays, rows, energy = _alignments_of(
-        np.ascontiguousarray(ref, dtype=np.complex128).tobytes(), n_taps)
-    corr = rows @ rx
-    left = np.vdot(rx, rx).real - (corr.real ** 2 + corr.imag ** 2) / energy
+    # e_d is the energy of ref[:n - d]; zero-padding rx lets one
+    # correlation give c_d at every d < n_taps
+    energy = np.cumsum(ref.real ** 2 + ref.imag ** 2)[::-1][:n_taps]
+    delays = np.flatnonzero(energy)
+    padded = np.concatenate([rx, np.zeros(n_taps - 1)])
+    corr = np.correlate(padded, ref)[delays]
+    left = (np.vdot(rx, rx).real
+            - (corr.real ** 2 + corr.imag ** 2) / energy[delays])
     analog_delay = int(delays[np.argmin(left)])
     shifted = _delayed(ref, analog_delay)
     analog_tap = -np.vdot(shifted, rx) / np.vdot(shifted, shifted).real
@@ -234,22 +217,6 @@ def template_snr_db(template, received):
     return db(np.abs(gain) ** 2 * avg_power(p) / denom)
 
 
-def measure_separator_harm(template, state, remote_gain, rng):
-    """SNR cost of running the separator over someone else's packet.
-
-    The remote packet shares the standard preamble, so the frozen corrections
-    (built from the local transmit reference) land right on top of it; the
-    front-end isolation is not involved because it only touches the internal
-    coupling. The packet arrives over noise at the default noise floor;
-    returns (clean_snr_db, separated_snr_db).
-    """
-    ref = np.asarray(template)
-    noise = complex_noise(len(ref), DEFAULT_NOISE_FLOOR_DBM, rng)
-    clean = remote_gain * ref + noise
-    separated = separator_pipeline(clean, ref, state)
-    return template_snr_db(ref, clean), template_snr_db(ref, separated)
-
-
 def calibrated_separator(cfg, rng):
     """A training burst, fresh leakage, and a separator fitted to it.
 
@@ -265,17 +232,23 @@ def calibrated_separator(cfg, rng):
 
 
 def forced_separator_harm(cfg, rng, clean_snr_db=15.0):
-    """Calibrate a separator on fresh leakage, then measure its harm.
+    """SNR cost of a freshly calibrated separator on someone else's packet.
 
     ``calibrated_separator`` fits the separator; a remote copy of its
-    training burst ``clean_snr_db`` above the default noise floor then
-    passes through the frozen corrections. Returns (clean_snr_db,
-    separated_snr_db).
+    training burst then arrives ``clean_snr_db`` above noise at the default
+    noise floor and passes through the frozen corrections. The remote packet
+    shares the standard preamble, so the corrections (built from the local
+    transmit reference) land right on top of it; the front-end isolation is
+    not involved because it only touches the internal coupling. Returns
+    (clean_snr_db, separated_snr_db), both measured.
     """
     tx, _, state = calibrated_separator(cfg, rng)
     remote_gain = np.sqrt(from_db(DEFAULT_NOISE_FLOOR_DBM)
                           * from_db(clean_snr_db) / avg_power(tx))
-    return measure_separator_harm(tx, state, remote_gain, rng)
+    noise = complex_noise(len(tx), DEFAULT_NOISE_FLOOR_DBM, rng)
+    clean = remote_gain * tx + noise
+    separated = separator_pipeline(clean, tx, state)
+    return template_snr_db(tx, clean), template_snr_db(tx, separated)
 
 
 __all__ = [
@@ -288,7 +261,6 @@ __all__ = [
     "calibrate",
     "separator_pipeline",
     "template_snr_db",
-    "measure_separator_harm",
     "calibrated_separator",
     "forced_separator_harm",
     "DEFAULT_TX_POWER_DBM",

@@ -140,15 +140,6 @@ def linear_trajectory(start, velocity):
     return position
 
 
-def trajectory_positions(trajectory, times):
-    """Evaluate a position function at many times -> (n, 3) array."""
-    times = np.asarray(times, dtype=np.float64)
-    pos = np.asarray(trajectory(times), dtype=np.float64)
-    if pos.shape == (3,):
-        pos = np.broadcast_to(pos, (times.size, 3)).copy()
-    return pos
-
-
 # ---------------------------------------------------------------------------
 # scene description
 
@@ -297,8 +288,9 @@ def resolve_paths(geom, cfg, times, tx_power=1.0):
     Returns three (n_paths, n_times) arrays: field amplitude, delay in
     seconds and arrival angle in degrees. The direct tx->rx path comes first
     exactly when the layout is bistatic; a monostatic one has none.
-    A fixed ``position`` is broadcast over ``times`` and a ``trajectory`` is
-    evaluated at each of them. ``tx_power`` defaults to 1.0 so
+    A fixed ``position`` is broadcast over ``times``; a ``trajectory`` is
+    called once on all of them and may return one position per time or a
+    single position for every time. ``tx_power`` defaults to 1.0 so
     amplitudes act as field gains on the actual transmit waveform; pass a
     linear power to bake it in.
     """
@@ -314,7 +306,7 @@ def resolve_paths(geom, cfg, times, tx_power=1.0):
         aoa[0] = geom.aoa_of(geom.tx_pos)
     for i, p in enumerate(geom.targets, start=los):
         if p.trajectory is not None:
-            pos = trajectory_positions(p.trajectory, times)
+            pos = np.asarray(p.trajectory(times), dtype=np.float64)
             if not np.all(np.isfinite(pos)):
                 raise ValueError("trajectory positions must be finite")
         else:
@@ -350,7 +342,7 @@ def apply_clock_impairments(samples, cfg, imp):
         raise ValueError("buffer too short for a training burst")
     n_symbols = 2 + (len(values) - cfg.preamble_len) // (n + cfg.cyclic_prefix_len)
     phase = imp.phase(cfg, n_symbols, np.fft.fftfreq(n, 1.0 / cfg.sample_rate))
-    for row, (_, _, w0, p0) in zip(phase, burst_symbol_spans(cfg, n_symbols)):
+    for row, (w0, p0) in zip(phase, burst_symbol_spans(cfg, n_symbols)):
         spun = np.fft.ifft(np.fft.fft(values[w0 : w0 + n]) * row)
         # negative indices pick the window's tail for the prefix
         values[p0 : w0 + n] = spun[np.arange(p0 - w0, n)]
@@ -409,7 +401,6 @@ __all__ = [
     "power_ratio",
     "bistatic_projection",
     "linear_trajectory",
-    "trajectory_positions",
     "PropagationPath",
     "ImpairmentProfile",
     "ScenarioGeometry",

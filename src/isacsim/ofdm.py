@@ -8,7 +8,7 @@ implementation; CSI semantics only require the known long symbols. The
 used subcarriers follow from the FFT size: 26 per side of DC at 64 bins,
 scaled with the FFT size. The known content is built and measured in one
 place, and ``burst_symbol_spans`` is the one record of where each symbol's
-phase region, FFT window and cyclic prefix sit.
+FFT window and cyclic prefix sit.
 """
 
 import functools
@@ -154,7 +154,7 @@ def extract_csi_symbols(samples, index, cfg, n_symbols=2):
     n = cfg.fft_size
     reference = _training(cfg)[2]
     out = np.empty((n_symbols, cfg.n_used), dtype=np.complex128)
-    for l, (_, _, window, _) in enumerate(burst_symbol_spans(cfg, n_symbols)):
+    for l, (window, _) in enumerate(burst_symbol_spans(cfg, n_symbols)):
         w0 = index + window
         if w0 < 0 or w0 + n > len(samples):
             raise ValueError("training window out of bounds")
@@ -171,20 +171,18 @@ def training_burst(cfg, n_extra=0):
 
 
 def burst_symbol_spans(cfg, n_symbols):
-    """(region_start, region_end, window_start, prefix_start) per training symbol.
+    """(window_start, prefix_start) per training symbol.
 
-    The region covers the samples sharing symbol l's carrier-phase step
-    (cyclic prefix included; the short training field is folded into l=0).
     Samples [prefix_start, window_start) repeat the window's tail; the
     second long symbol has no prefix, so its two starts coincide.
     """
     n = cfg.fft_size
     cp = cfg.cyclic_prefix_len
     w0 = cfg.ltf_window_offset
-    spans = [(0, w0 + n, w0, cfg.stf_len), (w0 + n, w0 + 2 * n, w0 + n, w0 + n)]
+    spans = [(w0, cfg.stf_len), (w0 + n, w0 + n)]
     for l in range(2, n_symbols):
         start = cfg.preamble_len + (l - 2) * (n + cp)
-        spans.append((start, start + cp + n, start + cp, start))
+        spans.append((start + cp, start))
     return spans[:n_symbols]
 
 

@@ -12,7 +12,6 @@ from isacsim.cancel import (
     digital_cancel,
     first_stage,
     make_leakage,
-    measure_separator_harm,
     separator_pipeline,
     template_snr_db,
 )
@@ -37,8 +36,8 @@ def delayed(x, d):
     return np.concatenate([np.zeros(d, dtype=complex), x[: len(x) - d]])
 
 
-def tx_burst(power_dbm=5.0, n_extra=8):
-    burst = ofdm.training_burst(CFG, n_extra=n_extra)
+def tx_burst(power_dbm=5.0, n_extra=8, cfg=CFG):
+    burst = ofdm.training_burst(cfg, n_extra=n_extra)
     return burst * np.sqrt(from_db(power_dbm) / avg_power(burst))
 
 
@@ -155,10 +154,11 @@ def scanned_analog_stage(ref, rx, n_taps):
 
 class TestAnalogScan:
     @staticmethod
-    def check_against_scan(tx, seed):
+    def check_against_scan(tx, seed, leak=None):
         # calibrate's first draw from its rng is the reception noise, so
         # the same seed rebuilds its reception here
-        leak = make_leakage(np.random.default_rng([seed, 1]))
+        if leak is None:
+            leak = make_leakage(np.random.default_rng([seed, 1]))
         state = calibrate(tx, leak, np.random.default_rng([seed, 2]))
         rx = first_stage(kernels.fir_apply(tx, leak.taps)) + complex_noise(
             len(tx), cancel.DEFAULT_NOISE_FLOOR_DBM,
@@ -178,6 +178,23 @@ class TestAnalogScan:
         tx = tx_burst()
         delays = {self.check_against_scan(tx, seed) for seed in range(50)}
         assert delays == {1}
+
+    @pytest.mark.parametrize("fft_size,cp_len", [(16, 4), (33, 8)])
+    def test_probe_fft_sizes(self, fft_size, cp_len):
+        tx = tx_burst(cfg=RadioConfig(fft_size=fft_size,
+                                      cyclic_prefix_len=cp_len))
+        delays = {self.check_against_scan(tx, seed) for seed in range(10)}
+        assert delays == {1}
+
+    @pytest.mark.parametrize("dominant", [0, 5, 15])
+    def test_dominant_tap_off_delay_one(self, dominant):
+        # a full-span coupling, weak everywhere but at one delay
+        rng = np.random.default_rng(dominant)
+        taps = 1e-3 * (rng.standard_normal(cancel.DEFAULT_DIGITAL_TAPS)
+                       + 1j * rng.standard_normal(cancel.DEFAULT_DIGITAL_TAPS))
+        taps[dominant] = 0.2 * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        leak = LeakageChannel(taps)
+        assert self.check_against_scan(tx_burst(), 5, leak) == dominant
 
     def test_leading_zero_run(self):
         # a reference whose first 20 samples are silent
@@ -320,10 +337,7 @@ class TestHarm:
             template_snr_db(template, received)
 
     def test_separator_wrecks_remote_packets(self):
-        tx, _, state, _, _ = calibrated_scene(seed=4)
-        gain = np.sqrt(from_db(-70.0) / avg_power(tx))
-        clean, separated = measure_separator_harm(
-            tx, state, gain, np.random.default_rng(10)
-        )
+        clean, separated = cancel.forced_separator_harm(
+            CFG, np.random.default_rng(10))
         assert clean == pytest.approx(15.0, abs=1.0)
         assert clean - separated >= 10.0

@@ -252,11 +252,18 @@ class TestResolvePaths:
                 rcs=2.0),),
             **scene,
         )
+        static = synthesize_csi_series(geom_static, CFG, times)
         np.testing.assert_allclose(
-            synthesize_csi_series(geom_still, CFG, times),
-            synthesize_csi_series(geom_static, CFG, times),
-            rtol=1e-12,
+            synthesize_csi_series(geom_still, CFG, times), static, rtol=1e-12)
+        # a trajectory that returns one position for all times broadcasts
+        # exactly like that fixed position
+        geom_constant = ScenarioGeometry(
+            targets=(PropagationPath(
+                trajectory=lambda t: np.array([3.0, 2.0, 0.0]), rcs=2.0),),
+            **scene,
         )
+        np.testing.assert_array_equal(
+            synthesize_csi_series(geom_constant, CFG, times), static)
 
 
 class TestSteering:
@@ -340,7 +347,7 @@ class TestClockImpairments:
         out = apply_clock_impairments(burst, cfg, imp)
         assert np.max(np.abs(out - burst)) > 1e-3
         n, cp = fft_size, cfg.cyclic_prefix_len
-        for start, _, win, _ in ofdm.burst_symbol_spans(cfg, 5)[2:]:
+        for win, start in ofdm.burst_symbol_spans(cfg, 5)[2:]:
             np.testing.assert_allclose(
                 out[start : start + cp],
                 out[win + n - cp : win + n],

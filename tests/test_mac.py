@@ -953,9 +953,9 @@ class TestEventLoopOracle:
 
 
     def test_rows_follow_the_table_in_one_process(self):
-        # the site rows are memoized per transition table: a run, a broken
-        # table's run and a run on the restored table each match the
-        # reference loop, so no run reads another table's rows
+        # the choice between the vectorized pass and the walk reads the
+        # live transition table: a run, a patched table's run and a run on
+        # the restored table each match the reference loop
         kw = dict(seed=3, **MODES["on-csi"])
         args = (two_devices(), self.GEOM, mac.TrafficModel.streaming(), 0.5)
         assert not self.assert_matches(*args, **kw).violations

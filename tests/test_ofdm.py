@@ -122,15 +122,18 @@ class TestSymbolLayout:
         cfg = RadioConfig(fft_size=fft_size, cyclic_prefix_len=fft_size // 4)
         burst = training_burst(cfg, n_extra=n_extra)
         spans = burst_symbol_spans(cfg, 2 + n_extra)
-        ends = [0] + [hi for _, hi, _, _ in spans]
-        assert ends[-1] == len(burst)
-        for (lo, hi, win, pre), start in zip(spans, ends):
-            assert lo == start and lo <= pre <= win and win + fft_size == hi
+        assert spans[-1][0] + fft_size == len(burst)
+        for l, (win, pre) in enumerate(spans):
+            # each prefix follows the previous window
+            if l > 0:
+                assert pre == spans[l - 1][0] + fft_size
+            assert pre <= win
             # the prefix repeats the window's last win - pre samples
+            end = win + fft_size
             np.testing.assert_array_equal(burst[pre:win],
-                                          burst[pre + fft_size : hi])
-        assert spans[0][2] - spans[0][3] == fft_size // 2
-        assert spans[1][2] == spans[1][3]
+                                          burst[pre + fft_size : end])
+        assert spans[0][0] - spans[0][1] == fft_size // 2
+        assert spans[1][0] == spans[1][1]
 
 
 class TestPackets:
@@ -172,8 +175,9 @@ class TestCsiExtraction:
         # gamma_c such that gamma_c/(df*N) = 1/4 -> phase steps of -pi/2 per symbol
         n_sym = 6
         samples = training_burst(CFG, n_extra=n_sym - 2)
-        for l, (lo, hi, _, _) in enumerate(burst_symbol_spans(CFG, n_sym)):
-            samples[lo:hi] *= np.exp(-2j * np.pi * (l / 4.0))
+        for l, (win, pre) in enumerate(burst_symbol_spans(CFG, n_sym)):
+            end = win + CFG.fft_size
+            samples[pre:end] *= np.exp(-2j * np.pi * (l / 4.0))
         sym_csi = extract_csi_symbols(
             samples, 0, CFG, n_symbols=n_sym
         )
