@@ -56,35 +56,17 @@ def main(argv=None):
             print(f"{name:22s} {describe(name)}")
         return 0
 
-    if args.command == "validate":
-        try:
-            values = load_config(args.config)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        print(f"{args.config}: ok ({len(values)} key(s))")
-        print("accepted keys:")
-        for key, (_, want) in KNOWN_KEYS.items():
-            print(f"  {key}  ({want.__name__})")
-        return 0
-
-    if args.experiment not in experiment_names():
+    if args.command == "run" and args.experiment not in experiment_names():
         known = ", ".join(experiment_names())
         print(f"error: unknown experiment {args.experiment!r}; "
               f"known: {known}", file=sys.stderr)
         return 2
 
-    values = {}
-    if args.config is not None:
-        try:
-            values = load_config(args.config)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-
     try:
-        report = run_experiment(args.experiment, seed=args.seed,
-                                values=values, out_dir=args.out)
+        values = {} if args.config is None else load_config(args.config)
+        if args.command == "run":
+            report = run_experiment(args.experiment, seed=args.seed,
+                                    values=values, out_dir=args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -92,6 +74,13 @@ def main(argv=None):
         print(f"error: cannot write output under {args.out!r}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return 4
+
+    if args.command == "validate":
+        print(f"{args.config}: ok ({len(values)} key(s))")
+        print("accepted keys:")
+        for key, (_, want) in KNOWN_KEYS.items():
+            print(f"  {key}  ({want.__name__})")
+        return 0
     for line in report.lines:
         print(line)
     return 0 if report.passed else 1

@@ -29,13 +29,16 @@ entry due before everything in the heap is handled directly and never enters
 it; a site that pushes nothing pops. A transmission pushes one completion
 entry: the sender's TxComplete and, when it has a peer, the peer's
 RxComplete fall at the same instant with nothing scheduled between them, so
-they are handled together. The heap holds no timers, and the loop keeps no
-sensing state, which the comms half never reads. With sensing on, it records
-each transmission's start and end keys and sender, and each tx-done reserves
-the sequence number of the M timer its sender may arm, so ties break as with
-timers on the heap. Every state, capture and count follows from that trace:
-one numpy pass (``_pass``) on the protocol's table without a log or an
-overlap, else one walk with ``step`` (``_walk``).
+they are handled together. A completion goes first at its instant: a packet
+due as the medium frees starts after the completion that frees it, as
+CSMA's idle-medium rule implies. The heap holds no timers, and the loop
+keeps no sensing state, which the comms half never reads. With sensing on,
+it records each transmission's start key, end time and sender, and each
+tx-done reserves the sequence number of the M timer its sender may arm, so
+ties break as with timers on the heap. Every state, capture, log row and
+count follows from that trace in one numpy pass (``_pass``) that follows
+the protocol's table; ``step`` is that table's specification, and the tests
+hold the logged rows to it.
 
 Randomness is split into two independent streams — one for everything that
 affects communications (backoff, loss draws), one for sensing-side noise —
@@ -114,7 +117,6 @@ _TRANSITIONS = {
     ("M", "RxComplete"): ("M", DEFER_BISTATIC),
     ("C", "RxComplete"): ("C", DEFER_BISTATIC),
 }
-_PROTOCOL = dict(_TRANSITIONS)  # the table ``_pass`` is written for
 
 
 def step(state, kind):
@@ -307,25 +309,22 @@ class _DeviceCtx:
         self.peer = None
 
 
-def _pass(trace, ctxs, cap):
-    """``(log rows, violations, captures, armed timers, invariant checks,
-    separator mismatches)`` of a run's ``trace`` on the protocol's table, at
-    most ``cap`` captures; None on an overlap: a start at the instant the
-    transmission before it ends, with a key below that one's tx-done.
+def _pass(trace, ctxs, cap, log):
+    """``(log rows, captures, invariant checks)`` of a run's ``trace``, at
+    most ``cap`` captures, rows only with ``log``.
 
-    Otherwise every TxStart puts its sender in M, separator on, and clears
-    its timer, and every TxComplete arms one. A device is in M until that
-    timer expires, in B only while it receives from C, and no transition is
-    a violation or a mismatch. A timer expires unless its sender's next
+    Every TxStart puts its sender in M, separator on, and clears its timer,
+    and every TxComplete arms one. A device is in M until that timer
+    expires and in B only while it receives from C, so no transition is a
+    violation or a mismatch. A timer expires unless its sender's next
     TxStart comes first; a RxStart is a bistatic capture unless the
-    receiver's last transmission left a timer pending past it. Keys compare
-    by time, and by sequence number only at ties."""
-    start_t, start_seq, end_t, end_seq, senders, timer_seqs = trace
+    receiver's last transmission left a timer pending past it, and a
+    deferred reception ends in C if that timer lapsed in the air. Keys
+    compare by time, then completions first, then by sequence number; a
+    transmission's two start rows share one, as do its completion rows."""
+    start_t, start_seq, end_t, senders, timer_seqs = trace
     n = len(start_t)
     ts, te = (np.fromiter(times, float, n) for times in (start_t, end_t))
-    for k in np.flatnonzero(ts[1:] == te[:-1]).tolist():
-        if start_seq[k + 1] < end_seq[k]:
-            return None
     snd = np.fromiter(senders, np.int64, n)
     timer_t = te + M_TIMER_S
 
@@ -338,13 +337,14 @@ def _pass(trace, ctxs, cap):
 
     owns = [(own, ts[own], timer_t[own])
             for own in (np.flatnonzero(snd == d) for d in range(len(ctxs)))]
-    bi = np.zeros(n, dtype=bool)
+    # per transmission: its timer expires, and its RxStart is bistatic
+    expires, bi = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     checks = 2 * n
     for ctx, (own, starts, deadlines) in zip(ctxs, owns):
         if own.size:
             # the last timer always expires
-            checks += 1 + int(np.count_nonzero(timer_first(
-                deadlines[:-1], starts[1:], own[:-1], own[1:])))
+            expires[own] = np.append(timer_first(
+                deadlines[:-1], starts[1:], own[:-1], own[1:]), True)
         if ctx.peer is None:
             continue
         checks += 2 * own.size
@@ -354,6 +354,39 @@ def _pass(trace, ctxs, cap):
         bi[own] = pos < 0
         if rx.size:
             bi[own] |= timer_first(rx_deadlines[pos], starts, rx[pos], own)
+    checks += int(np.count_nonzero(expires))
+
+    rows = []
+    if log:
+        # a TxStart from C or in M, and a reception's RxStart and
+        # RxComplete: deferred in M, deferred past a timer that lapsed in
+        # the air, or bistatic from C
+        tx_starts = (("C", "M", ENABLE_SEPARATOR), ("M", "M", CONTINUE_BURST))
+        deferred = ("M", "M", DEFER_BISTATIC)
+        receptions = ((deferred, deferred),
+                      (deferred, ("C", "C", DEFER_BISTATIC)),
+                      (("C", "B", BISTATIC_CAPTURE), ("B", "C", END_CAPTURE)))
+        expires = expires.tolist()
+        last = [None] * len(ctxs)  # each device's last transmission so far
+        for k, (t0, t1, d, is_bi) in enumerate(zip(start_t, end_t, senders,
+                                                    bi.tolist())):
+            tx, rx = ctxs[d], ctxs[d].peer
+            start, end = (t0, start_seq[k]), (t1, -1)
+            cont = last[d] is not None and not expires[last[d]]
+            rows += [(start, tx, "TxStart", tx_starts[cont]),
+                     (end, tx, "TxComplete", ("M", "M", ARM_TIMER))]
+            if rx is not None:
+                rx_start, rx_end = receptions[
+                    2 if is_bi else end_t[last[rx.index]] + M_TIMER_S < t1]
+                rows += [(start, rx, "RxStart", rx_start),
+                         (end, rx, "RxComplete", rx_end)]
+            last[d] = k
+            if expires[k]:
+                rows.append(((t1 + M_TIMER_S, timer_seqs[k]), tx,
+                             "TimerExpiry", ("M", "C", DISABLE_SEPARATOR)))
+        rows.sort(key=lambda row: row[0])
+        rows = [LogEntry(key[0], ctx.dev.device_id, kind, *change)
+                for key, ctx, kind, change in rows]
 
     captures = []
     if cap:
@@ -365,74 +398,7 @@ def _pass(trace, ctxs, cap):
             if is_bi:
                 captures.append((start_t[k], "bi", tx.peer, tx))
         del captures[cap:]
-    return [], [], captures, n, checks, 0
-
-
-def _walk(trace, ctxs, cap, log):
-    """``_pass`` by one walk with ``step`` over the TxStart sites (TxStart,
-    then the peer's RxStart) and tx-done sites (TxComplete, RxComplete) in
-    key order, for any table, overlaps and the log. A TxStart that engages
-    the separator or continues a burst clears the sender's M timer. A timer
-    changes only its own device: it expires when the first site after its
-    key touches the device, or at the end, and rows are sorted by key.
-    """
-    start_t, start_seq, end_t, end_seq, senders, timer_seqs = trace
-    state, separator, timer = (["C"] * len(ctxs), [False] * len(ctxs),
-                               [None] * len(ctxs))
-    rows, captures = [], []
-    armed = checks = mismatches = 0
-
-    def take(ctx, key, kind):
-        nonlocal checks, mismatches
-        d = ctx.index
-        if timer[d] is not None and timer[d] < key:
-            due, timer[d] = timer[d], None
-            take(ctx, due, "TimerExpiry")
-        before = state[d]
-        after, action = step(before, kind)
-        state[d] = after
-        if action in (ENABLE_SEPARATOR, DISABLE_SEPARATOR):
-            separator[d] = action == ENABLE_SEPARATOR
-        checks += 1
-        mismatches += separator[d] != (after == "M")
-        if log or action == VIOLATION:
-            # a row carries the (time, sequence number) key of its event
-            rows.append((key, LogEntry(key[0], ctx.dev.device_id, kind,
-                                       before, after, action)))
-        return before, after, action
-
-    sites = sorted(
-        [(key, k, True) for k, key in enumerate(zip(start_t, start_seq))]
-        + [(key, k, False) for k, key in enumerate(zip(end_t, end_seq))])
-    for key, k, starts in sites:
-        tx = ctxs[senders[k]]
-        rx = tx.peer
-        if not starts:
-            if take(tx, key, "TxComplete")[2] == ARM_TIMER:
-                timer[tx.index] = (end_t[k] + M_TIMER_S, timer_seqs[k])
-                armed += 1
-            if rx is not None:
-                take(rx, key, "RxComplete")
-            continue
-        _, after, action = take(tx, key, "TxStart")
-        if action in (ENABLE_SEPARATOR, CONTINUE_BURST):
-            timer[tx.index] = None
-        bi = rx is not None and take(rx, key, "RxStart")[:2] == ("C", "B")
-        if len(captures) < cap:
-            # both are noted, then cut back to the cap
-            if after == "M":
-                captures.append((key[0], "mono", tx, tx))
-            if bi:
-                captures.append((key[0], "bi", rx, tx))
-    del captures[cap:]
-    for ctx, due in zip(ctxs, timer):
-        if due is not None:
-            take(ctx, due, "TimerExpiry")
-    rows.sort(key=lambda row: row[0])
-    entries = [e for _, e in rows]
-    return ((entries if log else []),
-            [e for e in entries if e.action == VIOLATION], captures, armed,
-            checks, mismatches)
+    return rows, captures, checks
 
 
 def _materialize_csi(captures, geometry, cfg, rng):
@@ -481,6 +447,13 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     RxComplete and every armed M timer, superseded ones included, though a
     superseded timer costs no work. A device with no packet before
     ``duration`` sends nothing. ``duration`` must be positive and finite.
+
+    The log holds one row per sensing transition in key order, completions
+    first at a shared instant; ``invariant_checks`` counts the transitions,
+    logged or not. ``violations`` would list rows whose action is
+    ``VIOLATION`` and ``separator_mismatches`` count transitions that leave
+    the separator on outside M or off in M. The pass follows the protocol's
+    table, where neither happens, so they are always empty and 0.
     """
     _check_duration(duration)
     if not devices:
@@ -563,8 +536,8 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     medium_free_at = 0.0
     n_received = 0
     # the trace: one value per transmission in each, kept with sensing on
-    trace = start_t, start_seq, end_t, end_seq, senders, timer_seqs = (
-        [], [], [], [], [], [])
+    trace = start_t, start_seq, end_t, senders, timer_seqs = (
+        [], [], [], [], [])
 
     # a site hands the entry it pushes last on; a site that pushes none pops
     entry = pop(heap) if heap else None
@@ -618,21 +591,19 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
             start_t.append(t)
             start_seq.append(s)
             end_t.append(medium_free_at)
-            end_seq.append(done)
             senders.append(ctx.index)
-        # the payload names the sender and the packet type, all tx-done needs
-        entry = pushpop(heap, (medium_free_at, done, "tx-done", payload))
+        # the payload names the sender and the packet type, all tx-done
+        # needs; its negated number sorts it before every other entry at
+        # its instant, so a packet due as the medium frees starts after it
+        entry = pushpop(heap, (medium_free_at, -done, "tx-done", payload))
 
-    # the pass gives None on an overlap; without sensing the trace is empty
-    # and the walk reports nothing
-    args = (trace, list(ctxs.values()), MAX_CSI if collect_csi else 0)
-    entries, violations, captures, armed, checks, mismatches = (
-        sensing_enabled and not log and _TRANSITIONS == _PROTOCOL
-        and _pass(*args)) or _walk(*args, log)
+    # without sensing the trace is empty and the pass reports nothing
+    entries, captures, checks = _pass(
+        trace, list(ctxs.values()), MAX_CSI if collect_csi else 0, log)
 
-    # each handled entry holds one sequence number (a scheduled packet its
-    # offset below n_scheduled); a reserved timer number is no entry
-    n_events = next(seq) - len(timer_seqs) + n_received + armed
+    # each handled entry and each armed M timer holds one sequence number
+    # (a scheduled packet its offset below n_scheduled)
+    n_events = next(seq) + n_received
     # a run that sent no DATA packet has no delay, loss or SNR to report
     nan = float("nan")
     p50, p95 = (np.percentile(1e3 * np.asarray(delays), (50, 95)).tolist()
@@ -648,10 +619,9 @@ def run_scenario(devices, geometry, traffic, duration, seed=0, cfg=None,
     }
     return ScenarioResult(entries,
                           _materialize_csi(captures, geometry, cfg, rng_sense),
-                          stats, violations,
+                          stats, [],
                           n_events=n_events,
                           invariant_checks=checks,
-                          separator_mismatches=mismatches,
                           separator_penalty_db=penalty_db)
 
 

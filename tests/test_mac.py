@@ -513,9 +513,11 @@ def reference_run_scenario(devices, geometry, traffic, duration, seed=0,
     """The straightforward event loop ``run_scenario`` must reproduce: every
     scheduled packet pushed up front, and separate tx-complete and
     rx-complete entries for each transmission, and every M timer pushed on
-    the heap and skipped when it pops superseded. It takes the M window and
-    the CSI cap as arguments, where ``run_scenario`` reads its module's
-    ``M_TIMER_S`` and ``MAX_CSI``."""
+    the heap and skipped when it pops superseded. Entries are keyed by
+    time, then completions first, then push order, so a packet due at the
+    instant the medium frees starts after the completions that free it. It
+    takes the M window and the CSI cap as arguments, where ``run_scenario``
+    reads its module's ``M_TIMER_S`` and ``MAX_CSI``."""
     cfg = RadioConfig()
     ids = [d.device_id for d in devices]
     ctxs = {d.device_id: ReferenceDevice(d) for d in devices}
@@ -549,13 +551,17 @@ def reference_run_scenario(devices, geometry, traffic, duration, seed=0,
 
     heap = []
     seq = itertools.count()
+
+    def push(t, kind, payload):
+        completion = kind in ("tx-complete", "rx-complete")
+        heapq.heappush(heap, (t, not completion, next(seq), kind, payload))
+
     for i, d in enumerate(devices):
         times = mac.generate_traffic(
             d.traffic or traffic, duration,
             seed=np.random.default_rng([seed, i, 5]).integers(0, 2**32))
         for t in times:
-            heapq.heappush(heap, (float(t), next(seq), "pkt-due",
-                                  (ctxs[d.device_id], float(t), "DATA")))
+            push(float(t), "pkt-due", (ctxs[d.device_id], float(t), "DATA"))
 
     entries, violations, captures = [], [], []
     delays, successes, rx_snrs = [], [], []
@@ -573,8 +579,7 @@ def reference_run_scenario(devices, geometry, traffic, duration, seed=0,
             ctx.m_timer_deadline = None
         elif action == mac.ARM_TIMER:
             deadline = ctx.m_timer_deadline = t + timer_s
-            heapq.heappush(heap, (deadline, next(seq), "timer",
-                                  (ctx, deadline)))
+            push(deadline, "timer", (ctx, deadline))
         entry = mac.LogEntry(t, ctx.dev.device_id, event_kind, before, after,
                              action)
         if action == mac.VIOLATION:
@@ -584,14 +589,13 @@ def reference_run_scenario(devices, geometry, traffic, duration, seed=0,
         counts["mismatches"] += ctx.separator_on != (after == "M")
 
     while heap:
-        t, _, kind, payload = heapq.heappop(heap)
+        t, _, _, kind, payload = heapq.heappop(heap)
         counts["events"] += 1
         if kind == "pkt-due":
             ctx, sched_t, ptype = payload
             if t < medium_free_at:
                 backoff = mac.SLOT_S * int(rng_comms.integers(0, 16))
-                heapq.heappush(heap, (medium_free_at + backoff, next(seq),
-                                      kind, payload))
+                push(medium_free_at + backoff, kind, payload)
                 continue
             dur = data_duration if ptype == "DATA" else ack_duration
             medium_free_at = t + dur
@@ -602,7 +606,7 @@ def reference_run_scenario(devices, geometry, traffic, duration, seed=0,
                     captures.append((t, "mono", ctx, ctx))
             if ptype == "DATA":
                 delays.append(t - sched_t)
-            heapq.heappush(heap, (t + dur, next(seq), "tx-complete", ctx))
+            push(t + dur, "tx-complete", ctx)
             rx_ctx = ctx.peer
             if rx_ctx is not None:
                 if sensing_enabled:
@@ -611,8 +615,7 @@ def reference_run_scenario(devices, geometry, traffic, duration, seed=0,
                     if (was_c and collect_csi and rx_ctx.state == "B"
                             and len(captures) < max_csi):
                         captures.append((t, "bi", rx_ctx, ctx))
-                heapq.heappush(heap, (t + dur, next(seq), "rx-complete",
-                                      (ctx, ptype)))
+                push(t + dur, "rx-complete", (ctx, ptype))
         elif kind == "tx-complete":
             if sensing_enabled:
                 take_step(t, payload, "TxComplete")
@@ -630,8 +633,8 @@ def reference_run_scenario(devices, geometry, traffic, duration, seed=0,
                 successes.append(ok)
                 rx_snrs.append(tx_ctx.link_snr)
                 if ok:
-                    heapq.heappush(heap, (t + mac.SIFS_S, next(seq), "pkt-due",
-                                          (rx_ctx, t + mac.SIFS_S, "ACK")))
+                    push(t + mac.SIFS_S, "pkt-due",
+                         (rx_ctx, t + mac.SIFS_S, "ACK"))
 
     nan = float("nan")
     delays_ms = 1e3 * np.asarray(delays)
@@ -669,8 +672,12 @@ class TestEventLoop:
                                seed=5)
         events = {e.event for e in res.log}
         assert events == set(mac.EVENT_KINDS)
+        # each device's rows chain from C, one step of the table each
+        state = {}
         for e in res.log:
+            assert e.state_before == state.get(e.device, "C")
             assert step(e.state_before, e.event) == (e.state_after, e.action)
+            state[e.device] = e.state_after
 
     def test_log_is_time_ordered_with_valid_entries(self):
         res = mac.run_scenario(
@@ -871,21 +878,42 @@ class TestEventLoopOracle:
             if mode == "forced":
                 assert got.stats["loss_rate"] > 0.0
 
-    def test_start_at_the_instant_the_last_transmission_ends(self):
-        # three regular 100 Hz devices: at these seeds some transmission
-        # starts at the instant the one before it ends, with a key below that
-        # one's tx-done, so a device meets a RxStart before its own
-        # TxComplete (an overlap); at a 0 s window some are violations
+    def assert_completions_first(self, n_devices, duration, seeds):
+        """Regular 100 Hz devices, where some transmission starts at the
+        instant the one before it ends: at every window in ``TIMERS`` the
+        run matches the reference loop and reports no violation, and at
+        every such instant its Complete rows come before its Start rows."""
         model = mac.TrafficModel.regular(100.0)
-        for seed in (0, 1, 2, 5):
-            devices = [mac.MacDevice(f"dev-{i}", (4.0 * i, 1.5 * (i == 2),
-                                                  0.0))
-                       for i in range(3)]
-            got = self.assert_matches(devices, self.GEOM, model, 2.0,
-                                      seed=seed, **MODES["on-csi"])
-            assert any(a.time == b.time and a.event.endswith("Start")
-                       and b.event.endswith("Complete")
-                       for a, b in zip(got.log, got.log[1:]))
+        devices = [mac.MacDevice(f"dev-{i}", (4.0 * i, 1.5 * (i == 2), 0.0))
+                   for i in range(n_devices)]
+        for seed in seeds:
+            for timer_s in self.TIMERS:
+                got = assert_matches_reference(
+                    devices, self.GEOM, model, duration, seed=seed,
+                    timer_s=timer_s, **MODES["on-csi"])
+                assert got.violations == []
+                assert got.separator_mismatches == 0
+                instants = {}
+                for e in got.log:
+                    if e.event != "TimerExpiry":
+                        instants.setdefault(e.time, []).append(
+                            e.event.endswith("Start"))
+                shared = [starts for starts in instants.values()
+                          if len(set(starts)) == 2]
+                assert shared
+                for starts in shared:
+                    assert starts == sorted(starts)
+
+    def test_start_at_the_instant_the_last_transmission_ends(self):
+        # three devices: at these seeds some packet comes due at the
+        # instant the medium frees; it starts after the completions
+        self.assert_completions_first(3, 2.0, (0, 1, 2, 5))
+
+    def test_four_devices_report_no_violation(self):
+        # four devices: at these seeds a start handled before the
+        # completion that freed the medium put a device in B at its own
+        # TxStart, one (B, TxStart) and one (C, TxComplete) violation
+        self.assert_completions_first(4, 1.0, (10, 14))
 
     def test_timer_ties_with_the_next_scheduled_packet(self):
         # dev-b's M timer, armed at its packet's TxComplete, expires exactly
@@ -904,6 +932,46 @@ class TestEventLoopOracle:
                    if e.time == 2.0 / 400.0]
             assert tie == [("dev-b", "TxStart", mac.CONTINUE_BURST),
                            ("dev-a", "RxStart", mac.DEFER_BISTATIC)]
+
+    def test_packets_due_as_the_medium_frees_follow_its_completion(self):
+        # dev-0's first DATA ends exactly when dev-1's and dev-2's second
+        # packets come due: its completion's loss draw comes before the
+        # backoff of the one that defers, as in the reference loop
+        data_s = packet_duration(mac.DATA_SYMBOLS, RadioConfig())
+        fast = mac.TrafficModel.regular(1.0 / data_s)
+        assert mac.generate_traffic(fast, 3 * data_s)[1] == data_s
+        devices = [mac.MacDevice(f"dev-{i}", (4.0 * i, 0.0, 0.0),
+                                 traffic=fast)
+                   for i in range(3)]
+        devices[0].traffic = mac.TrafficModel.regular(100.0)
+        for seed in range(4):
+            got = self.assert_matches(devices, None, None, 2.5 * data_s,
+                                      seed=seed, link_snr_db=30.0)
+            assert [(e.device, e.event) for e in got.log
+                    if e.time == data_s][:3] == [
+                ("dev-0", "TxComplete"), ("dev-1", "RxComplete"),
+                ("dev-1", "TxStart")]
+
+    def test_window_that_closes_as_a_deferred_reception_ends(self):
+        # dev-a's M window ends exactly when the ACK it receives in M does:
+        # the RxComplete goes first, still in M, then the timer expires
+        devices = two_devices()
+        model = mac.TrafficModel.regular(100.0)
+        log = mac.run_scenario(devices, None, model, 0.05, seed=0).log
+        k = next(i for i, e in enumerate(log)
+                 if e.event == "RxStart" and e.action == mac.DEFER_BISTATIC)
+        rx = log[k].device
+        sent = max(e.time for e in log[:k]
+                   if e.device == rx and e.event == "TxComplete")
+        ends = next(e.time for e in log[k:]
+                    if e.device == rx and e.event == "RxComplete")
+        timer_s = ends - sent
+        assert sent + timer_s == ends
+        got = assert_matches_reference(devices, None, model, 0.05, seed=0,
+                                       timer_s=timer_s)
+        assert [(e.event, e.state_before, e.state_after) for e in got.log
+                if e.device == rx and e.time == ends] == [
+            ("RxComplete", "M", "M"), ("TimerExpiry", "M", "C")]
 
     def test_devices_without_packets_send_nothing(self):
         # at 2 ms neither streaming nor gaming draws a packet at seed 0
@@ -934,36 +1002,6 @@ class TestEventLoopOracle:
             "TimerExpiry": {mac.DISABLE_SEPARATOR, mac.VIOLATION},
         }
 
-    @pytest.mark.parametrize("kind,state,broken,report", [
-        # a burst that starts without engaging the separator
-        ("TxStart", "C", ("M", mac.CONTINUE_BURST), "separator_mismatches"),
-        # a timer that can never close the M window
-        ("TimerExpiry", "M", ("M", mac.VIOLATION), "violations"),
-    ])
-    def test_broken_table_is_reported(self, monkeypatch, kind, state, broken,
-                                      report):
-        monkeypatch.setitem(mac._TRANSITIONS, (state, kind), broken)
-        for mode in ("on-csi", "forced"):
-            kw = MODES[mode]
-            geom = self.GEOM if kw.get("collect_csi") else None
-            got = self.assert_matches(
-                two_devices(), geom, mac.TrafficModel.streaming(), 0.5,
-                seed=3, **kw)
-            assert getattr(got, report)
-
-
-    def test_rows_follow_the_table_in_one_process(self):
-        # the choice between the vectorized pass and the walk reads the
-        # live transition table: a run, a patched table's run and a run on
-        # the restored table each match the reference loop
-        kw = dict(seed=3, **MODES["on-csi"])
-        args = (two_devices(), self.GEOM, mac.TrafficModel.streaming(), 0.5)
-        assert not self.assert_matches(*args, **kw).violations
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setitem(mac._TRANSITIONS, ("M", "TimerExpiry"),
-                       ("M", mac.VIOLATION))
-            assert self.assert_matches(*args, **kw).violations
-        assert not self.assert_matches(*args, **kw).violations
 
 class TestSeparatorPenalty:
     def test_penalty_is_large_and_deterministic(self):
