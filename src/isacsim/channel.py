@@ -19,11 +19,11 @@ Conventions
   ``alpha**2 = P * g_tx * g_rx * lam**2 * rcs / ((4*pi)**3 * (r_tx*r_rx)**2)``.
 * The direct tx->rx amplitude is normalized so the reflected-to-direct power
   ratio equals ``rcs * L / (4*pi * (r_tx*r_rx)**2)`` (see ``power_ratio``).
-* A delay ``tau`` puts ``delay_phase(tau, f) = exp(-2j*pi*tau*f)`` on
-  frequency ``f``, over signed frequency: CSI synthesis and the clock model
-  share this one map.
+* A delay ``tau`` puts ``delay_phase(tau, f) = exp(-2j*pi*tau*f)`` (from
+  ``sigcore``) on frequency ``f``, over signed frequency; synthesis, the clock
+  model, steering and the estimators' dictionaries all share this one map.
 * Receiver clock terms live in ``ImpairmentProfile``: they rotate training
-  symbol l by ``exp(-2j*pi*(l*cfo_hz/(df*n_fft) + cpo))``, and a
+  symbol l by ``delay_phase(l*cfo_hz/(df*n_fft) + cpo, 1)``, and a
   sampling-rate skew ``sfo`` plus a fractional timing offset ``pdd_extra``
   (in samples) act as that many samples of delay within each symbol window.
 * Antenna 0 is the phase reference of a uniform linear array; element i sits
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ofdm import SPEED_OF_LIGHT, burst_symbol_spans
-from .sigcore import TWO_PI, complex_noise, db, from_db, wrap_deg
+from .sigcore import TWO_PI, complex_noise, db, delay_phase, from_db, wrap_deg
 
 _MIN_RANGE = 1e-9
 # clock tolerance of a drawn device profile: carrier and sample-rate errors
@@ -221,9 +221,9 @@ class ImpairmentProfile:
         CFO/CPO rotation times ``delay_phase`` of the ``sfo + pdd_extra``
         sample offset."""
         step = self.cfo_hz / (cfg.subcarrier_spacing * cfg.fft_size)
-        rotation = np.exp(-2j * np.pi * (np.arange(n_symbols) * step + self.cpo))
+        rotation = delay_phase(np.arange(n_symbols) * step + self.cpo, 1.0)
         offset = (self.sfo + self.pdd_extra) / cfg.sample_rate
-        return rotation[:, None] * delay_phase(offset, freqs)
+        return rotation * delay_phase(offset, freqs)
 
 
 @dataclass
@@ -265,21 +265,13 @@ class ScenarioGeometry:
                         - self.boresight_deg)
 
 
-def delay_phase(delays, freqs):
-    """Phase ``exp(-2j*pi*tau*f)`` a delay ``tau`` (s) puts on frequency
-    ``f`` (Hz): (..., n_freqs) for delays of shape (...), over the signed
-    frequencies given."""
-    return np.exp(-2j * np.pi * np.asarray(delays)[..., None] * freqs)
-
-
 def steering_vector(aoa_deg, n_antennas):
     """Array response of a uniform linear array, element 0 as phase reference.
 
     ``aoa_deg`` may be an array of angles; the result is (..., n_antennas).
     """
-    idx = np.arange(n_antennas)
-    sin = np.sin(np.radians(np.asarray(aoa_deg, dtype=np.float64)))[..., None]
-    return np.exp(-2j * np.pi * idx * ARRAY_SPACING_WL * sin)
+    sin = np.sin(np.radians(np.asarray(aoa_deg, dtype=np.float64)))
+    return delay_phase(ARRAY_SPACING_WL * sin, np.arange(n_antennas))
 
 
 def resolve_paths(geom, cfg, times, tx_power=1.0):
@@ -404,7 +396,6 @@ __all__ = [
     "PropagationPath",
     "ImpairmentProfile",
     "ScenarioGeometry",
-    "delay_phase",
     "steering_vector",
     "resolve_paths",
     "apply_clock_impairments",

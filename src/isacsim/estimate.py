@@ -2,11 +2,12 @@
 
 The centerpiece is a sparse delay/Doppler estimator that works directly on
 irregularly spaced packets: it builds the nonuniform dictionary whose atoms
-are ``exp(-2j*pi*(f_c+f_k)*tau_i) * exp(-2j*pi*nu_j*T_l)`` and solves an
-l1-penalized least-squares problem with ADMM. Classical baselines (inverse
-transform across subcarriers, subspace pseudospectra for delay and angle,
-packet-rate FFT Doppler) are included because their failure modes under
-irregular sampling are exactly what the sparse path fixes.
+are ``delay_phase(tau_i, f_c+f_k) * delay_phase(T_l, nu_j)``, on the
+``sigcore`` map that synthesizes CSI, and solves an l1-penalized least-squares
+problem with ADMM. Classical baselines (inverse transform across subcarriers,
+subspace pseudospectra for delay and angle, packet-rate FFT Doppler) are here
+because their failure modes under irregular sampling are exactly what the
+sparse path fixes.
 
 Every estimator takes CSI in one shape, the (packets, antennas,
 subcarriers) array that ``channel.synthesize_csi_series`` returns, and
@@ -23,6 +24,7 @@ import numpy as np
 
 from .channel import steering_vector
 from .ofdm import SPEED_OF_LIGHT
+from .sigcore import delay_phase
 
 
 # ---------------------------------------------------------------------------
@@ -280,20 +282,10 @@ def admm_lasso(g, d, y, lam, max_iters=200, tol=1e-6):
 # sparse delay/Doppler estimation
 
 
-def _atoms(x, grid):
-    """``exp(-2j*pi*outer(x, grid))``: one dictionary factor."""
-    return np.exp(-2j * np.pi * np.outer(x, grid))
-
-
-def dictionary_matrices(sched, cfg, delay_grid, doppler_grid):
-    """The separable nonuniform dictionary: per-subcarrier and per-packet parts."""
-    freqs = cfg.carrier_freq + cfg.subcarrier_freqs()
-    return _atoms(freqs, delay_grid), _atoms(sched.times, doppler_grid)
-
-
 @functools.lru_cache(maxsize=8)
 def _delay_half_of(freqs, delays):
-    half = _rotate(_atoms(np.frombuffer(freqs), np.frombuffer(delays)))
+    # transposed from synthesis's (delays, freqs): an atom is a path's row
+    half = _rotate(delay_phase(np.frombuffer(delays), np.frombuffer(freqs)).T)
     for arr in half:
         arr.flags.writeable = False
     return half
@@ -339,7 +331,7 @@ def estimate_features_sparse(csi_series, sched, cfg, delay_grid, doppler_grid,
     delay_grid = np.asarray(delay_grid)
     doppler_grid = np.asarray(doppler_grid)
     delay = _delay_half(cfg, delay_grid)
-    doppler = _rotate(_atoms(sched.times, doppler_grid) / np.sqrt(h.size))
+    doppler = _rotate(delay_phase(sched.times, doppler_grid) / np.sqrt(h.size))
     y_rot = _apply(doppler.uh, delay.uh, h)
     ws = _workspace((doppler.w.shape[1], delay.w.shape[1]))
     corr = _apply(doppler.wh, delay.wh, y_rot, out=ws.x)
@@ -435,8 +427,7 @@ def _delay_steering(spacing, subarray_len):
     they are built once per pair and shared, read only; a few are kept.
     """
     grid = np.arange(0.0, 500e-9, 1e-9)
-    steer = np.exp(-2j * np.pi * spacing
-                   * np.outer(np.arange(subarray_len), grid))
+    steer = delay_phase(grid, spacing * np.arange(subarray_len)).T
     grid.flags.writeable = steer.flags.writeable = False
     return grid, steer
 
@@ -553,7 +544,6 @@ __all__ = [
     "FeatureVector",
     "LassoResult",
     "admm_lasso",
-    "dictionary_matrices",
     "estimate_features_sparse",
     "ifft_range_profile",
     "range_ifft",

@@ -62,6 +62,9 @@ KNOWN_KEYS = {
     "run.snr_db": (None, float),
     "run.duration_s": (None, float),
 }
+# largest |run.snr_db| accepted: far past any real link, and far inside the
+# range where dB arithmetic stays finite (at -4000 dB noise power overflows)
+MAX_ABS_SNR_DB = 300.0
 
 
 class ConfigError(Exception):
@@ -113,9 +116,10 @@ def check_config(values, lines=None):
 
     The one config validator: rejects unknown keys, values of the wrong
     type, non-finite numbers (JSON parsing turns ``NaN`` and ``Infinity``
-    into floats), a trial count or duration that is not positive, and radio
-    keys that are individually fine yet clash. When ``lines`` maps keys to
-    source line numbers, the error names the offending line.
+    into floats), a trial count or duration that is not positive, an SNR
+    beyond ``MAX_ABS_SNR_DB``, and radio keys that are individually fine yet
+    clash. When ``lines`` maps keys to source line numbers, the error names
+    the offending line.
     """
     lines = lines or {}
     unknown = sorted(k for k in values if k not in KNOWN_KEYS)
@@ -141,6 +145,9 @@ def check_config(values, lines=None):
         if key in ("run.n_trials", "run.duration_s") and val <= 0:
             raise ConfigError(f"{key} must be positive, got {val!r}",
                               lines.get(key))
+        if key == "run.snr_db" and abs(val) > MAX_ABS_SNR_DB:
+            raise ConfigError(f"{key} must lie within +/-{MAX_ABS_SNR_DB:g} "
+                              f"dB, got {val!r}", lines.get(key))
         # judged here, where the key and line are known, and without echoing
         # a value that may run to hundreds of digits
         if key == "radio.fft_size" and val > ofdm.MAX_FFT_SIZE:
@@ -162,10 +169,10 @@ class ExperimentContext:
 
     def __post_init__(self):
         self.cfg = check_config(self.values)
-        # each value is hashed as the type the run reads, so that 10 and
-        # 10.0, or 5 and np.int64(5), name one config
-        typed = {k: KNOWN_KEYS[k][1](v) for k, v in self.values.items()}
-        canon = json.dumps(typed, sort_keys=True)
+        # each value is kept, and hashed, as the type the run reads, so that
+        # 10 and 10.0, or 5 and np.int64(5), name one config
+        self.values = {k: KNOWN_KEYS[k][1](v) for k, v in self.values.items()}
+        canon = json.dumps(self.values, sort_keys=True)
         self.cfg_hash = hashlib.sha256(canon.encode()).hexdigest()[:12]
 
     def rng(self, *salt):
@@ -226,7 +233,7 @@ def run_phase_offsets(ctx):
     """Clock-impairment phase model: blockwise application vs analytic form."""
     cfg = ctx.cfg
     rng = ctx.rng(1)
-    n_trials = int(ctx.values.get("run.n_trials", 12))
+    n_trials = ctx.values.get("run.n_trials", 12)
     rows = []
     trial_errs = []
     for trial in range(n_trials):
@@ -324,8 +331,8 @@ def run_motion_ambiguity(ctx):
 
 def run_separator_harm(ctx):
     """SNR cost of forcing the transmit separator onto incoming packets."""
-    n_trials = int(ctx.values.get("run.n_trials", 4))
-    clean_target = float(ctx.values.get("run.snr_db", 15.0))
+    n_trials = ctx.values.get("run.n_trials", 4)
+    clean_target = ctx.values.get("run.snr_db", 15.0)
     rows = []
     penalties = []
     for trial in range(n_trials):
@@ -345,8 +352,8 @@ def run_separator_harm(ctx):
 
 def run_comms_impact(ctx):
     """Delay/loss with sensing off, on, and with an always-on separator."""
-    duration = float(ctx.values.get("run.duration_s", 4.0))
-    link_snr = float(ctx.values.get("run.snr_db", 18.0))
+    duration = ctx.values.get("run.duration_s", 4.0)
+    link_snr = ctx.values.get("run.snr_db", 18.0)
     traffics = {
         "regular": mac.TrafficModel.regular(100.0),
         "streaming": mac.TrafficModel.streaming(seed=0),
@@ -418,8 +425,8 @@ def _doppler_series(ctx, times, speed_mps, snr_db, salt):
 def run_stft_irregular(ctx):
     """Doppler band concentration: uniform FFT vs naive and nonuniform DFT."""
     cfg = ctx.cfg
-    snr_db = float(ctx.values.get("run.snr_db", 20.0))
-    duration = float(ctx.values.get("run.duration_s", 8.0))
+    snr_db = ctx.values.get("run.snr_db", 20.0)
+    duration = ctx.values.get("run.duration_s", 8.0)
     speed = 0.75  # puts the line mid-band at 2 * v / wavelength = 12 Hz
     f_doppler = 2.0 * speed / cfg.wavelength
     window, hop = 128, 32
@@ -479,7 +486,7 @@ def run_stft_irregular(ctx):
 def run_cancellation_budget(ctx):
     """Stage-by-stage leakage suppression and echo preservation."""
     cfg = ctx.cfg
-    n_trials = int(ctx.values.get("run.n_trials", 3))
+    n_trials = ctx.values.get("run.n_trials", 3)
     rows = []
     figures = []
     floor_dbm = cancel.DEFAULT_NOISE_FLOOR_DBM
@@ -568,8 +575,8 @@ def ranging_trial(cfg, rng, snr_db=15.0):
 def run_ranging(ctx):
     """Monostatic range error: sparse recovery vs subspace vs plain IFFT."""
     cfg = ctx.cfg
-    n_trials = int(ctx.values.get("run.n_trials", 60))
-    snr_db = float(ctx.values.get("run.snr_db", 15.0))
+    n_trials = ctx.values.get("run.n_trials", 60)
+    snr_db = ctx.values.get("run.snr_db", 15.0)
     delay_grid = np.arange(0.0, 500e-9, 2.5e-9)
     doppler_grid = np.arange(-17.0, 17.1, 0.25)
     rows = []
@@ -612,8 +619,8 @@ def run_ranging(ctx):
 def run_velocity(ctx):
     """Velocity error on bursty schedules: sparse vs snap-to-uniform FFT."""
     cfg = ctx.cfg
-    n_trials = int(ctx.values.get("run.n_trials", 24))
-    snr_db = float(ctx.values.get("run.snr_db", 15.0))
+    n_trials = ctx.values.get("run.n_trials", 24)
+    snr_db = ctx.values.get("run.snr_db", 15.0)
     doppler_grid = np.arange(-60.0, 60.0 + 0.25, 0.5)
     rows = []
     errs = {"sparse": [], "fft-snap": []}
@@ -669,8 +676,8 @@ def _device_observation(ctx, device_pos, heading_deg, target, snr_db, salt):
 
 def run_localization(ctx):
     """Ground-plane target fixes: one device vs two fused devices."""
-    n_trials = int(ctx.values.get("run.n_trials", 20))
-    snr_db = float(ctx.values.get("run.snr_db", 15.0))
+    n_trials = ctx.values.get("run.n_trials", 20)
+    snr_db = ctx.values.get("run.snr_db", 15.0)
     poses = {"dev-a": (0.0, 0.0, 45.0), "dev-b": (10.0, 10.0, 225.0)}
     rows = []
     errs = {"single": [], "fused": []}

@@ -1,4 +1,4 @@
-"""Complex baseband primitives: nonuniform DFT, STFT, noise, dB, angle wrap.
+"""Baseband primitives: delay phase, nonuniform DFT, STFT, noise, dB, wrap.
 
 A waveform is a plain complex ndarray sampled at ``cfg.sample_rate`` and
 starting at sample 0. Power convention used across the package: baseband
@@ -6,6 +6,10 @@ samples are unitless voltages whose mean squared magnitude is a power
 referenced to 1 mW, i.e. an array with average power 1.0 sits at 0 dBm.
 dBm is therefore dB relative to 1, and ``db``/``from_db`` are the one
 conversion each way for ratios and absolute powers alike.
+
+``delay_phase`` is the package's one ``exp(-2j*pi*x*y)``: CSI synthesis, the
+clock model, array steering, the estimators' dictionaries and the nonuniform
+DFT all build their phase with it.
 """
 
 from dataclasses import dataclass
@@ -67,6 +71,13 @@ class Spectrogram:
         return float(np.sum(self.bins[:, mask])) / total
 
 
+def delay_phase(delays, freqs):
+    """Phase ``exp(-2j*pi*tau*f)`` a delay ``tau`` (s) puts on frequency
+    ``f`` (Hz): (..., n_freqs) for delays of shape (...), over the signed
+    frequencies given."""
+    return np.exp(-2j * np.pi * np.asarray(delays)[..., None] * freqs)
+
+
 def nonuniform_dft(times, values, freqs):
     """Direct nonuniform DFT: c(f) = sum_m values[m] * exp(-2j*pi*f*times[m]).
 
@@ -88,8 +99,7 @@ def nonuniform_dft(times, values, freqs):
     out = np.empty(len(freqs), dtype=np.complex128)
     chunk = max(1, 4_000_000 // len(times))
     for i in range(0, len(freqs), chunk):
-        block = freqs[i : i + chunk, None] * times[None, :]
-        out[i : i + chunk] = np.exp(-2j * np.pi * block) @ values
+        out[i : i + chunk] = delay_phase(freqs[i : i + chunk], times) @ values
     return out
 
 
@@ -145,6 +155,7 @@ def complex_noise(n, power_dbm, rng):
 
 __all__ = [
     "Spectrogram",
+    "delay_phase",
     "nonuniform_dft",
     "stft",
     "hann_window",

@@ -131,6 +131,11 @@ class TestValidate:
         "run.duration_s = 0",
         "run.n_trials = 0",
         "run.n_trials = -3",
+        # just past the SNR bound, and far past it, where noise overflows
+        "run.snr_db = 300.0000001",
+        "run.snr_db = -300.0000001",
+        "run.snr_db = -4000",
+        "run.snr_db = 1e300",
     ])
     def test_out_of_range_value_names_the_line(self, capsys, tmp_path, text):
         cfg = write(tmp_path / "bad.cfg", f"# header\n{text}\n")

@@ -9,6 +9,7 @@ from isacsim.channel import (
     PropagationPath,
     ScenarioGeometry,
     linear_trajectory,
+    resolve_paths,
     steering_vector,
     synthesize_csi_series,
 )
@@ -18,7 +19,6 @@ from isacsim.estimate import (
     TxSchedule,
     admm_lasso,
     aoa_music,
-    dictionary_matrices,
     estimate_features_sparse,
     ifft_range_profile,
     range_ifft,
@@ -40,7 +40,7 @@ from isacsim.estimate import (
 )
 from isacsim.fusion import SensingMessage, fuse_ml
 from isacsim.ofdm import SPEED_OF_LIGHT, RadioConfig
-from isacsim.sigcore import TWO_PI, from_db
+from isacsim.sigcore import TWO_PI, delay_phase, from_db
 
 CFG = RadioConfig()
 
@@ -60,10 +60,20 @@ def lasso_objective(a_mat, y, x, lam):
     return 0.5 * np.vdot(r, r).real + lam * float(np.sum(np.abs(x)))
 
 
+def dense_dictionary(sched, cfg, delay_grid, doppler_grid):
+    """The dictionary's two halves, evaluated directly: D, (subcarriers x
+    delays), and G, (packets x Dopplers), whose Kronecker product holds the
+    atoms ``exp(-2j*pi*((f_c+f_k)*tau_i + nu_j*T_l))``."""
+    freqs = cfg.carrier_freq + cfg.subcarrier_freqs()
+    d = np.exp(-2j * np.pi * np.asarray(delay_grid)[:, None] * freqs).T
+    g = np.exp(-2j * np.pi * sched.times[:, None] * np.asarray(doppler_grid))
+    return d, g
+
+
 def matched_filter_peak(csi_series, sched, cfg, delay_grid, doppler_grid):
     """Dense correlation search over the sparse solver's dictionary."""
     h = csi_series[:, 0, :]
-    d_mat, g_mat = dictionary_matrices(sched, cfg, delay_grid, doppler_grid)
+    d_mat, g_mat = dense_dictionary(sched, cfg, delay_grid, doppler_grid)
     corr = np.abs(d_mat.conj().T @ h.T @ g_mat.conj())
     i, j = np.unravel_index(np.argmax(corr), corr.shape)
     return float(delay_grid[i]), float(doppler_grid[j])
@@ -423,16 +433,16 @@ def full_half(m):
 def ranging_dictionary(seed):
     """(G, D) shaped like the ranging workload's: 48 x 137 and 52 x 200."""
     times = gaming_times(48, seed=seed, median_gap=0.015, sigma=0.9)
-    d, g = dictionary_matrices(TxSchedule(times), CFG, RANGING_DELAYS,
-                               RANGING_DOPPLERS)
+    d, g = dense_dictionary(TxSchedule(times), CFG, RANGING_DELAYS,
+                            RANGING_DOPPLERS)
     return g / np.sqrt(g.shape[0] * d.shape[0]), d
 
 
 def cut_test_matrices():
     rng = np.random.default_rng(31)
     g, d = ranging_dictionary(31)
-    velocity_d = dictionary_matrices(TxSchedule([0.0]), CFG,
-                                     np.arange(0.0, 300e-9, 10e-9), [0.0])[0]
+    velocity_d = dense_dictionary(TxSchedule([0.0]), CFG,
+                                  np.arange(0.0, 300e-9, 10e-9), [0.0])[0]
     return {
         "random fat": random_matrix(rng, (7, 40)),
         "random tall": random_matrix(rng, (40, 7)),
@@ -503,8 +513,8 @@ class TestRankCut:
         grid = np.arange(0.0, 150e-9, 3e-9)
 
         def built(cfg, delays):
-            d = dictionary_matrices(TxSchedule([0.0]), cfg, delays, [0.0])[0]
-            return _rotate(d)
+            freqs = cfg.carrier_freq + cfg.subcarrier_freqs()
+            return _rotate(delay_phase(delays, freqs).T)
 
         half = _delay_half(CFG, grid)
         assert _delay_half(RadioConfig(), grid.copy()) is half
@@ -610,7 +620,7 @@ def sparse_problem(shape, cfg, scale):
                                              (5e-5, 90e-9, 0.0)],
                           snr_db=15, rng=43)
     y = h[:, 0, :]
-    d, g = dictionary_matrices(sched, cfg, delays, dopplers)
+    d, g = dense_dictionary(sched, cfg, delays, dopplers)
     doppler, delay = _rotate(g / np.sqrt(y.size)), _delay_half(cfg, delays)
     corr = _apply(doppler.w.conj().T, delay.w.conj().T,
                   _apply(doppler.uh, delay.uh, y))
@@ -703,7 +713,7 @@ class TestSparseFeatures:
         sched = TxSchedule(gaming_times(12, 9))
         delays = np.arange(0.0, 100e-9, 10e-9)
         dopplers = np.arange(-10.0, 10.1, 2.0)
-        d_mat, g_mat = dictionary_matrices(sched, CFG, delays, dopplers)
+        d_mat, g_mat = dense_dictionary(sched, CFG, delays, dopplers)
         gamma = rng.standard_normal((delays.size, dopplers.size)) + 1j * (
             rng.standard_normal((delays.size, dopplers.size))
         )
@@ -716,6 +726,25 @@ class TestSparseFeatures:
         rhs = np.vdot(adjoint, gamma)
         assert abs(lhs - rhs) < 1e-6 * abs(lhs)
 
+    def test_synthesized_echo_is_an_atom_of_the_delay_half(self):
+        # the CSI the synthesizer makes and the dictionary the estimator
+        # solves on come from one propagation model: a fixed monostatic
+        # echo is its amplitude times the delay column at its own delay
+        geom = ScenarioGeometry(targets=(PropagationPath(
+            position=(4.0, 1.5, 0.0)),))
+        times = np.array([0.0, 0.013, 0.05])
+        csi = synthesize_csi_series(geom, CFG, times)
+        alpha, tau, _ = resolve_paths(geom, CFG, times,
+                                      from_db(geom.tx_power_dbm))
+        # delays more than the inverse bandwidth apart, so D's columns are
+        # well conditioned and the rank cut keeps every direction they span
+        grid = tau[0, 0] + 100e-9 * np.arange(-2, 3)
+        d = dense_dictionary(TxSchedule(times), CFG, grid, [0.0])[0]
+        for row in csi[:, 0, :]:
+            np.testing.assert_array_equal(row, alpha[0, 0] * d[:, 2])
+        half = _delay_half(CFG, grid)
+        np.testing.assert_allclose(half.uh.conj().T @ half.w, d, rtol=1e-12)
+
     def test_matches_lasso_on_explicit_dense_dictionary(self):
         times = gaming_times(12, seed=3)
         sched = TxSchedule(times)
@@ -725,7 +754,7 @@ class TestSparseFeatures:
                       snr_db=20, rng=3)
         fv = estimate_features_sparse(h, sched, CFG, delay_grid=delays,
                                       doppler_grid=dopplers)
-        d_mat, g_mat = dictionary_matrices(sched, CFG, delays, dopplers)
+        d_mat, g_mat = dense_dictionary(sched, CFG, delays, dopplers)
         # row (packet l, subcarrier k), column (Doppler j, delay i)
         a = np.kron(g_mat, d_mat) / np.sqrt(h.size)
         y = h.reshape(-1)
@@ -940,9 +969,9 @@ class TestRangeMusic:
         grid, steer = _delay_steering(CFG.subcarrier_spacing, 16)
         assert grid is first.grid
         assert not grid.flags.writeable and not steer.flags.writeable
-        np.testing.assert_array_equal(steer, np.exp(
-            -2j * np.pi * CFG.subcarrier_spacing
-            * np.outer(np.arange(16), np.arange(0.0, 500e-9, 1e-9))))
+        np.testing.assert_array_equal(steer, delay_phase(
+            np.arange(0.0, 500e-9, 1e-9),
+            CFG.subcarrier_spacing * np.arange(16)).T)
         assert _delay_steering(CFG.subcarrier_spacing, 8)[1].shape == (8, 500)
         assert _delay_steering.cache_info().maxsize is not None
 

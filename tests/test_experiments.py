@@ -9,6 +9,7 @@ from isacsim import experiments
 from isacsim.cancel import DEFAULT_FIRST_STAGE_DB, DEFAULT_NOISE_FLOOR_DBM
 from isacsim.experiments import (
     EXPERIMENTS,
+    MAX_ABS_SNR_DB,
     Check,
     ConfigError,
     ExperimentContext,
@@ -99,6 +100,13 @@ class TestContext:
                                         "run.snr_db": np.float64(7.5)})
         assert ctx.cfg.fft_size == 32
 
+    def test_values_are_kept_as_their_key_type(self):
+        ctx = ExperimentContext(values={"run.snr_db": 10,
+                                        "run.n_trials": np.int64(5)})
+        assert ctx.values == {"run.snr_db": 10.0, "run.n_trials": 5}
+        assert type(ctx.values["run.snr_db"]) is float
+        assert type(ctx.values["run.n_trials"]) is int
+
 
 class TestRegistry:
     def test_every_experiment_has_a_one_line_summary(self):
@@ -132,6 +140,17 @@ class TestReports:
             rf"# experiment={name} seed=1 config_hash=[0-9a-f]{{12}}",
             first,
         )
+
+    @pytest.mark.parametrize("snr_db", [-MAX_ABS_SNR_DB, MAX_ABS_SNR_DB])
+    @pytest.mark.parametrize("name", experiment_names())
+    def test_every_experiment_runs_at_the_snr_bound(self, name, snr_db,
+                                                     tmp_path):
+        # the suite turns numeric warnings into errors, so this run also
+        # shows that no dB conversion overflows at the bound
+        rep = run_experiment(name, seed=1,
+                             values={**TINY, "run.snr_db": snr_db},
+                             out_dir=str(tmp_path))
+        assert rep.lines[-1].startswith(f"experiment {name}: ")
 
     @pytest.mark.parametrize("name", CHEAP)
     def test_cheap_experiments_pass_at_defaults(self, name, tmp_path):
